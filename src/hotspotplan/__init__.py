@@ -19,6 +19,7 @@ from .discretization import (
     outcome_points,
 )
 from .errors import (
+    BoundsCrossed,
     ConfigError,
     DeadEnd,
     DegenerateCovariance,
@@ -83,6 +84,7 @@ from .planners import (
     stagewise_reward,
     state_key,
     urtdp,
+    urtdp_policy,
 )
 from .world import (
     ConstrainedJointAction,

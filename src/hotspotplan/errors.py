@@ -26,6 +26,10 @@ class InstanceTooLarge(HotspotPlanError):
     """Exhaustive solver invoked outside its tractable instance range."""
 
 
+class BoundsCrossed(HotspotPlanError, ValueError):
+    """A lower value bound exceeds its upper bound."""
+
+
 class DeadEnd(HotspotPlanError):
     """No legal action remains for any robot."""
 

@@ -5,6 +5,13 @@ The field of positive measurements ``y`` is modelled through its logs
 squared-exponential covariance plus a nugget. Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
+
+The kernel, the Gram jitter rule and the row-append of a Cholesky factor
+each have one definition here. :func:`posterior` and the other reference
+computations factorize from scratch; the planners condition through
+:class:`IncrementalPosterior`, the one factor that grows and shrinks with a
+history, and :class:`GramCache`, a memo of its factors keyed by location
+tuple.
 """
 
 from __future__ import annotations
@@ -125,36 +132,89 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _se(sq: np.ndarray, h: Hyperparams) -> np.ndarray:
+    """Squared-exponential kernel of squared distances, without the nugget.
+
+    Works in place, so a map-sized Gram matrix needs no temporaries: ``sq``
+    is overwritten with the kernel values and returned.
+    """
+    np.negative(sq, out=sq)
+    sq /= 2.0 * h.length_scale**2
+    np.exp(sq, out=sq)
+    sq *= h.signal_variance
+    return sq
+
+
 def cov_matrix(cells_a, cells_b, h: Hyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two cell lists (vectorized kernel)."""
+    """Cross-covariance matrix between two cell lists (vectorized kernel).
+
+    Cells are integer grid points, so a zero distance means the same cell:
+    the nugget goes exactly there.
+    """
     a = np.asarray(cells_a, dtype=float).reshape(-1, 2)
     b = np.asarray(cells_b, dtype=float).reshape(-1, 2)
-    k = h.signal_variance * np.exp(-_sq_dists(a, b) / (2.0 * h.length_scale**2))
+    sq = _sq_dists(a, b)
+    same = sq == 0
+    k = _se(sq, h)
     if h.noise_variance > 0:
-        ta = [tuple(c) for c in cells_a]
-        tb = [tuple(c) for c in cells_b]
-        for i, ca in enumerate(ta):
-            for j, cb in enumerate(tb):
-                if ca == cb:
-                    k[i, j] += h.noise_variance
+        k[same] += h.noise_variance
     return k
 
 
-def _gram(cells, h: Hyperparams) -> np.ndarray:
-    """Gram matrix of distinct observed cells, with stabilizing jitter."""
-    k = cov_matrix(cells, cells, h)
+def _gram_diagonal(h: Hyperparams) -> float:
+    """Diagonal entry of every Gram matrix that gets factorized.
+
+    The prior variance, plus a relative jitter when the nugget is zero. This
+    is the only place the jitter rule lives; ``JITTER_FRACTION`` is read at
+    call time.
+    """
     jitter = JITTER_FRACTION * h.signal_variance if h.noise_variance == 0 else 0.0
-    if jitter:
-        k[np.diag_indices_from(k)] += jitter
-    return k
+    return h.prior_variance + jitter
+
+
+def _gram_factor(cells, h: Hyperparams) -> np.ndarray:
+    """Lower Cholesky factor of the Gram matrix of distinct cells, from scratch."""
+    gram = cov_matrix(cells, cells, h)
+    np.fill_diagonal(gram, _gram_diagonal(h))
+    try:
+        return cholesky(gram, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
+
+
+def _append_row(L: np.ndarray, cells: np.ndarray, m: int, cell, h: Hyperparams) -> float:
+    """Extend the Gram factor ``L[:m, :m]`` over ``cells[:m]`` by ``cell``.
+
+    Writes row ``m`` of ``L`` and ``cells[m]`` in place, and returns the Schur
+    complement: the variance of an observation at ``cell`` given the first
+    ``m`` (jitter included). The only code that appends a row to a factor.
+    """
+    c = np.asarray(cell, dtype=float)
+    d2 = _gram_diagonal(h)
+    if m:
+        row = dtrsv(L[:m, :m], _se(np.sum((cells[:m] - c) ** 2, axis=1), h), lower=1)
+        L[m, :m] = row
+        d2 -= row @ row
+    if d2 <= 0:
+        raise SingularGram("gram extension lost positive definiteness")
+    L[m, m] = math.sqrt(d2)
+    cells[m] = c
+    return d2
+
+
+def _whiten(L: np.ndarray, cells: np.ndarray, targets: np.ndarray, h: Hyperparams) -> np.ndarray:
+    """``L^-1 K(cells, targets)`` for a lower factor ``L`` over ``cells``."""
+    return dtrsm(1.0, L, _se(_sq_dists(cells, targets), h), lower=1)
 
 
 class GramCache:
     """Cholesky factors and target weights keyed by the location tuple.
 
     Histories grow one cell at a time, so a factor for ``locs[:-1]`` is
-    extended by a single row instead of refactorized. Results are identical
-    to from-scratch computation; the cache is a pure-function accelerator.
+    extended by a single row (the row-append of :class:`IncrementalPosterior`)
+    instead of refactorized. One factor serves every measurement outcome of a
+    move, since it depends on the locations only. Results are identical to
+    from-scratch computation; the cache is a pure-function accelerator.
     """
 
     def __init__(self, h: Hyperparams):
@@ -172,29 +232,15 @@ class GramCache:
         elif locs[:-1] in self._chol:
             L = self._extend(self._chol[locs[:-1]], locs)
         else:
-            gram = _gram(locs, self.h)
-            try:
-                L = cholesky(gram, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
+            L = _gram_factor(locs, self.h)
         self._chol[locs] = L
         return L
 
     def _extend(self, L_prev: np.ndarray, locs: tuple) -> np.ndarray:
         m = L_prev.shape[0]
-        new = locs[-1]
-        b = cov_matrix([new], locs[:-1], self.h).ravel()
-        c = covariance(new, new, self.h)
-        if self.h.noise_variance == 0:
-            c += JITTER_FRACTION * self.h.signal_variance
-        row = solve_triangular(L_prev, b, lower=True) if m else np.zeros(0)
-        d2 = c - row @ row
-        if d2 <= 0:
-            raise SingularGram("gram extension lost positive definiteness")
         L = np.zeros((m + 1, m + 1))
         L[:m, :m] = L_prev
-        L[m, :m] = row
-        L[m, m] = math.sqrt(d2)
+        _append_row(L, np.asarray(locs, dtype=float), m, locs[-1], self.h)
         return L
 
     def target_weights(self, locs: tuple, target: Cell) -> tuple[np.ndarray, float]:
@@ -205,27 +251,27 @@ class GramCache:
         found = self._weights.get(key)
         if found is not None:
             return found
-        prior_var = covariance(target, target, self.h)
         if len(locs) == 0:
-            result = (np.zeros(0), prior_var)
+            result = (np.zeros(0), self.h.prior_variance)
         else:
             L = self.chol(locs)
-            kvec = cov_matrix(locs, [target], self.h).ravel()
-            half = solve_triangular(L, kvec, lower=True)
-            alpha = solve_triangular(L.T, half, lower=False)
-            result = (alpha, prior_var - half @ half)
+            t = np.asarray([target], dtype=float)
+            half = _whiten(L, np.asarray(locs, dtype=float), t, self.h)
+            alpha = dtrsm(1.0, L, half, lower=1, trans_a=1)[:, 0]
+            result = (alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0]))
         self._weights[key] = result
         return result
 
 
 class IncrementalPosterior:
-    """Posterior evaluator over one growing observation sequence.
+    """Posterior evaluator over one observation sequence that grows and shrinks.
 
-    Keeps the Cholesky factor of the Gram matrix and the whitened residual
+    This is the single GP factor the planners condition on. It keeps the
+    Cholesky factor of the Gram matrix and the whitened residual
     ``y = L^-1 (z - mean)`` in preallocated buffers, so appending one
-    observation costs one triangular solve and target means/variances cost a
-    single batched solve. Results match :func:`posterior` exactly; this class
-    exists for planner hot loops (rollout bound initialization).
+    observation costs one triangular solve, dropping the last ones costs
+    nothing, and target means/variances cost a single batched solve. Results
+    match :func:`posterior` exactly.
     """
 
     def __init__(self, h: Hyperparams, locs, z, capacity: int, L: np.ndarray | None = None):
@@ -237,10 +283,9 @@ class IncrementalPosterior:
         self._cells = np.zeros((cap, 2))
         self.m = m
         if m:
-            self._L[:m, :m] = L if L is not None else cholesky(_gram(locs, h), lower=True)
+            self._L[:m, :m] = L if L is not None else _gram_factor(locs, h)
             self._y[:m] = dtrsv(self._L[:m, :m], np.asarray(z, dtype=float) - h.mean, lower=1)
             self._cells[:m] = np.asarray(locs, dtype=float)
-        self._jitter = JITTER_FRACTION * h.signal_variance if h.noise_variance == 0 else 0.0
 
     def batch(self, targets) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at the target cells.
@@ -254,36 +299,23 @@ class IncrementalPosterior:
         m = self.m
         if m == 0:
             return np.full(t.shape[0], h.mean), prior
-        k = h.signal_variance * np.exp(
-            -_sq_dists(self._cells[:m], t) / (2.0 * h.length_scale**2)
-        )
-        half = dtrsm(1.0, self._L[:m, :m], k, lower=1)
+        half = _whiten(self._L[:m, :m], self._cells[:m], t, h)
         mu = h.mean + half.T @ self._y[:m]
         var = prior - np.einsum("ij,ij->j", half, half)
         return mu, var
 
-    def extend(self, cell, z_value: float) -> None:
-        """Append one observation in place."""
-        h = self.h
+    def extend(self, cell, z_value: float) -> float:
+        """Append one observation in place; return its variance given the
+        sequence before it (the Schur complement, jitter included)."""
         m = self.m
-        c = np.asarray(cell, dtype=float)
-        prior = h.prior_variance + self._jitter
-        if m == 0:
-            d2 = prior
-            row = np.zeros(0)
-        else:
-            b = h.signal_variance * np.exp(
-                -np.sum((self._cells[:m] - c) ** 2, axis=1) / (2.0 * h.length_scale**2)
-            )
-            row = dtrsv(self._L[:m, :m], b, lower=1)
-            d2 = prior - row @ row
-        if d2 <= 0:
-            raise SingularGram("incremental extension lost positive definiteness")
-        self._L[m, :m] = row
-        self._L[m, m] = math.sqrt(d2)
-        self._y[m] = (float(z_value) - h.mean - row @ self._y[:m]) / self._L[m, m]
-        self._cells[m] = c
+        var = _append_row(self._L, self._cells, m, cell, self.h)
+        self._y[m] = (float(z_value) - self.h.mean - self._L[m, :m] @ self._y[:m]) / self._L[m, m]
         self.m = m + 1
+        return var
+
+    def pop(self, count: int) -> None:
+        """Drop the last ``count`` observations."""
+        self.m -= count
 
 
 def posterior(d: PosteriorData, targets, h: Hyperparams) -> PosteriorGaussian:
@@ -298,16 +330,27 @@ def posterior(d: PosteriorData, targets, h: Hyperparams) -> PosteriorGaussian:
     k_tt = cov_matrix(targets, targets, h)
     if len(d) == 0:
         return PosteriorGaussian(np.full(len(targets), h.mean), k_tt)
-    gram = _gram(d.locations, h)
-    try:
-        L = cholesky(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
+    L = _gram_factor(d.locations, h)
     k_ot = cov_matrix(d.locations, targets, h)
     solved = cho_solve((L, True), k_ot)
     mean = h.mean + solved.T @ (d.z - h.mean)
     cov = k_tt - k_ot.T @ solved
     return PosteriorGaussian(mean, 0.5 * (cov + cov.T))
+
+
+def leave_one_out_variances(cells, index, h: Hyperparams) -> np.ndarray:
+    """Posterior variance at ``cells[i]`` given all the other cells, for each
+    ``i`` in ``index``, as :func:`posterior` would report it.
+
+    One factorization of the Gram matrix ``K`` of ``cells`` serves every
+    ``i``: ``var = 1 / [K^-1]_ii`` (Krause, Singh & Guestrin, JMLR 2008),
+    less the jitter that ``K`` carries on its diagonal.
+    """
+    L = _gram_factor(cells, h)
+    unit = np.zeros((len(cells), len(index)))
+    unit[index, np.arange(len(index))] = 1.0
+    half = dtrsm(1.0, L, unit, lower=1)
+    return 1.0 / np.einsum("ij,ij->j", half, half) - (_gram_diagonal(h) - h.prior_variance)
 
 
 def gaussian_entropy(g: PosteriorGaussian) -> float:
@@ -342,11 +385,7 @@ def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     ``seed``.
     """
     cells = domain.cells()
-    gram = _gram(cells, h)
-    try:
-        L = cholesky(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovariance(f"field covariance not factorizable: {exc}") from exc
+    L = _gram_factor(cells, h)
     rng = np.random.default_rng(seed)
     z = h.mean + L @ rng.standard_normal(len(cells))
     return np.exp(z).reshape(domain.rows, domain.cols)
@@ -361,11 +400,7 @@ def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:
 def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
     """Gaussian log marginal likelihood of the log measurements."""
     n = len(d)
-    gram = _gram(d.locations, h)
-    try:
-        L = cholesky(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
+    L = _gram_factor(d.locations, h)
     resid = d.z - h.mean
     half = solve_triangular(L, resid, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))

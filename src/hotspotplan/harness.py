@@ -21,11 +21,10 @@ from .planners import (
     GreedyPolicy,
     PlannerConfig,
     Problem,
-    UrtdpPolicy,
-    _UrtdpInstance,
     mes_nonadaptive,
     mi_greedy,
     urtdp,
+    urtdp_policy,
 )
 from .world import Cell, GridDomain, RobotPose, TeamState, interior_heading
 
@@ -319,9 +318,7 @@ def _build_policy(name: str, problem: Problem, pcfg: PlannerConfig,
     """Policy object plus the planning time already spent building it."""
     t0 = time.perf_counter()
     if name == "urtdp":
-        ss = np.random.SeedSequence(pcfg.seed)
-        rng = np.random.default_rng(ss.spawn(2)[0])
-        policy = UrtdpPolicy(_UrtdpInstance(problem, pcfg, "jensen", rng), pcfg)
+        policy = urtdp_policy(problem, pcfg)
     elif name == "greedy":
         policy = GreedyPolicy(problem)
     elif name == "mes":

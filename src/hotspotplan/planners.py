@@ -13,10 +13,13 @@ measurement outcome are handled three ways:
                      them along simulated paths.
 
 All solvers share one vectorized tree recursion parameterized by the
-standardized outcome points, and a Gram-factor cache keyed by the observed
-location tuple (posterior covariances never depend on measurement values).
-Non-adaptive baselines (maximum entropy sampling, MI-based greedy) commit
-their paths from the prior data alone.
+standardized outcome points. Every conditioning goes through one GP factor,
+``field_model.IncrementalPosterior``: URTDP's rollouts and expansions, MES's
+branch and bound (extended and popped along the search) and MI's selected
+set. ``field_model.GramCache`` memoizes its factors by observed location
+tuple, so the outcome branches of a move share one (posterior covariances
+never depend on measurement values). Non-adaptive baselines (maximum entropy
+sampling, MI-based greedy) commit their paths from the prior data alone.
 """
 
 from __future__ import annotations
@@ -25,23 +28,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky, solve_triangular as _solve_tri
 
 from .discretization import standardized_rule, truncated_quadrature_rule
-from .errors import DeadEnd, DegenerateCovariance, InstanceTooLarge
+from .errors import BoundsCrossed, DeadEnd, DegenerateCovariance, InstanceTooLarge
 from .field_model import (
     LOG_2PI_E,
     GramCache,
     Hyperparams,
     IncrementalPosterior,
     PosteriorData,
-    cov_matrix,
     gaussian_entropy,
+    leave_one_out_variances,
     posterior,
 )
 from .world import (
-    MOVES,
-    MOVE_DELTA,
     ConstrainedJointAction,
     GridDomain,
     TeamState,
@@ -49,6 +49,7 @@ from .world import (
     apply_joint_move,
     constrained_actions,
     full_joint_actions,
+    legal_moves,
     move_target,
     transition,
 )
@@ -105,7 +106,7 @@ class ValueBounds:
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
-            raise ValueError(f"bounds crossed: {self.lower} > {self.upper}")
+            raise BoundsCrossed(f"bounds crossed: {self.lower} > {self.upper}")
 
     @property
     def gap(self) -> float:
@@ -373,25 +374,6 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 # ---------------------------------------------------------------------------
 
 
-def _fast_state(s: TeamState):
-    return [(p.cell, p.heading) for p in s.poses], set(s.visited), list(s.steps), s.budget
-
-
-def _fast_moves(poses, visited, steps, budget, rows, cols):
-    """(robot, move, cell, heading) tuples in canonical action order."""
-    out = []
-    for i, (cell, hd) in enumerate(poses):
-        if budget is not None and steps[i] >= budget:
-            continue
-        r, c = cell
-        for mv in MOVES:
-            dr, dc, nh = MOVE_DELTA[(hd, mv)]
-            r2, c2 = r + dr, c + dc
-            if 0 <= r2 < rows and 0 <= c2 < cols and (r2, c2) not in visited:
-                out.append((i, mv, (r2, c2), nh))
-    return out
-
-
 def _greedy_ce_rollout(problem, inc, s, steps_count, record=False):
     """Greedy certainty-equivalent rollout; mutates ``inc`` in place.
 
@@ -399,12 +381,13 @@ def _greedy_ce_rollout(problem, inc, s, steps_count, record=False):
     back as the observation. Returns the total reward and (optionally) the
     visited cell sequence for replay.
     """
-    rows, cols = problem.domain.rows, problem.domain.cols
-    poses, visited, steps, budget = _fast_state(s)
+    domain = problem.domain
+    poses = [(p.cell, p.heading) for p in s.poses]
+    visited, steps = set(s.visited), list(s.steps)
     total = 0.0
     seq = [] if record else None
     for _ in range(steps_count):
-        moves = _fast_moves(poses, visited, steps, budget, rows, cols)
+        moves = list(legal_moves(poses, visited, steps, s.budget, domain))
         if not moves:
             break
         cells = [m[2] for m in moves]
@@ -674,12 +657,6 @@ class _UrtdpInstance:
         return ValueBounds(b[0], b[1])
 
 
-def simulated_path(instance: _UrtdpInstance, d: PosteriorData, s: TeamState, stage: int = 0):
-    """Run one simulated path on an URTDP instance (exposed for tests)."""
-    instance.simulated_path(d, s, stage)
-    return instance.tables
-
-
 class UrtdpPolicy(Policy):
     """Greedy-on-lower-bound policy; replans anytime from the current state."""
 
@@ -702,6 +679,20 @@ class UrtdpPolicy(Policy):
         return qs[best_i][0]
 
 
+def _trial_rng(config: PlannerConfig, child: int) -> np.random.Generator:
+    """Trial stream of an URTDP instance: child 0 (Jensen) or 1 (EM) of the
+    seed sequence of ``config.seed``."""
+    return np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[child])
+
+
+def urtdp_policy(problem: Problem, config: PlannerConfig) -> UrtdpPolicy:
+    """The replanning URTDP policy on a fresh Jensen-problem instance.
+
+    Its trials draw the same stream as the lower instance of :func:`urtdp`.
+    """
+    return UrtdpPolicy(_UrtdpInstance(problem, config, "jensen", _trial_rng(config, 0)), config)
+
+
 @dataclass
 class UrtdpResult:
     bounds: ValueBounds
@@ -722,17 +713,14 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     values (and hence the true optimum) at all times. The policy is greedy on
     the lower-problem bound tables.
     """
-    ss = np.random.SeedSequence(config.seed)
-    rng_low, rng_up = (np.random.default_rng(child) for child in ss.spawn(2))
-    cache = GramCache(problem.hyper)
-    low = _UrtdpInstance(problem, config, "jensen", rng_low, cache)
-    up = _UrtdpInstance(problem, config, "em", rng_up, cache)
+    policy = urtdp_policy(problem, config)
+    low = policy.instance
+    up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1), low.cache)
     ok_low = low.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
     ok_up = up.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
     bounds = ValueBounds(
         low.root_bounds(d0, s0, 0).lower, up.root_bounds(d0, s0, 0).upper
     )
-    policy = UrtdpPolicy(low, config)
     return UrtdpResult(bounds, policy, low.paths_run, up.paths_run, not (ok_low and ok_up))
 
 
@@ -773,6 +761,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _entropy_gain(inc: IncrementalPosterior, cells) -> float:
+    """GP entropy (nats) that observing ``cells`` in turn adds; ``inc`` keeps them."""
+    return sum(0.5 * (LOG_2PI_E + math.log(inc.extend(c, inc.h.mean))) for c in cells)
+
+
 def mes_nonadaptive(
     problem: Problem,
     d0: PosteriorData,
@@ -790,51 +783,28 @@ def mes_nonadaptive(
     tree certifies optimality. Joint entropies use the GP (log-scale) model.
     """
     domain = problem.domain
-    h = problem.hyper
     k = s0.k
     s0 = TeamState(s0.poses, s0.visited, s0.steps, n)
-    jitter_var = 1e-10 * h.signal_variance if h.noise_variance == 0 else 0.0
+    # one factor over the prior cells: the search extends it along the path it
+    # scores and pops back; one spare row serves the prior gains
+    inc = IncrementalPosterior(problem.hyper, d0.locations, d0.z, len(d0) + k * n + 1)
+    base = inc.m
 
-    prior_cells = list(d0.locations)
-    unvisited = [c for c in domain.cells() if c not in s0.visited]
-    if unvisited:
-        g = posterior(d0, unvisited, h)
-        prior_gain = {
-            c: 0.5 * (LOG_2PI_E + math.log(g.covariance[i, i] + jitter_var))
-            for i, c in enumerate(unvisited)
-        }
-    else:
-        prior_gain = {}
+    prior_gain = {}
+    for c in domain.cells():
+        if c not in s0.visited:
+            prior_gain[c] = _entropy_gain(inc, [c])
+            inc.pop(1)
     gain_sorted = sorted(prior_gain.items(), key=lambda kv: -kv[1])
 
-    # incremental Cholesky over prior + chosen cells
-    m_max = len(prior_cells) + k * n
-    factor = np.zeros((m_max, m_max))
-    cells_stack: list = list(prior_cells)
-    if prior_cells:
-        gram = cov_matrix(prior_cells, prior_cells, h)
-        gram[np.diag_indices_from(gram)] += jitter_var
-        factor[: len(prior_cells), : len(prior_cells)] = _cholesky(gram, lower=True)
-
-    def push(cell) -> float:
-        m = len(cells_stack)
-        b = cov_matrix([cell], cells_stack, h).ravel() if m else np.zeros(0)
-        c = cov_matrix([cell], [cell], h)[0, 0] + jitter_var
-        row = _solve_tri(factor[:m, :m], b, lower=True) if m else np.zeros(0)
-        d2 = c - row @ row
-        if d2 <= 0:
-            raise DegenerateCovariance("path cell duplicates observed data")
-        factor[m, :m] = row
-        factor[m, m] = math.sqrt(d2)
-        cells_stack.append(cell)
-        return 0.5 * (LOG_2PI_E + math.log(d2))
-
-    def pop(count):
-        for _ in range(count):
-            cells_stack.pop()
-
-    def reset_stack():
-        del cells_stack[len(prior_cells):]
+    def path_value(seq):
+        s, cells = s0, []
+        for combo in seq:
+            cells += action_new_cells(s, combo)
+            s = apply_joint_move(s, combo, domain)
+        value = _entropy_gain(inc, cells)
+        inc.pop(len(cells))
+        return value
 
     def optimistic_tail(depth, chosen):
         need = (n - depth) * k
@@ -855,41 +825,29 @@ def mes_nonadaptive(
     def greedy_combos():
         s = s0
         out = []
-        try:
-            for _ in range(n):
-                combos = full_joint_actions(s, domain)
-                if not combos:
-                    return None
-                best = None
-                for combo in combos:
-                    cells = [move_target(s.poses[i], mv).cell for i, mv in enumerate(combo)]
-                    inc = sum(push(c) for c in cells)
-                    pop(len(cells))
-                    if best is None or inc > best[0]:
-                        best = (inc, combo, cells)
-                _, combo, cells = best
-                for c in cells:
-                    push(c)
-                out.append(combo)
-                s = apply_joint_move(s, combo, domain)
-            return out
-        finally:
-            reset_stack()
+        for _ in range(n):
+            combos = full_joint_actions(s, domain)
+            if not combos:
+                return None
+            best = None
+            for combo in combos:
+                cells = action_new_cells(s, combo)
+                gain = _entropy_gain(inc, cells)
+                inc.pop(len(cells))
+                if best is None or gain > best[0]:
+                    best = (gain, combo, cells)
+            _, combo, cells = best
+            _entropy_gain(inc, cells)
+            out.append(combo)
+            s = apply_joint_move(s, combo, domain)
+        return out
 
     greedy_seq = greedy_combos()
+    inc.pop(inc.m - base)
     best_val = -math.inf
     best_seq = None
     if greedy_seq is not None:
-        val = 0.0
-        count = 0
-        s = s0
-        for combo in greedy_seq:
-            for i, mv in enumerate(combo):
-                val += push(move_target(s.poses[i], mv).cell)
-                count += 1
-            s = apply_joint_move(s, combo, domain)
-        pop(count)
-        best_val = val - 1e-12  # epsilon under: DFS re-finds the true incumbent
+        best_val = path_value(greedy_seq) - 1e-12  # epsilon under: DFS re-finds the true incumbent
         best_seq = greedy_seq
 
     nodes = 0
@@ -907,38 +865,27 @@ def mes_nonadaptive(
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
-            cells = [move_target(s.poses[i], mv).cell for i, mv in enumerate(combo)]
-            inc = sum(push(c) for c in cells)
+            cells = action_new_cells(s, combo)
+            child_val = val + _entropy_gain(inc, cells)
             chosen.update(cells)
-            child_val = val + inc
             if child_val + optimistic_tail(depth + 1, chosen) > best_val:
                 seq.append(combo)
                 dfs(apply_joint_move(s, combo, domain), depth + 1, child_val, seq)
                 seq.pop()
             chosen.difference_update(cells)
-            pop(len(cells))
+            inc.pop(len(cells))
 
     exact = True
     try:
         dfs(s0, 0, 0.0, [])
     except _BudgetExhausted:
         exact = False
-    finally:
-        reset_stack()
+        inc.pop(inc.m - base)
     if best_seq is None:
         raise DeadEnd("no complete joint path of the requested length exists")
 
     # recompute the incumbent value cleanly (the stored one may carry -1e-12)
-    val = 0.0
-    count = 0
-    s = s0
-    for combo in best_seq:
-        for i, mv in enumerate(combo):
-            val += push(move_target(s.poses[i], mv).cell)
-            count += 1
-        s = apply_joint_move(s, combo, domain)
-    pop(count)
-
+    val = path_value(best_seq)
     actions = _serialize_joint_stages(s0, best_seq)
     paths = _paths_from_joint(s0, domain, best_seq)
     return MesResult(val, paths, NonAdaptivePolicy(actions), exact, nodes)
@@ -957,47 +904,33 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     Each step appends the reachable cell maximizing the entropy of that cell
     given the data selected so far minus its entropy given all the remaining
     unobserved cells. Only prior-data covariances enter, never measurement
-    values, so the paths commit before exploration.
+    values, so the paths commit before exploration. The first variance comes
+    from one factor that grows with each selected cell, the second from one
+    factorization per step over every cell not yet selected.
     """
     domain = problem.domain
     h = problem.hyper
-    jitter_var = 1e-10 * h.signal_variance if h.noise_variance == 0 else 0.0
     s = TeamState(s0.poses, s0.visited, s0.steps, n)
-    base = list(d0.locations)
-    unobs0 = [c for c in domain.cells() if c not in d0.observed_set()]
-
-    def cond_var(target, conditioning):
-        prior = cov_matrix([target], [target], h)[0, 0] + jitter_var
-        if not conditioning:
-            return prior
-        gram = cov_matrix(conditioning, conditioning, h)
-        gram[np.diag_indices_from(gram)] += jitter_var
-        kvec = cov_matrix(conditioning, [target], h).ravel()
-        half = _solve_tri(_cholesky(gram, lower=True), kvec, lower=True)
-        return prior - half @ half
-
-    selected: list = []
+    total = s.k * n
+    inc = IncrementalPosterior(h, d0.locations, d0.z, len(d0) + total)
+    observed = d0.observed_set()
+    unselected = list(d0.locations) + [c for c in domain.cells() if c not in observed]
     actions = []
     scores = []
-    total = s.k * n
     for _ in range(total):
         acts = constrained_actions(s, domain)
         if not acts:
             raise DeadEnd("mi_greedy path construction blocked")
-        best = None
-        for a in acts:
-            y = action_target(s, a).cell
-            var_sel = cond_var(y, base + selected)
-            rest = [c for c in unobs0 if c != y and c not in selected]
-            var_rest = cond_var(y, base + rest)
-            score = 0.5 * (math.log(var_sel) - math.log(var_rest))
-            if best is None or score > best[0]:
-                best = (score, a, y)
-        score, a, y = best
-        selected.append(y)
-        actions.append(a)
-        scores.append(score)
-        s = transition(s, a, domain)
+        ys = [action_target(s, a).cell for a in acts]
+        _, var_sel = inc.batch(ys)
+        var_rest = leave_one_out_variances(unselected, [unselected.index(y) for y in ys], h)
+        mi = 0.5 * (np.log(var_sel) - np.log(var_rest))
+        b = int(np.argmax(mi))
+        inc.extend(ys[b], h.mean)
+        unselected.remove(ys[b])
+        actions.append(acts[b])
+        scores.append(float(mi[b]))
+        s = transition(s, acts[b], domain)
     paths = [[p.cell] for p in s0.poses]
     replay = TeamState(s0.poses, s0.visited, s0.steps, n)
     for a in actions:

@@ -26,8 +26,7 @@ _STEP = {"N": (-1, 0), "E": (0, 1), "S": (1, 0), "W": (0, -1)}
 _LEFT = {"N": "W", "W": "S", "S": "E", "E": "N"}
 _RIGHT = {"N": "E", "E": "S", "S": "W", "W": "N"}
 
-# (heading, move) -> (drow, dcol, new heading); planner hot loops index this
-# directly instead of building pose objects
+# (heading, move) -> (drow, dcol, new heading): the one table of move geometry
 MOVE_DELTA = {}
 for _h in HEADINGS:
     for _m in MOVES:
@@ -112,27 +111,39 @@ class TeamState:
 
 def move_target(pose: RobotPose, move: str) -> RobotPose:
     """Pose after a front/left/right move, ignoring legality."""
-    if move == "front":
-        heading = pose.heading
-    elif move == "left":
-        heading = _LEFT[pose.heading]
-    else:
-        heading = _RIGHT[pose.heading]
-    dr, dc = _STEP[heading]
+    dr, dc, heading = MOVE_DELTA[(pose.heading, move)]
     return RobotPose((pose.cell[0] + dr, pose.cell[1] + dc), heading)
+
+
+def legal_moves(poses, visited, steps, budget, domain: GridDomain):
+    """Yield ``(robot, move, cell, heading)`` for every legal one-robot move.
+
+    ``poses`` holds ``(cell, heading)`` pairs. Robots whose step count has
+    reached ``budget`` do not move; a move must stay on the grid and land on
+    a cell not in ``visited``. Order: robot index, then front < left < right.
+    """
+    rows, cols = domain.rows, domain.cols
+    for i, (cell, hd) in enumerate(poses):
+        if budget is not None and steps[i] >= budget:
+            continue
+        r, c = cell
+        for mv in MOVES:
+            dr, dc, nh = MOVE_DELTA[(hd, mv)]
+            r2, c2 = r + dr, c + dc
+            if 0 <= r2 < rows and 0 <= c2 < cols and (r2, c2) not in visited:
+                yield i, mv, (r2, c2), nh
+
+
+def _pose_pairs(s: TeamState):
+    return [(p.cell, p.heading) for p in s.poses]
 
 
 def constrained_actions(s: TeamState, domain: GridDomain) -> list[ConstrainedJointAction]:
     """Legal one-robot moves, ordered by (robot_index, front<left<right)."""
-    out = []
-    for i, pose in enumerate(s.poses):
-        if s.budget is not None and s.steps[i] >= s.budget:
-            continue
-        for move in MOVES:
-            nxt = move_target(pose, move)
-            if domain.contains(nxt.cell) and nxt.cell not in s.visited:
-                out.append(ConstrainedJointAction(i, move))
-    return out
+    return [
+        ConstrainedJointAction(i, mv)
+        for i, mv, _, _ in legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain)
+    ]
 
 
 def action_target(s: TeamState, a: ConstrainedJointAction) -> RobotPose:
@@ -163,23 +174,15 @@ def full_joint_actions(s: TeamState, domain: GridDomain) -> list[tuple[str, ...]
     Returns tuples of per-robot move names; combinations sending two robots
     into the same cell are excluded.
     """
-    per_robot: list[list[str]] = []
-    for i, pose in enumerate(s.poses):
-        if s.budget is not None and s.steps[i] >= s.budget:
-            return []
-        legal = []
-        for move in MOVES:
-            nxt = move_target(pose, move)
-            if domain.contains(nxt.cell) and nxt.cell not in s.visited:
-                legal.append(move)
-        if not legal:
-            return []
-        per_robot.append(legal)
+    per_robot: list[list[tuple]] = [[] for _ in s.poses]
+    for i, mv, cell, _ in legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain):
+        per_robot[i].append((mv, cell))
+    if not all(per_robot):  # a robot is out of budget or boxed in
+        return []
     out = []
     for combo in itertools.product(*per_robot):
-        cells = [move_target(s.poses[i], m).cell for i, m in enumerate(combo)]
-        if len(set(cells)) == len(cells):
-            out.append(combo)
+        if len({cell for _, cell in combo}) == len(combo):
+            out.append(tuple(mv for mv, _ in combo))
     return out
 
 

@@ -1,0 +1,36 @@
+"""The benchmark's traced smoke run still measures every layer it names.
+
+``bench/spans.py`` finds the library's layers by name; a rename in the
+library would silently zero a per-layer metric. This test only reads the
+benchmark's output.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_smoke_run_is_correct_and_traces_the_gp_factor():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--smoke", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics: dict[str, dict[str, float]] = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("  "):
+            name, _, value = line.strip().partition(" = ")
+            metrics[workload][name] = float(value.split()[0])
+        elif ": correct=" in line:
+            workload, _, status = line.partition(": ")
+            assert status.startswith("correct=True"), line
+            metrics[workload] = {}
+    assert set(metrics) == {"bounds-k1", "run-k2", "run-hires"}
+    for name in (
+        "field_model.incremental.batch.calls",
+        "field_model.gram_cache.chol.calls",
+        "planners.urtdp.init_children.calls",
+    ):
+        assert metrics["bounds-k1"][name] > 0, name

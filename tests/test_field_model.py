@@ -11,6 +11,7 @@ from hotspotplan.field_model import (
     IncrementalPosterior,
     PosteriorData,
     PosteriorGaussian,
+    cov_matrix,
     covariance,
     fit_hyperparams,
     gaussian_entropy,
@@ -50,6 +51,18 @@ def test_kernel_symmetry_and_nugget():
     h = Hyperparams(0.0, 1.3, 0.9, 0.2)
     assert covariance((1, 2), (4, 0), h) == covariance((4, 0), (1, 2), h)
     assert covariance((1, 2), (1, 2), h) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_cov_matrix_matches_scalar_kernel(noise):
+    h = Hyperparams(0.0, 1.3, 0.9, noise)
+    cells_a = [(0, 0), (1, 2), (3, 1), (1, 2)]
+    cells_b = [(1, 2), (0, 0), (2, 2), (3, 1)]
+    k = cov_matrix(cells_a, cells_b, h)
+    assert k.shape == (4, 4)
+    for i, a in enumerate(cells_a):
+        for j, b in enumerate(cells_b):
+            assert k[i, j] == pytest.approx(covariance(a, b, h), rel=1e-12)
 
 
 # -- posterior ---------------------------------------------------------------
@@ -395,3 +408,35 @@ def test_incremental_posterior_matches_posterior(rng):
     g2 = posterior(d2, [(3, 0)], h)
     assert mus2[0] == pytest.approx(float(g2.mean[0]), abs=1e-10)
     assert variances2[0] == pytest.approx(float(g2.covariance[0, 0]), abs=1e-10)
+
+
+def test_incremental_extend_returns_posterior_variance(rng):
+    h = Hyperparams(0.1, 0.9, 1.4, 0.02)
+    locs = [(0, 0), (2, 2), (1, 3)]
+    z = rng.normal(size=3)
+    inc = IncrementalPosterior(h, tuple(locs), z, capacity=5)
+    var = inc.extend((1, 1), 0.3)
+    g = posterior(PosteriorData(locs, z), [(1, 1)], h)
+    assert var == pytest.approx(float(g.covariance[0, 0]), abs=1e-10)
+    g2 = posterior(PosteriorData(locs + [(1, 1)], np.append(z, 0.3)), [(3, 0)], h)
+    assert inc.extend((3, 0), -0.2) == pytest.approx(float(g2.covariance[0, 0]), abs=1e-10)
+
+
+def test_incremental_pop_then_extend_matches_fresh(rng):
+    h = Hyperparams(0.1, 0.9, 1.4, 0.0)
+    locs = [(0, 0), (2, 2), (1, 3)]
+    z = rng.normal(size=3)
+    inc = IncrementalPosterior(h, tuple(locs), z, capacity=6)
+    inc.extend((1, 1), 0.5)
+    inc.extend((0, 2), -0.4)
+    inc.pop(2)
+    inc.extend((3, 3), 0.8)
+    inc.extend((2, 0), 0.1)
+    fresh = IncrementalPosterior(
+        h, tuple(locs) + ((3, 3), (2, 0)), np.append(z, [0.8, 0.1]), capacity=6
+    )
+    targets = [(1, 1), (0, 2), (3, 1)]
+    mus, variances = inc.batch(targets)
+    mus_f, variances_f = fresh.batch(targets)
+    assert np.allclose(mus, mus_f, rtol=0, atol=1e-10)
+    assert np.allclose(variances, variances_f, rtol=0, atol=1e-10)

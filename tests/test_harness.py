@@ -300,6 +300,16 @@ def test_cli_bounds_prints_bracket(tmp_path, capsys):
     assert "lower=" in out and "upper=" in out and "gap=" in out
 
 
+def test_cli_bounds_crossed_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    import hotspotplan.cli as cli
+    from hotspotplan.planners import ValueBounds
+
+    monkeypatch.setattr(cli, "compute_bounds", lambda cfg, seed: ValueBounds(1.0, 0.0))
+    cfg_path = write_config(tmp_path, seeds="0")
+    assert cli_main(["bounds", "--config", str(cfg_path)]) == 2
+    assert "runtime error: bounds crossed" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rows = 4\n")

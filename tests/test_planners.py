@@ -9,7 +9,7 @@ from conftest import (
     quadrature_policy_map_entropy,
     quadrature_policy_reward,
 )
-from hotspotplan.errors import DeadEnd, InstanceTooLarge
+from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
 from hotspotplan.field_model import (
     Hyperparams,
     PosteriorData,
@@ -20,6 +20,7 @@ from hotspotplan.planners import (
     BoundedLowerPolicy,
     PlannerConfig,
     Problem,
+    ValueBounds,
     _UrtdpInstance,
     bounded_dp,
     exact_dp,
@@ -27,7 +28,6 @@ from hotspotplan.planners import (
     init_bounds,
     mes_nonadaptive,
     mi_greedy,
-    simulated_path,
     stagewise_reward,
     state_key,
     urtdp,
@@ -234,6 +234,11 @@ def test_urtdp_budget_exhaustion_is_flagged():
     assert res.bounds.lower <= res.bounds.upper
 
 
+def test_crossed_bounds_raise_a_library_error():
+    with pytest.raises(HotspotPlanError):
+        ValueBounds(1.0, 0.0)
+
+
 def test_urtdp_bracket_and_leaf_rule_along_paths():
     problem, d0, s0 = make_instance(seed=14, rows=3, cols=3, model="lgp")
     cfg = cfg_for(horizon=2, nu=3, alpha=1e-9, paths=2000, seed=3)
@@ -241,7 +246,7 @@ def test_urtdp_bracket_and_leaf_rule_along_paths():
     violations = []
     inst.on_backup = lambda key, lo, hi: violations.append((lo, hi)) if lo > hi + 1e-9 else None
     for _ in range(200):
-        simulated_path(inst, d0, s0, 0)
+        inst.simulated_path(d0, s0, 0)
     assert violations == []
     # leaf rule: terminal states carry the max stagewise reward on both sides
     root = state_key(0, s0, d0)
@@ -509,36 +514,40 @@ def test_mi_independent_cells_reduce_to_variance_greedy():
 
 
 def test_mi_matches_brute_force_increment():
-    problem, d0, s0 = make_instance(seed=46, rows=3, cols=3, model="gp")
-    s0 = TeamState(s0.poses, s0.visited, budget=2)
-    res = mi_greedy(problem, d0, s0, n=2)
-    # replay: at each step recompute every candidate's score directly
-    h = problem.hyper
-    unobs0 = [c for c in problem.domain.cells() if c not in d0.observed_set()]
-    s = s0
-    selected = []
-    for step, chosen_action in enumerate(res.policy.actions):
-        acts = constrained_actions(s, problem.domain)
-        scores = {}
-        for a in acts:
-            y = action_target(s, a).cell
-            d_sel = PosteriorData(
-                list(d0.locations) + selected, list(d0.z) + [0.0] * len(selected)
-            )
-            var_sel = posterior(d_sel, [y], h).covariance[0, 0]
-            rest = [c for c in unobs0 if c != y and c not in selected]
-            d_rest = PosteriorData(
-                list(d0.locations) + rest, list(d0.z) + [0.0] * len(rest)
-            )
-            var_rest = posterior(d_rest, [y], h).covariance[0, 0]
-            scores[(a.robot_index, a.move)] = 0.5 * (
-                math.log(var_sel) - math.log(var_rest)
-            )
-        chosen_key = (chosen_action.robot_index, chosen_action.move)
-        assert scores[chosen_key] == pytest.approx(max(scores.values()), abs=1e-9)
-        assert scores[chosen_key] == pytest.approx(res.scores[step], abs=1e-8)
-        selected.append(action_target(s, chosen_action).cell)
-        s = transition(s, chosen_action, problem.domain)
+    # the default instance, a zero-nugget one (the jitter path) and two robots
+    for kwargs in ({}, {"noise_variance": 0.0}, {"k": 2, "rows": 4, "cols": 4}):
+        problem, d0, s0 = make_instance(**{"seed": 46, "rows": 3, "cols": 3, **kwargs},
+                                        model="gp")
+        s0 = TeamState(s0.poses, s0.visited, budget=2)
+        res = mi_greedy(problem, d0, s0, n=2)
+        # replay: at each step recompute every candidate's score directly
+        h = problem.hyper
+        unobs0 = [c for c in problem.domain.cells() if c not in d0.observed_set()]
+        s = s0
+        selected = []
+        for step, chosen_action in enumerate(res.policy.actions):
+            acts = constrained_actions(s, problem.domain)
+            scores = {}
+            for a in acts:
+                y = action_target(s, a).cell
+                d_sel = PosteriorData(
+                    list(d0.locations) + selected, list(d0.z) + [0.0] * len(selected)
+                )
+                var_sel = posterior(d_sel, [y], h).covariance[0, 0]
+                rest = [c for c in unobs0 if c != y and c not in selected]
+                d_rest = PosteriorData(
+                    list(d0.locations) + rest, list(d0.z) + [0.0] * len(rest)
+                )
+                var_rest = posterior(d_rest, [y], h).covariance[0, 0]
+                scores[(a.robot_index, a.move)] = 0.5 * (
+                    math.log(var_sel) - math.log(var_rest)
+                )
+            chosen_key = (chosen_action.robot_index, chosen_action.move)
+            assert scores[chosen_key] == pytest.approx(max(scores.values()), abs=1e-9)
+            assert scores[chosen_key] == pytest.approx(res.scores[step], abs=1e-8)
+            selected.append(action_target(s, chosen_action).cell)
+            s = transition(s, chosen_action, problem.domain)
+        assert len(res.policy.actions) == s0.k * 2
 
 
 # -- cross-cutting theorems --------------------------------------------------
