@@ -8,8 +8,6 @@ trials accumulate, then extracts the greedy-on-lower-bound policy.
 Run:  python3 demos/anytime_planning.py
 """
 
-import numpy as np
-
 from hotspotplan import (
     GridDomain,
     Hyperparams,
@@ -19,8 +17,9 @@ from hotspotplan import (
     RobotPose,
     TeamState,
     bounded_dp,
+    state_key,
+    urtdp_policy,
 )
-from hotspotplan.planners import _UrtdpInstance
 from hotspotplan.world import action_target
 
 domain = GridDomain(4, 4)
@@ -30,9 +29,9 @@ d0 = PosteriorData([(1, 2), (3, 0), (0, 0)], [0.9, -0.2, 0.4])
 s0 = TeamState((RobotPose((0, 0), "S"),), frozenset(d0.locations))
 cfg = PlannerConfig(horizon=3, nu=4, alpha=1e-9, max_simulated_paths=100_000, seed=0)
 
-inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
-from hotspotplan.planners import state_key
-
+# the replanning policy's Jensen-problem instance; its trials draw child 0 of
+# SeedSequence(cfg.seed)
+inst = urtdp_policy(problem, cfg).instance
 root = state_key(0, s0, d0)
 inst.ensure(root, d0, s0, 0)
 print(f"{'paths':>6} {'lower':>12} {'upper':>12} {'gap':>12}")

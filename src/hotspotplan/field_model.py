@@ -254,13 +254,17 @@ class GramCache:
         if len(locs) == 0:
             result = (np.zeros(0), self.h.prior_variance)
         else:
-            L = self.chol(locs)
-            t = np.asarray([target], dtype=float)
-            half = _whiten(L, np.asarray(locs, dtype=float), t, self.h)
-            alpha = dtrsm(1.0, L, half, lower=1, trans_a=1)[:, 0]
+            half = self.whitened(locs, [target])
+            alpha = dtrsm(1.0, self.chol(locs), half, lower=1, trans_a=1)[:, 0]
             result = (alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0]))
         self._weights[key] = result
         return result
+
+    def whitened(self, locs: tuple, targets) -> np.ndarray:
+        """``L^-1 K(locs, targets)`` for the factor ``L`` of ``locs``: column
+        ``j`` holds the whitened regression weights of ``targets[j]``."""
+        t = np.asarray(targets, dtype=float).reshape(-1, 2)
+        return _whiten(self.chol(locs), np.asarray(locs, dtype=float), t, self.h)
 
 
 class IncrementalPosterior:

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoError, MissingCell, NonPositiveValue, ParseError
+from .errors import ConfigError, DeadEnd, IoError, MissingCell, NonPositiveValue, ParseError
 from .evaluation import paired_ttest, rollout
 from .field_model import PosteriorData, Hyperparams, fit_hyperparams, sample_field
 from .planners import (
     GreedyPolicy,
+    NonAdaptivePolicy,
     PlannerConfig,
     Problem,
     mes_nonadaptive,
@@ -315,20 +316,24 @@ def _planner_config(cfg: ExperimentConfig, seed: int) -> PlannerConfig:
 
 def _build_policy(name: str, problem: Problem, pcfg: PlannerConfig,
                   cfg: ExperimentConfig, d0, s0):
-    """Policy object plus the planning time already spent building it."""
+    """Policy object plus the planning time already spent building it; a
+    baseline boxed in before it commits a path replays an empty one."""
     t0 = time.perf_counter()
-    if name == "urtdp":
-        policy = urtdp_policy(problem, pcfg)
-    elif name == "greedy":
-        policy = GreedyPolicy(problem)
-    elif name == "mes":
-        policy = mes_nonadaptive(
-            problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget
-        ).policy
-    elif name == "mi":
-        policy = mi_greedy(problem, d0, s0, cfg.budget_per_robot).policy
-    else:
-        raise ConfigError(f"unknown policy {name!r}")
+    try:
+        if name == "urtdp":
+            policy = urtdp_policy(problem, pcfg)
+        elif name == "greedy":
+            policy = GreedyPolicy(problem)
+        elif name == "mes":
+            policy = mes_nonadaptive(
+                problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget
+            ).policy
+        elif name == "mi":
+            policy = mi_greedy(problem, d0, s0, cfg.budget_per_robot).policy
+        else:
+            raise ConfigError(f"unknown policy {name!r}")
+    except DeadEnd:
+        policy = NonAdaptivePolicy([])
     return policy, time.perf_counter() - t0
 
 
@@ -391,7 +396,8 @@ def _fmt(x: float) -> str:
 
 
 def emit_results(records, out_dir) -> tuple[Path, Path]:
-    """Write results.csv plus a per-policy summary with paired t-tests.
+    """Write results.csv plus a per-policy summary (means and dead-end counts)
+    with paired t-tests.
 
     The summary compares each policy against the first-listed one on ENT and
     ERR over the shared seeds. Output bytes depend only on the records.
@@ -414,20 +420,18 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
 
     summary_path = out / "summary.txt"
     by_policy: dict[str, list[ResultRecord]] = {}
-    policy_order = []
     for r in records:
-        if r.policy not in by_policy:
-            by_policy[r.policy] = []
-            policy_order.append(r.policy)
-        by_policy[r.policy].append(r)
+        by_policy.setdefault(r.policy, []).append(r)
+    policy_order = list(by_policy)
     slines = []
     for name in policy_order:
         group = by_policy[name]
         ent = np.mean([g.ent for g in group])
         err = np.mean([g.err for g in group])
         wall = np.mean([g.wall_time_s for g in group])
+        dead = sum(g.dead_ended for g in group)
         slines.append(
-            f"policy={name} model={group[0].model} runs={len(group)} "
+            f"policy={name} model={group[0].model} runs={len(group)} dead_ends={dead} "
             f"mean_ent={_fmt(ent)} mean_err={_fmt(err)} mean_wall_s={_fmt(wall)}"
         )
     if len(policy_order) > 1:

@@ -13,13 +13,26 @@ measurement outcome are handled three ways:
                      them along simulated paths.
 
 All solvers share one vectorized tree recursion parameterized by the
-standardized outcome points. Every conditioning goes through one GP factor,
-``field_model.IncrementalPosterior``: URTDP's rollouts and expansions, MES's
-branch and bound (extended and popped along the search) and MI's selected
-set. ``field_model.GramCache`` memoizes its factors by observed location
-tuple, so the outcome branches of a move share one (posterior covariances
-never depend on measurement values). Non-adaptive baselines (maximum entropy
-sampling, MI-based greedy) commit their paths from the prior data alone.
+standardized outcome points, and every planner maximizes one stage reward
+(:func:`_reward`): the entropy ``0.5 * log(2 pi e v)`` of the revealed log
+measurement (:func:`_entropy`, which MES sums as well), plus its posterior
+log-mean for the log-GP model (the original-scale entropy). Its one
+per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
+one GP factor, ``field_model.IncrementalPosterior``: URTDP's rollouts and
+expansions, MES's branch and bound (extended and popped along the search),
+MI's selected set and the greedy planner's candidate batch.
+``field_model.GramCache`` memoizes its factors by observed location tuple, so
+the outcome branches of a move share one (posterior covariances never depend
+on measurement values).
+
+URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
+greedy continuation that feeds each posterior mean back as the observation.
+That feedback has zero innovation, so it leaves every posterior mean
+unchanged; the rollout's value is therefore affine in the child's outcome,
+with a slope read off one triangular solve against the child's factor
+(:meth:`_UrtdpInstance._init_children`). Non-adaptive baselines (maximum
+entropy sampling, MI-based greedy) commit their paths from the prior data
+alone.
 """
 
 from __future__ import annotations
@@ -37,9 +50,7 @@ from .field_model import (
     Hyperparams,
     IncrementalPosterior,
     PosteriorData,
-    gaussian_entropy,
     leave_one_out_variances,
-    posterior,
 )
 from .world import (
     ConstrainedJointAction,
@@ -129,24 +140,43 @@ def action_new_cells(s: TeamState, a) -> list:
     return [move_target(s.poses[i], m).cell for i, m in enumerate(a)]
 
 
+def _entropy(var):
+    """Gaussian entropy (nats) of a measurement with variance ``var`` (vectorized)."""
+    return 0.5 * (LOG_2PI_E + np.log(var))
+
+
+def _reward(problem: Problem, mu, var):
+    """Stage reward of revealing measurements with posterior log-means ``mu``
+    and variances ``var`` (vectorized): the log-scale entropy, plus the
+    log-mean for the log-GP model (original-scale entropy)."""
+    return _entropy(var) + mu if problem.is_lgp else _entropy(var)
+
+
+def _stage_max(problem: Problem, config: PlannerConfig) -> float:
+    """Upper bound on one stage's reward: the prior-variance entropy, plus
+    (log-GP) the largest mean inside the truncated support."""
+    h = problem.hyper
+    sd = math.sqrt(h.prior_variance)
+    return float(_reward(problem, h.mean + config.truncation_m * sd, h.prior_variance))
+
+
 def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> float:
     """Entropy of the measurement(s) revealed by taking ``a`` in ``s``.
 
     Log-scale Gaussian entropy for the GP model; plus the posterior means for
-    the log-GP model (original-scale entropy). The cost depends on the history
-    length only, never on the domain size.
+    the log-GP model (original-scale entropy). A joint move's entropy follows
+    the chain rule through one factor; feeding each mean back as the
+    observation leaves the later means unchanged. The cost depends on the
+    history length only, never on the domain size.
     """
     cells = action_new_cells(s, a)
-    g = posterior(d, cells, problem.hyper)
-    reward = gaussian_entropy(g)
-    if problem.is_lgp:
-        reward += float(np.sum(g.mean))
-    return reward
-
-
-def _single_cell_reward(problem: Problem, mu: float | np.ndarray, var: float):
-    base = 0.5 * (LOG_2PI_E + math.log(var))
-    return base + mu if problem.is_lgp else base
+    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d) + len(cells))
+    total = 0.0
+    for c in cells:
+        mu, var = inc.batch([c])
+        total += float(_reward(problem, mu[0], var[0]))
+        inc.extend(c, mu[0])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +229,7 @@ class _TreeSolver:
         if var <= 0:
             raise DegenerateCovariance(f"non-positive posterior variance at {x}")
         mu = self._mu(alpha, zs, depth)
-        reward = _single_cell_reward(self.problem, mu, var)
+        reward = _reward(self.problem, mu, var)
         if depth == self.n_actions - 1:
             return np.broadcast_to(np.asarray(reward, dtype=float), shape)
         mu_full = np.broadcast_to(np.asarray(mu, dtype=float), shape)
@@ -324,11 +354,7 @@ class BoundedLowerPolicy(Policy):
         _, q_list = solver.solve(s, d)
         if not q_list:
             raise DeadEnd("no legal action")
-        best_a, best_q = q_list[0]
-        for a, q in q_list[1:]:
-            if q > best_q:
-                best_a, best_q = a, q
-        return best_a
+        return max(q_list, key=lambda aq: aq[1])[0]
 
 
 class GreedyPolicy(Policy):
@@ -360,13 +386,9 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
     acts = constrained_actions(s, problem.domain)
     if not acts:
         raise DeadEnd("no legal action")
-    best = None
-    best_r = -math.inf
-    for a in acts:
-        r = stagewise_reward(problem, s, a, d)
-        if r > best_r:
-            best, best_r = a, r
-    return best
+    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d))
+    rewards = _reward(problem, *inc.batch([action_target(s, a).cell for a in acts]))
+    return acts[int(np.argmax(rewards))]
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +396,25 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 # ---------------------------------------------------------------------------
 
 
-def _greedy_ce_rollout(problem, inc, s, steps_count, record=False):
-    """Greedy certainty-equivalent rollout; mutates ``inc`` in place.
+def _greedy_ce_rollout(problem, cache, locs, z, s, steps_count):
+    """Greedy certainty-equivalent rollout from the data ``(locs, z)``.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
-    back as the observation. Returns the total reward and (optionally) the
-    visited cell sequence for replay.
+    back as the observation. Returns the total reward and the visited cell
+    sequence.
     """
     domain = problem.domain
+    inc = IncrementalPosterior(problem.hyper, locs, z, len(locs) + steps_count, L=cache.chol(locs))
     poses = [(p.cell, p.heading) for p in s.poses]
     visited, steps = set(s.visited), list(s.steps)
     total = 0.0
-    seq = [] if record else None
+    seq = []
     for _ in range(steps_count):
         moves = list(legal_moves(poses, visited, steps, s.budget, domain))
         if not moves:
             break
-        cells = [m[2] for m in moves]
-        mus, variances = inc.batch(cells)
-        rewards = 0.5 * (LOG_2PI_E + np.log(variances))
-        if problem.is_lgp:
-            rewards = rewards + mus
+        mus, variances = inc.batch([m[2] for m in moves])
+        rewards = _reward(problem, mus, variances)
         b = int(np.argmax(rewards))
         i, _, cell, nh = moves[b]
         total += float(rewards[b])
@@ -402,39 +422,8 @@ def _greedy_ce_rollout(problem, inc, s, steps_count, record=False):
         poses[i] = (cell, nh)
         visited.add(cell)
         steps[i] += 1
-        if record:
-            seq.append(cell)
+        seq.append(cell)
     return total, seq
-
-
-def _fixed_ce_value(problem, inc, cells):
-    """Certainty-equivalent value of a fixed cell sequence (affine in the
-    history measurements)."""
-    total = 0.0
-    for cell in cells:
-        mus, variances = inc.batch([cell])
-        r = 0.5 * (LOG_2PI_E + math.log(variances[0]))
-        if problem.is_lgp:
-            r += float(mus[0])
-        total += r
-        inc.extend(cell, float(mus[0]))
-    return total
-
-
-def _greedy_rollout_value(problem, cache, d_locs, z, s, stage, horizon):
-    """Total reward of a certainty-equivalent greedy rollout from (d, s).
-
-    Outcomes are replaced by their posterior means (the truncated mean), so
-    the result lower-bounds the Jensen-problem value at the state.
-    """
-    remaining = horizon - stage + 1
-    if remaining <= 0:
-        return 0.0
-    inc = IncrementalPosterior(
-        problem.hyper, d_locs, z, len(d_locs) + remaining, L=cache.chol(d_locs)
-    )
-    total, _ = _greedy_ce_rollout(problem, inc, s, remaining)
-    return total
 
 
 def init_bounds(
@@ -447,21 +436,17 @@ def init_bounds(
 ) -> ValueBounds:
     """Informed initial heuristic bounds for the remaining stages.
 
-    Upper: per-stage reward can never exceed the max-variance entropy term
-    plus (for log-GP) the largest mean reachable inside the truncated
-    support. Lower: the reward actually collected by a greedy
-    certainty-equivalent rollout.
+    Upper: :func:`_stage_max` per remaining stage. Lower: the reward
+    actually collected by a greedy certainty-equivalent rollout (outcomes
+    replaced by their posterior means, the truncated mean), which
+    lower-bounds the Jensen-problem value at the state.
     """
     if stage > config.horizon:
         return ValueBounds(0.0, 0.0)
-    h = problem.hyper
     remaining = config.horizon - stage + 1
-    stage_max = 0.5 * (LOG_2PI_E + math.log(h.prior_variance))
-    if problem.is_lgp:
-        stage_max += h.mean + config.truncation_m * math.sqrt(h.prior_variance)
-    upper = remaining * stage_max
-    cache = cache if cache is not None else GramCache(h)
-    lower = _greedy_rollout_value(problem, cache, d.locations, d.z, s, stage, config.horizon)
+    upper = remaining * _stage_max(problem, config)
+    cache = cache if cache is not None else GramCache(problem.hyper)
+    lower, _ = _greedy_ce_rollout(problem, cache, d.locations, d.z, s, remaining)
     return ValueBounds(min(lower, upper), upper)
 
 
@@ -484,10 +469,6 @@ class _UrtdpInstance:
         self.expansions: dict[tuple, tuple] = {}
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (key, lower, upper)
-        h = problem.hyper
-        self._stage_max = 0.5 * (LOG_2PI_E + math.log(h.prior_variance))
-        if problem.is_lgp:
-            self._stage_max += h.mean + config.truncation_m * math.sqrt(h.prior_variance)
 
     # -- state bookkeeping --------------------------------------------------
 
@@ -514,9 +495,7 @@ class _UrtdpInstance:
             mus, variances = inc.batch(cells)
             if np.any(variances <= 0):
                 raise DegenerateCovariance("non-positive posterior variance")
-            rewards = 0.5 * (LOG_2PI_E + np.log(variances))
-            if problem.is_lgp:
-                rewards = rewards + mus
+            rewards = _reward(problem, mus, variances)
         for i, a in enumerate(acts):
             x = cells[i]
             mu, var, reward = float(mus[i]), float(variances[i]), float(rewards[i])
@@ -541,30 +520,29 @@ class _UrtdpInstance:
         """Seed bounds for the children of one (state, action) pair.
 
         All children share locations, so one greedy rollout (at the mean
-        outcome) fixes a feasible continuation whose certainty-equivalent
-        value is affine in the outcome; evaluating that affine map at each
-        child point gives an admissible lower bound without per-child
-        rollouts. The stagewise upper bound is outcome independent.
+        outcome) fixes a feasible continuation for all of them; evaluating
+        its certainty-equivalent value at each child point gives an
+        admissible lower bound without per-child rollouts. Feeding means back
+        leaves every mean unchanged, so along the continuation ``seq`` each
+        log-mean is the posterior mean given the child's data alone, and the
+        value is affine in the outcome with slope
+        ``sum_i [L2^-1 K(locs2, seq)]_{last,i} / L2[last,last]``. The
+        stagewise upper bound is outcome independent.
         """
         missing = [j for j, ck in enumerate(child_keys) if ck not in self.tables]
         if not missing:
             return
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
-        upper = remaining * self._stage_max
+        upper = remaining * _stage_max(problem, self.config)
         locs2 = d.locations + (x,)
-        L2 = self.cache.chol(locs2)
-        cap = len(locs2) + remaining
-        inc_ref = IncrementalPosterior(problem.hyper, locs2, np.append(d.z, mu), cap, L=L2)
-        v_ref, seq = _greedy_ce_rollout(problem, inc_ref, s2, remaining, record=True)
+        v_ref, seq = _greedy_ce_rollout(
+            problem, self.cache, locs2, np.append(d.z, mu), s2, remaining
+        )
         slope = 0.0
-        if problem.is_lgp and seq and len(z_children) > 1:
-            z_alt = float(z_children[0] if z_children[0] != mu else z_children[-1])
-            inc_alt = IncrementalPosterior(
-                problem.hyper, locs2, np.append(d.z, z_alt), cap, L=L2
-            )
-            v_alt = _fixed_ce_value(problem, inc_alt, seq)
-            slope = (v_alt - v_ref) / (z_alt - mu)
+        if problem.is_lgp and seq:
+            L2 = self.cache.chol(locs2)
+            slope = float(self.cache.whitened(locs2, seq)[-1].sum()) / L2[-1, -1]
         for j in missing:
             lower = v_ref + slope * (float(z_children[j]) - mu)
             self.tables[child_keys[j]] = [min(lower, upper), upper]
@@ -586,13 +564,14 @@ class _UrtdpInstance:
             out.append((a, reward + lo, reward + hi))
         return out
 
-    def _backup(self, key, entries):
-        qs = self.q_values(entries)
-        lower = max(q for _, q, _ in qs)
-        upper = max(q for _, _, q in qs)
+    def _set(self, key, lower, upper):
         self.tables[key] = [lower, upper]
         if self.on_backup is not None:
             self.on_backup(key, lower, upper)
+
+    def _backup(self, key, entries):
+        qs = self.q_values(entries)
+        self._set(key, max(q for _, q, _ in qs), max(q for _, _, q in qs))
 
     # -- the simulated path --------------------------------------------------
 
@@ -605,21 +584,14 @@ class _UrtdpInstance:
             self.ensure(key, d, s, stage)
             _, entries = self.expand(key, s, d, stage)
             if not entries:
-                self.tables[key] = [0.0, 0.0]
-                if self.on_backup is not None:
-                    self.on_backup(key, 0.0, 0.0)
+                self._set(key, 0.0, 0.0)
                 break
             if stage == self.config.horizon:
                 leaf = max(reward for _, reward, _, _, _ in entries)
-                self.tables[key] = [leaf, leaf]
-                if self.on_backup is not None:
-                    self.on_backup(key, leaf, leaf)
+                self._set(key, leaf, leaf)
                 break
             qs = self.q_values(entries)
-            best_i = 0
-            for i in range(1, len(qs)):
-                if qs[i][2] > qs[best_i][2]:
-                    best_i = i
+            best_i = max(range(len(qs)), key=lambda i: qs[i][2])
             _, reward, child_keys, child_states, _ = entries[best_i]
             gaps = np.array(
                 [max(self.tables[ck][1] - self.tables[ck][0], 0.0) for ck in child_keys]
@@ -671,12 +643,7 @@ class UrtdpPolicy(Policy):
         self.instance.run(d, s, stage, self.config.alpha, self.config.max_simulated_paths)
         key = state_key(stage, s, d)
         _, entries = self.instance.expand(key, s, d, stage)
-        qs = self.instance.q_values(entries)
-        best_i = 0
-        for i in range(1, len(qs)):
-            if qs[i][1] > qs[best_i][1]:
-                best_i = i
-        return qs[best_i][0]
+        return max(self.instance.q_values(entries), key=lambda q: q[1])[0]
 
 
 def _trial_rng(config: PlannerConfig, child: int) -> np.random.Generator:
@@ -729,22 +696,12 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
 # ---------------------------------------------------------------------------
 
 
-def _serialize_joint_stages(s0: TeamState, combos) -> list[ConstrainedJointAction]:
-    """Flatten stagewise joint moves into one-robot-per-stage actions."""
-    actions = []
-    for combo in combos:
-        for i, move in enumerate(combo):
-            actions.append(ConstrainedJointAction(i, move))
-    return actions
-
-
-def _paths_from_joint(s0: TeamState, domain, combos):
+def _replay_paths(s0: TeamState, domain, actions) -> list:
+    """Per-robot cell paths of committed constrained actions replayed from ``s0``."""
     paths = [[p.cell] for p in s0.poses]
-    s = s0
-    for combo in combos:
-        for i, move in enumerate(combo):
-            paths[i].append(move_target(s.poses[i], move).cell)
-        s = apply_joint_move(s, combo, domain)
+    for a in actions:
+        paths[a.robot_index].append(action_target(s0, a).cell)
+        s0 = transition(s0, a, domain)
     return paths
 
 
@@ -763,7 +720,7 @@ class _BudgetExhausted(Exception):
 
 def _entropy_gain(inc: IncrementalPosterior, cells) -> float:
     """GP entropy (nats) that observing ``cells`` in turn adds; ``inc`` keeps them."""
-    return sum(0.5 * (LOG_2PI_E + math.log(inc.extend(c, inc.h.mean))) for c in cells)
+    return sum(_entropy(inc.extend(c, inc.h.mean)) for c in cells)
 
 
 def mes_nonadaptive(
@@ -829,15 +786,13 @@ def mes_nonadaptive(
             combos = full_joint_actions(s, domain)
             if not combos:
                 return None
-            best = None
+            gains = []
             for combo in combos:
                 cells = action_new_cells(s, combo)
-                gain = _entropy_gain(inc, cells)
+                gains.append(_entropy_gain(inc, cells))
                 inc.pop(len(cells))
-                if best is None or gain > best[0]:
-                    best = (gain, combo, cells)
-            _, combo, cells = best
-            _entropy_gain(inc, cells)
+            combo = combos[int(np.argmax(gains))]
+            _entropy_gain(inc, action_new_cells(s, combo))
             out.append(combo)
             s = apply_joint_move(s, combo, domain)
         return out
@@ -886,8 +841,9 @@ def mes_nonadaptive(
 
     # recompute the incumbent value cleanly (the stored one may carry -1e-12)
     val = path_value(best_seq)
-    actions = _serialize_joint_stages(s0, best_seq)
-    paths = _paths_from_joint(s0, domain, best_seq)
+    # one robot per stage, in robot order within each joint move
+    actions = [ConstrainedJointAction(i, m) for combo in best_seq for i, m in enumerate(combo)]
+    paths = _replay_paths(s0, domain, actions)
     return MesResult(val, paths, NonAdaptivePolicy(actions), exact, nodes)
 
 
@@ -910,7 +866,7 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     """
     domain = problem.domain
     h = problem.hyper
-    s = TeamState(s0.poses, s0.visited, s0.steps, n)
+    s0 = s = TeamState(s0.poses, s0.visited, s0.steps, n)
     total = s.k * n
     inc = IncrementalPosterior(h, d0.locations, d0.z, len(d0) + total)
     observed = d0.observed_set()
@@ -931,9 +887,4 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
         actions.append(acts[b])
         scores.append(float(mi[b]))
         s = transition(s, acts[b], domain)
-    paths = [[p.cell] for p in s0.poses]
-    replay = TeamState(s0.poses, s0.visited, s0.steps, n)
-    for a in actions:
-        paths[a.robot_index].append(action_target(replay, a).cell)
-        replay = transition(replay, a, domain)
-    return MiResult(paths, NonAdaptivePolicy(actions), scores)
+    return MiResult(_replay_paths(s0, domain, actions), NonAdaptivePolicy(actions), scores)

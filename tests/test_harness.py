@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from hotspotplan.errors import (
     NonPositiveValue,
     ParseError,
 )
+from hotspotplan.evaluation import ent_metric
 from hotspotplan.field_model import Hyperparams, sample_field
 from hotspotplan.harness import (
     ExperimentConfig,
+    ResultRecord,
+    _build_instance,
     emit_results,
     load_config,
     load_field_csv,
@@ -21,6 +25,7 @@ from hotspotplan.harness import (
     save_field_csv,
     validate_config,
 )
+from hotspotplan.planners import Problem
 from hotspotplan.world import GridDomain
 
 BASE_CONFIG = """
@@ -209,6 +214,34 @@ def test_equal_total_observations_across_team_sizes(tmp_path):
     assert totals == {1: 18, 2: 18}
 
 
+@pytest.mark.parametrize(
+    "k, budget, baseline, seed",
+    [
+        (1, 18, "mi", 4),  # MI's greedy path construction boxes itself in
+        (2, 6, "mes", 60),  # prior cells leave no complete joint path
+    ],
+)
+def test_boxed_in_baseline_is_a_dead_ended_record(k, budget, baseline, seed):
+    def config(policies, models):
+        return validate_config(
+            ExperimentConfig(
+                rows=14, cols=12, team_size=k, budget_per_robot=budget,
+                prior_units=20, policies=policies, models=models, seeds=(seed,),
+                field_mean=0.4, field_signal_variance=1.3,
+                field_length_scale=2.0, field_noise_variance=0.05,
+            )
+        )
+
+    cfg = config(("greedy", baseline), ("lgp", "gp"))
+    greedy, base = run_seed(cfg, seed)
+    assert base.policy == baseline and base.dead_ended
+    assert base.path_cells == tuple((c,) for c in cfg.start_cells)
+    _, d0, _, fitted = _build_instance(cfg, seed)
+    assert base.ent == ent_metric(Problem(cfg.domain, fitted, "gp"), d0)
+    (alone,) = run_seed(config(("greedy",), ("lgp",)), seed)
+    assert replace(greedy, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
+
+
 def test_csv_field_source(tmp_path):
     h = Hyperparams(0.1, 1.0, 1.5, 0.01)
     field = sample_field(h, GridDomain(4, 4), seed=3)
@@ -229,12 +262,20 @@ def test_emit_empty_records_header_only(tmp_path):
 
 
 def test_emit_single_record(tmp_path):
-    from hotspotplan.harness import ResultRecord
-
     rec = ResultRecord("greedy", "lgp", 1, 0, 12.345678, 0.123456789, 0.5)
     csv_path, _ = emit_results([rec], tmp_path / "out")
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "greedy,lgp,1,0,12.3457,0.123457,0.5"
+
+
+def test_emit_summary_counts_dead_ends(tmp_path):
+    records = [
+        ResultRecord("greedy", "lgp", 1, 0, 1.0, 0.1, 0.5, dead_ended=True),
+        ResultRecord("greedy", "lgp", 1, 1, 2.0, 0.2, 0.5),
+    ]
+    csv_path, summary_path = emit_results(records, tmp_path / "out")
+    assert csv_path.read_text().splitlines()[0] == "policy,model,k,seed,ent,err,wall_time_s"
+    assert summary_path.read_text().startswith("policy=greedy model=lgp runs=2 dead_ends=1 ")
 
 
 def test_emit_summary_means_match_recomputation(tmp_path):

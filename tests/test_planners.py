@@ -9,6 +9,7 @@ from conftest import (
     quadrature_policy_map_entropy,
     quadrature_policy_reward,
 )
+from hotspotplan import planners
 from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
 from hotspotplan.field_model import (
     Hyperparams,
@@ -31,6 +32,7 @@ from hotspotplan.planners import (
     stagewise_reward,
     state_key,
     urtdp,
+    urtdp_policy,
 )
 from hotspotplan.world import (
     GridDomain,
@@ -320,6 +322,44 @@ def test_urtdp_policy_matches_bounded_lower_policy():
         cell = action_target(s, a_ref).cell
         s = transition(s, a_ref, problem.domain)
         d = d.extended(cell, math.log(field[cell]))
+
+
+@pytest.mark.parametrize("model", ["lgp", "gp"])
+def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monkeypatch):
+    # each child's seeded lower bound is the certainty-equivalent value of the
+    # greedy continuation recorded at the mean outcome, evaluated at the
+    # child's own outcome; recomputed here from scratch with posterior()
+    problem, d0, s0 = make_instance(seed=22, rows=4, cols=4, model=model)
+    cfg = cfg_for(horizon=4, nu=3)
+    seqs = []
+    rollout = planners._greedy_ce_rollout
+
+    def recording(*args):
+        total, seq = rollout(*args)
+        seqs.append(seq)
+        return total, seq
+
+    monkeypatch.setattr(planners, "_greedy_ce_rollout", recording)
+    inst = urtdp_policy(problem, cfg).instance
+    _, entries = inst.expand(state_key(0, s0, d0), s0, d0, 0)
+    assert len(seqs) == len(entries) > 1
+    checked = 0
+    for (_, _, child_keys, child_states, _), seq in zip(entries, seqs):
+        assert len(seq) == cfg.horizon
+        for ck, (_, d) in zip(child_keys, child_states):
+            value = 0.0
+            for c in seq:
+                g = posterior(d, [c], problem.hyper)
+                mu, var = float(g.mean[0]), float(g.covariance[0, 0])
+                value += 0.5 * (LOG_2PI_E + math.log(var)) + (mu if model == "lgp" else 0.0)
+                d = d.extended(c, mu)
+            lower, upper = inst.tables[ck]
+            if value > upper:
+                assert lower == upper
+                continue
+            assert lower == pytest.approx(value, rel=1e-9)
+            checked += 1
+    assert checked >= 6
 
 
 # -- init_bounds -------------------------------------------------------------
