@@ -53,6 +53,7 @@ from .field_model import (
     log_marginal_likelihood,
     lognormal_predictor,
     posterior,
+    posterior_marginals,
     sample_field,
 )
 from .harness import (

@@ -4,6 +4,14 @@ ENT is the posterior joint entropy of the original-scale measurements at the
 still-unobserved cells; ERR is the mean-squared relative error of the
 lognormal posterior-mean predictor over every cell of the domain, normalized
 by the true field mean.
+
+With ``m`` observations on a map of ``N`` cells, ENT is one Cholesky factor
+of the joint Gram matrix over the observed and the unobserved cells
+(:func:`~hotspotplan.field_model.lgp_entropy`): O(N^3) time and O(N^2)
+memory, the map-resolution cost that the planners avoid. ERR needs only
+each cell's posterior mean and variance
+(:func:`~hotspotplan.field_model.posterior_marginals`): O(m N) memory and
+O(m^2 N) time. Neither forms the posterior covariance matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import DeadEnd, InsufficientData
-from .field_model import PosteriorData, lgp_entropy, posterior
+from .field_model import PosteriorData, lgp_entropy, posterior_marginals
 from .planners import Policy, Problem
 from .world import TeamState, action_target, transition
 
@@ -81,9 +89,8 @@ def ent_metric(problem: Problem, d: PosteriorData) -> float:
 
 
 def _predict_all(problem: Problem, d: PosteriorData) -> np.ndarray:
-    cells = problem.domain.cells()
-    g = posterior(d, cells, problem.hyper)
-    pred = np.exp(g.mean + 0.5 * np.diag(g.covariance))
+    mean, var = posterior_marginals(d, problem.domain.cells(), problem.hyper)
+    pred = np.exp(mean + 0.5 * var)
     return pred.reshape(problem.domain.rows, problem.domain.cols)
 
 

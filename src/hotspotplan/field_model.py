@@ -11,7 +11,9 @@ each have one definition here. :func:`posterior` and the other reference
 computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history, and :class:`GramCache`, a memo of its factors keyed by location
-tuple.
+tuple. The map metrics never form a posterior covariance matrix: the map
+entropy is one joint factor (:func:`lgp_entropy`) and the predictor needs
+only means and variances (:func:`posterior_marginals`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DegenerateCovariance, InsufficientData, SingularGram
 from .world import Cell, GridDomain
@@ -128,8 +131,13 @@ def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances between the rows of two ``(n, 2)`` cell arrays."""
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    dc = np.subtract.outer(a[:, 1], b[:, 1])
+    dc *= dc
+    sq += dc
+    return sq
 
 
 def _se(sq: np.ndarray, h: Hyperparams) -> np.ndarray:
@@ -342,6 +350,24 @@ def posterior(d: PosteriorData, targets, h: Hyperparams) -> PosteriorGaussian:
     return PosteriorGaussian(mean, 0.5 * (cov + cov.T))
 
 
+def posterior_marginals(d: PosteriorData, targets, h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at the target cells: the mean and the
+    covariance diagonal of :func:`posterior`, without the covariance.
+
+    One factor over the ``m`` observed cells and one ``m x N`` whitened
+    cross-covariance, so the cost is O(m^2 N) time and O(m N) memory. The
+    cross-covariance carries the nugget, so a target that is also observed
+    gets the posterior variance :func:`posterior` reports.
+    """
+    t = np.asarray(targets, dtype=float).reshape(-1, 2)
+    if len(d) == 0:
+        return np.full(t.shape[0], h.mean), np.full(t.shape[0], h.prior_variance)
+    L = _gram_factor(d.locations, h)
+    half = dtrsm(1.0, L, cov_matrix(d.locations, t, h), lower=1)
+    mean = h.mean + half.T @ dtrsv(L, d.z - h.mean, lower=1)
+    return mean, h.prior_variance - np.einsum("ij,ij->j", half, half)
+
+
 def leave_one_out_variances(cells, index, h: Hyperparams) -> np.ndarray:
     """Posterior variance at ``cells[i]`` given all the other cells, for each
     ``i`` in ``index``, as :func:`posterior` would report it.
@@ -377,9 +403,38 @@ def lgp_entropy(d: PosteriorData, targets, h: Hyperparams) -> float:
     Equals the Gaussian entropy of the log-scale posterior plus the sum of
     the posterior log-scale means. With targets = all unobserved cells this
     is the posterior map entropy (the ENT metric integrand).
+
+    One Cholesky factor of the joint Gram matrix over the ``m`` observed
+    cells followed by the ``N`` targets gives both terms: the target block
+    ``L_TT`` factors the posterior covariance, so its diagonal gives the
+    log-determinant, and the cross block ``L_TO`` times ``L_OO^-1 (z - mean)``
+    gives the posterior means. Cost O((m + N)^3) time and O((m + N)^2)
+    memory, with no posterior covariance formed. The observed diagonal
+    follows the Gram jitter rule; the target diagonal is the prior variance,
+    as in :func:`posterior`. Raises :class:`SingularGram` if the observed
+    block is not positive definite and :class:`DegenerateCovariance` if the
+    posterior covariance is not.
     """
-    g = posterior(d, targets, h)
-    return gaussian_entropy(g) + float(np.sum(g.mean))
+    m = len(d)
+    cells = list(d.locations) + [tuple(t) for t in targets]
+    n = len(cells) - m
+    if n == 0:
+        raise ValueError("need at least one target cell")
+    gram = cov_matrix(cells, cells, h)
+    np.fill_diagonal(gram[:m, :m], _gram_diagonal(h))
+    # the Gram is symmetric, so its transpose is the same matrix in Fortran
+    # order and LAPACK factors it in place
+    L, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
+    if info > m:
+        raise DegenerateCovariance(f"posterior covariance not positive definite (pivot {info})")
+    if info > 0:
+        raise SingularGram(f"gram matrix not positive definite (pivot {info})")
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L)[m:])))
+    mean_sum = n * h.mean
+    if m:
+        resid = dtrsv(L[:m, :m], d.z - h.mean, lower=1)
+        mean_sum += float(np.sum(L[m:, :m] @ resid))
+    return 0.5 * (n * LOG_2PI_E + logdet) + mean_sum
 
 
 def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
@@ -397,8 +452,8 @@ def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
 
 def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:
     """Posterior mean of the original-scale measurement at ``x``."""
-    g = posterior(d, [x], h)
-    return float(np.exp(g.mean[0] + 0.5 * g.covariance[0, 0]))
+    mean, var = posterior_marginals(d, [x], h)
+    return float(np.exp(mean[0] + 0.5 * var[0]))
 
 
 def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:

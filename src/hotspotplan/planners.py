@@ -252,12 +252,39 @@ class _TreeSolver:
         return np.broadcast_to(best, shape)
 
 
-def _check_bounded_size(config, points: int, k: int):
-    # branch arrays reach points**horizon elements across (3k)**horizon subtrees
-    leaves = (3.0 * k * points) ** config.horizon * 3.0 * k
-    if leaves > BOUNDED_MAX_LEAVES:
+def _check_bounded_size(problem: Problem, s0: TeamState, config: PlannerConfig, points: int):
+    """Refuse an exhaustive solve that would touch more than
+    ``BOUNDED_MAX_LEAVES`` outcome branches.
+
+    A move sequence from ``s0`` that ends after ``j`` moves ends in a branch
+    array of ``points**(j - 1)`` elements (``points**horizon`` at full
+    length). The sequences are walked with ``legal_moves``, and the walk
+    stops as soon as their total passes the limit.
+    """
+    domain, length = problem.domain, config.horizon + 1
+    visited = set(s0.visited)
+    leaves = 0.0
+
+    def over(poses, steps, depth):
+        nonlocal leaves
+        moves = list(legal_moves(poses, visited, steps, s0.budget, domain)) if depth < length else []
+        if not moves:
+            leaves += float(points) ** max(depth - 1, 0)
+            return leaves > BOUNDED_MAX_LEAVES
+        for i, _, cell, heading in moves:
+            poses2, steps2 = list(poses), list(steps)
+            poses2[i] = (cell, heading)
+            steps2[i] += 1
+            visited.add(cell)
+            stop = over(poses2, steps2, depth + 1)
+            visited.discard(cell)
+            if stop:
+                return True
+        return False
+
+    if over([(p.cell, p.heading) for p in s0.poses], list(s0.steps), 0):
         raise InstanceTooLarge(
-            f"exhaustive bounded solve would touch ~{leaves:.2e} branches"
+            f"exhaustive bounded solve would touch more than {BOUNDED_MAX_LEAVES:.0e} branches"
         )
 
 
@@ -307,7 +334,7 @@ def bounded_dp(
         raise ValueError("side must be 'lower' or 'upper'")
     rule = "jensen" if side == "lower" else "em"
     w, zeta = standardized_rule(config.nu, config.truncation_m, rule)
-    _check_bounded_size(config, len(zeta), s0.k)
+    _check_bounded_size(problem, s0, config, len(zeta))
     solver = _TreeSolver(problem, w, zeta, config.horizon + 1)
     value, _ = solver.solve(s0, d0)
     if side == "lower":

@@ -1,6 +1,14 @@
 """Shared fixtures: instance builders and quadrature policy evaluators."""
 
 import math
+import os
+
+# One BLAS thread, set before numpy loads (pytest imports this file before
+# the test modules). An idle OpenBLAS worker thread spins, so CPU-time
+# measurements (criterion 8) would count it, and on a shared machine a small
+# factorization can wait for a descheduled worker.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

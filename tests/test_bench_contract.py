@@ -34,3 +34,9 @@ def test_bench_smoke_run_is_correct_and_traces_the_gp_factor():
         "planners.urtdp.init_children.calls",
     ):
         assert metrics["bounds-k1"][name] > 0, name
+    hires = metrics["run-hires"]
+    assert hires["evaluation.ent_metric.ms_p50"] > 0
+    assert hires["evaluation.err_metric.ms_p50"] > 0
+    # ENT and ERR never form a dense posterior covariance
+    assert hires["field_model.posterior.calls"] == 0
+    assert hires["field_model.gaussian_entropy.calls"] == 0

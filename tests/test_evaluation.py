@@ -16,6 +16,7 @@ from hotspotplan.evaluation import (
 from hotspotplan.field_model import (
     Hyperparams,
     PosteriorData,
+    gaussian_entropy,
     lgp_entropy,
     posterior,
     sample_field,
@@ -124,6 +125,25 @@ def test_ent_metric_matches_lgp_entropy_over_unobserved():
     assert ent_metric(problem, d0) == pytest.approx(
         lgp_entropy(d0, unobs, problem.hyper), abs=1e-12
     )
+
+
+def test_ent_and_err_match_the_dense_posterior_on_a_two_robot_map(rng):
+    problem, d0, s0, field = make_field_instance(
+        seed=14, rows=14, cols=12, k=2, n_prior=20, length_scale=2.0, noise_variance=0.05
+    )
+    d = d0
+    free = [c for c in problem.domain.cells() if c not in d.observed_set()]
+    for i in rng.choice(len(free), size=10, replace=False):
+        d = d.extended(free[i], math.log(field[free[i]]))
+    unobs = [c for c in problem.domain.cells() if c not in d.observed_set()]
+    g = posterior(d, unobs, problem.hyper)
+    expected = gaussian_entropy(g) + float(np.sum(g.mean))
+    assert lgp_entropy(d, unobs, problem.hyper) == pytest.approx(expected, rel=1e-12)
+    assert ent_metric(problem, d) == pytest.approx(expected, rel=1e-12)
+    full = posterior(d, problem.domain.cells(), problem.hyper)
+    pred = np.exp(full.mean + 0.5 * np.diag(full.covariance)).reshape(field.shape)
+    expected_err = float(np.mean(((field - pred) / field.mean()) ** 2))
+    assert err_metric(problem, d, field) == pytest.approx(expected_err, rel=1e-12)
 
 
 def test_ent_metric_two_cell_monte_carlo_oracle(rng):

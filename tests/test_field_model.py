@@ -19,6 +19,7 @@ from hotspotplan.field_model import (
     log_marginal_likelihood,
     lognormal_predictor,
     posterior,
+    posterior_marginals,
     sample_field,
 )
 from hotspotplan.world import GridDomain
@@ -63,6 +64,14 @@ def test_cov_matrix_matches_scalar_kernel(noise):
     for i, a in enumerate(cells_a):
         for j, b in enumerate(cells_b):
             assert k[i, j] == pytest.approx(covariance(a, b, h), rel=1e-12)
+
+
+def test_sq_dists_matches_difference_einsum_bit_for_bit(rng):
+    a = rng.integers(-60, 60, size=(40, 2)).astype(float)
+    b = rng.integers(-60, 60, size=(25, 2)).astype(float)
+    for x, y in ((a, b), (a, a), (b[:1], a), (a, b[:0])):
+        diff = x[:, None, :] - y[None, :, :]
+        assert np.array_equal(fm._sq_dists(x, y), np.einsum("ijk,ijk->ij", diff, diff))
 
 
 # -- posterior ---------------------------------------------------------------
@@ -158,6 +167,20 @@ def test_singular_gram_without_jitter(monkeypatch):
     d = PosteriorData([(0, 0), (0, 1), (1, 0)], [0.1, 0.2, 0.3])
     with pytest.raises(SingularGram):
         posterior(d, [(2, 2)], h)
+    with pytest.raises(SingularGram):
+        lgp_entropy(d, [(2, 2)], h)
+
+
+def test_lgp_entropy_rejects_singular_posterior_covariance(monkeypatch):
+    # without jitter every kernel value is exactly 1: the observed block
+    # [1] is regular, and (0, 1) is then known exactly
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)
+    h = Hyperparams(0.0, 1.0, 1e12, 0.0)
+    d = PosteriorData([(0, 0)], [0.1])
+    with pytest.raises(DegenerateCovariance):
+        gaussian_entropy(posterior(d, [(0, 1), (2, 2)], h))
+    with pytest.raises(DegenerateCovariance):
+        lgp_entropy(d, [(0, 1), (2, 2)], h)
 
 
 # -- gaussian_entropy --------------------------------------------------------
@@ -217,6 +240,17 @@ def test_lgp_entropy_decomposition_is_exact(rng):
     )
 
 
+def test_lgp_entropy_matches_dense_posterior_without_nugget(rng):
+    # the jitter path: only the observed diagonal carries the jitter
+    h = Hyperparams(0.3, 1.2, 1.6, 0.0)
+    domain = GridDomain(6, 5)
+    d = PosteriorData([(0, 0), (3, 1), (5, 4), (2, 2)], rng.normal(size=4))
+    targets = [c for c in domain.cells() if c not in d.observed_set()]
+    g = posterior(d, targets, h)
+    expected = gaussian_entropy(g) + float(np.sum(g.mean))
+    assert lgp_entropy(d, targets, h) == pytest.approx(expected, rel=1e-12)
+
+
 def test_lgp_entropy_monte_carlo_oracle(rng):
     # oracle: 1e6-sample Monte-Carlo differential entropy of exp(Z)
     h = Hyperparams(0.5, 0.8, 1.2, 0.01)
@@ -230,6 +264,31 @@ def test_lgp_entropy_monte_carlo_oracle(rng):
     estimate = float(np.mean(neglog))
     se = float(np.std(neglog, ddof=1)) / math.sqrt(len(neglog))
     assert abs(lgp_entropy(d, [target], h) - estimate) < 3 * se
+
+
+# -- posterior_marginals -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "noise, locs",
+    [
+        (0.05, [(0, 0), (3, 1), (5, 4), (2, 2)]),  # targets include observed cells
+        (0.0, [(0, 0), (3, 1), (5, 4), (2, 2)]),  # jitter path
+        (0.05, []),  # empty history
+    ],
+)
+def test_posterior_marginals_match_posterior_diagonal(rng, noise, locs):
+    h = Hyperparams(0.3, 1.2, 1.6, noise)
+    d = PosteriorData(locs, rng.normal(size=len(locs)))
+    targets = GridDomain(6, 5).cells()
+    g = posterior(d, targets, h)
+    mean, var = posterior_marginals(d, targets, h)
+    np.testing.assert_allclose(mean, g.mean, rtol=1e-12, atol=1e-15)
+    # observed cells have zero posterior variance (up to the jitter), so
+    # their rounding is absolute
+    np.testing.assert_allclose(
+        var, np.diag(g.covariance), rtol=1e-12, atol=1e-12 * h.prior_variance
+    )
 
 
 # -- sample_field ------------------------------------------------------------

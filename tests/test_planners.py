@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hotspotplan.field_model import (
     gaussian_entropy,
     posterior,
 )
+from hotspotplan.harness import ExperimentConfig, _build_instance, validate_config
 from hotspotplan.planners import (
     BoundedLowerPolicy,
     PlannerConfig,
@@ -198,6 +200,38 @@ def test_bounded_dp_guards_instance_size():
     problem, d0, s0 = make_instance(seed=10, rows=4, cols=4)
     with pytest.raises(InstanceTooLarge):
         bounded_dp(problem, d0, s0, cfg_for(horizon=9, nu=8), "lower")
+
+
+def test_bounded_dp_solves_a_boxed_in_instance_urtdp_closes():
+    # 14x12, budget 10: prior cells leave the robot two move sequences, so
+    # the exhaustive solve is small although the horizon is 9
+    cfg = validate_config(ExperimentConfig(
+        rows=14, cols=12, team_size=1, budget_per_robot=10, prior_units=20,
+        policies=("urtdp",), models=("lgp",), seeds=(25007,), nu=2,
+        field_mean=0.4, field_signal_variance=1.3, field_length_scale=2.0,
+        field_noise_variance=0.05,
+    ))
+    _, d0, s0, fitted = _build_instance(cfg, 25007)
+    problem = Problem(cfg.domain, fitted, "lgp")
+    pcfg = cfg_for(horizon=9, nu=2, alpha=1e-12, paths=50)
+    res = urtdp(problem, d0, s0, pcfg)
+    assert res.bounds.gap == pytest.approx(0.0, abs=1e-12) and not res.exhausted
+    assert bounded_dp(problem, d0, s0, pcfg, "lower")[0] == pytest.approx(
+        res.bounds.lower, abs=1e-12)
+    assert bounded_dp(problem, d0, s0, pcfg, "upper")[0] == pytest.approx(
+        res.bounds.upper, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_bounded_dp_refuses_an_open_instance_quickly(side):
+    domain = GridDomain(14, 12)
+    problem = Problem(domain, Hyperparams(0.3, 1.0, 2.0, 0.05), "lgp")
+    s0 = TeamState((RobotPose((7, 6), "N"),), frozenset({(7, 6)}), budget=10)
+    d0 = PosteriorData([(7, 6)], [0.0])
+    t0 = time.process_time()
+    with pytest.raises(InstanceTooLarge):
+        bounded_dp(problem, d0, s0, cfg_for(horizon=9), side)
+    assert time.process_time() - t0 < 1.0
 
 
 # -- urtdp -------------------------------------------------------------------
