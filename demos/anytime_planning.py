@@ -1,9 +1,9 @@
-"""Anytime planning: URTDP bound tables narrowing with simulated paths.
+"""Anytime planning: URTDP bounds narrowing with simulated paths.
 
-The trial-based solver keeps lower and upper value tables for the bounded
-problems and tightens them along outcome-sampled paths, so planning can stop
-any time with a certified bracket. This demo snapshots the root bracket as
-trials accumulate, then extracts the greedy-on-lower-bound policy.
+The trial-based solver grows a search tree of lower and upper bounds for the
+bounded problems and tightens them along outcome-sampled paths, so planning
+can stop any time with a certified bracket. This demo snapshots the root
+bracket as trials accumulate, then extracts the greedy-on-lower-bound policy.
 
 Run:  python3 demos/anytime_planning.py
 """
@@ -17,7 +17,6 @@ from hotspotplan import (
     RobotPose,
     TeamState,
     bounded_dp,
-    state_key,
     urtdp_policy,
 )
 from hotspotplan.world import action_target
@@ -32,21 +31,17 @@ cfg = PlannerConfig(horizon=3, nu=4, alpha=1e-9, max_simulated_paths=100_000, se
 # the replanning policy's Jensen-problem instance; its trials draw child 0 of
 # SeedSequence(cfg.seed)
 inst = urtdp_policy(problem, cfg).instance
-root = state_key(0, s0, d0)
-inst.ensure(root, d0, s0, 0)
 print(f"{'paths':>6} {'lower':>12} {'upper':>12} {'gap':>12}")
 for batch in (0, 1, 3, 10, 30, 100, 300, 1000):
     while inst.paths_run < batch:
         inst.simulated_path(d0, s0, 0)
-    lo, hi = inst.tables[root]
-    print(f"{inst.paths_run:>6} {lo:>12.6f} {hi:>12.6f} {hi - lo:>12.6f}")
+    b = inst.root_bounds(d0, s0, 0)
+    print(f"{inst.paths_run:>6} {b.lower:>12.6f} {b.upper:>12.6f} {b.gap:>12.6f}")
 
 truth, _ = bounded_dp(problem, d0, s0, cfg, "lower")
-print(f"\nexhaustive lower-problem value: {truth:.6f} (the tables close onto it)")
+print(f"\nexhaustive lower-problem value: {truth:.6f} (the bounds close onto it)")
 
 # greedy-on-lower-bound action at the root
-_, entries = inst.expand(root, s0, d0, 0)
-qs = inst.q_values(entries)
-best = max(qs, key=lambda t: t[1])
+best = max(inst.root_q_values(d0, s0, 0), key=lambda t: t[1])
 print(f"chosen first move: robot {best[0].robot_index} goes {best[0].move} "
       f"-> cell {action_target(s0, best[0]).cell}")

@@ -42,7 +42,6 @@ from .evaluation import (
     rollout,
 )
 from .field_model import (
-    GramCache,
     Hyperparams,
     PosteriorData,
     PosteriorGaussian,

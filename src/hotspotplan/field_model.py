@@ -6,14 +6,15 @@ squared-exponential covariance plus a nugget. Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel, the Gram jitter rule and the row-append of a Cholesky factor
-each have one definition here. :func:`posterior` and the other reference
+The kernel, the Gram jitter rule, the Gaussian log likelihood and the
+row-append of a Cholesky factor each have one definition here. :func:`posterior` and the other reference
 computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
-history, and :class:`GramCache`, a memo of its factors keyed by location
-tuple. The map metrics never form a posterior covariance matrix: the map
-entropy is one joint factor (:func:`lgp_entropy`) and the predictor needs
-only means and variances (:func:`posterior_marginals`).
+history: a search walks it down a branch by appending rows and back up by
+dropping them, so no factor outlives the walk. The map metrics never form a
+posterior covariance matrix: the map entropy is one joint factor
+(:func:`lgp_entropy`) and the predictor needs only means and variances
+(:func:`posterior_marginals`).
 """
 
 from __future__ import annotations
@@ -190,91 +191,6 @@ def _gram_factor(cells, h: Hyperparams) -> np.ndarray:
         raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
 
 
-def _append_row(L: np.ndarray, cells: np.ndarray, m: int, cell, h: Hyperparams) -> float:
-    """Extend the Gram factor ``L[:m, :m]`` over ``cells[:m]`` by ``cell``.
-
-    Writes row ``m`` of ``L`` and ``cells[m]`` in place, and returns the Schur
-    complement: the variance of an observation at ``cell`` given the first
-    ``m`` (jitter included). The only code that appends a row to a factor.
-    """
-    c = np.asarray(cell, dtype=float)
-    d2 = _gram_diagonal(h)
-    if m:
-        row = dtrsv(L[:m, :m], _se(np.sum((cells[:m] - c) ** 2, axis=1), h), lower=1)
-        L[m, :m] = row
-        d2 -= row @ row
-    if d2 <= 0:
-        raise SingularGram("gram extension lost positive definiteness")
-    L[m, m] = math.sqrt(d2)
-    cells[m] = c
-    return d2
-
-
-def _whiten(L: np.ndarray, cells: np.ndarray, targets: np.ndarray, h: Hyperparams) -> np.ndarray:
-    """``L^-1 K(cells, targets)`` for a lower factor ``L`` over ``cells``."""
-    return dtrsm(1.0, L, _se(_sq_dists(cells, targets), h), lower=1)
-
-
-class GramCache:
-    """Cholesky factors and target weights keyed by the location tuple.
-
-    Histories grow one cell at a time, so a factor for ``locs[:-1]`` is
-    extended by a single row (the row-append of :class:`IncrementalPosterior`)
-    instead of refactorized. One factor serves every measurement outcome of a
-    move, since it depends on the locations only. Results are identical to
-    from-scratch computation; the cache is a pure-function accelerator.
-    """
-
-    def __init__(self, h: Hyperparams):
-        self.h = h
-        self._chol: dict[tuple, np.ndarray] = {}
-        self._weights: dict[tuple, tuple[np.ndarray, float]] = {}
-
-    def chol(self, locs: tuple) -> np.ndarray:
-        """Lower Cholesky factor of the Gram matrix for ``locs``."""
-        found = self._chol.get(locs)
-        if found is not None:
-            return found
-        if len(locs) == 0:
-            L = np.zeros((0, 0))
-        elif locs[:-1] in self._chol:
-            L = self._extend(self._chol[locs[:-1]], locs)
-        else:
-            L = _gram_factor(locs, self.h)
-        self._chol[locs] = L
-        return L
-
-    def _extend(self, L_prev: np.ndarray, locs: tuple) -> np.ndarray:
-        m = L_prev.shape[0]
-        L = np.zeros((m + 1, m + 1))
-        L[:m, :m] = L_prev
-        _append_row(L, np.asarray(locs, dtype=float), m, locs[-1], self.h)
-        return L
-
-    def target_weights(self, locs: tuple, target: Cell) -> tuple[np.ndarray, float]:
-        """Return ``(alpha, var)`` so that the posterior of ``target`` given
-        observations at ``locs`` has mean ``mu + alpha @ (z - mu)`` and
-        variance ``var`` (independent of the measurement values)."""
-        key = (locs, tuple(target))
-        found = self._weights.get(key)
-        if found is not None:
-            return found
-        if len(locs) == 0:
-            result = (np.zeros(0), self.h.prior_variance)
-        else:
-            half = self.whitened(locs, [target])
-            alpha = dtrsm(1.0, self.chol(locs), half, lower=1, trans_a=1)[:, 0]
-            result = (alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0]))
-        self._weights[key] = result
-        return result
-
-    def whitened(self, locs: tuple, targets) -> np.ndarray:
-        """``L^-1 K(locs, targets)`` for the factor ``L`` of ``locs``: column
-        ``j`` holds the whitened regression weights of ``targets[j]``."""
-        t = np.asarray(targets, dtype=float).reshape(-1, 2)
-        return _whiten(self.chol(locs), np.asarray(locs, dtype=float), t, self.h)
-
-
 class IncrementalPosterior:
     """Posterior evaluator over one observation sequence that grows and shrinks.
 
@@ -283,10 +199,11 @@ class IncrementalPosterior:
     ``y = L^-1 (z - mean)`` in preallocated buffers, so appending one
     observation costs one triangular solve, dropping the last ones costs
     nothing, and target means/variances cost a single batched solve. Results
-    match :func:`posterior` exactly.
+    match :func:`posterior` exactly. The factor depends on the locations
+    only, so the outcome branches of a move share it.
     """
 
-    def __init__(self, h: Hyperparams, locs, z, capacity: int, L: np.ndarray | None = None):
+    def __init__(self, h: Hyperparams, locs, z, capacity: int):
         self.h = h
         m = len(locs)
         cap = max(capacity, m)
@@ -295,7 +212,7 @@ class IncrementalPosterior:
         self._cells = np.zeros((cap, 2))
         self.m = m
         if m:
-            self._L[:m, :m] = L if L is not None else _gram_factor(locs, h)
+            self._L[:m, :m] = _gram_factor(locs, h)
             self._y[:m] = dtrsv(self._L[:m, :m], np.asarray(z, dtype=float) - h.mean, lower=1)
             self._cells[:m] = np.asarray(locs, dtype=float)
 
@@ -306,22 +223,44 @@ class IncrementalPosterior:
         for coinciding cells is not applied here).
         """
         h = self.h
-        t = np.asarray(targets, dtype=float).reshape(-1, 2)
-        prior = np.full(t.shape[0], h.prior_variance)
-        m = self.m
-        if m == 0:
-            return np.full(t.shape[0], h.mean), prior
-        half = _whiten(self._L[:m, :m], self._cells[:m], t, h)
-        mu = h.mean + half.T @ self._y[:m]
-        var = prior - np.einsum("ij,ij->j", half, half)
+        half = self.whitened(targets)
+        mu = h.mean + half.T @ self._y[: self.m]
+        var = h.prior_variance - np.einsum("ij,ij->j", half, half)
         return mu, var
+
+    def whitened(self, targets) -> np.ndarray:
+        """``L^-1 K(cells, targets)`` over the current sequence: column ``j``
+        holds the whitened regression weights of ``targets[j]``."""
+        m = self.m
+        t = np.asarray(targets, dtype=float).reshape(-1, 2)
+        return dtrsm(1.0, self._L[:m, :m], _se(_sq_dists(self._cells[:m], t), self.h), lower=1)
+
+    def target_weights(self, target: Cell) -> tuple[np.ndarray, float]:
+        """Return ``(alpha, var)`` so that the posterior of ``target`` given the
+        sequence ``z`` has mean ``mean + alpha @ (z - mean)`` and variance
+        ``var`` (independent of the measurement values)."""
+        m = self.m
+        half = self.whitened([target])
+        alpha = dtrsm(1.0, self._L[:m, :m], half, lower=1, trans_a=1)[:, 0]
+        return alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0])
 
     def extend(self, cell, z_value: float) -> float:
         """Append one observation in place; return its variance given the
-        sequence before it (the Schur complement, jitter included)."""
-        m = self.m
-        var = _append_row(self._L, self._cells, m, cell, self.h)
-        self._y[m] = (float(z_value) - self.h.mean - self._L[m, :m] @ self._y[:m]) / self._L[m, m]
+        sequence before it (the Schur complement, jitter included), whose
+        square root is the new pivot of the factor. The only code that
+        appends a row to a Cholesky factor."""
+        h, L, m = self.h, self._L, self.m
+        c = np.asarray(cell, dtype=float)
+        var = _gram_diagonal(h)
+        if m:
+            row = dtrsv(L[:m, :m], _se(np.sum((self._cells[:m] - c) ** 2, axis=1), h), lower=1)
+            L[m, :m] = row
+            var -= row @ row
+        if var <= 0:
+            raise SingularGram("gram extension lost positive definiteness")
+        L[m, m] = math.sqrt(var)
+        self._cells[m] = c
+        self._y[m] = (float(z_value) - h.mean - L[m, :m] @ self._y[:m]) / L[m, m]
         self.m = m + 1
         return var
 
@@ -456,14 +395,16 @@ def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:
     return float(np.exp(mean[0] + 0.5 * var[0]))
 
 
-def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
-    """Gaussian log marginal likelihood of the log measurements."""
-    n = len(d)
-    L = _gram_factor(d.locations, h)
-    resid = d.z - h.mean
+def _log_likelihood(L: np.ndarray, resid: np.ndarray) -> float:
+    """Gaussian log density of ``resid`` under the covariance ``L L^T``."""
     half = solve_triangular(L, resid, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (half @ half + logdet + n * math.log(2.0 * math.pi))
+    return -0.5 * (half @ half + logdet + len(resid) * math.log(2.0 * math.pi))
+
+
+def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
+    """Gaussian log marginal likelihood of the log measurements."""
+    return _log_likelihood(_gram_factor(d.locations, h), d.z - h.mean)
 
 
 def default_grids(d: PosteriorData, domain: GridDomain, points: int = 20):
@@ -509,27 +450,21 @@ def fit_hyperparams(
     cells = np.asarray(observations.locations, dtype=float)
     sq = _sq_dists(cells, cells)
     resid = observations.z - mean
-    n = len(observations)
 
     best = None
     best_ll = -np.inf
     for ell in length_grid:
-        corr = np.exp(-sq / (2.0 * ell**2))
+        corr = _se(sq.copy(), Hyperparams(mean, 1.0, ell))
         for sv in signal_grid:
             base = sv * corr
             for nv in noise_grid:
                 gram = base.copy()
-                gram[np.diag_indices_from(gram)] += nv
+                np.fill_diagonal(gram, _gram_diagonal(Hyperparams(mean, sv, ell, nv)))
                 try:
                     L = cholesky(gram, lower=True)
                 except np.linalg.LinAlgError:
                     continue
-                half = solve_triangular(L, resid, lower=True)
-                ll = -0.5 * (
-                    half @ half
-                    + 2.0 * float(np.sum(np.log(np.diag(L))))
-                    + n * math.log(2.0 * math.pi)
-                )
+                ll = _log_likelihood(L, resid)
                 if ll > best_ll:
                     best_ll = ll
                     best = (sv, ell, nv)

@@ -8,9 +8,9 @@ measurement outcome are handled three ways:
 * ``exact_dp``     - Gauss-Legendre quadrature over the truncated outcome;
 * ``bounded_dp``   - generalized Jensen (lower) or Edmundson-Madansky
                      (upper) weighted sums, solved exhaustively;
-* ``urtdp``        - anytime trial-based solver that maintains lower/upper
-                     value tables for the Jensen and EM problems and tightens
-                     them along simulated paths.
+* ``urtdp``        - anytime trial-based solver that grows a search tree of
+                     lower/upper bounds for the Jensen and EM problems and
+                     tightens them along simulated paths.
 
 All solvers share one vectorized tree recursion parameterized by the
 standardized outcome points, and every planner maximizes one stage reward
@@ -18,12 +18,18 @@ standardized outcome points, and every planner maximizes one stage reward
 measurement (:func:`_entropy`, which MES sums as well), plus its posterior
 log-mean for the log-GP model (the original-scale entropy). Its one
 per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
-one GP factor, ``field_model.IncrementalPosterior``: URTDP's rollouts and
-expansions, MES's branch and bound (extended and popped along the search),
-MI's selected set and the greedy planner's candidate batch.
-``field_model.GramCache`` memoizes its factors by observed location tuple, so
-the outcome branches of a move share one (posterior covariances never depend
-on measurement values).
+one GP factor, ``field_model.IncrementalPosterior``, extended and popped
+along each search: the exhaustive solver's depth-first recursion, URTDP's
+trials and rollouts, MES's branch and bound, MI's selected set and the
+greedy planner's candidate batch.
+
+Below its root, URTDP's state space is a tree: a history holds every
+location and outcome in order, so two branches never meet. A node is its
+``[lower, upper]`` pair; once expanded it also holds one record per action
+with the reward, the observed cell, the outcome mean and deviation and the
+child nodes, one per outcome point. A trial walks one factor down the tree,
+extending it by each observed ``(cell, outcome)``, and derives the team
+states as it goes, so no history, state or key is stored below the root.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
@@ -46,7 +52,6 @@ from .discretization import standardized_rule, truncated_quadrature_rule
 from .errors import BoundsCrossed, DeadEnd, DegenerateCovariance, InstanceTooLarge
 from .field_model import (
     LOG_2PI_E,
-    GramCache,
     Hyperparams,
     IncrementalPosterior,
     PosteriorData,
@@ -125,7 +130,8 @@ class ValueBounds:
 
 
 def state_key(stage: int, s: TeamState, d: PosteriorData) -> tuple:
-    """Canonical hashable encoding of a planning state.
+    """Canonical hashable encoding of a planning state; URTDP keys its roots
+    by it.
 
     Measurement values enter at full precision: adaptive values genuinely
     depend on them. The visited set is implied by the location tuple.
@@ -189,25 +195,30 @@ class _TreeSolver:
 
     The measurement branches are vectorized: at recursion depth ``j`` values
     are arrays of shape ``(B,)**j`` where ``B`` is the number of outcome
-    points. Posterior weight vectors are cached per location tuple, so only
-    cheap affine arithmetic runs inside the branch tensor.
+    points. Posterior covariances never depend on measurement values, so one
+    factor, extended and popped along the depth-first recursion, gives each
+    target's weight vector, and only cheap affine arithmetic runs inside the
+    branch tensor.
     """
 
-    def __init__(self, problem, weights, points, n_actions, cache=None):
+    def __init__(self, problem, weights, points, n_actions):
         self.problem = problem
         self.w = np.asarray(weights, dtype=float)
         self.zeta = np.asarray(points, dtype=float)
         self.n_actions = n_actions
-        self.cache = cache if cache is not None else GramCache(problem.hyper)
         self._z0 = None
+        self._inc = None
 
     def solve(self, s: TeamState, d: PosteriorData):
         """Return (value, [(action, q)]) at the root state."""
         self._z0 = d.z
+        self._inc = IncrementalPosterior(
+            self.problem.hyper, d.locations, d.z, len(d) + self.n_actions
+        )
         acts = constrained_actions(s, self.problem.domain)
         q_list = []
         for a in acts:
-            q = self._q(s, d.locations, [], 0, a)
+            q = self._q(s, [], 0, a)
             q_list.append((a, float(q)))
         value = max((q for _, q in q_list), default=0.0)
         return value, q_list
@@ -222,10 +233,10 @@ class _TreeSolver:
                 mu = mu + aj * (zarr.reshape(zarr.shape + (1,) * (depth - j - 1)) - h.mean)
         return mu
 
-    def _q(self, s, locs, zs, depth, a):
+    def _q(self, s, zs, depth, a):
         shape = (self.zeta.shape[0],) * depth
         x = action_target(s, a).cell
-        alpha, var = self.cache.target_weights(locs, x)
+        alpha, var = self._inc.target_weights(x)
         if var <= 0:
             raise DegenerateCovariance(f"non-positive posterior variance at {x}")
         mu = self._mu(alpha, zs, depth)
@@ -234,12 +245,13 @@ class _TreeSolver:
             return np.broadcast_to(np.asarray(reward, dtype=float), shape)
         mu_full = np.broadcast_to(np.asarray(mu, dtype=float), shape)
         z_child = mu_full[..., None] + math.sqrt(var) * self.zeta
-        child = self._value(
-            transition(s, a, self.problem.domain), locs + (x,), zs + [z_child], depth + 1
-        )
+        # the recursion reads weights only, so the factor's outcome is a placeholder
+        self._inc.extend(x, self.problem.hyper.mean)
+        child = self._value(transition(s, a, self.problem.domain), zs + [z_child], depth + 1)
+        self._inc.pop(1)
         return reward + np.tensordot(child, self.w, axes=(-1, 0))
 
-    def _value(self, s, locs, zs, depth):
+    def _value(self, s, zs, depth):
         shape = (self.zeta.shape[0],) * depth
         acts = constrained_actions(s, self.problem.domain)
         if not acts:
@@ -247,7 +259,7 @@ class _TreeSolver:
             return np.zeros(shape)
         best = None
         for a in acts:
-            q = self._q(s, locs, zs, depth, a)
+            q = self._q(s, zs, depth, a)
             best = q if best is None else np.maximum(best, q)
         return np.broadcast_to(best, shape)
 
@@ -371,13 +383,12 @@ class BoundedLowerPolicy(Policy):
         self.problem = problem
         self.config = config
         self._w, self._zeta = standardized_rule(config.nu, config.truncation_m, "jensen")
-        self._cache = GramCache(problem.hyper)
 
     def act(self, s, d, stage):
         remaining = self.config.horizon - stage + 1
         if remaining < 1:
             raise ValueError("policy asked to act beyond its horizon")
-        solver = _TreeSolver(self.problem, self._w, self._zeta, remaining, self._cache)
+        solver = _TreeSolver(self.problem, self._w, self._zeta, remaining)
         _, q_list = solver.solve(s, d)
         if not q_list:
             raise DeadEnd("no legal action")
@@ -419,19 +430,19 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 
 
 # ---------------------------------------------------------------------------
-# URTDP: anytime solver with lower/upper value tables
+# URTDP: anytime solver over a search tree of lower/upper bounds
 # ---------------------------------------------------------------------------
 
 
-def _greedy_ce_rollout(problem, cache, locs, z, s, steps_count):
-    """Greedy certainty-equivalent rollout from the data ``(locs, z)``.
+def _greedy_ce_rollout(problem, inc, s, steps_count):
+    """Greedy certainty-equivalent rollout from the history held by ``inc``.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
-    back as the observation. Returns the total reward and the visited cell
+    back as the observation; ``inc`` is extended along the rollout and popped
+    back before returning. Returns the total reward and the visited cell
     sequence.
     """
     domain = problem.domain
-    inc = IncrementalPosterior(problem.hyper, locs, z, len(locs) + steps_count, L=cache.chol(locs))
     poses = [(p.cell, p.heading) for p in s.poses]
     visited, steps = set(s.visited), list(s.steps)
     total = 0.0
@@ -450,6 +461,7 @@ def _greedy_ce_rollout(problem, cache, locs, z, s, steps_count):
         visited.add(cell)
         steps[i] += 1
         seq.append(cell)
+    inc.pop(len(seq))
     return total, seq
 
 
@@ -459,7 +471,6 @@ def init_bounds(
     s: TeamState,
     stage: int,
     config: PlannerConfig,
-    cache: GramCache | None = None,
 ) -> ValueBounds:
     """Informed initial heuristic bounds for the remaining stages.
 
@@ -472,79 +483,79 @@ def init_bounds(
         return ValueBounds(0.0, 0.0)
     remaining = config.horizon - stage + 1
     upper = remaining * _stage_max(problem, config)
-    cache = cache if cache is not None else GramCache(problem.hyper)
-    lower, _ = _greedy_ce_rollout(problem, cache, d.locations, d.z, s, remaining)
+    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d) + remaining)
+    lower, _ = _greedy_ce_rollout(problem, inc, s, remaining)
     return ValueBounds(min(lower, upper), upper)
 
 
 class _UrtdpInstance:
-    """Trial-based bound tables for one bounded approximate problem.
+    """Trial-based search tree of bounds for one bounded approximate problem.
 
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
-    upper (EM) problem. Within an instance the two table entries bracket that
-    problem's exhaustive value at every touched state.
+    upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
+    problem's exhaustive value at the node's state. ``tables`` maps the state
+    key of each root the instance has planned from to its node; the nodes
+    below a root hang off its action records (see the module docstring).
     """
 
-    def __init__(self, problem, config, rule, rng, cache=None):
+    def __init__(self, problem, config, rule, rng):
         self.problem = problem
         self.config = config
         self.rule = rule
         self.rng = rng
-        self.cache = cache if cache is not None else GramCache(problem.hyper)
         self.w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
-        self.tables: dict[tuple, list[float]] = {}
-        self.expansions: dict[tuple, tuple] = {}
+        self.tables: dict[tuple, list] = {}
         self.paths_run = 0
-        self.on_backup = None  # test hook: called with (key, lower, upper)
+        self.on_backup = None  # test hook: called with (node, lower, upper)
 
-    # -- state bookkeeping --------------------------------------------------
+    # -- the tree --------------------------------------------------------------
 
-    def ensure(self, key, d, s, stage):
-        if key not in self.tables:
-            vb = init_bounds(self.problem, d, s, stage, self.config, self.cache)
-            self.tables[key] = [vb.lower, vb.upper]
-        return self.tables[key]
+    def _root(self, d, s, stage) -> list:
+        """The root node of ``(s, d)``, seeded by :func:`init_bounds` when new."""
+        key = state_key(stage, s, d)
+        node = self.tables.get(key)
+        if node is None:
+            vb = init_bounds(self.problem, d, s, stage, self.config)
+            node = self.tables[key] = [vb.lower, vb.upper]
+        return node
 
-    def expand(self, key, s, d, stage):
-        """Per-action rewards and child states; children get initialized."""
-        found = self.expansions.get(key)
-        if found is not None:
-            return found
+    def _factor(self, d, stage) -> IncrementalPosterior:
+        """A factor over ``d`` with room for one trial from ``stage``: the walk
+        plus the rollout that initializes the children of its deepest node."""
+        rows = len(d) + self.config.horizon - stage + 1
+        return IncrementalPosterior(self.problem.hyper, d.locations, d.z, rows)
+
+    def expand(self, node, inc, s, stage):
+        """The node's action records, built on its first visit from the factor
+        ``inc`` over the node's history; the children get initial bounds.
+
+        A record is ``(action, reward, cell, mean, sd, children)``; child
+        ``j`` observes ``mean + sd * zeta[j]`` at ``cell``, and the children
+        are ``None`` at the last stage.
+        """
+        if len(node) > 2:
+            return node[2]
         problem = self.problem
         acts = constrained_actions(s, problem.domain)
-        entries = []
-        last = stage == self.config.horizon
+        records = []
         if acts:
-            inc = IncrementalPosterior(
-                problem.hyper, d.locations, d.z, len(d.locations), L=self.cache.chol(d.locations)
-            )
             cells = [action_target(s, a).cell for a in acts]
             mus, variances = inc.batch(cells)
             if np.any(variances <= 0):
                 raise DegenerateCovariance("non-positive posterior variance")
             rewards = _reward(problem, mus, variances)
         for i, a in enumerate(acts):
-            x = cells[i]
-            mu, var, reward = float(mus[i]), float(variances[i]), float(rewards[i])
-            if last:
-                entries.append((a, reward, None, None, None))
-                continue
-            s2 = transition(s, a, problem.domain)
-            z_children = mu + math.sqrt(var) * self.zeta
-            child_keys = []
-            child_states = []
-            for zj in z_children:
-                d2 = d.extended(x, zj)
-                child_keys.append(state_key(stage + 1, s2, d2))
-                child_states.append((s2, d2))
-            self._init_children(d, s2, x, mu, z_children, child_keys, stage)
-            entries.append((a, reward, child_keys, child_states, z_children))
-        exp = (stage, entries)
-        self.expansions[key] = exp
-        return exp
+            x, mu, sd = cells[i], float(mus[i]), math.sqrt(variances[i])
+            children = None
+            if stage < self.config.horizon:
+                s2 = transition(s, a, problem.domain)
+                children = self._init_children(inc, s2, x, mu, mu + sd * self.zeta, stage)
+            records.append((a, float(rewards[i]), x, mu, sd, children))
+        node.append(records)
+        return records
 
-    def _init_children(self, d, s2, x, mu, z_children, child_keys, stage):
-        """Seed bounds for the children of one (state, action) pair.
+    def _init_children(self, inc, s2, x, mu, z_children, stage):
+        """Initial ``[lower, upper]`` pairs for the children of one action.
 
         All children share locations, so one greedy rollout (at the mean
         outcome) fixes a feasible continuation for all of them; evaluating
@@ -553,88 +564,86 @@ class _UrtdpInstance:
         leaves every mean unchanged, so along the continuation ``seq`` each
         log-mean is the posterior mean given the child's data alone, and the
         value is affine in the outcome with slope
-        ``sum_i [L2^-1 K(locs2, seq)]_{last,i} / L2[last,last]``. The
-        stagewise upper bound is outcome independent.
+        ``sum_i [L2^-1 K(locs2, seq)]_{last,i} / L2[last,last]``, where ``L2``
+        is ``inc`` extended by ``x``: its last pivot is the square root of the
+        variance ``extend`` returns. The stagewise upper bound is outcome
+        independent.
         """
-        missing = [j for j, ck in enumerate(child_keys) if ck not in self.tables]
-        if not missing:
-            return
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
         upper = remaining * _stage_max(problem, self.config)
-        locs2 = d.locations + (x,)
-        v_ref, seq = _greedy_ce_rollout(
-            problem, self.cache, locs2, np.append(d.z, mu), s2, remaining
-        )
+        var = inc.extend(x, mu)
+        v_ref, seq = _greedy_ce_rollout(problem, inc, s2, remaining)
         slope = 0.0
         if problem.is_lgp and seq:
-            L2 = self.cache.chol(locs2)
-            slope = float(self.cache.whitened(locs2, seq)[-1].sum()) / L2[-1, -1]
-        for j in missing:
-            lower = v_ref + slope * (float(z_children[j]) - mu)
-            self.tables[child_keys[j]] = [min(lower, upper), upper]
+            slope = float(inc.whitened(seq)[-1].sum()) / math.sqrt(var)
+        inc.pop(1)
+        return [[min(v_ref + slope * (float(zj) - mu), upper), upper] for zj in z_children]
 
     # -- bound arithmetic ----------------------------------------------------
 
-    def q_values(self, entries):
-        """(action, q_lower, q_upper) per action from current child tables."""
+    def q_values(self, records):
+        """(action, q_lower, q_upper) per action from the current child bounds."""
         out = []
-        for a, reward, child_keys, _, _ in entries:
-            if child_keys is None:
+        for a, reward, _, _, _, children in records:
+            if children is None:
                 out.append((a, reward, reward))
                 continue
             lo = hi = 0.0
-            for wj, ck in zip(self.w, child_keys):
-                b = self.tables[ck]
-                lo += wj * b[0]
-                hi += wj * b[1]
+            for wj, child in zip(self.w, children):
+                lo += wj * child[0]
+                hi += wj * child[1]
             out.append((a, reward + lo, reward + hi))
         return out
 
-    def _set(self, key, lower, upper):
-        self.tables[key] = [lower, upper]
+    def _set(self, node, lower, upper):
+        node[0] = lower
+        node[1] = upper
         if self.on_backup is not None:
-            self.on_backup(key, lower, upper)
+            self.on_backup(node, lower, upper)
 
-    def _backup(self, key, entries):
-        qs = self.q_values(entries)
-        self._set(key, max(q for _, q, _ in qs), max(q for _, _, q in qs))
+    def _backup(self, node, records):
+        qs = self.q_values(records)
+        self._set(node, max(q for _, q, _ in qs), max(q for _, _, q in qs))
 
     # -- the simulated path --------------------------------------------------
 
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0):
-        """One descent/backtrack trial; tightens bounds along the path."""
-        s, d, stage = s0, d0, stage0
+        """One descent/backtrack trial; tightens bounds along the path.
+
+        One factor walks the trial: each descent step extends it by the
+        chosen action's cell and the sampled outcome.
+        """
+        node, s, stage = self._root(d0, s0, stage0), s0, stage0
+        inc = self._factor(d0, stage0)
         trail = []
         while True:
-            key = state_key(stage, s, d)
-            self.ensure(key, d, s, stage)
-            _, entries = self.expand(key, s, d, stage)
-            if not entries:
-                self._set(key, 0.0, 0.0)
+            records = self.expand(node, inc, s, stage)
+            if not records:
+                self._set(node, 0.0, 0.0)
                 break
-            if stage == self.config.horizon:
-                leaf = max(reward for _, reward, _, _, _ in entries)
-                self._set(key, leaf, leaf)
+            if stage >= self.config.horizon:
+                leaf = max(r[1] for r in records)
+                self._set(node, leaf, leaf)
                 break
-            qs = self.q_values(entries)
+            qs = self.q_values(records)
             best_i = max(range(len(qs)), key=lambda i: qs[i][2])
-            _, reward, child_keys, child_states, _ = entries[best_i]
-            gaps = np.array(
-                [max(self.tables[ck][1] - self.tables[ck][0], 0.0) for ck in child_keys]
-            )
+            a, _, x, mu, sd, children = records[best_i]
+            gaps = np.array([max(c[1] - c[0], 0.0) for c in children])
             weights = self.w * gaps
             total = weights.sum()
             if total <= 0:
-                probs = np.full(len(child_keys), 1.0 / len(child_keys))
+                probs = np.full(len(children), 1.0 / len(children))
             else:
                 probs = weights / total
-            j = int(self.rng.choice(len(child_keys), p=probs))
-            trail.append((key, entries))
-            s, d = child_states[j]
+            j = int(self.rng.choice(len(children), p=probs))
+            trail.append((node, records))
+            inc.extend(x, mu + sd * self.zeta[j])
+            s = transition(s, a, self.problem.domain)
+            node = children[j]
             stage += 1
-        for key, entries in reversed(trail):
-            self._backup(key, entries)
+        for node, records in reversed(trail):
+            self._backup(node, records)
         self.paths_run += 1
 
     def run(self, d, s, stage, alpha, budget):
@@ -642,18 +651,22 @@ class _UrtdpInstance:
 
         Returns True if the gap criterion was met.
         """
-        root = state_key(stage, s, d)
-        self.ensure(root, d, s, stage)
+        root = self._root(d, s, stage)
         start = self.paths_run
-        while self.tables[root][1] - self.tables[root][0] > alpha:
+        while root[1] - root[0] > alpha:
             if self.paths_run - start >= budget:
                 return False
             self.simulated_path(d, s, stage)
         return True
 
     def root_bounds(self, d, s, stage) -> ValueBounds:
-        b = self.ensure(state_key(stage, s, d), d, s, stage)
-        return ValueBounds(b[0], b[1])
+        root = self._root(d, s, stage)
+        return ValueBounds(root[0], root[1])
+
+    def root_q_values(self, d, s, stage):
+        """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
+        root = self._root(d, s, stage)
+        return self.q_values(self.expand(root, self._factor(d, stage), s, stage))
 
 
 class UrtdpPolicy(Policy):
@@ -668,9 +681,7 @@ class UrtdpPolicy(Policy):
         if not acts:
             raise DeadEnd("no legal action")
         self.instance.run(d, s, stage, self.config.alpha, self.config.max_simulated_paths)
-        key = state_key(stage, s, d)
-        _, entries = self.instance.expand(key, s, d, stage)
-        return max(self.instance.q_values(entries), key=lambda q: q[1])[0]
+        return max(self.instance.root_q_values(d, s, stage), key=lambda q: q[1])[0]
 
 
 def _trial_rng(config: PlannerConfig, child: int) -> np.random.Generator:
@@ -705,11 +716,11 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     returned root bounds are the Jensen instance's lower bound and the EM
     instance's upper bound, which bracket the exhaustive lower/upper problem
     values (and hence the true optimum) at all times. The policy is greedy on
-    the lower-problem bound tables.
+    the lower-problem bounds.
     """
     policy = urtdp_policy(problem, config)
     low = policy.instance
-    up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1), low.cache)
+    up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1))
     ok_low = low.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
     ok_up = up.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
     bounds = ValueBounds(

@@ -30,7 +30,7 @@ def test_bench_smoke_run_is_correct_and_traces_the_gp_factor():
     assert set(metrics) == {"bounds-k1", "run-k2", "run-hires"}
     for name in (
         "field_model.incremental.batch.calls",
-        "field_model.gram_cache.chol.calls",
+        "field_model.incremental.extend.calls",
         "planners.urtdp.init_children.calls",
     ):
         assert metrics["bounds-k1"][name] > 0, name

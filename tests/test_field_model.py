@@ -6,7 +6,6 @@ import pytest
 import hotspotplan.field_model as fm
 from hotspotplan.errors import DegenerateCovariance, InsufficientData, SingularGram
 from hotspotplan.field_model import (
-    GramCache,
     Hyperparams,
     IncrementalPosterior,
     PosteriorData,
@@ -431,23 +430,24 @@ def test_fit_recovers_length_scale():
     assert hits >= 16  # >= 80% of 20 seeds
 
 
-# -- caches ------------------------------------------------------------------
+# -- incremental factor ------------------------------------------------------
 
 
-def test_gram_cache_equals_fresh_computation(rng):
+def test_target_weights_equal_fresh_computation(rng):
     h = Hyperparams(0.2, 1.0, 1.2, 0.03)
-    cache = GramCache(h)
     locs = ((0, 0), (1, 2), (3, 1))
     z = rng.normal(size=3)
-    alpha, var = cache.target_weights(locs, (2, 2))
+    inc = IncrementalPosterior(h, locs, z, capacity=4)
+    alpha, var = inc.target_weights((2, 2))
     g = posterior(PosteriorData(locs, z), [(2, 2)], h)
     assert h.mean + alpha @ (z - h.mean) == pytest.approx(float(g.mean[0]), abs=1e-10)
     assert var == pytest.approx(float(g.covariance[0, 0]), abs=1e-10)
     # extension path gives the same factor as from-scratch
     longer = locs + ((2, 3),)
-    alpha2, var2 = cache.target_weights(longer, (2, 2))
-    fresh = GramCache(h)
-    alpha3, var3 = fresh.target_weights(longer, (2, 2))
+    inc.extend((2, 3), 0.7)
+    alpha2, var2 = inc.target_weights((2, 2))
+    fresh = IncrementalPosterior(h, longer, np.append(z, 0.7), capacity=4)
+    alpha3, var3 = fresh.target_weights((2, 2))
     assert np.allclose(alpha2, alpha3) and var2 == pytest.approx(var3, abs=1e-12)
 
 

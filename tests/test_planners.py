@@ -14,6 +14,7 @@ from hotspotplan import planners
 from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
 from hotspotplan.field_model import (
     Hyperparams,
+    IncrementalPosterior,
     PosteriorData,
     gaussian_entropy,
     posterior,
@@ -294,23 +295,24 @@ def test_urtdp_tables_bracket_exhaustive_values_at_visited_states():
     cfg = cfg_for(horizon=2, nu=2, alpha=1e-8, paths=100_000, seed=9)
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(1))
     inst.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
-    # walk the expansion graph to recover (state, data, stage) per key
-    seen = {}
-    stack = [(state_key(0, s0, d0), s0, d0, 0)]
+    # walk the tree, rebuilding each expanded node's (state, data) from its
+    # edges' cells and outcome points
+    expanded = []
+    stack = [(inst.tables[state_key(0, s0, d0)], s0, d0, 0)]
     while stack:
-        key, s, d, stage = stack.pop()
-        if key in seen or key not in inst.expansions:
+        node, s, d, stage = stack.pop()
+        if len(node) == 2:
             continue
-        seen[key] = (s, d, stage)
-        _, entries = inst.expansions[key]
-        for entry in entries:
-            if entry[2] is None:
+        expanded.append((node, s, d, stage))
+        for a, _, x, mu, sd, children in node[2]:
+            if children is None:
                 continue
-            for ck, (s2, d2) in zip(entry[2], entry[3]):
-                stack.append((ck, s2, d2, stage + 1))
+            s2 = transition(s, a, problem.domain)
+            for zj, child in zip(mu + sd * inst.zeta, children):
+                stack.append((child, s2, d.extended(x, zj), stage + 1))
     checked = 0
-    for key, (s, d, stage) in seen.items():
-        lo, hi = inst.tables[key]
+    for node, s, d, stage in expanded:
+        lo, hi = node[:2]
         sub_cfg = cfg_for(horizon=cfg.horizon - stage, nu=cfg.nu)
         truth, _ = bounded_dp(problem, d, s, sub_cfg, "lower")
         assert lo <= truth + 1e-8 <= hi + 2e-8
@@ -358,6 +360,31 @@ def test_urtdp_policy_matches_bounded_lower_policy():
         d = d.extended(cell, math.log(field[cell]))
 
 
+def test_urtdp_trials_walk_one_factor_and_store_no_histories(monkeypatch):
+    # below the root the tree keeps no per-child history: no PosteriorData is
+    # extended, and each trial builds one factor (each root one more, for its
+    # initial bound)
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
+    cfg = cfg_for(horizon=3, nu=3, alpha=1e-12, paths=50)
+    calls = {"extended": 0, "factor": 0}
+    extended, init = PosteriorData.extended, IncrementalPosterior.__init__
+
+    def count_extended(*args):
+        calls["extended"] += 1
+        return extended(*args)
+
+    def count_init(*args, **kwargs):
+        calls["factor"] += 1
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(PosteriorData, "extended", count_extended)
+    monkeypatch.setattr(IncrementalPosterior, "__init__", count_init)
+    res = urtdp(problem, d0, s0, cfg)
+    assert res.lower_paths == res.upper_paths == 50
+    assert calls["extended"] == 0
+    assert calls["factor"] <= res.lower_paths + res.upper_paths + 2
+
+
 @pytest.mark.parametrize("model", ["lgp", "gp"])
 def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monkeypatch):
     # each child's seeded lower bound is the certainty-equivalent value of the
@@ -375,19 +402,22 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
 
     monkeypatch.setattr(planners, "_greedy_ce_rollout", recording)
     inst = urtdp_policy(problem, cfg).instance
-    _, entries = inst.expand(state_key(0, s0, d0), s0, d0, 0)
+    root = inst._root(d0, s0, 0)
+    seqs.clear()  # the root's own initial rollout
+    entries = inst.expand(root, inst._factor(d0, 0), s0, 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
-    for (_, _, child_keys, child_states, _), seq in zip(entries, seqs):
+    for (_, _, x, mean, sd, children), seq in zip(entries, seqs):
         assert len(seq) == cfg.horizon
-        for ck, (_, d) in zip(child_keys, child_states):
+        for zj, child in zip(mean + sd * inst.zeta, children):
+            d = d0.extended(x, zj)
             value = 0.0
             for c in seq:
                 g = posterior(d, [c], problem.hyper)
                 mu, var = float(g.mean[0]), float(g.covariance[0, 0])
                 value += 0.5 * (LOG_2PI_E + math.log(var)) + (mu if model == "lgp" else 0.0)
                 d = d.extended(c, mu)
-            lower, upper = inst.tables[ck]
+            lower, upper = child
             if value > upper:
                 assert lower == upper
                 continue
