@@ -11,7 +11,8 @@ row-append of a Cholesky factor each have one definition here. :func:`posterior`
 computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending rows and back up by
-dropping them, so no factor outlives the walk. The map metrics never form a
+dropping them; it gathers every kernel entry by cell offset from the grid's
+:class:`KernelTable`. The map metrics never form a
 posterior covariance matrix: the map entropy is one joint factor
 (:func:`lgp_entropy`) and the predictor needs only means and variances
 (:func:`posterior_marginals`).
@@ -132,12 +133,10 @@ def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of two ``(n, 2)`` cell arrays."""
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
-    sq *= sq
-    dc = np.subtract.outer(a[:, 1], b[:, 1])
-    dc *= dc
-    sq += dc
+    """Squared distances between the rows of two ``(n, 2)`` integer cell arrays (exact)."""
+    sq = a @ (-2.0 * b.T)
+    sq += np.einsum("ij,ij->i", a, a)[:, None]
+    sq += np.einsum("ij,ij->i", b, b)
     return sq
 
 
@@ -181,14 +180,38 @@ def _gram_diagonal(h: Hyperparams) -> float:
     return h.prior_variance + jitter
 
 
-def _gram_factor(cells, h: Hyperparams) -> np.ndarray:
-    """Lower Cholesky factor of the Gram matrix of distinct cells, from scratch."""
-    gram = cov_matrix(cells, cells, h)
+def _gram_factor(gram: np.ndarray, h: Hyperparams) -> np.ndarray:
+    """Lower Cholesky factor of a Gram matrix of distinct cells, jitter rule applied."""
     np.fill_diagonal(gram, _gram_diagonal(h))
     try:
         return cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"gram matrix not positive definite: {exc}") from exc
+
+
+class KernelTable:
+    """The squared-exponential kernel, nugget excluded, of every cell offset
+    of one grid.
+
+    Two cells of a ``rows x cols`` grid differ by one of
+    ``(2 rows - 1)(2 cols - 1)`` offsets. With ``width = 2 cols - 1`` and the
+    code ``r * width + c`` of a cell ``(r, c)``, the kernel between cells
+    ``a`` and ``b`` is ``values[center + code(a) - code(b)]``: an integer
+    subtract and a gather, bit for bit :func:`cov_matrix` between distinct
+    cells. A 42 x 36 grid needs 5,893 floats.
+    """
+
+    def __init__(self, h: Hyperparams, domain: GridDomain):
+        rows, cols = domain.rows, domain.cols
+        self.h, self.domain = h, domain
+        self.width = 2 * cols - 1
+        self.center = (rows - 1) * self.width + cols - 1
+        dr, dc = np.divmod(np.arange((2 * rows - 1) * self.width), self.width)
+        self.values = _se(((dr - rows + 1) ** 2 + (dc - cols + 1) ** 2).astype(float), h)
+
+    def codes(self, cells) -> np.ndarray:
+        """The codes of a list of cells."""
+        return np.array([r * self.width + c for r, c in cells], dtype=np.intp)
 
 
 class IncrementalPosterior:
@@ -200,21 +223,28 @@ class IncrementalPosterior:
     observation costs one triangular solve, dropping the last ones costs
     nothing, and target means/variances cost a single batched solve. Results
     match :func:`posterior` exactly. The factor depends on the locations
-    only, so the outcome branches of a move share it.
+    only, so the outcome branches of a move share it. :meth:`extend` can take
+    column ``j`` of the last :meth:`batch`'s whitened ``columns`` as its row.
     """
 
-    def __init__(self, h: Hyperparams, locs, z, capacity: int):
-        self.h = h
+    def __init__(self, table: KernelTable, locs, z, capacity: int):
+        self.table = table
+        self.h = h = table.h
+        self.diag = _gram_diagonal(h)  # the factored diagonal, jitter included
         m = len(locs)
         cap = max(capacity, m)
         self._L = np.zeros((cap, cap))
         self._y = np.zeros(cap)
-        self._cells = np.zeros((cap, 2))
+        self._offsets = np.zeros(cap, dtype=np.intp)  # table.center + code of each cell
+        self.columns = None  # the whitened block of the last batch
         self.m = m
+        if not all(map(table.domain.contains, locs)):
+            raise ValueError("observed cells must lie on the kernel table's grid")
         if m:
-            self._L[:m, :m] = _gram_factor(locs, h)
+            codes = table.codes(locs)
+            self._offsets[:m] = codes + table.center
+            self._L[:m, :m] = _gram_factor(table.values[self._offsets[:m, None] - codes], h)
             self._y[:m] = dtrsv(self._L[:m, :m], np.asarray(z, dtype=float) - h.mean, lower=1)
-            self._cells[:m] = np.asarray(locs, dtype=float)
 
     def batch(self, targets) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances at the target cells.
@@ -223,7 +253,7 @@ class IncrementalPosterior:
         for coinciding cells is not applied here).
         """
         h = self.h
-        half = self.whitened(targets)
+        half = self.columns = self.whitened(targets)
         mu = h.mean + half.T @ self._y[: self.m]
         var = h.prior_variance - np.einsum("ij,ij->j", half, half)
         return mu, var
@@ -231,9 +261,8 @@ class IncrementalPosterior:
     def whitened(self, targets) -> np.ndarray:
         """``L^-1 K(cells, targets)`` over the current sequence: column ``j``
         holds the whitened regression weights of ``targets[j]``."""
-        m = self.m
-        t = np.asarray(targets, dtype=float).reshape(-1, 2)
-        return dtrsm(1.0, self._L[:m, :m], _se(_sq_dists(self._cells[:m], t), self.h), lower=1)
+        k = self.table.values[self._offsets[: self.m, None] - self.table.codes(targets)]
+        return dtrsm(1.0, self._L[: self.m, : self.m], k, lower=1)
 
     def target_weights(self, target: Cell) -> tuple[np.ndarray, float]:
         """Return ``(alpha, var)`` so that the posterior of ``target`` given the
@@ -244,23 +273,25 @@ class IncrementalPosterior:
         alpha = dtrsm(1.0, self._L[:m, :m], half, lower=1, trans_a=1)[:, 0]
         return alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0])
 
-    def extend(self, cell, z_value: float) -> float:
+    def extend(self, cell, z_value: float, row=None) -> float:
         """Append one observation in place; return its variance given the
         sequence before it (the Schur complement, jitter included), whose
-        square root is the new pivot of the factor. The only code that
-        appends a row to a Cholesky factor."""
-        h, L, m = self.h, self._L, self.m
-        c = np.asarray(cell, dtype=float)
-        var = _gram_diagonal(h)
+        square root is the new pivot of the factor. ``row`` is the cell's
+        whitened column from :attr:`columns`, solved here when not given. The
+        only code that appends a row to a Cholesky factor."""
+        L, m, t = self._L, self.m, self.table
+        code = cell[0] * t.width + cell[1]
+        var = self.diag
         if m:
-            row = dtrsv(L[:m, :m], _se(np.sum((self._cells[:m] - c) ** 2, axis=1), h), lower=1)
+            if row is None:
+                row = dtrsv(L[:m, :m], t.values[self._offsets[:m] - code], lower=1)
             L[m, :m] = row
             var -= row @ row
         if var <= 0:
             raise SingularGram("gram extension lost positive definiteness")
         L[m, m] = math.sqrt(var)
-        self._cells[m] = c
-        self._y[m] = (float(z_value) - h.mean - L[m, :m] @ self._y[:m]) / L[m, m]
+        self._offsets[m] = code + t.center
+        self._y[m] = (float(z_value) - self.h.mean - L[m, :m] @ self._y[:m]) / L[m, m]
         self.m = m + 1
         return var
 
@@ -281,7 +312,7 @@ def posterior(d: PosteriorData, targets, h: Hyperparams) -> PosteriorGaussian:
     k_tt = cov_matrix(targets, targets, h)
     if len(d) == 0:
         return PosteriorGaussian(np.full(len(targets), h.mean), k_tt)
-    L = _gram_factor(d.locations, h)
+    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
     k_ot = cov_matrix(d.locations, targets, h)
     solved = cho_solve((L, True), k_ot)
     mean = h.mean + solved.T @ (d.z - h.mean)
@@ -301,7 +332,7 @@ def posterior_marginals(d: PosteriorData, targets, h: Hyperparams) -> tuple[np.n
     t = np.asarray(targets, dtype=float).reshape(-1, 2)
     if len(d) == 0:
         return np.full(t.shape[0], h.mean), np.full(t.shape[0], h.prior_variance)
-    L = _gram_factor(d.locations, h)
+    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
     half = dtrsm(1.0, L, cov_matrix(d.locations, t, h), lower=1)
     mean = h.mean + half.T @ dtrsv(L, d.z - h.mean, lower=1)
     return mean, h.prior_variance - np.einsum("ij,ij->j", half, half)
@@ -315,7 +346,7 @@ def leave_one_out_variances(cells, index, h: Hyperparams) -> np.ndarray:
     ``i``: ``var = 1 / [K^-1]_ii`` (Krause, Singh & Guestrin, JMLR 2008),
     less the jitter that ``K`` carries on its diagonal.
     """
-    L = _gram_factor(cells, h)
+    L = _gram_factor(cov_matrix(cells, cells, h), h)
     unit = np.zeros((len(cells), len(index)))
     unit[index, np.arange(len(index))] = 1.0
     half = dtrsm(1.0, L, unit, lower=1)
@@ -383,7 +414,7 @@ def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     ``seed``.
     """
     cells = domain.cells()
-    L = _gram_factor(cells, h)
+    L = _gram_factor(cov_matrix(cells, cells, h), h)
     rng = np.random.default_rng(seed)
     z = h.mean + L @ rng.standard_normal(len(cells))
     return np.exp(z).reshape(domain.rows, domain.cols)
@@ -404,7 +435,7 @@ def _log_likelihood(L: np.ndarray, resid: np.ndarray) -> float:
 
 def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
     """Gaussian log marginal likelihood of the log measurements."""
-    return _log_likelihood(_gram_factor(d.locations, h), d.z - h.mean)
+    return _log_likelihood(_gram_factor(cov_matrix(d.locations, d.locations, h), h), d.z - h.mean)
 
 
 def default_grids(d: PosteriorData, domain: GridDomain, points: int = 20):

@@ -21,15 +21,16 @@ per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
 one GP factor, ``field_model.IncrementalPosterior``, extended and popped
 along each search: the exhaustive solver's depth-first recursion, URTDP's
 trials and rollouts, MES's branch and bound, MI's selected set and the
-greedy planner's candidate batch.
+greedy planner's candidate batch. Each factor gathers its kernel entries
+from the problem's one ``kernel_table``, so its cost never grows with the map.
 
 Below its root, URTDP's state space is a tree: a history holds every
 location and outcome in order, so two branches never meet. A node is its
 ``[lower, upper]`` pair; once expanded it also holds one record per action
 with the reward, the observed cell, the outcome mean and deviation and the
-child nodes, one per outcome point. A trial walks one factor down the tree,
-extending it by each observed ``(cell, outcome)``, and derives the team
-states as it goes, so no history, state or key is stored below the root.
+child nodes, one per outcome point. A trial walks the root's one factor down
+the tree, extending it by each observed ``(cell, outcome)``, and derives the
+team states as it goes, so no history, state or key is stored below the root.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .field_model import (
     LOG_2PI_E,
     Hyperparams,
     IncrementalPosterior,
+    KernelTable,
     PosteriorData,
     leave_one_out_variances,
 )
@@ -93,6 +96,11 @@ class Problem:
     @property
     def is_lgp(self) -> bool:
         return self.model == "lgp"
+
+    @cached_property
+    def kernel_table(self) -> KernelTable:
+        """The kernel table every factor of this problem reads."""
+        return KernelTable(self.hyper, self.domain)
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> flo
     history length only, never on the domain size.
     """
     cells = action_new_cells(s, a)
-    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d) + len(cells))
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + len(cells))
     total = 0.0
     for c in cells:
         mu, var = inc.batch([c])
@@ -213,7 +221,7 @@ class _TreeSolver:
         """Return (value, [(action, q)]) at the root state."""
         self._z0 = d.z
         self._inc = IncrementalPosterior(
-            self.problem.hyper, d.locations, d.z, len(d) + self.n_actions
+            self.problem.kernel_table, d.locations, d.z, len(d) + self.n_actions
         )
         acts = constrained_actions(s, self.problem.domain)
         q_list = []
@@ -424,7 +432,7 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
     acts = constrained_actions(s, problem.domain)
     if not acts:
         raise DeadEnd("no legal action")
-    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d))
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
     rewards = _reward(problem, *inc.batch([action_target(s, a).cell for a in acts]))
     return acts[int(np.argmax(rewards))]
 
@@ -456,7 +464,7 @@ def _greedy_ce_rollout(problem, inc, s, steps_count):
         b = int(np.argmax(rewards))
         i, _, cell, nh = moves[b]
         total += float(rewards[b])
-        inc.extend(cell, float(mus[b]))
+        inc.extend(cell, float(mus[b]), inc.columns[:, b])
         poses[i] = (cell, nh)
         visited.add(cell)
         steps[i] += 1
@@ -483,7 +491,7 @@ def init_bounds(
         return ValueBounds(0.0, 0.0)
     remaining = config.horizon - stage + 1
     upper = remaining * _stage_max(problem, config)
-    inc = IncrementalPosterior(problem.hyper, d.locations, d.z, len(d) + remaining)
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + remaining)
     lower, _ = _greedy_ce_rollout(problem, inc, s, remaining)
     return ValueBounds(min(lower, upper), upper)
 
@@ -505,6 +513,7 @@ class _UrtdpInstance:
         self.rng = rng
         self.w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
         self.tables: dict[tuple, list] = {}
+        self._factors: dict[tuple, IncrementalPosterior] = {}
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
 
@@ -520,10 +529,18 @@ class _UrtdpInstance:
         return node
 
     def _factor(self, d, stage) -> IncrementalPosterior:
-        """A factor over ``d`` with room for one trial from ``stage``: the walk
-        plus the rollout that initializes the children of its deepest node."""
-        rows = len(d) + self.config.horizon - stage + 1
-        return IncrementalPosterior(self.problem.hyper, d.locations, d.z, rows)
+        """The root's factor over ``d``, built once and popped back to ``d`` for
+        each use, with room for one trial from ``stage``: the walk plus the
+        rollout that initializes the children of its deepest node."""
+        key = (stage, d.locations, d.z.tobytes())
+        if key not in self._factors:
+            rows = len(d) + self.config.horizon - stage + 1
+            self._factors[key] = IncrementalPosterior(
+                self.problem.kernel_table, d.locations, d.z, rows
+            )
+        inc = self._factors[key]
+        inc.pop(inc.m - len(d))
+        return inc
 
     def expand(self, node, inc, s, stage):
         """The node's action records, built on its first visit from the factor
@@ -541,6 +558,7 @@ class _UrtdpInstance:
         if acts:
             cells = [action_target(s, a).cell for a in acts]
             mus, variances = inc.batch(cells)
+            half = inc.columns
             if np.any(variances <= 0):
                 raise DegenerateCovariance("non-positive posterior variance")
             rewards = _reward(problem, mus, variances)
@@ -549,13 +567,13 @@ class _UrtdpInstance:
             children = None
             if stage < self.config.horizon:
                 s2 = transition(s, a, problem.domain)
-                children = self._init_children(inc, s2, x, mu, mu + sd * self.zeta, stage)
+                children = self._init_children(inc, s2, x, mu, sd, half[:, i], stage)
             records.append((a, float(rewards[i]), x, mu, sd, children))
         node.append(records)
         return records
 
-    def _init_children(self, inc, s2, x, mu, z_children, stage):
-        """Initial ``[lower, upper]`` pairs for the children of one action.
+    def _init_children(self, inc, s2, x, mu, sd, row, stage):
+        """Initial ``[lower, upper]`` pairs of the children ``mu + sd * zeta`` at ``x``.
 
         All children share locations, so one greedy rollout (at the mean
         outcome) fixes a feasible continuation for all of them; evaluating
@@ -565,20 +583,21 @@ class _UrtdpInstance:
         log-mean is the posterior mean given the child's data alone, and the
         value is affine in the outcome with slope
         ``sum_i [L2^-1 K(locs2, seq)]_{last,i} / L2[last,last]``, where ``L2``
-        is ``inc`` extended by ``x``: its last pivot is the square root of the
+        is ``inc`` extended by ``x`` (by the whitened column ``row`` that the
+        parent's batch solved): its last pivot is the square root of the
         variance ``extend`` returns. The stagewise upper bound is outcome
         independent.
         """
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
         upper = remaining * _stage_max(problem, self.config)
-        var = inc.extend(x, mu)
+        var = inc.extend(x, mu, row)
         v_ref, seq = _greedy_ce_rollout(problem, inc, s2, remaining)
         slope = 0.0
         if problem.is_lgp and seq:
             slope = float(inc.whitened(seq)[-1].sum()) / math.sqrt(var)
         inc.pop(1)
-        return [[min(v_ref + slope * (float(zj) - mu), upper), upper] for zj in z_children]
+        return [[min(v_ref + slope * (float(zj) - mu), upper), upper] for zj in mu + sd * self.zeta]
 
     # -- bound arithmetic ----------------------------------------------------
 
@@ -611,8 +630,8 @@ class _UrtdpInstance:
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0):
         """One descent/backtrack trial; tightens bounds along the path.
 
-        One factor walks the trial: each descent step extends it by the
-        chosen action's cell and the sampled outcome.
+        The root's factor walks the trial: each descent step extends it by
+        the chosen action's cell and the sampled outcome.
         """
         node, s, stage = self._root(d0, s0, stage0), s0, stage0
         inc = self._factor(d0, stage0)
@@ -781,16 +800,15 @@ def mes_nonadaptive(
     k = s0.k
     s0 = TeamState(s0.poses, s0.visited, s0.steps, n)
     # one factor over the prior cells: the search extends it along the path it
-    # scores and pops back; one spare row serves the prior gains
-    inc = IncrementalPosterior(problem.hyper, d0.locations, d0.z, len(d0) + k * n + 1)
+    # scores and pops back
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + k * n)
     base = inc.m
 
-    prior_gain = {}
-    for c in domain.cells():
-        if c not in s0.visited:
-            prior_gain[c] = _entropy_gain(inc, [c])
-            inc.pop(1)
-    gain_sorted = sorted(prior_gain.items(), key=lambda kv: -kv[1])
+    # every prior gain in one batch, with the jitter that extend's variances carry
+    free = [c for c in domain.cells() if c not in s0.visited]
+    _, var = inc.batch(free)
+    gains = _entropy(var + (inc.diag - problem.hyper.prior_variance)).tolist()
+    gain_sorted = sorted(zip(free, gains), key=lambda kv: -kv[1])
 
     def path_value(seq):
         s, cells = s0, []
@@ -906,7 +924,7 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     h = problem.hyper
     s0 = s = TeamState(s0.poses, s0.visited, s0.steps, n)
     total = s.k * n
-    inc = IncrementalPosterior(h, d0.locations, d0.z, len(d0) + total)
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
     observed = d0.observed_set()
     unselected = list(d0.locations) + [c for c in domain.cells() if c not in observed]
     actions = []

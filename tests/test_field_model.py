@@ -8,6 +8,7 @@ from hotspotplan.errors import DegenerateCovariance, InsufficientData, SingularG
 from hotspotplan.field_model import (
     Hyperparams,
     IncrementalPosterior,
+    KernelTable,
     PosteriorData,
     PosteriorGaussian,
     cov_matrix,
@@ -437,7 +438,7 @@ def test_target_weights_equal_fresh_computation(rng):
     h = Hyperparams(0.2, 1.0, 1.2, 0.03)
     locs = ((0, 0), (1, 2), (3, 1))
     z = rng.normal(size=3)
-    inc = IncrementalPosterior(h, locs, z, capacity=4)
+    inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), locs, z, capacity=4)
     alpha, var = inc.target_weights((2, 2))
     g = posterior(PosteriorData(locs, z), [(2, 2)], h)
     assert h.mean + alpha @ (z - h.mean) == pytest.approx(float(g.mean[0]), abs=1e-10)
@@ -446,7 +447,9 @@ def test_target_weights_equal_fresh_computation(rng):
     longer = locs + ((2, 3),)
     inc.extend((2, 3), 0.7)
     alpha2, var2 = inc.target_weights((2, 2))
-    fresh = IncrementalPosterior(h, longer, np.append(z, 0.7), capacity=4)
+    fresh = IncrementalPosterior(
+        KernelTable(h, GridDomain(4, 4)), longer, np.append(z, 0.7), capacity=4
+    )
     alpha3, var3 = fresh.target_weights((2, 2))
     assert np.allclose(alpha2, alpha3) and var2 == pytest.approx(var3, abs=1e-12)
 
@@ -455,7 +458,7 @@ def test_incremental_posterior_matches_posterior(rng):
     h = Hyperparams(0.1, 0.9, 1.4, 0.02)
     locs = [(0, 0), (2, 2), (1, 3)]
     z = rng.normal(size=3)
-    inc = IncrementalPosterior(h, tuple(locs), z, capacity=10)
+    inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), tuple(locs), z, capacity=10)
     targets = [(1, 1), (3, 0)]
     mus, variances = inc.batch(targets)
     g = posterior(PosteriorData(locs, z), targets, h)
@@ -473,7 +476,7 @@ def test_incremental_extend_returns_posterior_variance(rng):
     h = Hyperparams(0.1, 0.9, 1.4, 0.02)
     locs = [(0, 0), (2, 2), (1, 3)]
     z = rng.normal(size=3)
-    inc = IncrementalPosterior(h, tuple(locs), z, capacity=5)
+    inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), tuple(locs), z, capacity=5)
     var = inc.extend((1, 1), 0.3)
     g = posterior(PosteriorData(locs, z), [(1, 1)], h)
     assert var == pytest.approx(float(g.covariance[0, 0]), abs=1e-10)
@@ -485,17 +488,64 @@ def test_incremental_pop_then_extend_matches_fresh(rng):
     h = Hyperparams(0.1, 0.9, 1.4, 0.0)
     locs = [(0, 0), (2, 2), (1, 3)]
     z = rng.normal(size=3)
-    inc = IncrementalPosterior(h, tuple(locs), z, capacity=6)
+    inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), tuple(locs), z, capacity=6)
     inc.extend((1, 1), 0.5)
     inc.extend((0, 2), -0.4)
     inc.pop(2)
     inc.extend((3, 3), 0.8)
     inc.extend((2, 0), 0.1)
     fresh = IncrementalPosterior(
-        h, tuple(locs) + ((3, 3), (2, 0)), np.append(z, [0.8, 0.1]), capacity=6
+        KernelTable(h, GridDomain(4, 4)),
+        tuple(locs) + ((3, 3), (2, 0)),
+        np.append(z, [0.8, 0.1]),
+        capacity=6,
     )
     targets = [(1, 1), (0, 2), (3, 1)]
     mus, variances = inc.batch(targets)
     mus_f, variances_f = fresh.batch(targets)
     assert np.allclose(mus, mus_f, rtol=0, atol=1e-10)
     assert np.allclose(variances, variances_f, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("rows, cols", [(14, 12), (42, 36)])
+def test_kernel_table_equals_cov_matrix_at_every_offset(rows, cols, noise):
+    # all pairs of cells of the grid reach every offset; only the nugget,
+    # which the table leaves out, sits on the zero offset
+    h = Hyperparams(0.4, 1.3, 2.0, noise)
+    cells = GridDomain(rows, cols).cells()
+    table = KernelTable(h, GridDomain(rows, cols))
+    assert table.values.shape == ((2 * rows - 1) * (2 * cols - 1),)
+    codes = table.codes(cells)
+    gathered = table.values[table.center + codes[:, None] - codes[None, :]]
+    dense = cov_matrix(cells, cells, h)
+    diagonal = np.eye(len(cells), dtype=bool)
+    assert np.array_equal(gathered[~diagonal], dense[~diagonal])
+    assert np.array_equal(gathered[diagonal] + noise, dense[diagonal])
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_extend_with_a_batch_column_matches_a_fresh_extend(rng, noise):
+    h = Hyperparams(0.1, 0.9, 1.4, noise)
+    table = KernelTable(h, GridDomain(5, 4))
+    locs = ((0, 0), (2, 2), (1, 3), (4, 1))
+    z = rng.normal(size=4)
+    reused = IncrementalPosterior(table, locs, z, capacity=6)
+    fresh = IncrementalPosterior(table, locs, z, capacity=6)
+    targets = [(3, 3), (1, 1), (4, 0)]
+    reused.batch(targets)
+    var_reused = reused.extend(targets[1], 0.6, reused.columns[:, 1])
+    var_fresh = fresh.extend(targets[1], 0.6)
+    assert var_reused == pytest.approx(var_fresh, rel=1e-12, abs=0)
+    assert np.allclose(reused._L[:5, :5], fresh._L[:5, :5], rtol=0, atol=1e-12)
+    mus, variances = reused.batch([(3, 3), (4, 0)])
+    mus_f, variances_f = fresh.batch([(3, 3), (4, 0)])
+    assert np.allclose(mus, mus_f, rtol=0, atol=1e-12)
+    assert np.allclose(variances, variances_f, rtol=0, atol=1e-12)
+
+
+def test_factor_refuses_cells_off_the_table_grid():
+    # (0, 5) would alias cell (1, 0) of a 3x3 table's codes
+    table = KernelTable(Hyperparams(0.0, 1.0, 1.5, 0.01), GridDomain(3, 3))
+    with pytest.raises(ValueError):
+        IncrementalPosterior(table, [(0, 0), (0, 5)], [0.1, 0.2], capacity=3)
