@@ -6,20 +6,23 @@ squared-exponential covariance plus a nugget. Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel, the Gram jitter rule, the Gaussian log likelihood and the
-row-append of a Cholesky factor each have one definition here. :func:`posterior` and the other reference
+The kernel, the Gram jitter rule and the row-append of a Cholesky factor
+each have one definition here. :func:`posterior` and the other reference
 computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending rows and back up by
 dropping them; it gathers every kernel entry by cell offset from the grid's
-:class:`KernelTable`. The map metrics never form a
-posterior covariance matrix: the map entropy is one joint factor
-(:func:`lgp_entropy`) and the predictor needs only means and variances
-(:func:`posterior_marginals`).
+:class:`KernelTable`. The map metrics never form a posterior covariance
+matrix: the map entropy is one joint factor (:func:`lgp_entropy`) and the
+predictor needs only means and variances (:func:`posterior_marginals`). The
+set-up factors nothing per candidate: :func:`fit_hyperparams` scores its grid
+from one eigendecomposition per length scale, and :func:`sample_field` keeps
+one map's factor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -407,16 +410,25 @@ def lgp_entropy(d: PosteriorData, targets, h: Hyperparams) -> float:
     return 0.5 * (n * LOG_2PI_E + logdet) + mean_sum
 
 
+@functools.lru_cache(maxsize=1)
+def _field_factor(h: Hyperparams, domain: GridDomain, diag: float) -> np.ndarray:
+    """Read-only lower Gram factor of every cell of the map; ``diag``, the jitter
+    rule's diagonal, is in the key so a changed ``JITTER_FRACTION`` refactors."""
+    cells = domain.cells()
+    L = _gram_factor(cov_matrix(cells, cells, h), h)
+    L.setflags(write=False)
+    return L
+
+
 def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     """Draw one field realization: exp of a joint GP sample over all cells.
 
     Returns a positive array of shape ``(rows, cols)``; deterministic in
-    ``seed``.
+    ``seed``. The map's Gram factor is cached between calls.
     """
-    cells = domain.cells()
-    L = _gram_factor(cov_matrix(cells, cells, h), h)
+    L = _field_factor(h, domain, _gram_diagonal(h))
     rng = np.random.default_rng(seed)
-    z = h.mean + L @ rng.standard_normal(len(cells))
+    z = h.mean + L @ rng.standard_normal(domain.size)
     return np.exp(z).reshape(domain.rows, domain.cols)
 
 
@@ -426,16 +438,12 @@ def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:
     return float(np.exp(mean[0] + 0.5 * var[0]))
 
 
-def _log_likelihood(L: np.ndarray, resid: np.ndarray) -> float:
-    """Gaussian log density of ``resid`` under the covariance ``L L^T``."""
-    half = solve_triangular(L, resid, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (half @ half + logdet + len(resid) * math.log(2.0 * math.pi))
-
-
 def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
     """Gaussian log marginal likelihood of the log measurements."""
-    return _log_likelihood(_gram_factor(cov_matrix(d.locations, d.locations, h), h), d.z - h.mean)
+    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
+    half = solve_triangular(L, d.z - h.mean, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return -0.5 * (half @ half + logdet + len(d) * math.log(2.0 * math.pi))
 
 
 def default_grids(d: PosteriorData, domain: GridDomain, points: int = 20):
@@ -467,8 +475,9 @@ def fit_hyperparams(
 
     The mean is fixed at the sample mean of the log measurements; the grid
     search is exhaustive, so the returned candidate has likelihood at least
-    that of every other grid point. Ties go to the first candidate in
-    (signal, length, noise) iteration order.
+    that of every other grid point. One eigendecomposition per length scale
+    scores every (signal, noise) pair. Ties go to the first maximum of the
+    C-ordered (signal, noise) block, then to the first length scale.
     """
     if len(observations) < 5:
         raise InsufficientData(f"need >= 5 observations, got {len(observations)}")
@@ -477,28 +486,29 @@ def fit_hyperparams(
     length_grid = lg if length_grid is None else np.asarray(length_grid, dtype=float)
     noise_grid = ng if noise_grid is None else np.asarray(noise_grid, dtype=float)
     mean = float(np.mean(observations.z))
-
+    resid = observations.z - mean
+    # the Gram diagonal of every (signal, noise) pair, jitter rule applied
+    diag = np.array([[_gram_diagonal(Hyperparams(mean, sv, 1.0, nv)) for nv in noise_grid]
+                     for sv in signal_grid]).reshape(len(signal_grid), len(noise_grid))
     cells = np.asarray(observations.locations, dtype=float)
     sq = _sq_dists(cells, cells)
-    resid = observations.z - mean
-
-    best = None
-    best_ll = -np.inf
+    best, best_ll = None, -np.inf
     for ell in length_grid:
-        corr = _se(sq.copy(), Hyperparams(mean, 1.0, ell))
-        for sv in signal_grid:
-            base = sv * corr
-            for nv in noise_grid:
-                gram = base.copy()
-                np.fill_diagonal(gram, _gram_diagonal(Hyperparams(mean, sv, ell, nv)))
-                try:
-                    L = cholesky(gram, lower=True)
-                except np.linalg.LinAlgError:
-                    continue
-                ll = _log_likelihood(L, resid)
-                if ll > best_ll:
-                    best_ll = ll
-                    best = (sv, ell, nv)
+        # each Gram is sv * off + diag * I, off the correlations less the identity
+        off = _se(sq.copy(), Hyperparams(mean, 1.0, ell))
+        np.fill_diagonal(off, 0.0)
+        mu, q = np.linalg.eigh(off)
+        ev = signal_grid[:, None, None] * mu + diag[:, :, None]
+        ok = (ev > 0).all(axis=2)  # the others are skipped, like a failed Cholesky
+        if not ok.any():
+            continue
+        ev[~ok] = 1.0
+        ll = np.where(ok, -0.5 * (((resid @ q) ** 2 / ev).sum(axis=2) + np.log(ev).sum(axis=2)
+                                  + len(resid) * math.log(2.0 * math.pi)), -np.inf)
+        i, j = np.unravel_index(np.argmax(ll), ll.shape)
+        if ll[i, j] > best_ll:
+            best_ll = ll[i, j]
+            best = (signal_grid[i], ell, noise_grid[j])
     if best is None:
         raise SingularGram("no grid candidate yielded a positive definite gram")
     return Hyperparams(mean, best[0], best[1], best[2])

@@ -328,6 +328,57 @@ def test_sample_field_moments_match_kernel():
     assert abs(sample_cov - true_cov) < 3 * se_cov
 
 
+def _fresh_draw(h, dom, seed):
+    cells = dom.cells()
+    L = fm._gram_factor(cov_matrix(cells, cells, h), h)
+    z = h.mean + L @ np.random.default_rng(seed).standard_normal(len(cells))
+    return np.exp(z).reshape(dom.rows, dom.cols)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_sample_field_equals_a_draw_from_a_fresh_factor(noise):
+    h = Hyperparams(0.4, 0.9, 1.8, noise)
+    dom = GridDomain(14, 12)
+    for seed in (3, 4, 3):  # the second and third calls read the cached factor
+        assert np.array_equal(sample_field(h, dom, seed), _fresh_draw(h, dom, seed))
+
+
+def test_sample_field_refactors_when_the_jitter_changes(monkeypatch):
+    h = Hyperparams(0.0, 1.0, 2.5, 0.0)  # zero nugget: the jitter applies
+    dom = GridDomain(6, 5)
+    before = sample_field(h, dom, 11)
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.3)
+    after = sample_field(h, dom, 11)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _fresh_draw(h, dom, 11))
+
+
+def test_sample_field_factor_is_read_only():
+    h = Hyperparams(0.0, 1.0, 1.5, 0.02)
+    dom = GridDomain(4, 5)
+    sample_field(h, dom, 0)
+    L = fm._field_factor(h, dom, fm._gram_diagonal(h))
+    assert not L.flags.writeable
+    with pytest.raises(ValueError):
+        L[0, 0] = 2.0
+
+
+def test_sample_field_holds_one_map_factor():
+    h1 = Hyperparams(0.0, 1.0, 1.5, 0.02)
+    h2 = Hyperparams(0.0, 1.0, 2.0, 0.02)
+    dom = GridDomain(5, 4)
+    sample_field(h1, dom, 0)
+    misses = fm._field_factor.cache_info().misses
+    sample_field(h1, dom, 1)
+    assert fm._field_factor.cache_info().misses == misses  # reused
+    sample_field(h2, dom, 0)
+    sample_field(h1, GridDomain(4, 5), 0)
+    sample_field(h1, dom, 2)  # evicted by the two maps since
+    info = fm._field_factor.cache_info()
+    assert info.misses == misses + 3
+    assert info.currsize == info.maxsize == 1
+
+
 # -- lognormal_predictor -----------------------------------------------------
 
 
@@ -429,6 +480,80 @@ def test_fit_recovers_length_scale():
         if abs(i_fit - i_true) <= 1:
             hits += 1
     assert hits >= 16  # >= 80% of 20 seeds
+
+
+def _brute_force_fit(d, sg, lg, ng):
+    """First maximum of ``log_marginal_likelihood`` in (length, signal, noise)
+    order, skipping candidates whose Gram is not positive definite."""
+    best, best_ll = None, -np.inf
+    mean = float(np.mean(d.z))
+    for ell in lg:
+        for sv in sg:
+            for nv in ng:
+                cand = Hyperparams(mean, sv, ell, nv)
+                try:
+                    ll = log_marginal_likelihood(d, cand)
+                except SingularGram:
+                    continue
+                if ll > best_ll:
+                    best, best_ll = cand, ll
+    return best, best_ll
+
+
+def _fit_instance(rows, cols, n, seed):
+    dom = GridDomain(rows, cols)
+    truth = Hyperparams(0.3, 0.9, 2.5, 0.02)
+    field = sample_field(truth, dom, seed=seed)
+    cells = dom.cells()
+    idx = np.random.default_rng([seed, 1]).choice(len(cells), size=n, replace=False)
+    locs = [cells[i] for i in sorted(idx)]
+    return dom, PosteriorData(locs, [math.log(field[c]) for c in locs])
+
+
+@pytest.mark.parametrize("rows, cols, n", [(14, 12, 22), (42, 36, 21)])
+def test_fit_equals_a_brute_force_argmax_over_the_default_grid(rows, cols, n):
+    dom, d = _fit_instance(rows, cols, n, seed=rows)
+    fit = fit_hyperparams(d, dom, grid_points=12)
+    best, best_ll = _brute_force_fit(d, *fm.default_grids(d, dom, 12))
+    assert fit == best
+    assert log_marginal_likelihood(d, fit) == pytest.approx(best_ll, abs=1e-9)
+
+
+@pytest.mark.parametrize("jitter", [fm.JITTER_FRACTION, 0.3])
+@pytest.mark.parametrize("noise_grid", [[0.0], [0.0, 1e-3, 0.1]])
+def test_fit_with_a_zero_nugget_applies_the_jitter_rule(monkeypatch, jitter, noise_grid):
+    monkeypatch.setattr(fm, "JITTER_FRACTION", jitter)
+    dom, d = _fit_instance(14, 12, 22, seed=5)
+    sg, lg = np.geomspace(0.05, 2.0, 6), [0.5, 0.8, 1.3]
+    fit = fit_hyperparams(d, dom, sg, lg, noise_grid)
+    best, best_ll = _brute_force_fit(d, sg, lg, noise_grid)
+    assert fit == best
+    assert log_marginal_likelihood(d, fit) == pytest.approx(best_ll, abs=1e-9)
+
+
+def test_fit_skips_gram_matrices_that_are_not_positive_definite(monkeypatch):
+    # without jitter, every correlation at length 1e12 is exactly 1; constant
+    # data would give a singular candidate an unbounded likelihood
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)
+    dom = GridDomain(5, 5)
+    d = PosteriorData([(0, 0), (1, 2), (2, 4), (3, 1), (4, 3), (0, 4)], np.full(6, 0.7))
+    fit = fit_hyperparams(d, dom, [0.5, 1.0], [1e12], [0.0, 0.1])
+    assert (fit.signal_variance, fit.length_scale, fit.noise_variance) == (0.5, 1e12, 0.1)
+    fit = fit_hyperparams(d, dom, [0.5, 1.0], [1e12, 1.5], [0.0])
+    assert (fit.signal_variance, fit.length_scale, fit.noise_variance) == (0.5, 1.5, 0.0)
+    with pytest.raises(SingularGram):
+        fit_hyperparams(d, dom, [0.5, 1.0], [1e12], [0.0])
+
+
+@pytest.mark.parametrize("length_grid", [[1e-3, 1e-4], [1e-4, 1e-3]])
+def test_fit_ties_go_to_the_first_candidate_in_iteration_order(length_grid):
+    # both length scales make every correlation exactly 0, and (0.2, 0.3) and
+    # (0.3, 0.2) give the same total variance, the likelihood's maximum
+    dom = GridDomain(5, 5)
+    a = math.sqrt(0.5)
+    d = PosteriorData([(0, 0), (1, 2), (2, 4), (3, 1), (4, 3), (0, 4)], [a, -a] * 3)
+    fit = fit_hyperparams(d, dom, [0.2, 0.3], length_grid, [0.2, 0.3])
+    assert (fit.signal_variance, fit.length_scale, fit.noise_variance) == (0.2, length_grid[0], 0.3)
 
 
 # -- incremental factor ------------------------------------------------------
