@@ -11,13 +11,14 @@ each have one definition here. :func:`posterior` and the other reference
 computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending rows and back up by
-dropping them; it gathers every kernel entry by cell offset from the grid's
+dropping them, and a window of cells gets its joint posterior from it; it
+gathers every kernel entry by cell offset from the grid's
 :class:`KernelTable`. The map metrics never form a posterior covariance
 matrix: the map entropy is one joint factor (:func:`lgp_entropy`) and the
 predictor needs only means and variances (:func:`posterior_marginals`). The
-set-up factors nothing per candidate: :func:`fit_hyperparams` scores its grid
-from one eigendecomposition per length scale, and :func:`sample_field` keeps
-one map's factor.
+set-up factors nothing per candidate: :func:`fit_hyperparams` scores its
+grid from one eigendecomposition per length scale, and :func:`sample_field`
+keeps one map's factor.
 """
 
 from __future__ import annotations
@@ -260,6 +261,15 @@ class IncrementalPosterior:
         mu = h.mean + half.T @ self._y[: self.m]
         var = h.prior_variance - np.einsum("ij,ij->j", half, half)
         return mu, var
+
+    def joint(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and covariance of distinct cells not in the sequence:
+        one :meth:`batch`, its variances on the diagonal, ``K - C^T C`` off it."""
+        mu, var = self.batch(cells)
+        c = self.table.codes(cells)
+        cov = self.table.values[(c + self.table.center)[:, None] - c] - self.columns.T @ self.columns
+        np.fill_diagonal(cov, var)
+        return mu, cov
 
     def whitened(self, targets) -> np.ndarray:
         """``L^-1 K(cells, targets)`` over the current sequence: column ``j``

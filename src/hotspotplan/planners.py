@@ -20,7 +20,7 @@ log-mean for the log-GP model (the original-scale entropy). Its one
 per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
 one GP factor, ``field_model.IncrementalPosterior``, extended and popped
 along each search: the exhaustive solver's depth-first recursion, URTDP's
-trials and rollouts, MES's branch and bound, MI's selected set and the
+trials and windows, MES's branch and bound, MI's selected set and the
 greedy planner's candidate batch. Each factor gathers its kernel entries
 from the problem's one ``kernel_table``, so its cost never grows with the map.
 
@@ -35,23 +35,25 @@ team states as it goes, so no history, state or key is stored below the root.
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
 That feedback has zero innovation, so it leaves every posterior mean
-unchanged; the rollout's value is therefore affine in the child's outcome,
-with a slope read off one triangular solve against the child's factor
+unchanged; the rollout's value is therefore affine in the child's outcome.
+A node's first visit builds one window, the joint posterior of the cells
+its actions and their children's rollouts can enter; the rollouts run on it
+in Python floats, and each slope is read off its covariance
 (:meth:`_UrtdpInstance._init_children`). Non-adaptive baselines (maximum
-entropy sampling, MI-based greedy) commit their paths from the prior data
-alone.
+entropy sampling, MI-based greedy) commit their paths from the prior data.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .discretization import standardized_rule, truncated_quadrature_rule
-from .errors import BoundsCrossed, DeadEnd, DegenerateCovariance, InstanceTooLarge
+from .errors import BoundsCrossed, DeadEnd, DegenerateCovariance, InstanceTooLarge, SingularGram
 from .field_model import (
     LOG_2PI_E,
     Hyperparams,
@@ -224,10 +226,7 @@ class _TreeSolver:
             self.problem.kernel_table, d.locations, d.z, len(d) + self.n_actions
         )
         acts = constrained_actions(s, self.problem.domain)
-        q_list = []
-        for a in acts:
-            q = self._q(s, [], 0, a)
-            q_list.append((a, float(q)))
+        q_list = [(a, float(self._q(s, [], 0, a))) for a in acts]
         value = max((q for _, q in q_list), default=0.0)
         return value, q_list
 
@@ -265,10 +264,7 @@ class _TreeSolver:
         if not acts:
             # dead end: remaining stages contribute nothing
             return np.zeros(shape)
-        best = None
-        for a in acts:
-            q = self._q(s, zs, depth, a)
-            best = q if best is None else np.maximum(best, q)
+        best = reduce(np.maximum, (self._q(s, zs, depth, a) for a in acts))
         return np.broadcast_to(best, shape)
 
 
@@ -442,34 +438,65 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 # ---------------------------------------------------------------------------
 
 
-def _greedy_ce_rollout(problem, inc, s, steps_count):
-    """Greedy certainty-equivalent rollout from the history held by ``inc``.
+class _Window:
+    """The joint posterior, from the factor ``inc`` over the history of ``s``,
+    of the unvisited cells within ``moves`` steps of a robot that can still
+    move. ``chosen`` conditions it on cells in turn: a Cholesky factor in
+    Python floats, ``(cell index, whitened column, pivot)`` per cell."""
+
+    def __init__(self, problem: Problem, inc: IncrementalPosterior, s: TeamState, moves: int):
+        rows, cols, cells = problem.domain.rows, problem.domain.cols, {}
+        for p, steps in zip(s.poses, s.steps):
+            reach, (r, c) = moves if s.budget is None else min(moves, s.budget - steps), p.cell
+            for r2 in range(max(r - reach, 0), min(r + reach + 1, rows)):
+                span = reach - abs(r2 - r)
+                for c2 in range(max(c - span, 0), min(c + span + 1, cols)):
+                    cells[r2, c2] = None
+        self.index = {x: i for i, x in enumerate(x for x in cells if x not in s.visited)}
+        mean, self.cov = inc.joint(list(self.index))
+        self.mean, self.columns = mean.tolist(), inc.columns
+        self.jitter = inc.diag - inc.h.prior_variance  # added to each pivot, as in the factor
+        self.chosen = []
+
+    def push(self, j: int, w, var: float) -> float:
+        """Choose cell ``j`` by its column and variance; return its pivot variance."""
+        if var + self.jitter <= 0:
+            raise SingularGram("gram extension lost positive definiteness")
+        self.chosen.append((j, w, math.sqrt(var + self.jitter)))
+        return var + self.jitter
+
+
+def _greedy_ce_rollout(problem, window, s, steps_count):
+    """Greedy certainty-equivalent rollout from ``s`` on a :class:`_Window`
+    that holds every cell it can enter; returns the total reward and the cells.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
-    back as the observation; ``inc`` is extended along the rollout and popped
-    back before returning. Returns the total reward and the visited cell
-    sequence.
+    back as the observation, which leaves every mean unchanged: a move scores
+    its window mean and its variance given the cells chosen so far.
     """
-    domain = problem.domain
     poses = [(p.cell, p.heading) for p in s.poses]
     visited, steps = set(s.visited), list(s.steps)
-    total = 0.0
-    seq = []
+    total, seq, base, cov = 0.0, [], len(window.chosen), window.cov
     for _ in range(steps_count):
-        moves = list(legal_moves(poses, visited, steps, s.budget, domain))
-        if not moves:
+        best = None
+        for i, _, cell, nh in legal_moves(poses, visited, steps, s.budget, problem.domain):
+            j, w = window.index[cell], []
+            for k, row, pivot in window.chosen:
+                w.append((cov.item(k, j) - sum(map(operator.mul, row, w))) / pivot)
+            var = cov.item(j, j) - sum(map(operator.mul, w, w))
+            reward = float(_reward(problem, window.mean[j], var))
+            if best is None or reward > best[0]:
+                best = (reward, i, cell, nh, j, w, var)
+        if best is None:
             break
-        mus, variances = inc.batch([m[2] for m in moves])
-        rewards = _reward(problem, mus, variances)
-        b = int(np.argmax(rewards))
-        i, _, cell, nh = moves[b]
-        total += float(rewards[b])
-        inc.extend(cell, float(mus[b]), inc.columns[:, b])
+        reward, i, cell, nh, j, w, var = best
+        total += reward
+        window.push(j, w, var)
         poses[i] = (cell, nh)
         visited.add(cell)
         steps[i] += 1
         seq.append(cell)
-    inc.pop(len(seq))
+    del window.chosen[base:]
     return total, seq
 
 
@@ -491,8 +518,8 @@ def init_bounds(
         return ValueBounds(0.0, 0.0)
     remaining = config.horizon - stage + 1
     upper = remaining * _stage_max(problem, config)
-    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + remaining)
-    lower, _ = _greedy_ce_rollout(problem, inc, s, remaining)
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
+    lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, s, remaining), s, remaining)
     return ValueBounds(min(lower, upper), upper)
 
 
@@ -514,6 +541,7 @@ class _UrtdpInstance:
         self.w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
         self.tables: dict[tuple, list] = {}
         self._factors: dict[tuple, IncrementalPosterior] = {}
+        self.window = None  # the last expansion's window
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
 
@@ -530,21 +558,19 @@ class _UrtdpInstance:
 
     def _factor(self, d, stage) -> IncrementalPosterior:
         """The root's factor over ``d``, built once and popped back to ``d`` for
-        each use, with room for one trial from ``stage``: the walk plus the
-        rollout that initializes the children of its deepest node."""
+        each use, with room for one trial's walk from ``stage``."""
         key = (stage, d.locations, d.z.tobytes())
         if key not in self._factors:
-            rows = len(d) + self.config.horizon - stage + 1
             self._factors[key] = IncrementalPosterior(
-                self.problem.kernel_table, d.locations, d.z, rows
-            )
+                self.problem.kernel_table, d.locations, d.z, len(d) + self.config.horizon - stage)
         inc = self._factors[key]
         inc.pop(inc.m - len(d))
         return inc
 
     def expand(self, node, inc, s, stage):
-        """The node's action records, built on its first visit from the factor
-        ``inc`` over the node's history; the children get initial bounds.
+        """The node's action records, built on its first visit from one
+        :class:`_Window` on the factor ``inc`` over the node's history (kept in
+        :attr:`window` until the next expansion); the children get bounds.
 
         A record is ``(action, reward, cell, mean, sd, children)``; child
         ``j`` observes ``mean + sd * zeta[j]`` at ``cell``, and the children
@@ -553,50 +579,41 @@ class _UrtdpInstance:
         if len(node) > 2:
             return node[2]
         problem = self.problem
-        acts = constrained_actions(s, problem.domain)
+        window = self.window = _Window(problem, inc, s, max(self.config.horizon - stage, 0) + 1)
         records = []
-        if acts:
-            cells = [action_target(s, a).cell for a in acts]
-            mus, variances = inc.batch(cells)
-            half = inc.columns
-            if np.any(variances <= 0):
-                raise DegenerateCovariance("non-positive posterior variance")
-            rewards = _reward(problem, mus, variances)
-        for i, a in enumerate(acts):
-            x, mu, sd = cells[i], float(mus[i]), math.sqrt(variances[i])
-            children = None
-            if stage < self.config.horizon:
-                s2 = transition(s, a, problem.domain)
-                children = self._init_children(inc, s2, x, mu, sd, half[:, i], stage)
-            records.append((a, float(rewards[i]), x, mu, sd, children))
+        for a in constrained_actions(s, problem.domain):
+            x = action_target(s, a).cell
+            j = window.index[x]
+            mu, var = window.mean[j], window.cov.item(j, j)
+            if var <= 0:
+                raise DegenerateCovariance(f"non-positive posterior variance at {x}")
+            sd = math.sqrt(var)
+            children = None if stage >= self.config.horizon else self._init_children(
+                window, transition(s, a, problem.domain), x, mu, sd, stage)
+            records.append((a, float(_reward(problem, mu, var)), x, mu, sd, children))
         node.append(records)
         return records
 
-    def _init_children(self, inc, s2, x, mu, sd, row, stage):
+    def _init_children(self, window, s2, x, mu, sd, stage):
         """Initial ``[lower, upper]`` pairs of the children ``mu + sd * zeta`` at ``x``.
 
         All children share locations, so one greedy rollout (at the mean
-        outcome) fixes a feasible continuation for all of them; evaluating
-        its certainty-equivalent value at each child point gives an
-        admissible lower bound without per-child rollouts. Feeding means back
-        leaves every mean unchanged, so along the continuation ``seq`` each
-        log-mean is the posterior mean given the child's data alone, and the
-        value is affine in the outcome with slope
-        ``sum_i [L2^-1 K(locs2, seq)]_{last,i} / L2[last,last]``, where ``L2``
-        is ``inc`` extended by ``x`` (by the whitened column ``row`` that the
-        parent's batch solved): its last pivot is the square root of the
-        variance ``extend`` returns. The stagewise upper bound is outcome
-        independent.
+        outcome), on the parent's ``window`` with ``x`` chosen, fixes a
+        feasible continuation ``seq`` for all of them; its certainty-equivalent
+        value at each child point is an admissible lower bound. It is affine
+        in the outcome, since fed-back means leave every mean unchanged, with
+        slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read off the window. The
+        stagewise upper bound is outcome independent.
         """
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
         upper = remaining * _stage_max(problem, self.config)
-        var = inc.extend(x, mu, row)
-        v_ref, seq = _greedy_ce_rollout(problem, inc, s2, remaining)
-        slope = 0.0
-        if problem.is_lgp and seq:
-            slope = float(inc.whitened(seq)[-1].sum()) / math.sqrt(var)
-        inc.pop(1)
+        j = window.index[x]
+        pivot_var = window.push(j, [], window.cov.item(j, j))
+        v_ref, seq = _greedy_ce_rollout(problem, window, s2, remaining)
+        slope = 0.0 if not problem.is_lgp else (
+            sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
+        window.chosen.pop()
         return [[min(v_ref + slope * (float(zj) - mu), upper), upper] for zj in mu + sd * self.zeta]
 
     # -- bound arithmetic ----------------------------------------------------
@@ -605,11 +622,8 @@ class _UrtdpInstance:
         """(action, q_lower, q_upper) per action from the current child bounds."""
         out = []
         for a, reward, _, _, _, children in records:
-            if children is None:
-                out.append((a, reward, reward))
-                continue
             lo = hi = 0.0
-            for wj, child in zip(self.w, children):
+            for wj, child in zip(self.w, children or ()):
                 lo += wj * child[0]
                 hi += wj * child[1]
             out.append((a, reward + lo, reward + hi))
@@ -637,27 +651,23 @@ class _UrtdpInstance:
         inc = self._factor(d0, stage0)
         trail = []
         while True:
+            fresh = len(node) == 2
             records = self.expand(node, inc, s, stage)
-            if not records:
-                self._set(node, 0.0, 0.0)
-                break
-            if stage >= self.config.horizon:
-                leaf = max(r[1] for r in records)
+            if not records or stage >= self.config.horizon:  # a dead end or a leaf
+                leaf = max((r[1] for r in records), default=0.0)
                 self._set(node, leaf, leaf)
                 break
             qs = self.q_values(records)
             best_i = max(range(len(qs)), key=lambda i: qs[i][2])
             a, _, x, mu, sd, children = records[best_i]
-            gaps = np.array([max(c[1] - c[0], 0.0) for c in children])
-            weights = self.w * gaps
+            weights = self.w * [max(c[1] - c[0], 0.0) for c in children]
             total = weights.sum()
-            if total <= 0:
-                probs = np.full(len(children), 1.0 / len(children))
-            else:
-                probs = weights / total
-            j = int(self.rng.choice(len(children), p=probs))
+            probs = weights / total if total > 0 else np.full(len(children), 1.0 / len(children))
+            j = _draw(self.rng, probs)
             trail.append((node, records))
-            inc.extend(x, mu + sd * self.zeta[j])
+            # a node expanded in this step has the cell's row in its window
+            row = self.window.columns[:, self.window.index[x]] if fresh else None
+            inc.extend(x, mu + sd * self.zeta[j], row)
             s = transition(s, a, self.problem.domain)
             node = children[j]
             stage += 1
@@ -686,6 +696,13 @@ class _UrtdpInstance:
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
         root = self._root(d, s, stage)
         return self.q_values(self.expand(root, self._factor(d, stage), s, stage))
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """``rng.choice(len(probs), p=probs)``: its arithmetic and stream, not its checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class UrtdpPolicy(Policy):
@@ -820,18 +837,13 @@ def mes_nonadaptive(
         return value
 
     def optimistic_tail(depth, chosen):
-        need = (n - depth) * k
-        if need <= 0:
-            return 0.0
-        total = 0.0
-        got = 0
+        need, total = (n - depth) * k, 0.0
         for c, gval in gain_sorted:
-            if c in chosen:
-                continue
-            total += gval
-            got += 1
-            if got == need:
+            if need <= 0:
                 break
+            if c not in chosen:
+                total += gval
+                need -= 1
         return total
 
     # greedy incumbent: stagewise joint move maximizing the immediate gain

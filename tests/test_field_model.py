@@ -674,3 +674,29 @@ def test_factor_refuses_cells_off_the_table_grid():
     table = KernelTable(Hyperparams(0.0, 1.0, 1.5, 0.01), GridDomain(3, 3))
     with pytest.raises(ValueError):
         IncrementalPosterior(table, [(0, 0), (0, 5)], [0.1, 0.2], capacity=3)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_joint_equals_the_posterior_mean_and_covariance(rng, noise):
+    h = Hyperparams(0.3, 1.1, 1.6, noise)
+    table = KernelTable(h, GridDomain(5, 6))
+    locs = [(0, 0), (2, 3), (4, 5), (1, 4)]
+    z = rng.normal(size=4)
+    inc = IncrementalPosterior(table, locs, z, capacity=7)
+    targets = [(3, 3), (0, 1), (4, 0), (2, 2), (1, 5)]
+
+    def check(locs, z):
+        mean, cov = inc.joint(targets)
+        g = posterior(PosteriorData(locs, z), targets, h)
+        assert np.allclose(mean, g.mean, rtol=0, atol=1e-12)
+        assert np.allclose(cov, g.covariance, rtol=0, atol=1e-12)
+        assert np.array_equal(cov, cov.T)
+
+    check(locs, z)
+    inc.extend((2, 0), 0.4)
+    inc.extend((3, 4), -0.3)
+    check(locs + [(2, 0), (3, 4)], np.append(z, [0.4, -0.3]))
+    inc.pop(1)
+    check(locs + [(2, 0)], np.append(z, 0.4))
+    inc.pop(1)
+    check(locs, z)

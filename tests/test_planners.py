@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_field_instance,
@@ -38,6 +40,7 @@ from hotspotplan.planners import (
     urtdp_policy,
 )
 from hotspotplan.world import (
+    HEADINGS,
     GridDomain,
     RobotPose,
     TeamState,
@@ -45,6 +48,7 @@ from hotspotplan.world import (
     apply_joint_move,
     constrained_actions,
     full_joint_actions,
+    legal_moves,
     move_target,
     transition,
 )
@@ -424,6 +428,174 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
             assert lower == pytest.approx(value, rel=1e-9)
             checked += 1
     assert checked >= 6
+
+
+def _factor_ce_rollout(problem, inc, s, steps_count):
+    """Reference greedy CE rollout on the factor: one batch and one extend per
+    step, the rollout the window replaced."""
+    poses = [(p.cell, p.heading) for p in s.poses]
+    visited, steps = set(s.visited), list(s.steps)
+    total, seq = 0.0, []
+    for _ in range(steps_count):
+        moves = list(legal_moves(poses, visited, steps, s.budget, problem.domain))
+        if not moves:
+            break
+        mus, variances = inc.batch([m[2] for m in moves])
+        rewards = planners._reward(problem, mus, variances)
+        b = int(np.argmax(rewards))
+        i, _, cell, nh = moves[b]
+        total += float(rewards[b])
+        inc.extend(cell, float(mus[b]))
+        poses[i] = (cell, nh)
+        visited.add(cell)
+        steps[i] += 1
+        seq.append(cell)
+    inc.pop(len(seq))
+    return total, seq
+
+
+@pytest.mark.parametrize("model", ["lgp", "gp"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
+    # every child rollout of an expansion, and the root's initial rollout,
+    # take the reference's cells, total and lgp slope
+    rollouts = []
+    rollout = planners._greedy_ce_rollout
+
+    def recording(*args):
+        rollouts.append(rollout(*args))
+        return rollouts[-1]
+
+    monkeypatch.setattr(planners, "_greedy_ce_rollout", recording)
+    checked = 0
+    for seed in range(6):
+        problem, d0, s0 = make_instance(seed=40 + seed, rows=5, cols=5, k=k, model=model,
+                                        n_prior=4, budget=3)
+        cfg = cfg_for(horizon=3 * k - 1, nu=3)
+        inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 3 * k)
+        rollouts.clear()
+        lower = init_bounds(problem, d0, s0, 0, cfg).lower
+        ref_total, ref_seq = _factor_ce_rollout(problem, inc, s0, cfg.horizon + 1)
+        assert rollouts[0][1] == ref_seq
+        assert rollouts[0][0] == pytest.approx(ref_total, rel=1e-12, abs=0)
+        assert lower == pytest.approx(min(ref_total, 3 * k * planners._stage_max(problem, cfg)),
+                                      rel=1e-12, abs=0)
+        inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
+        rollouts.clear()
+        records = inst.expand([0.0, 0.0], inst._factor(d0, 0), s0, 0)
+        assert len(rollouts) == len(records)
+        for (a, _, x, mu, sd, children), (total, seq) in zip(records, rollouts):
+            var = inc.extend(x, mu)
+            ref_total, ref_seq = _factor_ce_rollout(
+                problem, inc, transition(s0, a, problem.domain), cfg.horizon)
+            slope = 0.0
+            if model == "lgp" and ref_seq:
+                slope = float(inc.whitened(ref_seq)[-1].sum()) / math.sqrt(var)
+            inc.pop(1)
+            assert seq == ref_seq
+            assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
+            upper = cfg.horizon * planners._stage_max(problem, cfg)
+            for zj, (lo, hi) in zip(mu + sd * inst.zeta, children):
+                assert hi == upper
+                assert lo == pytest.approx(min(ref_total + slope * (zj - mu), upper),
+                                           rel=1e-12, abs=1e-12)
+            checked += 1
+    assert checked >= 8
+
+
+@st.composite
+def _window_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, 2))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    picked = draw(st.lists(st.sampled_from(cells), min_size=k, max_size=k + 4, unique=True))
+    budget = draw(st.integers(1, 4))
+    poses = tuple(RobotPose(c, draw(st.sampled_from(HEADINGS))) for c in picked[:k])
+    steps = tuple(draw(st.integers(0, budget)) for _ in range(k))
+    s = TeamState(poses, frozenset(picked), steps, budget)
+    horizon = draw(st.integers(0, 4))
+    return GridDomain(rows, cols), s, horizon, draw(st.integers(0, horizon))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.sampled_from(["lgp", "gp"]))
+def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, model):
+    domain, s, horizon, stage = case
+    problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), model)
+    d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
+    inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=2), "jensen",
+                          np.random.default_rng(0))
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
+    records = inst.expand([0.0, 0.0], inc, s, stage)
+    # every cell that some run of at most horizon - stage + 1 legal moves enters
+    entered = set()
+
+    def walk(poses, visited, steps, moves):
+        if moves == 0:
+            return
+        for i, _, cell, heading in legal_moves(poses, visited, steps, s.budget, domain):
+            entered.add(cell)
+            poses2, steps2 = list(poses), list(steps)
+            poses2[i], steps2[i] = (cell, heading), steps2[i] + 1
+            walk(poses2, visited | {cell}, steps2, moves - 1)
+
+    walk([(p.cell, p.heading) for p in s.poses], set(s.visited), list(s.steps),
+         horizon - stage + 1)
+    assert bool(records) == bool(entered)
+    if entered:
+        assert entered <= set(inst.window.index)
+
+
+def test_outcome_draw_matches_generator_choice():
+    # the walk's draw consumes the stream as Generator.choice does and picks
+    # the same index, zero weights and the uniform fallback included
+    gen = np.random.default_rng(2024)
+    vectors = [np.full(n, 1.0 / n) for n in range(1, 6)]
+    vectors += [np.array([0.0, 0.25, 0.75]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    while len(vectors) < 1200:
+        w = gen.random(int(gen.integers(2, 6)))
+        w[gen.random(w.size) < 0.3] = 0.0
+        if w.sum() > 0:
+            vectors.append(w / w.sum())
+    for seed, probs in enumerate(vectors):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert planners._draw(ours, probs) == int(theirs.choice(len(probs), p=probs))
+        assert ours.random() == theirs.random()
+
+
+def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
+    # a node expanded in the same step hands the walk its cell's whitened
+    # column; the factor then equals a fresh one over the walk's history
+    problem, d0, s0 = make_instance(seed=23, rows=5, cols=5, model="lgp", n_prior=4)
+    cfg = cfg_for(horizon=4, nu=3)
+    inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(3))
+    rows = []
+    extend = IncrementalPosterior.extend
+
+    def spy(inc, cell, z, row=None):
+        rows.append((cell, z, row is not None))
+        return extend(inc, cell, z, row)
+
+    monkeypatch.setattr(IncrementalPosterior, "extend", spy)
+    for path in range(2):
+        rows.clear()
+        inst.simulated_path(d0, s0, 0)
+        inc = inst._factor(d0, 0)
+        m = len(d0) + len(rows)
+        fresh = IncrementalPosterior(problem.kernel_table,
+                                     d0.locations + tuple(c for c, _, _ in rows),
+                                     np.append(d0.z, [z for _, z, _ in rows]), m)
+        assert np.allclose(inc._L[:m, :m], fresh._L, rtol=0, atol=1e-12)
+        assert np.allclose(inc._y[:m], fresh._y, rtol=0, atol=1e-12)
+        given_rows = [r for _, _, r in rows]
+        # the first trial expands every node it meets; the second walks
+        # through the root, expanded by the first, before it meets new nodes
+        if path == 0:
+            assert given_rows == [True] * cfg.horizon
+        else:
+            assert given_rows[0] is False
+        assert any(given_rows)
 
 
 # -- init_bounds -------------------------------------------------------------
