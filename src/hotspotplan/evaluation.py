@@ -55,7 +55,6 @@ def rollout(
     """
     if field.shape != (problem.domain.rows, problem.domain.cols):
         raise ValueError("field shape must match the domain")
-    policy.reset()
     s = s0
     d = d0
     paths = [[p.cell] for p in s0.poses]

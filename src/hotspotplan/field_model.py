@@ -6,9 +6,10 @@ squared-exponential covariance plus a nugget. Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel, the Gram jitter rule and the row-append of a Cholesky factor
-each have one definition here. :func:`posterior` and the other reference
-computations factorize from scratch; the planners condition through
+The kernel, the Gram jitter rule and the numpy row-append of a Cholesky
+factor each have one definition here (URTDP's posterior window appends to
+its own small factor in Python floats). :func:`posterior` and the other
+reference computations factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending rows and back up by
 dropping them, and a window of cells gets its joint posterior from it; it
@@ -68,14 +69,12 @@ class Hyperparams:
 class PosteriorData:
     """Ordered observation history: locations and log measurements.
 
-    The first ``prior_len`` entries form the prior block fixed at
-    construction; later entries are exploration observations in stage order.
     Instances are immutable; ``extended`` returns a new history.
     """
 
-    __slots__ = ("locations", "z", "prior_len")
+    __slots__ = ("locations", "z")
 
-    def __init__(self, locations, z, prior_len=None):
+    def __init__(self, locations, z):
         locations = tuple(tuple(c) for c in locations)
         z = np.asarray(z, dtype=float)
         if z.ndim != 1 or len(locations) != z.shape[0]:
@@ -85,9 +84,6 @@ class PosteriorData:
         self.locations = locations
         self.z = z
         self.z.setflags(write=False)
-        self.prior_len = len(locations) if prior_len is None else int(prior_len)
-        if not (0 <= self.prior_len <= len(locations)):
-            raise ValueError("prior_len out of range")
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -95,17 +91,13 @@ class PosteriorData:
     def extended(self, cell: Cell, z_value: float) -> "PosteriorData":
         if tuple(cell) in self.locations:
             raise ValueError(f"cell {cell} already observed")
-        return PosteriorData(
-            self.locations + (tuple(cell),),
-            np.append(self.z, float(z_value)),
-            self.prior_len,
-        )
+        return PosteriorData(self.locations + (tuple(cell),), np.append(self.z, float(z_value)))
 
     def observed_set(self) -> frozenset:
         return frozenset(self.locations)
 
     def __repr__(self):
-        return f"PosteriorData({len(self)} obs, prior_len={self.prior_len})"
+        return f"PosteriorData({len(self)} obs)"
 
 
 @dataclass(frozen=True)
@@ -290,8 +282,9 @@ class IncrementalPosterior:
         """Append one observation in place; return its variance given the
         sequence before it (the Schur complement, jitter included), whose
         square root is the new pivot of the factor. ``row`` is the cell's
-        whitened column from :attr:`columns`, solved here when not given. The
-        only code that appends a row to a Cholesky factor."""
+        whitened column from :attr:`columns`, solved here when not given.
+        URTDP's ``_Window`` and its rollouts keep their own row-appended
+        factor, in Python floats."""
         L, m, t = self._L, self.m, self.table
         code = cell[0] * t.width + cell[1]
         var = self.diag

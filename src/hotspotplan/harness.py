@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +29,17 @@ from .planners import (
 )
 from .world import Cell, GridDomain, RobotPose, TeamState, interior_heading
 
-# policy name -> admissible measurement models
+# policy name -> (admissible measurement models, builder of its policy from
+# (problem, planner config, experiment config, d0, s0)); the builders read the
+# planners as module globals when they run, so a patched global takes effect
 POLICY_REGISTRY = {
-    "urtdp": ("gp", "lgp"),
-    "greedy": ("gp", "lgp"),
-    "mes": ("gp",),
-    "mi": ("gp",),
+    "urtdp": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: urtdp_policy(problem, pcfg)),
+    "greedy": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: GreedyPolicy(problem)),
+    "mes": (("gp",), lambda problem, pcfg, cfg, d0, s0: mes_nonadaptive(
+        problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget).policy),
+    "mi": (("gp",), lambda problem, pcfg, cfg, d0, s0: mi_greedy(
+        problem, d0, s0, cfg.budget_per_robot).policy),
 }
-
-_REQUIRED_KEYS = (
-    "rows",
-    "cols",
-    "team_size",
-    "budget_per_robot",
-    "prior_units",
-    "policies",
-    "models",
-    "seeds",
-)
 
 _SYNTHETIC_KEYS = (
     "field_mean",
@@ -134,10 +127,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if not cfg.policies:
         raise ConfigError("need at least one policy")
     for name, model in zip(cfg.policies, cfg.models):
-        allowed = POLICY_REGISTRY.get(name)
-        if allowed is None:
+        if name not in POLICY_REGISTRY:
             raise ConfigError(f"unknown policy {name!r}")
-        if model not in allowed:
+        if model not in POLICY_REGISTRY[name][0]:
             raise ConfigError(f"policy {name!r} does not support model {model!r}")
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
@@ -161,33 +153,27 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, start_cells=tuple(starts))
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("rows", "cols", "team_size", "budget_per_robot", "prior_units",
-               "nu", "max_simulated_paths", "mes_node_budget", "fit_grid_points"):
-        return int(raw)
-    if key in ("truncation_m", "alpha") or key in _SYNTHETIC_KEYS:
-        return float(raw)
-    if key in ("policies", "models"):
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if key == "seeds":
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    if key == "field_csv":
-        return raw
-    if key == "start_cells":
-        cells = []
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            r, c = part.split(":")
-            cells.append((int(r), int(c)))
-        return tuple(cells)
-    raise ConfigError(f"unknown config key {key!r}")
+def _parse_cells(raw: str) -> tuple[Cell, ...]:
+    pairs = (part.split(":") for part in raw.split(";") if part.strip())
+    return tuple((int(r), int(c)) for r, c in pairs)
+
+
+# the parser of each ExperimentConfig field type, by its annotation string
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str | None": str,
+    "tuple[str, ...]": lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+    "tuple[int, ...]": lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+    "tuple[Cell, ...]": _parse_cells,
+}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a flat key-value config file."""
+    """Parse and validate a flat key-value config file; the fields of
+    :class:`ExperimentConfig` are its keys, and their types pick the parsers."""
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     try:
         text = Path(path).read_text()
@@ -201,11 +187,14 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(key, raw)
-        except (ValueError, ConfigError) as exc:
+            values[key] = _PARSERS[types[key]](raw.strip())
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.name not in values and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     return validate_config(ExperimentConfig(**values))
@@ -320,18 +309,7 @@ def _build_policy(name: str, problem: Problem, pcfg: PlannerConfig,
     baseline boxed in before it commits a path replays an empty one."""
     t0 = time.perf_counter()
     try:
-        if name == "urtdp":
-            policy = urtdp_policy(problem, pcfg)
-        elif name == "greedy":
-            policy = GreedyPolicy(problem)
-        elif name == "mes":
-            policy = mes_nonadaptive(
-                problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget
-            ).policy
-        elif name == "mi":
-            policy = mi_greedy(problem, d0, s0, cfg.budget_per_robot).policy
-        else:
-            raise ConfigError(f"unknown policy {name!r}")
+        policy = POLICY_REGISTRY[name][1](problem, pcfg, cfg, d0, s0)
     except DeadEnd:
         policy = NonAdaptivePolicy([])
     return policy, time.perf_counter() - t0
@@ -381,8 +359,7 @@ def compute_bounds(cfg: ExperimentConfig, seed: int):
     """Root value bounds for one seed (the ``bounds`` CLI verb)."""
     _, d0, s0, fitted = _build_instance(cfg, seed)
     pcfg = _planner_config(cfg, seed)
-    model = cfg.models[0] if cfg.models else "lgp"
-    problem = Problem(cfg.domain, fitted, model)
+    problem = Problem(cfg.domain, fitted, cfg.models[0])
     return urtdp(problem, d0, s0, pcfg)
 
 

@@ -12,8 +12,9 @@ measurement outcome are handled three ways:
                      lower/upper bounds for the Jensen and EM problems and
                      tightens them along simulated paths.
 
-All solvers share one vectorized tree recursion parameterized by the
-standardized outcome points, and every planner maximizes one stage reward
+The exhaustive solvers (``exact_dp`` and ``bounded_dp``) share one
+vectorized tree recursion parameterized by the standardized outcome points,
+and every planner maximizes one stage reward
 (:func:`_reward`): the entropy ``0.5 * log(2 pi e v)`` of the revealed log
 measurement (:func:`_entropy`, which MES sums as well), plus its posterior
 log-mean for the log-GP model (the original-scale entropy). Its one
@@ -150,9 +151,7 @@ def state_key(stage: int, s: TeamState, d: PosteriorData) -> tuple:
 
 
 def action_new_cells(s: TeamState, a) -> list:
-    """Cells newly observed by a constrained action or a full joint move."""
-    if isinstance(a, ConstrainedJointAction):
-        return [action_target(s, a).cell]
+    """Cells newly observed by a full joint move."""
     return [move_target(s.poses[i], m).cell for i, m in enumerate(a)]
 
 
@@ -177,22 +176,16 @@ def _stage_max(problem: Problem, config: PlannerConfig) -> float:
 
 
 def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> float:
-    """Entropy of the measurement(s) revealed by taking ``a`` in ``s``.
+    """Entropy of the measurement revealed by taking the constrained action
+    ``a`` in ``s``.
 
-    Log-scale Gaussian entropy for the GP model; plus the posterior means for
-    the log-GP model (original-scale entropy). A joint move's entropy follows
-    the chain rule through one factor; feeding each mean back as the
-    observation leaves the later means unchanged. The cost depends on the
+    Log-scale Gaussian entropy for the GP model; plus the posterior mean for
+    the log-GP model (original-scale entropy). The cost depends on the
     history length only, never on the domain size.
     """
-    cells = action_new_cells(s, a)
-    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + len(cells))
-    total = 0.0
-    for c in cells:
-        mu, var = inc.batch([c])
-        total += float(_reward(problem, mu[0], var[0]))
-        inc.extend(c, mu[0])
-    return total
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
+    mu, var = inc.batch([action_target(s, a).cell])
+    return float(_reward(problem, mu[0], var[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +363,8 @@ class Policy:
     committed from the prior data alone.
     """
 
-    adaptive = True
-
     def act(self, s: TeamState, d: PosteriorData, stage: int) -> ConstrainedJointAction:
         raise NotImplementedError
-
-    def reset(self):
-        """Called before a fresh rollout; stateful planners may warm-start."""
 
 
 class BoundedLowerPolicy(Policy):
@@ -411,8 +399,6 @@ class GreedyPolicy(Policy):
 
 class NonAdaptivePolicy(Policy):
     """Replays a pre-committed sequence of constrained actions."""
-
-    adaptive = False
 
     def __init__(self, actions):
         self.actions = list(actions)
@@ -529,8 +515,9 @@ class _UrtdpInstance:
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
     upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
     problem's exhaustive value at the node's state. ``tables`` maps the state
-    key of each root the instance has planned from to its node; the nodes
-    below a root hang off its action records (see the module docstring).
+    key of each root the instance has planned from to its node, and
+    ``_factors`` the same key to the root's factor; the nodes below a root
+    hang off its action records (see the module docstring).
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -547,25 +534,20 @@ class _UrtdpInstance:
 
     # -- the tree --------------------------------------------------------------
 
-    def _root(self, d, s, stage) -> list:
-        """The root node of ``(s, d)``, seeded by :func:`init_bounds` when new."""
+    def _root(self, d, s, stage) -> tuple[list, IncrementalPosterior]:
+        """The root node of ``(s, d)``, seeded by :func:`init_bounds` when new,
+        and its factor over ``d``, built with it and popped back to ``d`` for
+        each use, with room for one trial's walk from ``stage``."""
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
             vb = init_bounds(self.problem, d, s, stage, self.config)
             node = self.tables[key] = [vb.lower, vb.upper]
-        return node
-
-    def _factor(self, d, stage) -> IncrementalPosterior:
-        """The root's factor over ``d``, built once and popped back to ``d`` for
-        each use, with room for one trial's walk from ``stage``."""
-        key = (stage, d.locations, d.z.tobytes())
-        if key not in self._factors:
             self._factors[key] = IncrementalPosterior(
                 self.problem.kernel_table, d.locations, d.z, len(d) + self.config.horizon - stage)
         inc = self._factors[key]
         inc.pop(inc.m - len(d))
-        return inc
+        return node, inc
 
     def expand(self, node, inc, s, stage):
         """The node's action records, built on its first visit from one
@@ -647,8 +629,7 @@ class _UrtdpInstance:
         The root's factor walks the trial: each descent step extends it by
         the chosen action's cell and the sampled outcome.
         """
-        node, s, stage = self._root(d0, s0, stage0), s0, stage0
-        inc = self._factor(d0, stage0)
+        (node, inc), s, stage = self._root(d0, s0, stage0), s0, stage0
         trail = []
         while True:
             fresh = len(node) == 2
@@ -680,7 +661,7 @@ class _UrtdpInstance:
 
         Returns True if the gap criterion was met.
         """
-        root = self._root(d, s, stage)
+        root = self._root(d, s, stage)[0]
         start = self.paths_run
         while root[1] - root[0] > alpha:
             if self.paths_run - start >= budget:
@@ -689,13 +670,13 @@ class _UrtdpInstance:
         return True
 
     def root_bounds(self, d, s, stage) -> ValueBounds:
-        root = self._root(d, s, stage)
+        root = self._root(d, s, stage)[0]
         return ValueBounds(root[0], root[1])
 
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
-        root = self._root(d, s, stage)
-        return self.q_values(self.expand(root, self._factor(d, stage), s, stage))
+        root, inc = self._root(d, s, stage)
+        return self.q_values(self.expand(root, inc, s, stage))
 
 
 def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:

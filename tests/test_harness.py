@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
+from hotspotplan import harness
 from hotspotplan.cli import main as cli_main
 from hotspotplan.errors import (
     ConfigError,
@@ -14,6 +15,7 @@ from hotspotplan.errors import (
 from hotspotplan.evaluation import ent_metric
 from hotspotplan.field_model import Hyperparams, sample_field
 from hotspotplan.harness import (
+    POLICY_REGISTRY,
     ExperimentConfig,
     ResultRecord,
     _build_instance,
@@ -157,6 +159,53 @@ def test_config_needs_field_source(tmp_path):
         load_config(path)
 
 
+def test_every_config_field_parses_to_its_annotated_value(tmp_path):
+    # a config file sets every ExperimentConfig field; each key's parser comes
+    # from the field's type, so a type without one fails here
+    expected = {
+        "rows": ("5", 5),
+        "cols": ("6", 6),
+        "team_size": ("2", 2),
+        "budget_per_robot": ("3", 3),
+        "prior_units": ("4", 4),
+        "policies": ("urtdp, greedy,mes", ("urtdp", "greedy", "mes")),
+        "models": ("lgp,gp ,gp", ("lgp", "gp", "gp")),
+        "seeds": ("3, 1,4", (3, 1, 4)),
+        "nu": ("5", 5),
+        "truncation_m": ("3.5", 3.5),
+        "alpha": ("0.25", 0.25),
+        "max_simulated_paths": ("77", 77),
+        "mes_node_budget": ("1234", 1234),
+        "fit_grid_points": ("7", 7),
+        "field_csv": ("fields/a b.csv", "fields/a b.csv"),
+        "field_mean": ("-0.5", -0.5),
+        "field_signal_variance": ("1.25", 1.25),
+        "field_length_scale": ("2.5", 2.5),
+        "field_noise_variance": ("0.0", 0.0),
+        "start_cells": ("0:1; 4:5", ((0, 1), (4, 5))),
+    }
+    assert set(expected) == {f.name for f in fields(ExperimentConfig)}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {raw}\n" for key, (raw, _) in expected.items()))
+    cfg = load_config(path)
+    for key, (_, value) in expected.items():
+        got = getattr(cfg, key)
+        assert got == value and type(got) is type(value), key
+
+
+def test_missing_required_key_is_named(tmp_path):
+    required = [f.name for f in fields(ExperimentConfig)
+                if f.default is MISSING and f.default_factory is MISSING]
+    assert required == ["rows", "cols", "team_size", "budget_per_robot", "prior_units",
+                        "policies", "models", "seeds"]
+    for key in required:
+        text = "\n".join(l for l in BASE_CONFIG.strip().splitlines() if not l.startswith(key))
+        path = tmp_path / f"no_{key}.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"missing config keys: {key}$"):
+            load_config(path)
+
+
 # -- run_experiment ------------------------------------------------------------
 
 
@@ -183,6 +232,26 @@ def drop_timing_bytes(csv_text, summary_text):
         for l in summary_text.splitlines()
     ]
     return csv_rows, summary_rows
+
+
+def test_run_seed_builds_every_registry_policy(tmp_path, monkeypatch):
+    # one seed runs each policy of the registry through its builder, which
+    # reads the planner from the harness module when it runs
+    calls = []
+    for name in ("urtdp_policy", "GreedyPolicy", "mes_nonadaptive", "mi_greedy"):
+        def wrapped(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, wrapped)
+    cfg = load_config(write_config(tmp_path, policies="urtdp,greedy,mes,mi",
+                                   models="lgp,lgp,gp,gp", seeds="0"))
+    assert set(POLICY_REGISTRY) == set(cfg.policies)
+    records = run_seed(cfg, 0)
+    assert calls == ["urtdp_policy", "GreedyPolicy", "mes_nonadaptive", "mi_greedy"]
+    assert [(r.policy, r.model) for r in records] == list(zip(cfg.policies, cfg.models))
+    for r in records:
+        assert not r.dead_ended and len(r.path_cells[0]) == cfg.budget_per_robot + 1
+        assert math.isfinite(r.ent) and math.isfinite(r.err)
 
 
 def test_run_experiment_is_deterministic(tmp_path):

@@ -406,9 +406,9 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
 
     monkeypatch.setattr(planners, "_greedy_ce_rollout", recording)
     inst = urtdp_policy(problem, cfg).instance
-    root = inst._root(d0, s0, 0)
+    root, root_inc = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, inst._factor(d0, 0), s0, 0)
+    entries = inst.expand(root, root_inc, s0, 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
     for (_, _, x, mean, sd, children), seq in zip(entries, seqs):
@@ -481,8 +481,9 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         assert lower == pytest.approx(min(ref_total, 3 * k * planners._stage_max(problem, cfg)),
                                       rel=1e-12, abs=0)
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
+        root_inc = inst._root(d0, s0, 0)[1]
         rollouts.clear()
-        records = inst.expand([0.0, 0.0], inst._factor(d0, 0), s0, 0)
+        records = inst.expand([0.0, 0.0], root_inc, s0, 0)
         assert len(rollouts) == len(records)
         for (a, _, x, mu, sd, children), (total, seq) in zip(records, rollouts):
             var = inc.extend(x, mu)
@@ -581,7 +582,7 @@ def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
     for path in range(2):
         rows.clear()
         inst.simulated_path(d0, s0, 0)
-        inc = inst._factor(d0, 0)
+        inc = inst._root(d0, s0, 0)[1]
         m = len(d0) + len(rows)
         fresh = IncrementalPosterior(problem.kernel_table,
                                      d0.locations + tuple(c for c, _, _ in rows),
@@ -596,6 +597,35 @@ def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
         else:
             assert given_rows[0] is False
         assert any(given_rows)
+
+
+def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
+    # a root's node and factor live under its one state key: every trial and
+    # every q-value read from that root gets the same factor, popped back to d0
+    problem, d0, s0 = make_instance(seed=24, rows=4, cols=4, model="lgp")
+    inst = _UrtdpInstance(problem, cfg_for(horizon=3, nu=2), "jensen", np.random.default_rng(1))
+    seen = []
+    root = _UrtdpInstance._root
+
+    def spy(obj, d, s, stage):
+        seen.append(root(obj, d, s, stage))
+        assert seen[-1][1].m == len(d)
+        return seen[-1]
+
+    monkeypatch.setattr(_UrtdpInstance, "_root", spy)
+    for _ in range(5):
+        inst.simulated_path(d0, s0, 0)
+    inst.root_q_values(d0, s0, 0)
+    inst.run(d0, s0, 0, 1e-12, 3)
+    node, inc = inst._root(d0, s0, 0)
+    assert len(seen) >= 8
+    assert all(n is node and f is inc for n, f in seen)
+    assert list(inst.tables) == list(inst._factors) == [state_key(0, s0, d0)]
+    # another root gets its own node and factor
+    a = constrained_actions(s0, problem.domain)[0]
+    s1, d1 = transition(s0, a, problem.domain), d0.extended(action_target(s0, a).cell, 0.1)
+    node1, inc1 = inst._root(d1, s1, 1)
+    assert node1 is not node and inc1 is not inc and inc1.m == len(d1)
 
 
 # -- init_bounds -------------------------------------------------------------
