@@ -5,13 +5,14 @@ still-unobserved cells; ERR is the mean-squared relative error of the
 lognormal posterior-mean predictor over every cell of the domain, normalized
 by the true field mean.
 
-With ``m`` observations on a map of ``N`` cells, ENT is one Cholesky factor
-of the joint Gram matrix over the observed and the unobserved cells
-(:func:`~hotspotplan.field_model.lgp_entropy`): O(N^3) time and O(N^2)
-memory, the map-resolution cost that the planners avoid. ERR needs only
-each cell's posterior mean and variance
+With ``m`` observations on a map of ``N`` cells, ENT is the map's joint
+entropy, read off the map Gram's spectrum (two 1-D eigendecompositions,
+cached per hyperparameters and grid), less that of the observed cells: one
+``m x m`` factor per call (:func:`~hotspotplan.field_model.map_entropy`).
+ERR needs only each cell's posterior mean and variance
 (:func:`~hotspotplan.field_model.posterior_marginals`): O(m N) memory and
-O(m^2 N) time. Neither forms the posterior covariance matrix.
+O(m^2 N) time. Neither forms the posterior covariance matrix, and neither
+factors anything map-sized.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import DeadEnd, InsufficientData
-from .field_model import PosteriorData, lgp_entropy, posterior_marginals
+from .field_model import PosteriorData, map_entropy, posterior_marginals
 from .planners import Policy, Problem
 from .world import TeamState, action_target, transition
 
@@ -80,11 +81,7 @@ def rollout(
 
 def ent_metric(problem: Problem, d: PosteriorData) -> float:
     """Posterior map entropy: joint log-GP entropy of all unobserved cells."""
-    observed = d.observed_set()
-    unobserved = [c for c in problem.domain.cells() if c not in observed]
-    if not unobserved:
-        raise ValueError("ent_metric needs at least one unobserved cell")
-    return lgp_entropy(d, unobserved, problem.hyper)
+    return map_entropy(d, problem.domain, problem.hyper)
 
 
 def _predict_all(problem: Problem, d: PosteriorData) -> np.ndarray:

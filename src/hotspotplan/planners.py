@@ -24,6 +24,8 @@ along each search: the exhaustive solver's depth-first recursion, URTDP's
 trials and windows, MES's branch and bound, MI's selected set and the
 greedy planner's candidate batch. Each factor gathers its kernel entries
 from the problem's one ``kernel_table``, so its cost never grows with the map.
+MI's other variance, each candidate's given every unselected cell, comes from
+the map's spectrum (``field_model.MapSpectrum``), with no map-sized factor.
 
 Below its root, URTDP's state space is a tree: a history holds every
 location and outcome in order, so two branches never meet. A node is its
@@ -61,7 +63,7 @@ from .field_model import (
     IncrementalPosterior,
     KernelTable,
     PosteriorData,
-    leave_one_out_variances,
+    map_spectrum,
 )
 from .world import (
     ConstrainedJointAction,
@@ -462,12 +464,17 @@ def _greedy_ce_rollout(problem, window, s, steps_count):
     """
     poses = [(p.cell, p.heading) for p in s.poses]
     visited, steps = set(s.visited), list(s.steps)
-    total, seq, base, cov = 0.0, [], len(window.chosen), window.cov
+    total, seq, base, cov, chosen = 0.0, [], len(window.chosen), window.cov, window.chosen
+    whitened = [None] * len(window.mean)  # a cell's column over the first len(w) chosen cells
     for _ in range(steps_count):
         best = None
         for i, _, cell, nh in legal_moves(poses, visited, steps, s.budget, problem.domain):
-            j, w = window.index[cell], []
-            for k, row, pivot in window.chosen:
+            j = window.index[cell]
+            w = whitened[j]
+            if w is None:
+                w = whitened[j] = []
+            # a fresh column reads every chosen cell without copying the list
+            for k, row, pivot in chosen[len(w):] if w else chosen:
                 w.append((cov.item(k, j) - sum(map(operator.mul, row, w))) / pivot)
             var = cov.item(j, j) - sum(map(operator.mul, w, w))
             reward = float(_reward(problem, window.mean[j], var))
@@ -500,11 +507,16 @@ def init_bounds(
     replaced by their posterior means, the truncated mean), which
     lower-bounds the Jensen-problem value at the state.
     """
+    return _init_bounds(problem, IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d)),
+                        s, stage, config)
+
+
+def _init_bounds(problem, inc, s, stage, config) -> ValueBounds:
+    """:func:`init_bounds` on the factor ``inc`` over the history of ``s``."""
     if stage > config.horizon:
         return ValueBounds(0.0, 0.0)
     remaining = config.horizon - stage + 1
     upper = remaining * _stage_max(problem, config)
-    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
     lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, s, remaining), s, remaining)
     return ValueBounds(min(lower, upper), upper)
 
@@ -535,16 +547,17 @@ class _UrtdpInstance:
     # -- the tree --------------------------------------------------------------
 
     def _root(self, d, s, stage) -> tuple[list, IncrementalPosterior]:
-        """The root node of ``(s, d)``, seeded by :func:`init_bounds` when new,
-        and its factor over ``d``, built with it and popped back to ``d`` for
-        each use, with room for one trial's walk from ``stage``."""
+        """The root node of ``(s, d)`` and its factor over ``d``, built together
+        when new (the factor seeds the node's :func:`init_bounds`) and popped
+        back to ``d`` for each use, with room for one trial's walk from
+        ``stage``."""
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
-            vb = init_bounds(self.problem, d, s, stage, self.config)
-            node = self.tables[key] = [vb.lower, vb.upper]
-            self._factors[key] = IncrementalPosterior(
+            inc = self._factors[key] = IncrementalPosterior(
                 self.problem.kernel_table, d.locations, d.z, len(d) + self.config.horizon - stage)
+            vb = _init_bounds(self.problem, inc, s, stage, self.config)
+            node = self.tables[key] = [vb.lower, vb.upper]
         inc = self._factors[key]
         inc.pop(inc.m - len(d))
         return node, inc
@@ -910,16 +923,19 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     given the data selected so far minus its entropy given all the remaining
     unobserved cells. Only prior-data covariances enter, never measurement
     values, so the paths commit before exploration. The first variance comes
-    from one factor that grows with each selected cell, the second from one
-    factorization per step over every cell not yet selected.
+    from one factor that grows with each selected cell, the second from the
+    map's spectrum (:meth:`~hotspotplan.field_model.MapSpectrum.leave_one_out`),
+    so no step factors anything map-sized.
     """
     domain = problem.domain
     h = problem.hyper
     s0 = s = TeamState(s0.poses, s0.visited, s0.steps, n)
     total = s.k * n
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    observed = d0.observed_set()
-    unselected = list(d0.locations) + [c for c in domain.cells() if c not in observed]
+    spectrum = map_spectrum(h, domain)
+    if not spectrum.positive:
+        raise SingularGram("map gram matrix not positive definite")
+    selected = []
     actions = []
     scores = []
     for _ in range(total):
@@ -928,11 +944,11 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
             raise DeadEnd("mi_greedy path construction blocked")
         ys = [action_target(s, a).cell for a in acts]
         _, var_sel = inc.batch(ys)
-        var_rest = leave_one_out_variances(unselected, [unselected.index(y) for y in ys], h)
+        var_rest = spectrum.leave_one_out(ys, selected)
         mi = 0.5 * (np.log(var_sel) - np.log(var_rest))
         b = int(np.argmax(mi))
         inc.extend(ys[b], h.mean)
-        unselected.remove(ys[b])
+        selected.append(ys[b])
         actions.append(acts[b])
         scores.append(float(mi[b]))
         s = transition(s, acts[b], domain)

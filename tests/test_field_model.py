@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hotspotplan.field_model as fm
 from hotspotplan.errors import DegenerateCovariance, InsufficientData, SingularGram
@@ -18,6 +20,8 @@ from hotspotplan.field_model import (
     lgp_entropy,
     log_marginal_likelihood,
     lognormal_predictor,
+    map_entropy,
+    map_spectrum,
     posterior,
     posterior_marginals,
     sample_field,
@@ -700,3 +704,69 @@ def test_joint_equals_the_posterior_mean_and_covariance(rng, noise):
     check(locs + [(2, 0)], np.append(z, 0.4))
     inc.pop(1)
     check(locs, z)
+
+
+# -- map spectrum ------------------------------------------------------------
+
+_NUGGETS = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def _map_cases(draw, nuggets):
+    """A grid (1 x n strips and non-square grids included), hyperparameters
+    with a length scale in 0.3-8, and the grid's cells in a random order."""
+    rows = draw(st.integers(1, 9))
+    dom = GridDomain(rows, draw(st.integers(2 if rows == 1 else 1, 9)))
+    h = Hyperparams(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 3.0)),
+                    draw(st.floats(0.3, 8.0)), draw(nuggets))
+    return dom, h, draw(st.permutations(dom.cells()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_map_cases(_NUGGETS), st.data())
+def test_map_entropy_equals_lgp_entropy_over_the_unobserved_cells(case, data):
+    dom, h, cells = case
+    m = data.draw(st.integers(0, dom.size - 1))
+    z = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m))
+    d = PosteriorData(cells[:m], z)
+    expected = lgp_entropy(d, cells[m:], h)
+    assert map_entropy(d, dom, h) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def test_map_entropy_keeps_the_joint_factor_without_a_nugget(rng):
+    # the jitter rule jitters only the observed block, so there is no spectrum
+    h = Hyperparams(0.2, 0.9, 1.3, 0.0)
+    dom = GridDomain(4, 5)
+    d = PosteriorData([(0, 0), (2, 3), (3, 1)], rng.normal(size=3))
+    unobserved = [c for c in dom.cells() if c not in d.observed_set()]
+    assert map_entropy(d, dom, h) == lgp_entropy(d, unobserved, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_map_cases(st.one_of(st.just(0.0), _NUGGETS)), st.data())
+def test_leave_one_out_variances_equal_a_dense_inverse(case, data):
+    # each target's variance given the cells not removed is 1 / diag(K_U^-1)
+    # less the jitter, K_U their Gram with the jitter rule's diagonal
+    dom, h, cells = case
+    removed = data.draw(st.integers(0, dom.size - 1))
+    targets = data.draw(st.integers(1, dom.size - removed))
+    kept = cells[removed:]
+    k_u = cov_matrix(kept, kept, h)
+    np.fill_diagonal(k_u, fm._gram_diagonal(h))
+    dense = 1.0 / np.diag(np.linalg.inv(k_u))[:targets]
+    jitter = fm._gram_diagonal(h) - h.prior_variance
+    got = map_spectrum(h, dom).leave_one_out(kept[:targets], cells[:removed]) + jitter
+    # the spectrum's entries of K^-1 carry the whole map's conditioning, and
+    # an inverse's forward error is of order size * eps * cond
+    k = cov_matrix(cells, cells, h)
+    np.fill_diagonal(k, fm._gram_diagonal(h))
+    rtol = 16 * max(dom.size, 16) * np.finfo(float).eps * np.linalg.cond(k)
+    np.testing.assert_allclose(got, dense, rtol=rtol, atol=0)
+
+
+def test_map_spectrum_rejects_a_gram_that_is_not_positive_definite(monkeypatch):
+    # without jitter, every correlation at length 1e12 is exactly 1
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)
+    h = Hyperparams(0.0, 1.0, 1e12, 0.0)
+    assert not map_spectrum(h, GridDomain(3, 3)).positive
+    assert map_spectrum(Hyperparams(0.0, 1.0, 1e12, 0.1), GridDomain(3, 3)).positive

@@ -12,6 +12,7 @@ from conftest import (
     quadrature_policy_map_entropy,
     quadrature_policy_reward,
 )
+import hotspotplan.field_model as fm
 from hotspotplan import planners
 from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
 from hotspotplan.field_model import (
@@ -21,6 +22,7 @@ from hotspotplan.field_model import (
     gaussian_entropy,
     posterior,
 )
+from hotspotplan.evaluation import ent_metric
 from hotspotplan.harness import ExperimentConfig, _build_instance, validate_config
 from hotspotplan.planners import (
     BoundedLowerPolicy,
@@ -854,6 +856,46 @@ def test_mi_matches_brute_force_increment():
             selected.append(action_target(s, chosen_action).cell)
             s = transition(s, chosen_action, problem.domain)
         assert len(res.policy.actions) == s0.k * 2
+
+
+def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
+    # counted work, not time: on a 56 x 48 map no kernel matrix, factor,
+    # solve or inverse that ent_metric or mi_greedy asks for has N = 2,688 rows
+    # or columns
+    problem, d0, s0 = make_instance(seed=3, rows=56, cols=48, k=2, model="gp", n_prior=20,
+                                    length_scale=2.0, noise_variance=0.05)
+    n_cells = problem.domain.size
+    calls = []
+
+    def shape(arg):
+        if isinstance(arg, tuple) and len(arg) == 2 and isinstance(arg[1], bool):
+            arg = arg[0]  # cho_solve's (factor, lower)
+        return np.shape(arg)
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((name, [shape(a) for a in args if isinstance(a, (np.ndarray, list, tuple))]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for name in ("cov_matrix", "cholesky", "cho_solve", "solve_triangular", "dpotrf", "dtrsm",
+                 "dtrsv"):
+        record(fm, name)
+    for name in ("eigh", "inv", "cholesky", "solve", "slogdet", "det"):
+        record(np.linalg, name)
+    fm._map_spectrum.cache_clear()
+    res = mi_greedy(problem, d0, s0, n=9)
+    d = d0
+    for path in res.paths:
+        for cell in path[1:]:
+            d = d.extended(cell, 0.1)
+    ent_metric(problem, d)
+    assert ("eigh", [(56, 56)]) in calls and ("eigh", [(48, 48)]) in calls
+    assert ("cov_matrix", [(len(d), 2), (len(d), 2)]) in calls
+    assert [c for c in calls if any(n_cells in dims for dims in c[1])] == []
 
 
 # -- cross-cutting theorems --------------------------------------------------
