@@ -185,18 +185,22 @@ def main(argv=None) -> int:
         description="Multi-robot informative exploration planning over hotspot fields",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, fn in (
-        ("generate", _cmd_generate),
-        ("run", _cmd_run),
-        ("bounds", _cmd_bounds),
-        ("selftest", _cmd_selftest),
+    flags = {
+        "--config": dict(required=True, help="path to the config file"),
+        "--out": dict(default="results", help="output directory"),
+        "--seed-offset": dict(type=int, default=0),
+        "--threads": dict(type=int, default=1),
+    }
+    # each verb takes only the flags its command reads
+    for verb, fn, names in (
+        ("generate", _cmd_generate, ("--config", "--out", "--seed-offset")),
+        ("run", _cmd_run, ("--config", "--out", "--seed-offset", "--threads")),
+        ("bounds", _cmd_bounds, ("--config", "--seed-offset")),
+        ("selftest", _cmd_selftest, ()),
     ):
         p = sub.add_parser(verb)
-        if verb != "selftest":
-            p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed-offset", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        for name in names:
+            p.add_argument(name, **flags[name])
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

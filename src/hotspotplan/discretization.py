@@ -103,25 +103,16 @@ def em_points(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Boundary weights of the Edmundson-Madansky upper construction.
 
     Each interval's probability is split between its two endpoints by the
-    reversed lever rule about the interval conditional mean; the sentinel
-    probabilities outside the support are zero. Weights are non-negative and
-    sum to one, and the weighted boundary mean equals the truncated mean.
+    reversed lever rule about the interval conditional mean. Weights are
+    non-negative and sum to one, and the weighted boundary mean equals the
+    truncated mean.
     """
     jw, jp = jensen_points(p)
-    nu = p.nu
     b = p.boundaries
-    # pad with zero-probability sentinels so one formula covers j = 0..nu
-    pw = np.concatenate(([0.0], jw, [0.0]))
-    pz = np.concatenate(([0.0], jp, [0.0]))
-    weights = np.empty(nu + 1)
-    for j in range(nu + 1):
-        left = 0.0
-        if j >= 1:
-            left = pw[j] * (pz[j] - b[j - 1]) / (b[j] - b[j - 1])
-        right = 0.0
-        if j <= nu - 1:
-            right = pw[j + 1] * (b[j + 1] - pz[j + 1]) / (b[j + 1] - b[j])
-        weights[j] = left + right
+    width = b[1:] - b[:-1]
+    weights = np.zeros(p.nu + 1)
+    weights[1:] += jw * (jp - b[:-1]) / width  # each interval's share at its right end
+    weights[:-1] += jw * (b[1:] - jp) / width  # and at its left end
     return weights, b.copy()
 
 

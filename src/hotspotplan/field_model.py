@@ -2,14 +2,15 @@
 
 The field of positive measurements ``y`` is modelled through its logs
 ``z = log y``, which form a GP with constant mean and an isotropic
-squared-exponential covariance plus a nugget. Everything downstream
+squared-exponential covariance plus a nugget, a small jitter when the noise
+variance is zero (:attr:`Hyperparams.nugget`). Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel, the Gram jitter rule and the numpy row-append of a Cholesky
-factor each have one definition here (URTDP's posterior window appends to
-its own small factor in Python floats). :func:`posterior` and the other
-reference computations factorize from scratch; the planners condition through
+The kernel and the numpy row-append of a Cholesky factor each have one
+definition here (URTDP's posterior window appends to its own small factor
+in Python floats). :func:`posterior` and the other reference computations
+factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending rows and back up by
 dropping them, and a window of cells gets its joint posterior from it; it
@@ -41,14 +42,15 @@ from .world import Cell, GridDomain
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
-# Relative jitter added to the Gram diagonal when the nugget is zero; keeps
-# the factorization stable and sits far below all test tolerances.
+# The nugget, relative to the signal variance, of a prior without noise; keeps
+# every factorization stable and sits far below all test tolerances.
 JITTER_FRACTION = 1e-10
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Constant prior mean (log scale) and covariance structure."""
+    """Constant prior mean (log scale) and covariance structure; every Gram
+    matrix, factor and reported variance uses its :attr:`nugget`."""
 
     mean: float
     signal_variance: float
@@ -64,9 +66,16 @@ class Hyperparams:
             raise ValueError("noise_variance must be non-negative")
 
     @property
+    def nugget(self) -> float:
+        """The variance added at coincident cells: the noise variance, or when
+        that is zero a jitter of ``JITTER_FRACTION`` (read at call time) times
+        the signal variance, so that the prior stays positive definite."""
+        return self.noise_variance or JITTER_FRACTION * self.signal_variance
+
+    @property
     def prior_variance(self) -> float:
         """Variance of a single measurement under the prior."""
-        return self.signal_variance + self.noise_variance
+        return self.signal_variance + self.nugget
 
 
 class PosteriorData:
@@ -127,7 +136,7 @@ def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
     dy = x[1] - u[1]
     value = h.signal_variance * math.exp(-(dx * dx + dy * dy) / (2.0 * h.length_scale**2))
     if x == u:
-        value += h.noise_variance
+        value += h.nugget
     return value
 
 
@@ -163,25 +172,13 @@ def cov_matrix(cells_a, cells_b, h: Hyperparams) -> np.ndarray:
     sq = _sq_dists(a, b)
     same = sq == 0
     k = _se(sq, h)
-    if h.noise_variance > 0:
-        k[same] += h.noise_variance
+    k[same] += h.nugget
     return k
 
 
-def _gram_diagonal(h: Hyperparams) -> float:
-    """Diagonal entry of every Gram matrix that gets factorized.
-
-    The prior variance, plus a relative jitter when the nugget is zero. This
-    is the only place the jitter rule lives; ``JITTER_FRACTION`` is read at
-    call time.
-    """
-    jitter = JITTER_FRACTION * h.signal_variance if h.noise_variance == 0 else 0.0
-    return h.prior_variance + jitter
-
-
 def _gram_factor(gram: np.ndarray, h: Hyperparams) -> np.ndarray:
-    """Lower Cholesky factor of a Gram matrix of distinct cells, jitter rule applied."""
-    np.fill_diagonal(gram, _gram_diagonal(h))
+    """Lower Cholesky factor of a Gram matrix of distinct cells, its diagonal the prior variance."""
+    np.fill_diagonal(gram, h.prior_variance)
     try:
         return cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -229,7 +226,6 @@ class IncrementalPosterior:
     def __init__(self, table: KernelTable, locs, z, capacity: int):
         self.table = table
         self.h = h = table.h
-        self.diag = _gram_diagonal(h)  # the factored diagonal, jitter included
         m = len(locs)
         cap = max(capacity, m)
         self._L = np.zeros((cap, cap))
@@ -283,14 +279,14 @@ class IncrementalPosterior:
 
     def extend(self, cell, z_value: float, row=None) -> float:
         """Append one observation in place; return its variance given the
-        sequence before it (the Schur complement, jitter included), whose
-        square root is the new pivot of the factor. ``row`` is the cell's
-        whitened column from :attr:`columns`, solved here when not given.
+        sequence before it (the Schur complement), whose square root is the
+        new pivot of the factor. ``row`` is the cell's whitened column from
+        :attr:`columns`, solved here when not given.
         URTDP's ``_Window`` and its rollouts keep their own row-appended
         factor, in Python floats."""
         L, m, t = self._L, self.m, self.table
         code = cell[0] * t.width + cell[1]
-        var = self.diag
+        var = self.h.prior_variance
         if m:
             if row is None:
                 row = dtrsv(L[:m, :m], t.values[self._offsets[:m] - code], lower=1)
@@ -373,11 +369,9 @@ def lgp_entropy(d: PosteriorData, targets, h: Hyperparams) -> float:
     ``L_TT`` factors the posterior covariance, so its diagonal gives the
     log-determinant, and the cross block ``L_TO`` times ``L_OO^-1 (z - mean)``
     gives the posterior means. Cost O((m + N)^3) time and O((m + N)^2)
-    memory, with no posterior covariance formed. The observed diagonal
-    follows the Gram jitter rule; the target diagonal is the prior variance,
-    as in :func:`posterior`. Raises :class:`SingularGram` if the observed
-    block is not positive definite and :class:`DegenerateCovariance` if the
-    posterior covariance is not.
+    memory, with no posterior covariance formed. Raises
+    :class:`SingularGram` if the observed block is not positive definite and
+    :class:`DegenerateCovariance` if the posterior covariance is not.
     """
     m = len(d)
     cells = list(d.locations) + [tuple(t) for t in targets]
@@ -385,7 +379,6 @@ def lgp_entropy(d: PosteriorData, targets, h: Hyperparams) -> float:
     if n == 0:
         raise ValueError("need at least one target cell")
     gram = cov_matrix(cells, cells, h)
-    np.fill_diagonal(gram[:m, :m], _gram_diagonal(h))
     # the Gram is symmetric, so its transpose is the same matrix in Fortran
     # order and LAPACK factors it in place
     L, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
@@ -405,23 +398,21 @@ class MapSpectrum:
     """The eigendecomposition of the Gram matrix over every cell of one grid.
 
     The squared-exponential kernel is a product of a row and a column factor,
-    so over the cells in row-major order the map's Gram matrix with diagonal
-    ``diag`` is ``s (A kron B) + tau I``: ``s`` is the signal variance, ``A``
-    and ``B`` the rows x rows and cols x cols correlation matrices, and
-    ``tau = diag - s`` the nugget, or the jitter when the nugget is zero. With
-    ``A = Q_A diag(a) Q_A^T`` and ``B = Q_B diag(b) Q_B^T`` its eigenvalues are
-    ``lam[i, j] = s a_i b_j + tau`` and its eigenvectors ``Q_A kron Q_B``
-    (Kronecker GP methods, Saatci 2011): two small ``eigh`` calls, O(rows^3 +
-    cols^3) time and O(N) memory for a map of ``N`` cells.
+    so over the cells in row-major order the map's Gram matrix is
+    ``s (A kron B) + tau I``: ``s`` is the signal variance, ``A`` and ``B``
+    the rows x rows and cols x cols correlation matrices, and ``tau`` the
+    nugget. With ``A = Q_A diag(a) Q_A^T`` and ``B = Q_B diag(b) Q_B^T`` its
+    eigenvalues are ``lam[i, j] = s a_i b_j + tau`` and its eigenvectors
+    ``Q_A kron Q_B`` (Kronecker GP methods, Saatci 2011): two small ``eigh``
+    calls, O(rows^3 + cols^3) time and O(N) memory for a map of ``N`` cells.
     """
 
-    def __init__(self, h: Hyperparams, domain: GridDomain, diag: float):
-        self.jitter = diag - h.prior_variance
+    def __init__(self, h: Hyperparams, domain: GridDomain, prior_variance: float):
         unit = Hyperparams(h.mean, 1.0, h.length_scale)
         corr = [_se(np.subtract.outer(x, x) ** 2, unit)
                 for x in (np.arange(domain.rows, dtype=float), np.arange(domain.cols, dtype=float))]
         (a, self.qa), (b, self.qb) = (np.linalg.eigh(c) for c in corr)
-        tau = diag - h.signal_variance
+        tau = prior_variance - h.signal_variance
         self.lam = h.signal_variance * np.outer(a, b) + tau
         self.positive = bool((self.lam > 0).all())
         # the Gram's row sums, s (A 1)_r (B 1)_c + tau, indexed by cell
@@ -439,9 +430,9 @@ class MapSpectrum:
         With ``P = K^-1`` and ``S`` the removed cells, the precision of the
         map without ``S`` is the Schur complement ``P_UU - P_US P_SS^-1 P_SU``,
         whose diagonal entry at a target ``y`` is the reciprocal of ``y``'s
-        leave-one-out variance (Krause, Singh & Guestrin, JMLR 2008), less the
-        jitter that ``K`` carries. The entries of ``P`` over the targets and
-        ``S`` are gathered from the spectrum: O((t + |S|)^2 N) time.
+        leave-one-out variance (Krause, Singh & Guestrin, JMLR 2008). The
+        entries of ``P`` over the targets and ``S`` are gathered from the
+        spectrum: O((t + |S|)^2 N) time.
         """
         t = len(targets)
         r, c = np.asarray(list(targets) + list(removed), dtype=np.intp).reshape(-1, 2).T
@@ -451,16 +442,16 @@ class MapSpectrum:
         if len(r) > t:
             half = solve_triangular(cholesky(p[t:, t:], lower=True), p[t:, :t], lower=True)
             precision = precision - np.einsum("ij,ij->j", half, half)
-        return 1.0 / precision - self.jitter
+        return 1.0 / precision
 
 
 _map_spectrum = functools.lru_cache(maxsize=4)(MapSpectrum)
 
 
 def map_spectrum(h: Hyperparams, domain: GridDomain) -> MapSpectrum:
-    """The :class:`MapSpectrum` of ``(h, domain)``, cached; the jitter rule's
-    diagonal is in the key, so a changed ``JITTER_FRACTION`` recomputes it."""
-    return _map_spectrum(h, domain, _gram_diagonal(h))
+    """The :class:`MapSpectrum` of ``(h, domain)``, cached; the prior variance
+    is in the key, so a changed ``JITTER_FRACTION`` recomputes it."""
+    return _map_spectrum(h, domain, h.prior_variance)
 
 
 def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
@@ -473,13 +464,9 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     cached :class:`MapSpectrum`. The unobserved posterior means sum to
     ``n mean + (K_ou 1)^T K_oo^-1 (z - mean)``, where ``K_ou 1`` is the map
     Gram's row sums less ``K_oo 1``. So beyond the spectrum the cost is one
-    ``m x m`` factor, independent of the map size.
-
-    A zero nugget keeps :func:`lgp_entropy`'s joint factor: the jitter rule
-    jitters only the observed block there, so the joint Gram has no
-    ``+ tau I`` form. Raises :class:`DegenerateCovariance` if the map's Gram
-    matrix is not positive definite and :class:`SingularGram` if the
-    observed block is not.
+    ``m x m`` factor, independent of the map size. Raises
+    :class:`DegenerateCovariance` if the map's Gram matrix is not positive
+    definite and :class:`SingularGram` if the observed block is not.
     """
     if not all(map(domain.contains, d.locations)):
         raise ValueError("observed cells must lie on the map")
@@ -487,16 +474,13 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     n = domain.size - m
     if n == 0:
         raise ValueError("need at least one unobserved cell")
-    if h.noise_variance == 0:
-        observed = d.observed_set()
-        return lgp_entropy(d, [c for c in domain.cells() if c not in observed], h)
     spec = map_spectrum(h, domain)
     if not spec.positive:
         raise DegenerateCovariance("map gram matrix not positive definite")
     value = 0.5 * (n * LOG_2PI_E + spec.logdet) + n * h.mean
     if m:
         gram = cov_matrix(d.locations, d.locations, h)
-        L = _gram_factor(gram, h)  # sets the jitter rule's diagonal in ``gram`` too
+        L = _gram_factor(gram, h)
         r, c = np.array(d.locations).T
         k_ou1 = spec.row_sums[r, c] - gram.sum(axis=1)
         value += float(k_ou1 @ cho_solve((L, True), d.z - h.mean) - np.sum(np.log(np.diag(L))))
@@ -504,9 +488,9 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _field_factor(h: Hyperparams, domain: GridDomain, diag: float) -> np.ndarray:
-    """Read-only lower Gram factor of every cell of the map; ``diag``, the jitter
-    rule's diagonal, is in the key so a changed ``JITTER_FRACTION`` refactors."""
+def _field_factor(h: Hyperparams, domain: GridDomain, prior_variance: float) -> np.ndarray:
+    """Read-only lower Gram factor of every cell of the map; the prior variance
+    is in the key, so a changed ``JITTER_FRACTION`` refactors."""
     cells = domain.cells()
     L = _gram_factor(cov_matrix(cells, cells, h), h)
     L.setflags(write=False)
@@ -519,7 +503,7 @@ def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     Returns a positive array of shape ``(rows, cols)``; deterministic in
     ``seed``. The map's Gram factor is cached between calls.
     """
-    L = _field_factor(h, domain, _gram_diagonal(h))
+    L = _field_factor(h, domain, h.prior_variance)
     rng = np.random.default_rng(seed)
     z = h.mean + L @ rng.standard_normal(domain.size)
     return np.exp(z).reshape(domain.rows, domain.cols)
@@ -580,8 +564,8 @@ def fit_hyperparams(
     noise_grid = ng if noise_grid is None else np.asarray(noise_grid, dtype=float)
     mean = float(np.mean(observations.z))
     resid = observations.z - mean
-    # the Gram diagonal of every (signal, noise) pair, jitter rule applied
-    diag = np.array([[_gram_diagonal(Hyperparams(mean, sv, 1.0, nv)) for nv in noise_grid]
+    # the prior variance of every (signal, noise) pair
+    diag = np.array([[Hyperparams(mean, sv, 1.0, nv).prior_variance for nv in noise_grid]
                      for sv in signal_grid]).reshape(len(signal_grid), len(noise_grid))
     cells = np.asarray(observations.locations, dtype=float)
     sq = _sq_dists(cells, cells)

@@ -443,15 +443,14 @@ class _Window:
         self.index = {x: i for i, x in enumerate(x for x in cells if x not in s.visited)}
         mean, self.cov = inc.joint(list(self.index))
         self.mean, self.columns = mean.tolist(), inc.columns
-        self.jitter = inc.diag - inc.h.prior_variance  # added to each pivot, as in the factor
         self.chosen = []
 
     def push(self, j: int, w, var: float) -> float:
         """Choose cell ``j`` by its column and variance; return its pivot variance."""
-        if var + self.jitter <= 0:
+        if var <= 0:
             raise SingularGram("gram extension lost positive definiteness")
-        self.chosen.append((j, w, math.sqrt(var + self.jitter)))
-        return var + self.jitter
+        self.chosen.append((j, w, math.sqrt(var)))
+        return var
 
 
 def _greedy_ce_rollout(problem, window, s, steps_count):
@@ -527,9 +526,10 @@ class _UrtdpInstance:
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
     upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
     problem's exhaustive value at the node's state. ``tables`` maps the state
-    key of each root the instance has planned from to its node, and
-    ``_factors`` the same key to the root's factor; the nodes below a root
-    hang off its action records (see the module docstring).
+    key of the root the instance last planned from to its node, and
+    ``_inc`` is that root's factor; the nodes below the root hang off its
+    action records (see the module docstring). A decision never returns to
+    an earlier root, so a new root replaces the old one and its tree.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -539,7 +539,7 @@ class _UrtdpInstance:
         self.rng = rng
         self.w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
         self.tables: dict[tuple, list] = {}
-        self._factors: dict[tuple, IncrementalPosterior] = {}
+        self._inc = None
         self.window = None  # the last expansion's window
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
@@ -548,17 +548,18 @@ class _UrtdpInstance:
 
     def _root(self, d, s, stage) -> tuple[list, IncrementalPosterior]:
         """The root node of ``(s, d)`` and its factor over ``d``, built together
-        when new (the factor seeds the node's :func:`init_bounds`) and popped
-        back to ``d`` for each use, with room for one trial's walk from
-        ``stage``."""
+        when new, in place of the last root (the factor seeds the node's
+        :func:`init_bounds`), and popped back to ``d`` for each use, with room
+        for one trial's walk from ``stage``."""
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
-            inc = self._factors[key] = IncrementalPosterior(
+            inc = IncrementalPosterior(
                 self.problem.kernel_table, d.locations, d.z, len(d) + self.config.horizon - stage)
             vb = _init_bounds(self.problem, inc, s, stage, self.config)
-            node = self.tables[key] = [vb.lower, vb.upper]
-        inc = self._factors[key]
+            node, self._inc = [vb.lower, vb.upper], inc
+            self.tables = {key: node}
+        inc = self._inc
         inc.pop(inc.m - len(d))
         return node, inc
 
@@ -815,10 +816,10 @@ def mes_nonadaptive(
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + k * n)
     base = inc.m
 
-    # every prior gain in one batch, with the jitter that extend's variances carry
+    # every prior gain in one batch
     free = [c for c in domain.cells() if c not in s0.visited]
     _, var = inc.batch(free)
-    gains = _entropy(var + (inc.diag - problem.hyper.prior_variance)).tolist()
+    gains = _entropy(var).tolist()
     gain_sorted = sorted(zip(free, gains), key=lambda kv: -kv[1])
 
     def path_value(seq):

@@ -361,7 +361,7 @@ def test_sample_field_factor_is_read_only():
     h = Hyperparams(0.0, 1.0, 1.5, 0.02)
     dom = GridDomain(4, 5)
     sample_field(h, dom, 0)
-    L = fm._field_factor(h, dom, fm._gram_diagonal(h))
+    L = fm._field_factor(h, dom, h.prior_variance)
     assert not L.flags.writeable
     with pytest.raises(ValueError):
         L[0, 0] = 2.0
@@ -396,7 +396,9 @@ def test_predictor_exponent_log_two():
     # mu = 0, var = 2 log 2 -> exp(log 2) = 2
     h = Hyperparams(0.0, 2.0 * math.log(2.0), 1.0, 0.0)
     d = PosteriorData([], [])
-    assert lognormal_predictor(d, (0, 0), h) == pytest.approx(2.0, abs=1e-12)
+    # the zero nugget's jitter scales the variance by 1 + JITTER_FRACTION
+    expected = 2.0 * math.exp(fm.JITTER_FRACTION * math.log(2.0))
+    assert lognormal_predictor(d, (0, 0), h) == pytest.approx(expected, abs=1e-12)
 
 
 def test_predictor_monte_carlo_oracle(rng):
@@ -636,11 +638,28 @@ def test_incremental_pop_then_extend_matches_fresh(rng):
     assert np.allclose(variances, variances_f, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_batch_variances_equal_the_variances_extend_returns(rng, noise):
+    # one prior: the variance a batch reports is the pivot extend factors
+    h = Hyperparams(0.1, 0.9, 1.4, noise)
+    locs = ((0, 0), (2, 2), (1, 3), (4, 1))
+    table = KernelTable(h, GridDomain(5, 4))
+    inc = IncrementalPosterior(table, locs, rng.normal(size=4), capacity=5)
+    targets = [(3, 3), (1, 1), (4, 0), (0, 3)]
+    _, variances = inc.batch(targets)
+    extended = []
+    for x in targets:
+        extended.append(inc.extend(x, 0.3))
+        inc.pop(1)
+    np.testing.assert_allclose(variances, extended, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 @pytest.mark.parametrize("rows, cols", [(14, 12), (42, 36)])
 def test_kernel_table_equals_cov_matrix_at_every_offset(rows, cols, noise):
-    # all pairs of cells of the grid reach every offset; only the nugget,
-    # which the table leaves out, sits on the zero offset
+    # all pairs of cells of the grid reach every offset; only the nugget (the
+    # jitter when the noise is zero), which the table leaves out, sits on the
+    # zero offset
     h = Hyperparams(0.4, 1.3, 2.0, noise)
     cells = GridDomain(rows, cols).cells()
     table = KernelTable(h, GridDomain(rows, cols))
@@ -650,7 +669,7 @@ def test_kernel_table_equals_cov_matrix_at_every_offset(rows, cols, noise):
     dense = cov_matrix(cells, cells, h)
     diagonal = np.eye(len(cells), dtype=bool)
     assert np.array_equal(gathered[~diagonal], dense[~diagonal])
-    assert np.array_equal(gathered[diagonal] + noise, dense[diagonal])
+    assert np.array_equal(gathered[diagonal] + h.nugget, dense[diagonal])
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.02])
@@ -733,33 +752,36 @@ def test_map_entropy_equals_lgp_entropy_over_the_unobserved_cells(case, data):
     assert map_entropy(d, dom, h) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
-def test_map_entropy_keeps_the_joint_factor_without_a_nugget(rng):
-    # the jitter rule jitters only the observed block, so there is no spectrum
-    h = Hyperparams(0.2, 0.9, 1.3, 0.0)
-    dom = GridDomain(4, 5)
-    d = PosteriorData([(0, 0), (2, 3), (3, 1)], rng.normal(size=3))
-    unobserved = [c for c in dom.cells() if c not in d.observed_set()]
-    assert map_entropy(d, dom, h) == lgp_entropy(d, unobserved, h)
+def test_map_entropy_without_a_nugget_on_a_smooth_map():
+    # a zero nugget jitters the whole Gram, targets included, so the joint
+    # factor of a smooth map (length scale 4 on 8 x 8) stays positive definite
+    h = Hyperparams(0.0, 1.0, 4.0, 0.0)
+    dom = GridDomain(8, 8)
+    d = PosteriorData([], [])
+    cells = dom.cells()
+    # an eigenvalue's rounding is of order eps * ||K||, so each of the N log
+    # eigenvalues in the log-determinant is off by at most about eps * cond(K)
+    tol = dom.size * np.finfo(float).eps * np.linalg.cond(cov_matrix(cells, cells, h))
+    assert map_entropy(d, dom, h) == pytest.approx(lgp_entropy(d, cells, h), rel=0, abs=tol)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_map_cases(st.one_of(st.just(0.0), _NUGGETS)), st.data())
 def test_leave_one_out_variances_equal_a_dense_inverse(case, data):
-    # each target's variance given the cells not removed is 1 / diag(K_U^-1)
-    # less the jitter, K_U their Gram with the jitter rule's diagonal
+    # each target's variance given the cells not removed is 1 / diag(K_U^-1),
+    # K_U their Gram with the prior variance on its diagonal
     dom, h, cells = case
     removed = data.draw(st.integers(0, dom.size - 1))
     targets = data.draw(st.integers(1, dom.size - removed))
     kept = cells[removed:]
     k_u = cov_matrix(kept, kept, h)
-    np.fill_diagonal(k_u, fm._gram_diagonal(h))
+    np.fill_diagonal(k_u, h.prior_variance)
     dense = 1.0 / np.diag(np.linalg.inv(k_u))[:targets]
-    jitter = fm._gram_diagonal(h) - h.prior_variance
-    got = map_spectrum(h, dom).leave_one_out(kept[:targets], cells[:removed]) + jitter
+    got = map_spectrum(h, dom).leave_one_out(kept[:targets], cells[:removed])
     # the spectrum's entries of K^-1 carry the whole map's conditioning, and
     # an inverse's forward error is of order size * eps * cond
     k = cov_matrix(cells, cells, h)
-    np.fill_diagonal(k, fm._gram_diagonal(h))
+    np.fill_diagonal(k, h.prior_variance)
     rtol = 16 * max(dom.size, 16) * np.finfo(float).eps * np.linalg.cond(k)
     np.testing.assert_allclose(got, dense, rtol=rtol, atol=0)
 

@@ -430,6 +430,16 @@ def test_cli_selftest_passes():
     assert cli_main(["selftest"]) == 0
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--config", "x.cfg", "--threads", "2"],
+                                  ["selftest", "--out", "x"],
+                                  ["generate", "--config", "x.cfg", "--threads", "2"]])
+def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_seed_offset_shifts_seeds(tmp_path):
     cfg_path = write_config(tmp_path, seeds="0")
     out1 = tmp_path / "a"

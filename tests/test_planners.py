@@ -622,12 +622,13 @@ def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
     node, inc = inst._root(d0, s0, 0)
     assert len(seen) >= 8
     assert all(n is node and f is inc for n, f in seen)
-    assert list(inst.tables) == list(inst._factors) == [state_key(0, s0, d0)]
-    # another root gets its own node and factor
+    assert list(inst.tables) == [state_key(0, s0, d0)]
+    # another root gets its own node and factor, in place of the first
     a = constrained_actions(s0, problem.domain)[0]
     s1, d1 = transition(s0, a, problem.domain), d0.extended(action_target(s0, a).cell, 0.1)
     node1, inc1 = inst._root(d1, s1, 1)
     assert node1 is not node and inc1 is not inc and inc1.m == len(d1)
+    assert list(inst.tables) == [state_key(1, s1, d1)]
 
 
 # -- init_bounds -------------------------------------------------------------
