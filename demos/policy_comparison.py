@@ -5,7 +5,7 @@ greedy, maximum entropy sampling and the MI-based baseline on the same
 fields, then reports posterior map entropy (ENT) and mean-squared relative
 error (ERR). Lower is better on both.
 
-Run:  python3 demos/policy_comparison.py   (about a minute)
+Run:  python3 demos/policy_comparison.py   (a few seconds)
 """
 
 import numpy as np

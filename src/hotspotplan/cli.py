@@ -6,7 +6,8 @@ Verbs:
   bounds    - print root lower/upper value bounds and the gap per seed
   selftest  - run a quick built-in invariant suite
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success (``--help`` too), 1 configuration or usage error
+(argparse prints the usage), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -202,7 +203,10 @@ def main(argv=None) -> int:
         for name in names:
             p.add_argument(name, **flags[name])
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except ConfigError as exc:

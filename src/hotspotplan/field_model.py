@@ -8,20 +8,20 @@ variance is zero (:attr:`Hyperparams.nugget`). Everything downstream
 All entropies are in nats.
 
 The kernel and the numpy row-append of a Cholesky factor each have one
-definition here (URTDP's posterior window appends to its own small factor
-in Python floats). :func:`posterior` and the other reference computations
+definition here (URTDP's posterior window appends to its own small factor in
+Python floats). :func:`posterior` and the other reference computations
 factorize from scratch; the planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
-history: a search walks it down a branch by appending rows and back up by
-dropping them, and a window of cells gets its joint posterior from it; it
-gathers every kernel entry by cell offset from the grid's
-:class:`KernelTable`. Nothing map-sized is factored per call: the map's Gram
-matrix is separable, and its cached :class:`MapSpectrum` (two 1-D
-eigendecompositions) gives the map entropy by the chain rule with one factor
-over the observed cells (:func:`map_entropy`) and the MI baseline's
-leave-one-out variances; the predictor needs only means and variances
-(:func:`posterior_marginals`). :func:`lgp_entropy` stays as the joint factor
-of any target set. The set-up factors nothing per candidate:
+history: a search walks it down a branch by appending each outcome as its
+standardized point, not its value, and back up by dropping rows, and a window
+of cells gets its joint posterior from it; it gathers every kernel entry by
+cell offset from the grid's :class:`KernelTable`. Nothing map-sized is
+factored per call: the map's Gram matrix is separable, and its cached
+:class:`MapSpectrum` (two 1-D eigendecompositions) gives the map entropy by
+the chain rule with one factor over the observed cells (:func:`map_entropy`)
+and the MI baseline's leave-one-out variances; the predictor needs only means
+and variances (:func:`posterior_marginals`). :func:`lgp_entropy` stays as the
+joint factor of any target set. The set-up factors nothing per candidate:
 :func:`fit_hyperparams` scores its grid from one eigendecomposition per
 length scale, and :func:`sample_field` keeps one map's factor.
 """
@@ -221,6 +221,10 @@ class IncrementalPosterior:
     match :func:`posterior` exactly. The factor depends on the locations
     only, so the outcome branches of a move share it. :meth:`extend` can take
     column ``j`` of the last :meth:`batch`'s whitened ``columns`` as its row.
+    Measured values enter through the constructor only: an appended entry of
+    ``y`` is ``(z - mu) / sd`` for an outcome of mean ``mu`` and deviation
+    ``sd`` (GPML, Alg. 2.1), so a branch outcome ``mu + sd * zeta`` enters
+    as ``zeta`` and a certainty-equivalent one as 0.
     """
 
     def __init__(self, table: KernelTable, locs, z, capacity: int):
@@ -268,22 +272,12 @@ class IncrementalPosterior:
         k = self.table.values[self._offsets[: self.m, None] - self.table.codes(targets)]
         return dtrsm(1.0, self._L[: self.m, : self.m], k, lower=1)
 
-    def target_weights(self, target: Cell) -> tuple[np.ndarray, float]:
-        """Return ``(alpha, var)`` so that the posterior of ``target`` given the
-        sequence ``z`` has mean ``mean + alpha @ (z - mean)`` and variance
-        ``var`` (independent of the measurement values)."""
-        m = self.m
-        half = self.whitened([target])
-        alpha = dtrsm(1.0, self._L[:m, :m], half, lower=1, trans_a=1)[:, 0]
-        return alpha, self.h.prior_variance - float(half[:, 0] @ half[:, 0])
-
-    def extend(self, cell, z_value: float, row=None) -> float:
-        """Append one observation in place; return its variance given the
-        sequence before it (the Schur complement), whose square root is the
-        new pivot of the factor. ``row`` is the cell's whitened column from
-        :attr:`columns`, solved here when not given.
-        URTDP's ``_Window`` and its rollouts keep their own row-appended
-        factor, in Python floats."""
+    def extend(self, cell, innovation: float, row=None) -> float:
+        """Append one observation in place by its standardized residual
+        ``innovation``; return its variance given the sequence before it (the
+        Schur complement), whose square root is the new pivot of the factor.
+        ``row`` is the cell's whitened column from :attr:`columns`, solved
+        here when not given."""
         L, m, t = self._L, self.m, self.table
         code = cell[0] * t.width + cell[1]
         var = self.h.prior_variance
@@ -296,7 +290,7 @@ class IncrementalPosterior:
             raise SingularGram("gram extension lost positive definiteness")
         L[m, m] = math.sqrt(var)
         self._offsets[m] = code + t.center
-        self._y[m] = (float(z_value) - self.h.mean - L[m, :m] @ self._y[:m]) / L[m, m]
+        self._y[m] = innovation
         self.m = m + 1
         return var
 
@@ -467,6 +461,9 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     ``m x m`` factor, independent of the map size. Raises
     :class:`DegenerateCovariance` if the map's Gram matrix is not positive
     definite and :class:`SingularGram` if the observed block is not.
+    At a zero noise variance the jitter floor sets much of the value: -269.88,
+    -267.79, -255.58 at ``JITTER_FRACTION`` 1e-12, 1e-10, 1e-8 on the README
+    config's seed-0 prior data, noise set to 0. Fitted noise is positive.
     """
     if not all(map(domain.contains, d.locations)):
         raise ValueError("observed cells must lie on the map")

@@ -120,8 +120,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.budget_per_robot < 1:
         raise ConfigError("budget_per_robot must be >= 1")
     domain = cfg.domain
-    if not (0 < cfg.prior_units < domain.size):
-        raise ConfigError("prior_units must be positive and below the cell count")
+    if cfg.prior_units < 1:
+        raise ConfigError("prior_units must be positive")
     if len(cfg.policies) != len(cfg.models):
         raise ConfigError("policies and models lists must have equal length")
     if not cfg.policies:
@@ -148,9 +148,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for c in starts:
         if not domain.contains(c):
             raise ConfigError(f"start cell {c} outside the domain")
+    pool = len(_prior_pool(domain, starts))
+    if cfg.prior_units > pool:
+        raise ConfigError(f"prior_units = {cfg.prior_units} exceeds the {pool} cells that are "
+                          "neither a start cell nor a start cell's neighbour")
     if cfg.prior_units + cfg.team_size < 5:
         raise ConfigError("need at least 5 prior observations to fit hyperparameters")
     return replace(cfg, start_cells=tuple(starts))
+
+
+def _prior_pool(domain: GridDomain, starts) -> list[Cell]:
+    """The cells the prior draw picks from: all but the start cells and their
+    four neighbours, so that no robot can begin boxed in by prior data."""
+    blocked = set(starts)
+    for r, c in starts:
+        blocked.update({(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)})
+    return [c for c in domain.cells() if c not in blocked]
 
 
 def _parse_cells(raw: str) -> tuple[Cell, ...]:
@@ -275,12 +288,7 @@ def _build_instance(cfg: ExperimentConfig, seed: int):
         field_map = sample_field(cfg.synthetic_hyperparams(), domain, seed)
     starts = cfg.start_cells or default_start_cells(domain, cfg.team_size)
     prior_rng = np.random.default_rng([seed, 1])  # stream independent of planners
-    # keep the four neighbors of each start out of the prior draw so no
-    # robot can begin boxed in by prior data
-    blocked = set(starts)
-    for r, c in starts:
-        blocked.update({(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)})
-    candidates = [c for c in domain.cells() if c not in blocked]
+    candidates = _prior_pool(domain, starts)
     idx = prior_rng.choice(len(candidates), size=cfg.prior_units, replace=False)
     prior_cells = [candidates[i] for i in sorted(idx)]
     locations = prior_cells + list(starts)
@@ -341,7 +349,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, threads: int = 1):
-    """Run every (policy, seed) pair; records ordered by (policy, seed)."""
+    """Run every (policy, model) arm on every seed; records ordered by the
+    arm's first place in the config, then by seed."""
     cfg = validate_config(cfg)
     seeds = [s + seed_offset for s in cfg.seeds]
     if threads > 1:
@@ -350,8 +359,8 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, threads: int = 1
     else:
         per_seed = [run_seed(cfg, s) for s in seeds]
     records = [rec for group in per_seed for rec in group]
-    order = {name: i for i, name in enumerate(cfg.policies)}
-    records.sort(key=lambda r: (order[r.policy], r.seed))
+    arms = list(zip(cfg.policies, cfg.models))
+    records.sort(key=lambda r: (arms.index((r.policy, r.model)), r.seed))
     return records
 
 
@@ -373,10 +382,10 @@ def _fmt(x: float) -> str:
 
 
 def emit_results(records, out_dir) -> tuple[Path, Path]:
-    """Write results.csv plus a per-policy summary (means and dead-end counts)
-    with paired t-tests.
+    """Write results.csv plus a summary per (policy, model) arm (means and
+    dead-end counts) with paired t-tests.
 
-    The summary compares each policy against the first-listed one on ENT and
+    The summary compares each arm against the first-listed one on ENT and
     ERR over the shared seeds. Output bytes depend only on the records.
     """
     out = Path(out_dir)
@@ -396,28 +405,27 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
         raise IoError(f"cannot write {csv_path}: {exc}") from exc
 
     summary_path = out / "summary.txt"
-    by_policy: dict[str, list[ResultRecord]] = {}
+    by_arm: dict[tuple[str, str], list[ResultRecord]] = {}
     for r in records:
-        by_policy.setdefault(r.policy, []).append(r)
-    policy_order = list(by_policy)
+        by_arm.setdefault((r.policy, r.model), []).append(r)
+    arms = list(by_arm)
     slines = []
-    for name in policy_order:
-        group = by_policy[name]
+    for (name, model), group in by_arm.items():
         ent = np.mean([g.ent for g in group])
         err = np.mean([g.err for g in group])
         wall = np.mean([g.wall_time_s for g in group])
         dead = sum(g.dead_ended for g in group)
         slines.append(
-            f"policy={name} model={group[0].model} runs={len(group)} dead_ends={dead} "
+            f"policy={name} model={model} runs={len(group)} dead_ends={dead} "
             f"mean_ent={_fmt(ent)} mean_err={_fmt(err)} mean_wall_s={_fmt(wall)}"
         )
-    if len(policy_order) > 1:
-        baseline = by_policy[policy_order[0]]
-        base_by_seed = {r.seed: r for r in baseline}
-        for name in policy_order[1:]:
-            shared = [r for r in by_policy[name] if r.seed in base_by_seed]
+    if len(arms) > 1:
+        base_name = arms[0][0]
+        base_by_seed = {r.seed: r for r in by_arm[arms[0]]}
+        for name, model in arms[1:]:
+            shared = [r for r in by_arm[name, model] if r.seed in base_by_seed]
             if len(shared) < 5:
-                slines.append(f"ttest {policy_order[0]} vs {name}: insufficient pairs")
+                slines.append(f"ttest {base_name} vs {name}: insufficient pairs")
                 continue
             a_ent = [base_by_seed[r.seed].ent for r in shared]
             b_ent = [r.ent for r in shared]
@@ -426,7 +434,7 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
             t_ent, sig_ent = paired_ttest(a_ent, b_ent, 0.1)
             t_err, sig_err = paired_ttest(a_err, b_err, 0.1)
             slines.append(
-                f"ttest {policy_order[0]} vs {name}: "
+                f"ttest {base_name} vs {name}: "
                 f"ent_t={_fmt(t_ent)} ent_significant={sig_ent} "
                 f"err_t={_fmt(t_err)} err_significant={sig_err}"
             )

@@ -19,8 +19,9 @@ and every planner maximizes one stage reward
 measurement (:func:`_entropy`, which MES sums as well), plus its posterior
 log-mean for the log-GP model (the original-scale entropy). Its one
 per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
-one GP factor, ``field_model.IncrementalPosterior``, extended and popped
-along each search: the exhaustive solver's depth-first recursion, URTDP's
+one GP factor, ``field_model.IncrementalPosterior``, extended (by a branch
+outcome's standardized point ``zeta``, never its value) and popped along
+each search: the exhaustive solver's depth-first recursion, URTDP's
 trials and windows, MES's branch and bound, MI's selected set and the
 greedy planner's candidate batch. Each factor gathers its kernel entries
 from the problem's one ``kernel_table``, so its cost never grows with the map.
@@ -30,10 +31,10 @@ the map's spectrum (``field_model.MapSpectrum``), with no map-sized factor.
 Below its root, URTDP's state space is a tree: a history holds every
 location and outcome in order, so two branches never meet. A node is its
 ``[lower, upper]`` pair; once expanded it also holds one record per action
-with the reward, the observed cell, the outcome mean and deviation and the
-child nodes, one per outcome point. A trial walks the root's one factor down
-the tree, extending it by each observed ``(cell, outcome)``, and derives the
-team states as it goes, so no history, state or key is stored below the root.
+with the reward, the observed cell and the child nodes, one per outcome
+point. A trial walks the root's one factor down the tree, extending it by
+each observed cell and outcome point, and derives the team states as it
+goes, so no history, state or key is stored below the root.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
@@ -201,9 +202,9 @@ class _TreeSolver:
     The measurement branches are vectorized: at recursion depth ``j`` values
     are arrays of shape ``(B,)**j`` where ``B`` is the number of outcome
     points. Posterior covariances never depend on measurement values, so one
-    factor, extended and popped along the depth-first recursion, gives each
-    target's weight vector, and only cheap affine arithmetic runs inside the
-    branch tensor.
+    factor, extended by innovation 0 and popped along the depth-first
+    recursion, serves every branch: a target's mean on branch axis ``j``
+    adds ``zeta`` times its whitened column's entry for tree observation ``j``.
     """
 
     def __init__(self, problem, weights, points, n_actions):
@@ -211,55 +212,41 @@ class _TreeSolver:
         self.w = np.asarray(weights, dtype=float)
         self.zeta = np.asarray(points, dtype=float)
         self.n_actions = n_actions
-        self._z0 = None
         self._inc = None
 
     def solve(self, s: TeamState, d: PosteriorData):
         """Return (value, [(action, q)]) at the root state."""
-        self._z0 = d.z
         self._inc = IncrementalPosterior(
             self.problem.kernel_table, d.locations, d.z, len(d) + self.n_actions
         )
         acts = constrained_actions(s, self.problem.domain)
-        q_list = [(a, float(self._q(s, [], 0, a))) for a in acts]
+        q_list = [(a, float(self._q(s, 0, a))) for a in acts]
         value = max((q for _, q in q_list), default=0.0)
         return value, q_list
 
-    def _mu(self, alpha, zs, depth):
-        h = self.problem.hyper
-        p = self._z0.shape[0]
-        mu = h.mean + float(alpha[:p] @ (self._z0 - h.mean))
-        for j, zarr in enumerate(zs):
-            aj = alpha[p + j]
-            if aj != 0.0:
-                mu = mu + aj * (zarr.reshape(zarr.shape + (1,) * (depth - j - 1)) - h.mean)
-        return mu
-
-    def _q(self, s, zs, depth, a):
-        shape = (self.zeta.shape[0],) * depth
+    def _q(self, s, depth, a):
+        inc, b = self._inc, self.zeta.shape[0]
         x = action_target(s, a).cell
-        alpha, var = self._inc.target_weights(x)
+        (mu,), (var,) = inc.batch([x])
         if var <= 0:
             raise DegenerateCovariance(f"non-positive posterior variance at {x}")
-        mu = self._mu(alpha, zs, depth)
+        for j, c in enumerate(inc.columns[inc.m - depth:, 0]):
+            mu = mu + c * self.zeta.reshape((b,) + (1,) * (depth - j - 1))
         reward = _reward(self.problem, mu, var)
         if depth == self.n_actions - 1:
-            return np.broadcast_to(np.asarray(reward, dtype=float), shape)
-        mu_full = np.broadcast_to(np.asarray(mu, dtype=float), shape)
-        z_child = mu_full[..., None] + math.sqrt(var) * self.zeta
-        # the recursion reads weights only, so the factor's outcome is a placeholder
-        self._inc.extend(x, self.problem.hyper.mean)
-        child = self._value(transition(s, a, self.problem.domain), zs + [z_child], depth + 1)
-        self._inc.pop(1)
+            return np.broadcast_to(np.asarray(reward, dtype=float), (b,) * depth)
+        inc.extend(x, 0.0, inc.columns[:, 0])
+        child = self._value(transition(s, a, self.problem.domain), depth + 1)
+        inc.pop(1)
         return reward + np.tensordot(child, self.w, axes=(-1, 0))
 
-    def _value(self, s, zs, depth):
+    def _value(self, s, depth):
         shape = (self.zeta.shape[0],) * depth
         acts = constrained_actions(s, self.problem.domain)
         if not acts:
             # dead end: remaining stages contribute nothing
             return np.zeros(shape)
-        best = reduce(np.maximum, (self._q(s, zs, depth, a) for a in acts))
+        best = reduce(np.maximum, (self._q(s, depth, a) for a in acts))
         return np.broadcast_to(best, shape)
 
 
@@ -568,8 +555,8 @@ class _UrtdpInstance:
         :class:`_Window` on the factor ``inc`` over the node's history (kept in
         :attr:`window` until the next expansion); the children get bounds.
 
-        A record is ``(action, reward, cell, mean, sd, children)``; child
-        ``j`` observes ``mean + sd * zeta[j]`` at ``cell``, and the children
+        A record is ``(action, reward, cell, children)``; child ``j``
+        observes the outcome point ``zeta[j]`` at ``cell``, and the children
         are ``None`` at the last stage.
         """
         if len(node) > 2:
@@ -580,26 +567,26 @@ class _UrtdpInstance:
         for a in constrained_actions(s, problem.domain):
             x = action_target(s, a).cell
             j = window.index[x]
-            mu, var = window.mean[j], window.cov.item(j, j)
+            var = window.cov.item(j, j)
             if var <= 0:
                 raise DegenerateCovariance(f"non-positive posterior variance at {x}")
-            sd = math.sqrt(var)
             children = None if stage >= self.config.horizon else self._init_children(
-                window, transition(s, a, problem.domain), x, mu, sd, stage)
-            records.append((a, float(_reward(problem, mu, var)), x, mu, sd, children))
+                window, transition(s, a, problem.domain), x, stage)
+            records.append((a, float(_reward(problem, window.mean[j], var)), x, children))
         node.append(records)
         return records
 
-    def _init_children(self, window, s2, x, mu, sd, stage):
-        """Initial ``[lower, upper]`` pairs of the children ``mu + sd * zeta`` at ``x``.
+    def _init_children(self, window, s2, x, stage):
+        """Initial ``[lower, upper]`` pairs of the children at ``x``, one per ``zeta``.
 
         All children share locations, so one greedy rollout (at the mean
         outcome), on the parent's ``window`` with ``x`` chosen, fixes a
         feasible continuation ``seq`` for all of them; its certainty-equivalent
         value at each child point is an admissible lower bound. It is affine
         in the outcome, since fed-back means leave every mean unchanged, with
-        slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read off the window. The
-        stagewise upper bound is outcome independent.
+        slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read off the window: child
+        ``j`` gets ``v_ref + slope * sd * zeta[j]``. The upper bound is outcome
+        independent.
         """
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
@@ -610,14 +597,15 @@ class _UrtdpInstance:
         slope = 0.0 if not problem.is_lgp else (
             sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
         window.chosen.pop()
-        return [[min(v_ref + slope * (float(zj) - mu), upper), upper] for zj in mu + sd * self.zeta]
+        sd = math.sqrt(pivot_var)
+        return [[min(v_ref + slope * sd * float(zj), upper), upper] for zj in self.zeta]
 
     # -- bound arithmetic ----------------------------------------------------
 
     def q_values(self, records):
         """(action, q_lower, q_upper) per action from the current child bounds."""
         out = []
-        for a, reward, _, _, _, children in records:
+        for a, reward, _, children in records:
             lo = hi = 0.0
             for wj, child in zip(self.w, children or ()):
                 lo += wj * child[0]
@@ -641,7 +629,7 @@ class _UrtdpInstance:
         """One descent/backtrack trial; tightens bounds along the path.
 
         The root's factor walks the trial: each descent step extends it by
-        the chosen action's cell and the sampled outcome.
+        the chosen action's cell and the sampled outcome point.
         """
         (node, inc), s, stage = self._root(d0, s0, stage0), s0, stage0
         trail = []
@@ -654,7 +642,7 @@ class _UrtdpInstance:
                 break
             qs = self.q_values(records)
             best_i = max(range(len(qs)), key=lambda i: qs[i][2])
-            a, _, x, mu, sd, children = records[best_i]
+            a, _, x, children = records[best_i]
             weights = self.w * [max(c[1] - c[0], 0.0) for c in children]
             total = weights.sum()
             probs = weights / total if total > 0 else np.full(len(children), 1.0 / len(children))
@@ -662,7 +650,7 @@ class _UrtdpInstance:
             trail.append((node, records))
             # a node expanded in this step has the cell's row in its window
             row = self.window.columns[:, self.window.index[x]] if fresh else None
-            inc.extend(x, mu + sd * self.zeta[j], row)
+            inc.extend(x, self.zeta[j], row)
             s = transition(s, a, self.problem.domain)
             node = children[j]
             stage += 1
@@ -789,7 +777,7 @@ class _BudgetExhausted(Exception):
 
 def _entropy_gain(inc: IncrementalPosterior, cells) -> float:
     """GP entropy (nats) that observing ``cells`` in turn adds; ``inc`` keeps them."""
-    return sum(_entropy(inc.extend(c, inc.h.mean)) for c in cells)
+    return sum(_entropy(inc.extend(c, 0.0)) for c in cells)
 
 
 def mes_nonadaptive(
@@ -948,7 +936,7 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
         var_rest = spectrum.leave_one_out(ys, selected)
         mi = 0.5 * (np.log(var_sel) - np.log(var_rest))
         b = int(np.argmax(mi))
-        inc.extend(ys[b], h.mean)
+        inc.extend(ys[b], 0.0)
         selected.append(ys[b])
         actions.append(acts[b])
         scores.append(float(mi[b]))

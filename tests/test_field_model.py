@@ -565,24 +565,35 @@ def test_fit_ties_go_to_the_first_candidate_in_iteration_order(length_grid):
 # -- incremental factor ------------------------------------------------------
 
 
-def test_target_weights_equal_fresh_computation(rng):
-    h = Hyperparams(0.2, 1.0, 1.2, 0.03)
-    locs = ((0, 0), (1, 2), (3, 1))
+def _extend_by_value(inc, cell, z_value):
+    """Extend ``inc`` by the measured value ``z_value`` at ``cell``: its
+    standardized residual given the sequence so far."""
+    (mu,), (var,) = inc.batch([cell])
+    return inc.extend(cell, (z_value - mu) / math.sqrt(var))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.03])
+def test_extend_by_a_standardized_point_observes_its_outcome(rng, noise):
+    # extend(x, zeta) observes mu + sd * zeta at x, mu and sd the posterior
+    # given the sequence before it: batch and joint then equal posterior() of
+    # the history with that outcome appended
+    h = Hyperparams(0.2, 1.0, 1.2, noise)
+    table = KernelTable(h, GridDomain(4, 5))
+    locs = [(0, 0), (1, 2), (3, 1)]
     z = rng.normal(size=3)
-    inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), locs, z, capacity=4)
-    alpha, var = inc.target_weights((2, 2))
-    g = posterior(PosteriorData(locs, z), [(2, 2)], h)
-    assert h.mean + alpha @ (z - h.mean) == pytest.approx(float(g.mean[0]), abs=1e-10)
-    assert var == pytest.approx(float(g.covariance[0, 0]), abs=1e-10)
-    # extension path gives the same factor as from-scratch
-    longer = locs + ((2, 3),)
-    inc.extend((2, 3), 0.7)
-    alpha2, var2 = inc.target_weights((2, 2))
-    fresh = IncrementalPosterior(
-        KernelTable(h, GridDomain(4, 4)), longer, np.append(z, 0.7), capacity=4
-    )
-    alpha3, var3 = fresh.target_weights((2, 2))
-    assert np.allclose(alpha2, alpha3) and var2 == pytest.approx(var3, abs=1e-12)
+    inc = IncrementalPosterior(table, locs, z, capacity=5)
+    targets = [(2, 2), (0, 4), (3, 3)]
+    for x, zeta in (((2, 3), 1.7), ((1, 0), -0.6)):
+        (mu,), (var,) = inc.batch([x])
+        inc.extend(x, zeta)
+        locs, z = locs + [x], np.append(z, mu + math.sqrt(var) * zeta)
+        g = posterior(PosteriorData(locs, z), targets, h)
+        mus, variances = inc.batch(targets)
+        mean, cov = inc.joint(targets)
+        for got in (mus, mean):
+            np.testing.assert_allclose(got, g.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(variances, np.diag(g.covariance), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cov, g.covariance, rtol=0, atol=1e-12)
 
 
 def test_incremental_posterior_matches_posterior(rng):
@@ -595,7 +606,7 @@ def test_incremental_posterior_matches_posterior(rng):
     g = posterior(PosteriorData(locs, z), targets, h)
     assert np.allclose(mus, g.mean, atol=1e-10)
     assert np.allclose(variances, np.diag(g.covariance), atol=1e-10)
-    inc.extend((1, 1), 0.77)
+    inc.extend((1, 1), (0.77 - mus[0]) / math.sqrt(variances[0]))
     d2 = PosteriorData(locs + [(1, 1)], np.append(z, 0.77))
     mus2, variances2 = inc.batch([(3, 0)])
     g2 = posterior(d2, [(3, 0)], h)
@@ -620,11 +631,11 @@ def test_incremental_pop_then_extend_matches_fresh(rng):
     locs = [(0, 0), (2, 2), (1, 3)]
     z = rng.normal(size=3)
     inc = IncrementalPosterior(KernelTable(h, GridDomain(4, 4)), tuple(locs), z, capacity=6)
-    inc.extend((1, 1), 0.5)
-    inc.extend((0, 2), -0.4)
+    _extend_by_value(inc, (1, 1), 0.5)
+    _extend_by_value(inc, (0, 2), -0.4)
     inc.pop(2)
-    inc.extend((3, 3), 0.8)
-    inc.extend((2, 0), 0.1)
+    _extend_by_value(inc, (3, 3), 0.8)
+    _extend_by_value(inc, (2, 0), 0.1)
     fresh = IncrementalPosterior(
         KernelTable(h, GridDomain(4, 4)),
         tuple(locs) + ((3, 3), (2, 0)),
@@ -716,8 +727,8 @@ def test_joint_equals_the_posterior_mean_and_covariance(rng, noise):
         assert np.array_equal(cov, cov.T)
 
     check(locs, z)
-    inc.extend((2, 0), 0.4)
-    inc.extend((3, 4), -0.3)
+    _extend_by_value(inc, (2, 0), 0.4)
+    _extend_by_value(inc, (3, 4), -0.3)
     check(locs + [(2, 0), (3, 4)], np.append(z, [0.4, -0.3]))
     inc.pop(1)
     check(locs + [(2, 0)], np.append(z, 0.4))

@@ -12,7 +12,7 @@ from hotspotplan.errors import (
     NonPositiveValue,
     ParseError,
 )
-from hotspotplan.evaluation import ent_metric
+from hotspotplan.evaluation import ent_metric, paired_ttest
 from hotspotplan.field_model import Hyperparams, sample_field
 from hotspotplan.harness import (
     POLICY_REGISTRY,
@@ -147,6 +147,17 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_start_cells_parse(tmp_path):
     cfg = load_config(write_config(tmp_path, start_cells="1:1"))
     assert cfg.start_cells == ((1, 1),)
+
+
+def test_config_rejects_more_prior_units_than_the_prior_draw_can_supply(tmp_path, capsys):
+    # on 3x3 with k=1 the corner start and its two neighbours leave 6 cells
+    path = write_config(tmp_path, rows=3, cols=3, prior_units=6)
+    assert load_config(path).prior_units == 6
+    path = write_config(tmp_path, rows=3, cols=3, prior_units=8)
+    with pytest.raises(ConfigError, match="exceeds the 6 cells"):
+        load_config(path)
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "config error: prior_units = 8 exceeds" in capsys.readouterr().err
 
 
 def test_config_needs_field_source(tmp_path):
@@ -365,6 +376,28 @@ def test_emit_summary_means_match_recomputation(tmp_path):
     assert "ttest greedy vs mi:" in summary
 
 
+def test_summary_and_record_order_are_per_policy_and_model_arm(tmp_path):
+    # one policy under two models is two arms: records keep the config's arm
+    # order, and each arm gets its own summary line and means
+    cfg = load_config(write_config(tmp_path, policies="greedy,mi,greedy", models="lgp,gp,gp",
+                                   seeds="1,0,2,3,4"))
+    records = run_experiment(cfg)
+    arms = [("greedy", "lgp"), ("mi", "gp"), ("greedy", "gp")]
+    assert [(r.policy, r.model, r.seed) for r in records] == [
+        arm + (seed,) for arm in arms for seed in range(5)]
+    summary = emit_results(records, tmp_path / "out")[1].read_text().splitlines()
+    for line, (name, model) in zip(summary, arms):
+        group = [r for r in records if (r.policy, r.model) == (name, model)]
+        assert line.startswith(f"policy={name} model={model} runs=5 ")
+        assert f" mean_ent={np.mean([r.ent for r in group]):.6g} " in line
+        assert f" mean_err={np.mean([r.err for r in group]):.6g} " in line
+    assert summary[3].startswith("ttest greedy vs mi: ")
+    # the baseline is the first arm, paired with each arm by seed
+    t_ent, _ = paired_ttest([r.ent for r in records[:5]], [r.ent for r in records[10:]], 0.1)
+    assert summary[4].startswith(f"ttest greedy vs greedy: ent_t={t_ent:.6g} ")
+    assert len(summary) == 5
+
+
 def test_emitted_bytes_are_deterministic(tmp_path):
     # everything except the measured timing column is byte-stable
     cfg = load_config(write_config(tmp_path))
@@ -434,10 +467,16 @@ def test_cli_selftest_passes():
                                   ["selftest", "--out", "x"],
                                   ["generate", "--config", "x.cfg", "--threads", "2"]])
 def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 2
+    assert cli_main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_missing_config_is_a_usage_error(capsys):
+    # a usage error exits like a config error; --help still exits 0
+    assert cli_main(["run"]) == 1
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert cli_main(["run", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_seed_offset_shifts_seeds(tmp_path):

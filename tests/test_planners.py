@@ -14,6 +14,7 @@ from conftest import (
 )
 import hotspotplan.field_model as fm
 from hotspotplan import planners
+from hotspotplan.discretization import standardized_rule
 from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
 from hotspotplan.field_model import (
     Hyperparams,
@@ -156,13 +157,18 @@ def test_bounded_dp_base_case_matches_exact():
     assert isinstance(policy, BoundedLowerPolicy) and none is None
 
 
-def test_bounded_lower_nu1_collapses_to_mean_outcome():
-    # independent scalar recursion with the outcome pinned at the posterior
-    # mean (the nu=1 Jensen point for a symmetric truncation)
-    problem, d0, s0 = make_instance(seed=9, rows=3, cols=3, model="lgp")
-    cfg = cfg_for(horizon=2, nu=1)
+@pytest.mark.parametrize("model", ["gp", "lgp"])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_bounded_dp_equals_an_independent_branch_recursion(nu, side, model):
+    # independent scalar recursion: branch j of a move observes the outcome
+    # mu + sd * zeta_j, conditioned from scratch with posterior(), and weighs
+    # it by w_j (for nu=1 Jensen, the posterior mean with weight 1)
+    problem, d0, s0 = make_instance(seed=9, rows=3, cols=3, model=model)
+    cfg = cfg_for(horizon=2, nu=nu)
+    w, zeta = standardized_rule(nu, cfg.truncation_m, "jensen" if side == "lower" else "em")
 
-    def ce_value(d, s, stage):
+    def value(d, s, stage):
         acts = constrained_actions(s, problem.domain)
         if not acts:
             return 0.0
@@ -170,18 +176,17 @@ def test_bounded_lower_nu1_collapses_to_mean_outcome():
         for a in acts:
             cell = action_target(s, a).cell
             g = posterior(d, [cell], problem.hyper)
-            r = 0.5 * math.log(2 * math.pi * math.e * g.covariance[0, 0]) + g.mean[0]
+            mu, var = float(g.mean[0]), float(g.covariance[0, 0])
+            r = 0.5 * math.log(2 * math.pi * math.e * var) + (mu if model == "lgp" else 0.0)
             if stage < cfg.horizon:
-                r += ce_value(
-                    d.extended(cell, float(g.mean[0])),
-                    transition(s, a, problem.domain),
-                    stage + 1,
-                )
+                s2 = transition(s, a, problem.domain)
+                r += sum(wj * value(d.extended(cell, mu + math.sqrt(var) * zj), s2, stage + 1)
+                         for wj, zj in zip(w, zeta))
             best = max(best, r)
         return best
 
-    lower, _ = bounded_dp(problem, d0, s0, cfg, "lower")
-    assert lower == pytest.approx(ce_value(d0, s0, 0), abs=1e-9)
+    got, _ = bounded_dp(problem, d0, s0, cfg, side)
+    assert got == pytest.approx(value(d0, s0, 0), abs=1e-9)
 
 
 def test_theorem9_monotone_refinement_chain():
@@ -310,10 +315,12 @@ def test_urtdp_tables_bracket_exhaustive_values_at_visited_states():
         if len(node) == 2:
             continue
         expanded.append((node, s, d, stage))
-        for a, _, x, mu, sd, children in node[2]:
+        for a, _, x, children in node[2]:
             if children is None:
                 continue
             s2 = transition(s, a, problem.domain)
+            g = posterior(d, [x], problem.hyper)
+            mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
             for zj, child in zip(mu + sd * inst.zeta, children):
                 stack.append((child, s2, d.extended(x, zj), stage + 1))
     checked = 0
@@ -413,8 +420,10 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     entries = inst.expand(root, root_inc, s0, 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
-    for (_, _, x, mean, sd, children), seq in zip(entries, seqs):
+    for (_, _, x, children), seq in zip(entries, seqs):
         assert len(seq) == cfg.horizon
+        g = posterior(d0, [x], problem.hyper)
+        mean, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
         for zj, child in zip(mean + sd * inst.zeta, children):
             d = d0.extended(x, zj)
             value = 0.0
@@ -447,7 +456,7 @@ def _factor_ce_rollout(problem, inc, s, steps_count):
         b = int(np.argmax(rewards))
         i, _, cell, nh = moves[b]
         total += float(rewards[b])
-        inc.extend(cell, float(mus[b]))
+        inc.extend(cell, 0.0)
         poses[i] = (cell, nh)
         visited.add(cell)
         steps[i] += 1
@@ -487,8 +496,10 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         rollouts.clear()
         records = inst.expand([0.0, 0.0], root_inc, s0, 0)
         assert len(rollouts) == len(records)
-        for (a, _, x, mu, sd, children), (total, seq) in zip(records, rollouts):
-            var = inc.extend(x, mu)
+        for (a, _, x, children), (total, seq) in zip(records, rollouts):
+            j = inst.window.index[x]
+            mu, sd = inst.window.mean[j], math.sqrt(inst.window.cov.item(j, j))
+            var = inc.extend(x, 0.0)
             ref_total, ref_seq = _factor_ce_rollout(
                 problem, inc, transition(s0, a, problem.domain), cfg.horizon)
             slope = 0.0
@@ -576,9 +587,9 @@ def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
     rows = []
     extend = IncrementalPosterior.extend
 
-    def spy(inc, cell, z, row=None):
-        rows.append((cell, z, row is not None))
-        return extend(inc, cell, z, row)
+    def spy(inc, cell, zeta, row=None):
+        rows.append((cell, zeta, row is not None))
+        return extend(inc, cell, zeta, row)
 
     monkeypatch.setattr(IncrementalPosterior, "extend", spy)
     for path in range(2):
@@ -586,9 +597,12 @@ def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
         inst.simulated_path(d0, s0, 0)
         inc = inst._root(d0, s0, 0)[1]
         m = len(d0) + len(rows)
-        fresh = IncrementalPosterior(problem.kernel_table,
-                                     d0.locations + tuple(c for c, _, _ in rows),
-                                     np.append(d0.z, [z for _, z, _ in rows]), m)
+        # the walk's history: each step observes mu + sd * zeta at its cell
+        d = d0
+        for cell, zeta, _ in rows:
+            g = posterior(d, [cell], problem.hyper)
+            d = d.extended(cell, float(g.mean[0]) + math.sqrt(g.covariance[0, 0]) * zeta)
+        fresh = IncrementalPosterior(problem.kernel_table, d.locations, d.z, m)
         assert np.allclose(inc._L[:m, :m], fresh._L, rtol=0, atol=1e-12)
         assert np.allclose(inc._y[:m], fresh._y, rtol=0, atol=1e-12)
         given_rows = [r for _, _, r in rows]
