@@ -4,19 +4,16 @@ Library layout:
 
 * ``world``          - grid domain, robot kinematics, deterministic transitions
 * ``field_model``    - GP / log-GP posteriors, entropies, sampling, MLE fit
-* ``discretization`` - truncated-normal partitions, Jensen / EM points
+* ``discretization`` - standardized outcome boundaries, Jensen / EM points
 * ``planners``       - exact and bounded adaptive DP, anytime URTDP, baselines
 * ``evaluation``     - rollouts, ENT / ERR metrics, paired t-tests
 * ``harness``        - batch experiments, field CSV I/O, results persistence
 """
 
 from .discretization import (
-    OutcomePoints,
-    Partition,
     em_points,
+    equal_probability_boundaries,
     jensen_points,
-    make_partition,
-    outcome_points,
 )
 from .errors import (
     BoundsCrossed,

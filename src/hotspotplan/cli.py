@@ -23,6 +23,7 @@ from .harness import (
     compute_bounds,
     emit_results,
     load_config,
+    make_output_dir,
     run_experiment,
     save_field_csv,
 )
@@ -33,8 +34,7 @@ def _cmd_generate(args) -> int:
     cfg = load_config(args.config)
     if cfg.field_csv is not None:
         raise ConfigError("generate needs synthetic field keys, not field_csv")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(args.out)
     h = cfg.synthetic_hyperparams()
     for seed in cfg.seeds:
         seed += args.seed_offset
@@ -134,16 +134,18 @@ def _selftest_chain_rule():
 
 
 def _selftest_outcomes():
-    from .discretization import make_partition, jensen_points, em_points
+    from .discretization import em_points, equal_probability_boundaries, jensen_points
 
-    p = make_partition(1.0, 0.5, 5, 4.0)
-    jw, jp = jensen_points(p)
-    ew, ep = em_points(p)
+    # an outcome of mean 1 and variance 0.5 has the points 1 + sd * zeta
+    sd = np.sqrt(0.5)
+    b = equal_probability_boundaries(5, 4.0)
+    jw, jz = jensen_points(b)
+    ew, ez = em_points(b)
+    jp, ep = 1.0 + sd * jz, 1.0 + sd * ez
     assert abs(jw.sum() - 1.0) < 1e-12 and abs(ew.sum() - 1.0) < 1e-12
     assert abs(jw @ jp - ew @ ep) < 1e-10
     quad = np.polynomial.legendre.leggauss(200)
-    sd = np.sqrt(0.5)
-    lo, hi = p.boundaries[0], p.boundaries[-1]
+    lo, hi = 1.0 + sd * b[0], 1.0 + sd * b[-1]
     zs = 0.5 * (hi - lo) * quad[0] + 0.5 * (hi + lo)
     from scipy.stats import norm
 

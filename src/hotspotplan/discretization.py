@@ -1,18 +1,20 @@
-"""Discretize a Gaussian measurement outcome into bounded-support points.
+"""Discretize a truncated-normal measurement outcome into bounded-support points.
 
 The outcome distribution is a normal truncated at ``mean +/- m * sd`` and
-renormalized; its support is partitioned into intervals. Interval conditional
+renormalized. Every rule here works on the standard normal: a strictly
+increasing array of standardized boundaries partitions the support, the
+standard normal truncated at its first and last entries. Interval conditional
 means with interval probabilities give the generalized Jensen (lower) points;
 spreading each interval's mass onto its endpoints by the lever rule gives the
 Edmundson-Madansky (upper) points. For any convex function of the outcome,
 the Jensen weighted sum under-estimates the truncated expectation and the EM
-sum over-estimates it, and refining the partition tightens both sides.
+sum over-estimates it, and refining the partition, which inserts a boundary,
+tightens both sides. An outcome of mean ``mu`` and deviation ``sigma`` has the
+points ``mu + sigma * zeta``, with the same weights.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,83 +25,42 @@ from .errors import VanishingInterval
 WEIGHT_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Interval boundaries (log scale) over a truncated normal outcome."""
-
-    boundaries: np.ndarray
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
-        if b.ndim != 1 or b.shape[0] < 2:
-            raise ValueError("need at least two boundaries")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("boundaries must be strictly increasing")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def nu(self) -> int:
-        return self.boundaries.shape[0] - 1
-
-    def split(self, index: int, at: float) -> "Partition":
-        """New partition with interval ``index`` split at an interior point."""
-        lo, hi = self.boundaries[index], self.boundaries[index + 1]
-        if not (lo < at < hi):
-            raise ValueError("split point must be interior to the interval")
-        b = np.insert(self.boundaries, index + 1, at)
-        return Partition(b, self.mean, self.variance)
-
-
-@dataclass(frozen=True)
-class OutcomePoints:
-    """Jensen and EM weights/points for one partitioned outcome."""
-
-    jensen_weights: np.ndarray
-    jensen_points: np.ndarray
-    em_weights: np.ndarray
-    em_points: np.ndarray
-
-
-def make_partition(mean: float, variance: float, nu: int, m: float) -> Partition:
-    """Equal-probability partition of the truncated normal into ``nu`` intervals."""
+def equal_probability_boundaries(nu: int, m: float) -> np.ndarray:
+    """Boundaries of ``nu`` equal-probability intervals of the standard normal
+    truncated at ``+/- m``; the end boundaries are exactly ``-m`` and ``m``."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if m <= 0:
         raise ValueError("truncation width must be positive")
-    sd = math.sqrt(variance)
-    lo_cdf = norm.cdf(-m)
-    hi_cdf = norm.cdf(m)
-    fractions = np.arange(1, nu) / nu
-    inner = norm.ppf(lo_cdf + fractions * (hi_cdf - lo_cdf))
-    std_bounds = np.concatenate(([-m], inner, [m]))
-    return Partition(mean + sd * std_bounds, mean, variance)
+    lo_cdf, hi_cdf = norm.cdf(-m), norm.cdf(m)
+    b = norm.ppf(lo_cdf + np.arange(nu + 1) / nu * (hi_cdf - lo_cdf))
+    b[0], b[-1] = -m, m
+    return b
 
 
-def jensen_points(p: Partition) -> tuple[np.ndarray, np.ndarray]:
+def jensen_points(boundaries) -> tuple[np.ndarray, np.ndarray]:
     """Interval probabilities and interval conditional means.
 
-    Probabilities are taken against the renormalized truncated density, so
-    they sum to one exactly; the points are the conditional means computed
-    from the phi/Phi closed forms and lie strictly inside their intervals.
+    Probabilities are taken against the standard normal renormalized over
+    ``[boundaries[0], boundaries[-1]]``, so they sum to one exactly; the
+    points are the conditional means computed from the phi/Phi closed forms
+    and lie strictly inside their intervals.
     """
-    sd = math.sqrt(p.variance)
-    std = (p.boundaries - p.mean) / sd
-    cdf = norm.cdf(std)
-    pdf = norm.pdf(std)
+    b = np.asarray(boundaries, dtype=float)
+    if b.ndim != 1 or b.shape[0] < 2:
+        raise ValueError("need at least two boundaries")
+    if not np.all(np.diff(b) > 0):  # a NaN fails this too
+        raise ValueError("boundaries must be strictly increasing")
+    cdf = norm.cdf(b)
+    pdf = norm.pdf(b)
     total = cdf[-1] - cdf[0]
     mass = np.diff(cdf)
     if np.any(mass < WEIGHT_FLOOR * total):
         raise VanishingInterval("partition interval carries no probability mass")
-    weights = mass / total
-    points = p.mean + sd * (pdf[:-1] - pdf[1:]) / mass
-    return weights, points
+    return mass / total, (pdf[:-1] - pdf[1:]) / mass
 
 
-def em_points(p: Partition) -> tuple[np.ndarray, np.ndarray]:
+def em_points(boundaries) -> tuple[np.ndarray, np.ndarray]:
     """Boundary weights of the Edmundson-Madansky upper construction.
 
     Each interval's probability is split between its two endpoints by the
@@ -107,40 +68,24 @@ def em_points(p: Partition) -> tuple[np.ndarray, np.ndarray]:
     non-negative and sum to one, and the weighted boundary mean equals the
     truncated mean.
     """
-    jw, jp = jensen_points(p)
-    b = p.boundaries
+    jw, jp = jensen_points(boundaries)
+    b = np.array(boundaries, dtype=float)
     width = b[1:] - b[:-1]
-    weights = np.zeros(p.nu + 1)
+    weights = np.zeros(b.shape[0])
     weights[1:] += jw * (jp - b[:-1]) / width  # each interval's share at its right end
     weights[:-1] += jw * (b[1:] - jp) / width  # and at its left end
-    return weights, b.copy()
-
-
-def outcome_points(mean: float, variance: float, nu: int, m: float) -> OutcomePoints:
-    """Convenience bundle of both constructions for one outcome."""
-    p = make_partition(mean, variance, nu, m)
-    jw, jp = jensen_points(p)
-    ew, ep = em_points(p)
-    return OutcomePoints(jw, jp, ew, ep)
+    return weights, b
 
 
 @lru_cache(maxsize=256)
 def standardized_rule(nu: int, m: float, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and points for the standard normal truncated at ``+/- m``.
-
-    For an outcome with mean ``mu`` and variance ``s2`` the actual points are
-    ``mu + sqrt(s2) * points``; weights are scale invariant. ``side`` is
-    ``"jensen"`` or ``"em"``.
-    """
-    p = make_partition(0.0, 1.0, nu, m)
-    if side == "jensen":
-        w, z = jensen_points(p)
-    elif side == "em":
-        w, z = em_points(p)
-    else:
+    """Read-only weights and points of ``nu`` equal-probability intervals of
+    the standard normal truncated at ``+/- m``; ``side`` is ``"jensen"`` or
+    ``"em"``."""
+    if side not in ("jensen", "em"):
         raise ValueError(f"unknown side {side!r}")
-    w = w.copy()
-    z = z.copy()
+    b = equal_probability_boundaries(nu, m)
+    w, z = jensen_points(b) if side == "jensen" else em_points(b)
     w.setflags(write=False)
     z.setflags(write=False)
     return w, z
@@ -159,9 +104,7 @@ def truncated_quadrature_rule(order: int, m: float) -> tuple[np.ndarray, np.ndar
     to round-off.
     """
     per_panel = 4
-    lo_c, hi_c = norm.cdf(-m), norm.cdf(m)
-    bounds = norm.ppf(lo_c + np.arange(order + 1) / order * (hi_c - lo_c))
-    bounds[0], bounds[-1] = -m, m
+    bounds = equal_probability_boundaries(order, m)
     x, gw = np.polynomial.legendre.leggauss(per_panel)
     mid = 0.5 * (bounds[:-1] + bounds[1:])
     half = 0.5 * (bounds[1:] - bounds[:-1])

@@ -119,9 +119,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("team_size must be >= 1")
     if cfg.budget_per_robot < 1:
         raise ConfigError("budget_per_robot must be >= 1")
-    domain = cfg.domain
     if cfg.prior_units < 1:
         raise ConfigError("prior_units must be positive")
+    if cfg.fit_grid_points < 1:
+        raise ConfigError("fit_grid_points must be >= 1")
+    if cfg.mes_node_budget < 1:
+        raise ConfigError("mes_node_budget must be >= 1")
     if len(cfg.policies) != len(cfg.models):
         raise ConfigError("policies and models lists must have equal length")
     if not cfg.policies:
@@ -131,6 +134,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"unknown policy {name!r}")
         if model not in POLICY_REGISTRY[name][0]:
             raise ConfigError(f"policy {name!r} does not support model {model!r}")
+    if len(set(zip(cfg.policies, cfg.models))) != len(cfg.policies):
+        raise ConfigError("each (policy, model) arm may be listed only once")
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
     if cfg.field_csv is None:
@@ -140,6 +145,14 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                 "config needs either field_csv or synthetic field keys; missing: "
                 + ", ".join(missing)
             )
+    # the grid, the planners and the field prior check their own values
+    try:
+        domain = cfg.domain
+        _planner_config(cfg, 0)
+        if cfg.field_csv is None:
+            cfg.synthetic_hyperparams()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     starts = cfg.start_cells or default_start_cells(domain, cfg.team_size)
     if len(starts) != cfg.team_size:
         raise ConfigError("start_cells count must equal team_size")
@@ -381,6 +394,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def make_output_dir(path) -> Path:
+    """Create ``path`` and its parents unless it already is a directory."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out}: {exc}") from exc
+    return out
+
+
 def emit_results(records, out_dir) -> tuple[Path, Path]:
     """Write results.csv plus a summary per (policy, model) arm (means and
     dead-end counts) with paired t-tests.
@@ -388,11 +411,7 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
     The summary compares each arm against the first-listed one on ENT and
     ERR over the shared seeds. Output bytes depend only on the records.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
+    out = make_output_dir(out_dir)
     csv_path = out / "results.csv"
     lines = ["policy,model,k,seed,ent,err,wall_time_s"]
     for r in records:
@@ -420,12 +439,13 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
             f"mean_ent={_fmt(ent)} mean_err={_fmt(err)} mean_wall_s={_fmt(wall)}"
         )
     if len(arms) > 1:
-        base_name = arms[0][0]
+        base = "/".join(arms[0])
         base_by_seed = {r.seed: r for r in by_arm[arms[0]]}
         for name, model in arms[1:]:
+            label = f"ttest {base} vs {name}/{model}:"
             shared = [r for r in by_arm[name, model] if r.seed in base_by_seed]
             if len(shared) < 5:
-                slines.append(f"ttest {base_name} vs {name}: insufficient pairs")
+                slines.append(f"{label} insufficient pairs")
                 continue
             a_ent = [base_by_seed[r.seed].ent for r in shared]
             b_ent = [r.ent for r in shared]
@@ -434,8 +454,7 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
             t_ent, sig_ent = paired_ttest(a_ent, b_ent, 0.1)
             t_err, sig_err = paired_ttest(a_err, b_err, 0.1)
             slines.append(
-                f"ttest {base_name} vs {name}: "
-                f"ent_t={_fmt(t_ent)} ent_significant={sig_ent} "
+                f"{label} ent_t={_fmt(t_ent)} ent_significant={sig_ent} "
                 f"err_t={_fmt(t_err)} err_significant={sig_err}"
             )
     try:

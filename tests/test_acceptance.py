@@ -18,7 +18,7 @@ from conftest import (
     quadrature_policy_map_entropy,
     quadrature_policy_reward,
 )
-from hotspotplan.discretization import em_points, jensen_points, make_partition
+from hotspotplan.discretization import em_points, equal_probability_boundaries, jensen_points
 from hotspotplan.evaluation import paired_ttest, rollout
 from hotspotplan.field_model import PosteriorData, gaussian_entropy, lgp_entropy, posterior
 from hotspotplan.harness import ExperimentConfig, run_seed, validate_config
@@ -232,14 +232,15 @@ def test_criterion_6_outcome_engine():
             mean = float(rng.normal(scale=1.5))
             var = float(rng.uniform(0.05, 2.5))
             nu = int(rng.integers(1, 12))
-            p = make_partition(mean, var, nu, 4.0)
-            jw, jz = jensen_points(p)
-            ew, ez = em_points(p)
+            sd = math.sqrt(var)
+            b = equal_probability_boundaries(nu, 4.0)
+            jw, jz = jensen_points(b)
+            ew, ez = em_points(b)
+            jz, ez = mean + sd * jz, mean + sd * ez
             # mean preservation
             assert abs(jw @ jz - ew @ ez) <= 1e-10
             # convex sandwich against adaptive quadrature
-            sd = math.sqrt(var)
-            lo, hi = p.boundaries[0], p.boundaries[-1]
+            lo, hi = mean + sd * b[0], mean + sd * b[-1]
             mass = norm.cdf(hi, mean, sd) - norm.cdf(lo, mean, sd)
             for fn in (
                 np.exp,

@@ -1,11 +1,14 @@
-"""The demos run end to end, as a user runs them, and print their headline."""
+"""The demos and the README's examples run end to end, as a user runs them."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hotspotplan.harness import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,3 +27,19 @@ def test_demo_runs_and_prints_its_headline(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert HEADLINES[demo] in done.stdout
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def test_readme_quick_start_runs_and_config_loads(tmp_path, capsys):
+    # the library quick start runs as printed, and the config example loads
+    exec(compile(_readme_blocks("python")[-1], "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "value bracket:" in out and "posterior map entropy:" in out
+    (ini,) = _readme_blocks("ini")
+    path = tmp_path / "exp.cfg"
+    path.write_text(ini)
+    cfg = load_config(path)
+    assert (cfg.rows, cfg.cols, cfg.team_size) == (14, 12, 2)

@@ -160,6 +160,32 @@ def test_config_rejects_more_prior_units_than_the_prior_draw_can_supply(tmp_path
     assert "config error: prior_units = 8 exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nu", "0"),
+    ("alpha", "-1"),
+    ("truncation_m", "0"),
+    ("max_simulated_paths", "0"),
+    ("field_signal_variance", "-1"),
+    ("rows", "0"),
+    ("fit_grid_points", "0"),
+    ("mes_node_budget", "-5"),
+])
+def test_config_rejects_every_value_its_objects_reject(tmp_path, capsys, key, value):
+    # the grid, planner config and field prior reject these; loading does too
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_config_rejects_a_repeated_arm(tmp_path):
+    # a repeated (policy, model) arm would run twice and merge in the summary
+    path = write_config(tmp_path, policies="greedy,mi,greedy", models="lgp,gp,lgp")
+    with pytest.raises(ConfigError, match="listed only once"):
+        load_config(path)
+
+
 def test_config_needs_field_source(tmp_path):
     text = "\n".join(
         l for l in BASE_CONFIG.strip().splitlines() if not l.startswith("field_")
@@ -373,7 +399,7 @@ def test_emit_summary_means_match_recomputation(tmp_path):
         printed = [l for l in summary.splitlines() if l.startswith(f"policy={policy} ")][0]
         mean_ent = printed.split("mean_ent=")[1].split()[0]
         assert float(mean_ent) == pytest.approx(float(np.mean(ents)), rel=1e-4)
-    assert "ttest greedy vs mi:" in summary
+    assert "ttest greedy/lgp vs mi/gp:" in summary
 
 
 def test_summary_and_record_order_are_per_policy_and_model_arm(tmp_path):
@@ -391,10 +417,10 @@ def test_summary_and_record_order_are_per_policy_and_model_arm(tmp_path):
         assert line.startswith(f"policy={name} model={model} runs=5 ")
         assert f" mean_ent={np.mean([r.ent for r in group]):.6g} " in line
         assert f" mean_err={np.mean([r.err for r in group]):.6g} " in line
-    assert summary[3].startswith("ttest greedy vs mi: ")
+    assert summary[3].startswith("ttest greedy/lgp vs mi/gp: ")
     # the baseline is the first arm, paired with each arm by seed
     t_ent, _ = paired_ttest([r.ent for r in records[:5]], [r.ent for r in records[10:]], 0.1)
-    assert summary[4].startswith(f"ttest greedy vs greedy: ent_t={t_ent:.6g} ")
+    assert summary[4].startswith(f"ttest greedy/lgp vs greedy/gp: ent_t={t_ent:.6g} ")
     assert len(summary) == 5
 
 
@@ -457,6 +483,15 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rows = 4\n")
     assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("verb", ["generate", "run"])
+def test_cli_output_path_that_is_a_file_is_a_runtime_error(tmp_path, capsys, verb):
+    cfg_path = write_config(tmp_path, seeds="0")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main([verb, "--config", str(cfg_path), "--out", str(taken)]) == 2
+    assert f"runtime error: cannot create {taken}" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes():
