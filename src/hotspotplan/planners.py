@@ -45,6 +45,10 @@ its actions and their children's rollouts can enter; the rollouts run on it
 in Python floats, and each slope is read off its covariance
 (:meth:`_UrtdpInstance._init_children`). Non-adaptive baselines (maximum
 entropy sampling, MI-based greedy) commit their paths from the prior data.
+
+Every planner steps the constrained joint actions, one robot move per
+stage; MES's branch and bound, too, takes one robot move per node, robots
+in turn.
 """
 
 from __future__ import annotations
@@ -71,11 +75,8 @@ from .world import (
     GridDomain,
     TeamState,
     action_target,
-    apply_joint_move,
     constrained_actions,
-    full_joint_actions,
     legal_moves,
-    move_target,
     transition,
 )
 
@@ -151,11 +152,6 @@ def state_key(stage: int, s: TeamState, d: PosteriorData) -> tuple:
     depend on them. The visited set is implied by the location tuple.
     """
     return (stage, s.poses, s.steps, d.locations, d.z.tobytes())
-
-
-def action_new_cells(s: TeamState, a) -> list:
-    """Cells newly observed by a full joint move."""
-    return [move_target(s.poses[i], m).cell for i, m in enumerate(a)]
 
 
 def _entropy(var):
@@ -775,11 +771,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _entropy_gain(inc: IncrementalPosterior, cells) -> float:
-    """GP entropy (nats) that observing ``cells`` in turn adds; ``inc`` keeps them."""
-    return sum(_entropy(inc.extend(c, 0.0)) for c in cells)
-
-
 def mes_nonadaptive(
     problem: Problem,
     d0: PosteriorData,
@@ -789,113 +780,114 @@ def mes_nonadaptive(
 ) -> MesResult:
     """Maximum entropy sampling: joint paths maximizing H of the selected cells.
 
-    Depth-first branch and bound over stagewise joint moves in lexicographic
-    order; the admissible bound adds the largest prior-posterior entropy
-    terms of the cells a continuation could still pick up (conditioning on
-    more data never increases variance). Exceeding ``node_budget`` falls back
-    to the best complete path found so far (``exact=False``); exhausting the
-    tree certifies optimality. Joint entropies use the GP (log-scale) model.
+    Depth-first branch and bound over the constrained actions in robot order:
+    at depth ``j`` robot ``j % k`` takes a legal move, so a node is one robot
+    move and the leaves come in lexicographic order. The objective depends
+    only on the cells a sequence observes, and these sequences reach every
+    cell set the simultaneous joint moves reach. The admissible bound adds
+    the largest prior entropy terms of the cells a continuation could still
+    pick up (conditioning on more data never increases variance). The first
+    incumbent is the greedy one-robot-move path; among equal values the
+    lexicographically first sequence wins. Exceeding ``node_budget`` falls
+    back to the best complete path found so far (``exact=False``);
+    exhausting the tree certifies optimality. Joint entropies use the GP
+    (log-scale) model.
     """
     domain = problem.domain
-    k = s0.k
+    k, total = s0.k, s0.k * n
     s0 = TeamState(s0.poses, s0.visited, s0.steps, n)
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
-    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + k * n)
-    base = inc.m
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
+    poses = [(p.cell, p.heading) for p in s0.poses]
+    visited = set(s0.visited)
+    seq = []  # (robot, move, its pose before the move) along the path
 
     # every prior gain in one batch
-    free = [c for c in domain.cells() if c not in s0.visited]
+    free = [c for c in domain.cells() if c not in visited]
     _, var = inc.batch(free)
-    gains = _entropy(var).tolist()
-    gain_sorted = sorted(zip(free, gains), key=lambda kv: -kv[1])
+    gain_sorted = sorted(zip(free, _entropy(var).tolist()), key=lambda kv: -kv[1])
 
-    def path_value(seq):
-        s, cells = s0, []
-        for combo in seq:
-            cells += action_new_cells(s, combo)
-            s = apply_joint_move(s, combo, domain)
-        value = _entropy_gain(inc, cells)
-        inc.pop(len(cells))
-        return value
-
-    def optimistic_tail(depth, chosen):
-        need, total = (n - depth) * k, 0.0
+    def optimistic_tail(need):
+        tail = 0.0
         for c, gval in gain_sorted:
             if need <= 0:
                 break
-            if c not in chosen:
-                total += gval
+            if c not in visited:
+                tail += gval
                 need -= 1
-        return total
+        return tail
 
-    # greedy incumbent: stagewise joint move maximizing the immediate gain
-    def greedy_combos():
-        s = s0
-        out = []
-        for _ in range(n):
-            combos = full_joint_actions(s, domain)
-            if not combos:
-                return None
-            gains = []
-            for combo in combos:
-                cells = action_new_cells(s, combo)
-                gains.append(_entropy_gain(inc, cells))
-                inc.pop(len(cells))
-            combo = combos[int(np.argmax(gains))]
-            _entropy_gain(inc, action_new_cells(s, combo))
-            out.append(combo)
-            s = apply_joint_move(s, combo, domain)
-        return out
+    def moves(j):
+        """Legal ``(robot, move, cell, heading)`` of the robot that moves at depth ``j``."""
+        i = j % k
+        legal = legal_moves([poses[i]], visited, (s0.steps[i] + j // k,), n, domain)
+        return [(i, mv, cell, hd) for _, mv, cell, hd in legal]
 
-    greedy_seq = greedy_combos()
-    inc.pop(inc.m - base)
-    best_val = -math.inf
-    best_seq = None
-    if greedy_seq is not None:
-        best_val = path_value(greedy_seq) - 1e-12  # epsilon under: DFS re-finds the true incumbent
-        best_seq = greedy_seq
+    def push(val, i, mv, cell, hd):
+        """Take a move; return the running value plus the new cell's entropy."""
+        seq.append((i, mv, poses[i]))
+        poses[i] = (cell, hd)
+        visited.add(cell)
+        return val + _entropy(inc.extend(cell, 0.0))
 
+    def pop():
+        i, _, pose = seq.pop()
+        visited.discard(poses[i][0])
+        poses[i] = pose
+        inc.pop(1)
+
+    def actions():
+        return [ConstrainedJointAction(i, mv) for i, mv, _ in seq]
+
+    def greedy():
+        """Each move takes the largest variance of one batch; the value is the
+        running sum the search forms along the same path."""
+        val = 0.0
+        for j in range(total):
+            opts = moves(j)
+            if not opts:
+                return -math.inf, None
+            _, var = inc.batch([cell for _, _, cell, _ in opts])
+            val = push(val, *opts[int(np.argmax(var))])
+        return val, actions()
+
+    best_val, best_seq = greedy()
+    while seq:
+        pop()
+    found = False
     nodes = 0
     budget = math.inf if node_budget is None else node_budget
-    chosen: set = set()
 
-    def dfs(s, depth, val, seq):
-        nonlocal nodes, best_val, best_seq
-        if depth == n:
-            if val > best_val:
-                best_val = val
-                best_seq = list(seq)
+    def keeps(val):
+        # the search meets leaves in lexicographic order, so until it reaches
+        # one as good as the greedy incumbent, an equal value still wins
+        return val > best_val or (val == best_val and not found)
+
+    def dfs(j, val):
+        nonlocal nodes, best_val, best_seq, found
+        if j == total:
+            if keeps(val):
+                best_val, best_seq, found = val, actions(), True
             return
-        for combo in full_joint_actions(s, domain):
+        for move in moves(j):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
-            cells = action_new_cells(s, combo)
-            child_val = val + _entropy_gain(inc, cells)
-            chosen.update(cells)
-            if child_val + optimistic_tail(depth + 1, chosen) > best_val:
-                seq.append(combo)
-                dfs(apply_joint_move(s, combo, domain), depth + 1, child_val, seq)
-                seq.pop()
-            chosen.difference_update(cells)
-            inc.pop(len(cells))
+            child_val = push(val, *move)
+            if keeps(child_val + optimistic_tail(total - j - 1)):
+                dfs(j + 1, child_val)
+            pop()
 
     exact = True
     try:
-        dfs(s0, 0, 0.0, [])
+        dfs(0, 0.0)
     except _BudgetExhausted:
         exact = False
-        inc.pop(inc.m - base)
     if best_seq is None:
         raise DeadEnd("no complete joint path of the requested length exists")
-
-    # recompute the incumbent value cleanly (the stored one may carry -1e-12)
-    val = path_value(best_seq)
-    # one robot per stage, in robot order within each joint move
-    actions = [ConstrainedJointAction(i, m) for combo in best_seq for i, m in enumerate(combo)]
-    paths = _replay_paths(s0, domain, actions)
-    return MesResult(val, paths, NonAdaptivePolicy(actions), exact, nodes)
+    paths = _replay_paths(s0, domain, best_seq)
+    return MesResult(best_val, paths, NonAdaptivePolicy(best_seq), exact, nodes)
 
 
 @dataclass

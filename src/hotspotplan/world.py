@@ -169,7 +169,8 @@ def transition(s: TeamState, a: ConstrainedJointAction, domain: GridDomain) -> T
 
 
 def full_joint_actions(s: TeamState, domain: GridDomain) -> list[tuple[str, ...]]:
-    """Simultaneous joint moves: one front/left/right move per robot.
+    """Simultaneous joint moves: one front/left/right move per robot
+    (the MASP action set, up to ``3**k`` per stage; no planner steps it).
 
     Returns tuples of per-robot move names; combinations sending two robots
     into the same cell are excluded.
@@ -184,24 +185,6 @@ def full_joint_actions(s: TeamState, domain: GridDomain) -> list[tuple[str, ...]
         if len({cell for _, cell in combo}) == len(combo):
             out.append(tuple(mv for mv, _ in combo))
     return out
-
-
-def apply_joint_move(s: TeamState, combo: tuple[str, ...], domain: GridDomain) -> TeamState:
-    """Apply a full joint move (every robot moves once)."""
-    poses = []
-    cells = []
-    for i, move in enumerate(combo):
-        nxt = move_target(s.poses[i], move)
-        if not domain.contains(nxt.cell) or nxt.cell in s.visited:
-            raise IllegalAction(f"robot {i} move {move} illegal")
-        poses.append(nxt)
-        cells.append(nxt.cell)
-    if len(set(cells)) != len(cells):
-        raise IllegalAction("two robots entering one cell")
-    steps = tuple(c + 1 for c in s.steps)
-    if s.budget is not None and any(c > s.budget for c in steps):
-        raise IllegalAction("path budget exceeded")
-    return TeamState(tuple(poses), s.visited | set(cells), steps, s.budget)
 
 
 def interior_heading(cell: Cell, domain: GridDomain) -> str:

@@ -34,6 +34,11 @@ def test_bench_smoke_run_is_correct_and_traces_the_gp_factor():
         "planners.urtdp.init_children.calls",
     ):
         assert metrics["bounds-k1"][name] > 0, name
+    # the bench reads MES's value, paths, exact flag and node count; a
+    # reshaped result would zero these without failing the run
+    for workload in ("run-k2", "run-hires"):
+        assert metrics[workload]["planners.mes.nodes"] > 0, workload
+        assert metrics[workload]["planners.mes.build_ms"] > 0, workload
     hires = metrics["run-hires"]
     assert hires["evaluation.ent_metric.ms_p50"] > 0
     assert hires["evaluation.err_metric.ms_p50"] > 0

@@ -44,11 +44,11 @@ from hotspotplan.planners import (
 )
 from hotspotplan.world import (
     HEADINGS,
+    ConstrainedJointAction,
     GridDomain,
     RobotPose,
     TeamState,
     action_target,
-    apply_joint_move,
     constrained_actions,
     full_joint_actions,
     legal_moves,
@@ -136,11 +136,18 @@ def test_exact_dp_bracketed_by_fine_bounds():
 
 def test_exact_dp_guards_instance_size():
     problem, d0, s0 = make_instance(seed=7, rows=6, cols=6)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="cells"):
+        exact_dp(problem, d0, s0, cfg_for(horizon=2))
+    # one cell over the limit
+    problem, d0, s0 = make_instance(seed=7, rows=1, cols=17)
+    with pytest.raises(InstanceTooLarge, match="cells"):
         exact_dp(problem, d0, s0, cfg_for(horizon=2))
     problem, d0, s0 = make_instance(seed=7, rows=3, cols=3)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="horizon"):
         exact_dp(problem, d0, s0, cfg_for(horizon=5))
+    # 22 panels of four nodes: 88**4 > 5e7 outcome branches at horizon 4
+    with pytest.raises(InstanceTooLarge, match="quadrature"):
+        exact_dp(problem, d0, s0, cfg_for(horizon=4), quadrature_order=22)
 
 
 # -- bounded_dp --------------------------------------------------------------
@@ -212,6 +219,13 @@ def test_bounded_dp_guards_instance_size():
     problem, d0, s0 = make_instance(seed=10, rows=4, cols=4)
     with pytest.raises(InstanceTooLarge):
         bounded_dp(problem, d0, s0, cfg_for(horizon=9, nu=8), "lower")
+    # 14x12 at horizon 17: the first full-length sequence alone ends in
+    # 4**17 branches, so the leaf walk stops there
+    problem, d0, s0 = make_instance(seed=10, rows=14, cols=12)
+    t0 = time.process_time()
+    with pytest.raises(InstanceTooLarge, match="branches"):
+        bounded_dp(problem, d0, s0, cfg_for(horizon=17), "lower")
+    assert time.process_time() - t0 < 1.0
 
 
 def test_bounded_dp_solves_a_boxed_in_instance_urtdp_closes():
@@ -726,7 +740,8 @@ def test_lgp_greedy_moves_toward_high_mean_region():
 
 
 def enumerate_mes_oracle(problem, d0, s0, n):
-    """Exhaustive joint-path enumeration oracle for MES."""
+    """Exhaustive oracle for MES over the simultaneous joint moves (MASP's
+    action set); each joint move is applied one robot at a time."""
     best = (-math.inf, None)
 
     def joint_entropy(cells):
@@ -740,9 +755,13 @@ def enumerate_mes_oracle(problem, d0, s0, n):
                 best = (val, list(seq))
             return
         for combo in full_joint_actions(s, problem.domain):
-            cells = [move_target(s.poses[i], m).cell for i, m in enumerate(combo)]
+            s2, cells = s, []
+            for i, m in enumerate(combo):
+                a = ConstrainedJointAction(i, m)
+                cells.append(action_target(s2, a).cell)
+                s2 = transition(s2, a, problem.domain)
             seq.append(combo)
-            rec(apply_joint_move(s, combo, problem.domain), depth + 1, chosen + cells, seq)
+            rec(s2, depth + 1, chosen + cells, seq)
             seq.pop()
 
     rec(s0, 0, [], [])
@@ -763,15 +782,46 @@ def test_mes_single_step_picks_max_entropy_cell():
 
 def test_mes_independent_cells_tie_break_lexicographic():
     # length scale -> 0 makes all cells carry equal entropy; the committed
-    # sequence must be the lexicographically first feasible one (all front)
+    # sequence must be the lexicographically first feasible one (all front,
+    # robots in turn), for one robot and for two
     dom = GridDomain(4, 4)
     h = Hyperparams(0.0, 1.0, 1e-3, 0.0)
     problem = Problem(dom, h, "gp")
-    d0 = PosteriorData([(0, 0)], [0.1])
-    s0 = TeamState((RobotPose((0, 0), "S"),), frozenset({(0, 0)}))
-    res = mes_nonadaptive(problem, d0, s0, n=3)
-    moves = [a.move for a in res.policy.actions]
-    assert moves == ["front", "front", "front"]
+    for starts in ([((0, 0), "S")], [((0, 0), "S"), ((3, 3), "N")]):
+        cells = [c for c, _ in starts]
+        d0 = PosteriorData(cells, [0.1] * len(cells))
+        s0 = TeamState(tuple(RobotPose(c, hd) for c, hd in starts), frozenset(cells))
+        res = mes_nonadaptive(problem, d0, s0, n=3)
+        assert [(a.robot_index, a.move) for a in res.policy.actions] == [
+            (i, "front") for _ in range(3) for i in range(len(starts))]
+
+
+def test_mes_tie_with_the_greedy_incumbent_goes_to_the_first_sequence():
+    # the prior cells mirror each other across the diagonal through the
+    # robot's corner, so front-right and right-left observe mirror-image
+    # pairs; the greedy incumbent takes right first (its batch variances
+    # differ in the last bit), and an equal value reached earlier in
+    # lexicographic order must still win. Values are summed the way the
+    # search sums them, over one factor.
+    problem, d0, s0 = make_instance(seed=37, rows=3, cols=4, model="gp", n_prior=2)
+    s0 = TeamState(s0.poses, s0.visited, budget=2)
+    res = mes_nonadaptive(problem, d0, s0, n=2)
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 2)
+    values = {}
+
+    def rec(s, seq, val):
+        if len(seq) == 2:
+            values[tuple(seq)] = val
+            return
+        for a in constrained_actions(s, problem.domain):
+            v = val + planners._entropy(inc.extend(action_target(s, a).cell, 0.0))
+            rec(transition(s, a, problem.domain), seq + [a.move], v)
+            inc.pop(1)
+
+    rec(s0, [], 0.0)
+    first = next(seq for seq, v in values.items() if v == max(values.values()))
+    assert [a.move for a in res.policy.actions] == list(first)
+    assert res.value == max(values.values())
 
 
 def test_mes_matches_enumeration_oracle():
@@ -789,26 +839,44 @@ def test_mes_matches_enumeration_oracle():
         )
 
 
-def test_mes_two_robots_matches_enumeration():
-    problem, d0, s0 = make_instance(seed=44, rows=4, cols=4, k=2, model="gp")
-    s0 = TeamState(s0.poses, s0.visited, budget=2)
-    res = mes_nonadaptive(problem, d0, s0, n=2)
-    oracle_val, _ = enumerate_mes_oracle(problem, d0, s0, 2)
+@pytest.mark.parametrize("rows,n,n_prior,seed", [
+    (3, 1, 1, 44), (3, 2, 1, 45), (3, 2, 2, 47), (3, 3, 1, 46), (3, 3, 1, 50),
+    (4, 1, 3, 47), (4, 2, 3, 44), (4, 3, 1, 45), (4, 3, 2, 44),
+])
+def test_mes_two_robots_matches_enumeration(rows, n, n_prior, seed):
+    # one-robot moves in robot order reach every cell set the joint moves do
+    problem, d0, s0 = make_instance(seed=seed, rows=rows, cols=rows, k=2, model="gp",
+                                    n_prior=n_prior)
+    s0 = TeamState(s0.poses, s0.visited, budget=n)
+    res = mes_nonadaptive(problem, d0, s0, n=n)
+    oracle_val, _ = enumerate_mes_oracle(problem, d0, s0, n)
     assert res.value == pytest.approx(oracle_val, abs=1e-10)
+    assert res.exact
+    cells = [c for path in res.paths for c in path[1:]]
+    assert res.value == pytest.approx(
+        gaussian_entropy(posterior(d0, cells, problem.hyper)), abs=1e-10
+    )
     # serialized actions respect both per-robot budgets
     counts = [0, 0]
     for a in res.policy.actions:
         counts[a.robot_index] += 1
-    assert counts == [2, 2]
+    assert counts == [n, n]
 
 
 def test_mes_node_budget_falls_back_to_incumbent():
-    problem, d0, s0 = make_instance(seed=45, rows=4, cols=4, model="gp")
-    s0 = TeamState(s0.poses, s0.visited, budget=3)
-    full = mes_nonadaptive(problem, d0, s0, n=3)
-    capped = mes_nonadaptive(problem, d0, s0, n=3, node_budget=3)
-    assert not capped.exact
-    assert capped.value <= full.value + 1e-12
+    for k, n_prior in ((1, 3), (2, 1)):
+        problem, d0, s0 = make_instance(seed=45, rows=4, cols=4, k=k, model="gp",
+                                        n_prior=n_prior)
+        s0 = TeamState(s0.poses, s0.visited, budget=3)
+        full = mes_nonadaptive(problem, d0, s0, n=3)
+        capped = mes_nonadaptive(problem, d0, s0, n=3, node_budget=3)
+        assert not capped.exact
+        assert capped.value <= full.value + 1e-12
+        # the capped value is the joint entropy of its own paths
+        cells = [c for path in capped.paths for c in path[1:]]
+        assert capped.value == pytest.approx(
+            gaussian_entropy(posterior(d0, cells, problem.hyper)), abs=1e-10
+        )
 
 
 # -- mi_greedy ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from hotspotplan.world import (
     RobotPose,
     TeamState,
     ConstrainedJointAction,
-    apply_joint_move,
     constrained_actions,
     full_joint_actions,
     interior_heading,
@@ -194,15 +193,6 @@ def test_full_joint_excludes_collisions():
         if len({move_target(s.poses[i], m).cell for i, m in enumerate(combo)}) == 2
     ]
     assert joint == expected
-
-
-def test_apply_joint_move_moves_everyone():
-    dom = GridDomain(5, 5)
-    s = state([RobotPose((1, 1), "S"), RobotPose((3, 3), "N")])
-    combo = full_joint_actions(s, dom)[0]
-    s2 = apply_joint_move(s, combo, dom)
-    assert len(s2.visited) == len(s.visited) + 2
-    assert s2.steps == (1, 1)
 
 
 def test_interior_heading_points_inward():
