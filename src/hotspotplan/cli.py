@@ -53,6 +53,11 @@ def _cmd_run(args) -> int:
     print(f"wrote {summary_path}")
     for line in Path(summary_path).read_text().splitlines():
         print(line)
+    for r in records:
+        if r.mes_exact is False:
+            print(f"note: the mes search of seed {r.seed} stopped at {r.mes_nodes} nodes "
+                  "(mes_node_budget): its path is the best found, not a certified optimum",
+                  file=sys.stderr)
     return 0
 
 

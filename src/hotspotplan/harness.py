@@ -19,6 +19,7 @@ from .evaluation import paired_ttest, rollout
 from .field_model import PosteriorData, Hyperparams, fit_hyperparams, sample_field
 from .planners import (
     GreedyPolicy,
+    MesResult,
     NonAdaptivePolicy,
     PlannerConfig,
     Problem,
@@ -29,17 +30,25 @@ from .planners import (
 )
 from .world import Cell, GridDomain, RobotPose, TeamState, interior_heading
 
-# policy name -> (admissible measurement models, builder of its policy from
-# (problem, planner config, experiment config, d0, s0)); the builders read the
-# planners as module globals when they run, so a patched global takes effect
+# policy name -> (admissible measurement models, builder of (policy, search)
+# from (problem, planner config, experiment config, d0, s0)); search is the
+# MesResult whose outcome (exact, nodes) the record keeps, None for the other
+# policies. The builders read the planners as module globals when they run,
+# so a patched global takes effect
 POLICY_REGISTRY = {
-    "urtdp": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: urtdp_policy(problem, pcfg)),
-    "greedy": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: GreedyPolicy(problem)),
-    "mes": (("gp",), lambda problem, pcfg, cfg, d0, s0: mes_nonadaptive(
-        problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget).policy),
-    "mi": (("gp",), lambda problem, pcfg, cfg, d0, s0: mi_greedy(
-        problem, d0, s0, cfg.budget_per_robot).policy),
+    "urtdp": (("gp", "lgp"),
+              lambda problem, pcfg, cfg, d0, s0: (urtdp_policy(problem, pcfg), None)),
+    "greedy": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: (GreedyPolicy(problem), None)),
+    "mes": (("gp",), lambda problem, pcfg, cfg, d0, s0: _with_search(mes_nonadaptive(
+        problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget))),
+    "mi": (("gp",), lambda problem, pcfg, cfg, d0, s0: (mi_greedy(
+        problem, d0, s0, cfg.budget_per_robot).policy, None)),
 }
+
+
+def _with_search(result: MesResult):
+    return result.policy, result
+
 
 _SYNTHETIC_KEYS = (
     "field_mean",
@@ -100,6 +109,8 @@ class ResultRecord:
     wall_time_s: float
     path_cells: tuple = ()
     dead_ended: bool = False
+    mes_exact: bool | None = None  # MesResult.exact and .nodes; None for other policies
+    mes_nodes: int | None = None
 
 
 def default_start_cells(domain: GridDomain, k: int) -> tuple[Cell, ...]:
@@ -326,14 +337,15 @@ def _planner_config(cfg: ExperimentConfig, seed: int) -> PlannerConfig:
 
 def _build_policy(name: str, problem: Problem, pcfg: PlannerConfig,
                   cfg: ExperimentConfig, d0, s0):
-    """Policy object plus the planning time already spent building it; a
-    baseline boxed in before it commits a path replays an empty one."""
+    """(policy, search) from the policy's builder plus the planning time
+    already spent building it; a baseline boxed in before it commits a path
+    replays an empty one."""
     t0 = time.perf_counter()
     try:
-        policy = POLICY_REGISTRY[name][1](problem, pcfg, cfg, d0, s0)
+        built = POLICY_REGISTRY[name][1](problem, pcfg, cfg, d0, s0)
     except DeadEnd:
-        policy = NonAdaptivePolicy([])
-    return policy, time.perf_counter() - t0
+        built = NonAdaptivePolicy([]), None
+    return built, time.perf_counter() - t0
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
@@ -343,7 +355,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
     records = []
     for name, model in zip(cfg.policies, cfg.models):
         problem = Problem(cfg.domain, fitted, model)
-        policy, build_time = _build_policy(name, problem, pcfg, cfg, d0, s0)
+        (policy, search), build_time = _build_policy(name, problem, pcfg, cfg, d0, s0)
         res = rollout(problem, policy, field_map, d0, s0, cfg.stages)
         records.append(
             ResultRecord(
@@ -356,6 +368,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
                 wall_time_s=build_time + res.wall_time,
                 path_cells=tuple(tuple(p) for p in res.path_cells),
                 dead_ended=res.dead_ended,
+                mes_exact=None if search is None else search.exact,
+                mes_nodes=None if search is None else search.nodes,
             )
         )
     return records
@@ -409,7 +423,8 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
     dead-end counts) with paired t-tests.
 
     The summary compares each arm against the first-listed one on ENT and
-    ERR over the shared seeds. Output bytes depend only on the records.
+    ERR over the shared seeds, then names each MES row whose search was cut
+    at its node budget. Output bytes depend only on the records.
     """
     out = make_output_dir(out_dir)
     csv_path = out / "results.csv"
@@ -457,6 +472,8 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
                 f"{label} ent_t={_fmt(t_ent)} ent_significant={sig_ent} "
                 f"err_t={_fmt(t_err)} err_significant={sig_err}"
             )
+    slines += [f"mes_search_cut model={r.model} seed={r.seed} nodes={r.mes_nodes}"
+               for r in records if r.mes_exact is False]
     try:
         summary_path.write_text("\n".join(slines) + "\n")
     except OSError as exc:

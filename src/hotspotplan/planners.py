@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,6 +73,7 @@ from .field_model import (
     map_spectrum,
 )
 from .world import (
+    MOVE_DELTA,
     ConstrainedJointAction,
     GridDomain,
     TeamState,
@@ -108,6 +111,21 @@ class Problem:
     def kernel_table(self) -> KernelTable:
         """The kernel table every factor of this problem reads."""
         return KernelTable(self.hyper, self.domain)
+
+    @cached_property
+    def _diamonds(self) -> dict:
+        return {}
+
+    def diamond(self, cell, reach: int) -> tuple:
+        """The grid cells within ``reach`` moves of ``cell``, row-major; kept."""
+        cells = self._diamonds.get((cell, reach))
+        if cells is None:
+            (r, c), rows, cols, cells = cell, self.domain.rows, self.domain.cols, []
+            for r2 in range(max(r - reach, 0), min(r + reach + 1, rows)):
+                span = reach - abs(r2 - r)
+                cells += [(r2, c2) for c2 in range(max(c - span, 0), min(c + span + 1, cols))]
+            cells = self._diamonds[cell, reach] = tuple(cells)
+        return cells
 
 
 @dataclass(frozen=True)
@@ -187,6 +205,26 @@ def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> flo
     return float(_reward(problem, mu[0], var[0]))
 
 
+class _Walk:
+    """A team state walked in place: ``(cell, heading)`` poses, step counts, visited set."""
+
+    def __init__(self, s: TeamState):
+        self.poses = [(p.cell, p.heading) for p in s.poses]
+        self.steps, self.visited, self.budget = list(s.steps), set(s.visited), s.budget
+
+    def step(self, i: int, cell, heading: str):
+        """Move robot ``i``; return its pose before the move, for :meth:`undo`."""
+        pose, self.poses[i] = self.poses[i], (cell, heading)
+        self.steps[i] += 1
+        self.visited.add(cell)
+        return pose
+
+    def undo(self, i: int, pose) -> None:
+        self.visited.discard(self.poses[i][0])
+        self.poses[i] = pose
+        self.steps[i] -= 1
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive tree solver (exact quadrature / Jensen lower / EM upper)
 # ---------------------------------------------------------------------------
@@ -255,28 +293,24 @@ def _check_bounded_size(problem: Problem, s0: TeamState, config: PlannerConfig, 
     length). The sequences are walked with ``legal_moves``, and the walk
     stops as soon as their total passes the limit.
     """
-    domain, length = problem.domain, config.horizon + 1
-    visited = set(s0.visited)
-    leaves = 0.0
+    domain, length, walk, leaves = problem.domain, config.horizon + 1, _Walk(s0), 0.0
 
-    def over(poses, steps, depth):
+    def over(depth):
         nonlocal leaves
-        moves = list(legal_moves(poses, visited, steps, s0.budget, domain)) if depth < length else []
+        moves = [] if depth == length else list(
+            legal_moves(walk.poses, walk.visited, walk.steps, walk.budget, domain))
         if not moves:
             leaves += float(points) ** max(depth - 1, 0)
             return leaves > BOUNDED_MAX_LEAVES
         for i, _, cell, heading in moves:
-            poses2, steps2 = list(poses), list(steps)
-            poses2[i] = (cell, heading)
-            steps2[i] += 1
-            visited.add(cell)
-            stop = over(poses2, steps2, depth + 1)
-            visited.discard(cell)
+            pose = walk.step(i, cell, heading)
+            stop = over(depth + 1)
+            walk.undo(i, pose)
             if stop:
                 return True
         return False
 
-    if over([(p.cell, p.heading) for p in s0.poses], list(s0.steps), 0):
+    if over(0):
         raise InstanceTooLarge(
             f"exhaustive bounded solve would touch more than {BOUNDED_MAX_LEAVES:.0e} branches"
         )
@@ -410,20 +444,17 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 
 
 class _Window:
-    """The joint posterior, from the factor ``inc`` over the history of ``s``,
+    """The joint posterior, from the factor ``inc`` over the history of ``walk``,
     of the unvisited cells within ``moves`` steps of a robot that can still
     move. ``chosen`` conditions it on cells in turn: a Cholesky factor in
     Python floats, ``(cell index, whitened column, pivot)`` per cell."""
 
-    def __init__(self, problem: Problem, inc: IncrementalPosterior, s: TeamState, moves: int):
-        rows, cols, cells = problem.domain.rows, problem.domain.cols, {}
-        for p, steps in zip(s.poses, s.steps):
-            reach, (r, c) = moves if s.budget is None else min(moves, s.budget - steps), p.cell
-            for r2 in range(max(r - reach, 0), min(r + reach + 1, rows)):
-                span = reach - abs(r2 - r)
-                for c2 in range(max(c - span, 0), min(c + span + 1, cols)):
-                    cells[r2, c2] = None
-        self.index = {x: i for i, x in enumerate(x for x in cells if x not in s.visited)}
+    def __init__(self, problem: Problem, inc: IncrementalPosterior, walk: _Walk, moves: int):
+        cells = {}
+        for (cell, _), steps in zip(walk.poses, walk.steps):
+            reach = moves if walk.budget is None else min(moves, walk.budget - steps)
+            cells.update(dict.fromkeys(problem.diamond(cell, reach)))
+        self.index = {x: i for i, x in enumerate(x for x in cells if x not in walk.visited)}
         mean, self.cov = inc.joint(list(self.index))
         self.mean, self.columns = mean.tolist(), inc.columns
         self.chosen = []
@@ -436,21 +467,21 @@ class _Window:
         return var
 
 
-def _greedy_ce_rollout(problem, window, s, steps_count):
-    """Greedy certainty-equivalent rollout from ``s`` on a :class:`_Window`
-    that holds every cell it can enter; returns the total reward and the cells.
+def _greedy_ce_rollout(problem, window, walk, steps_count):
+    """Greedy certainty-equivalent rollout from ``walk`` (left as it is) on a
+    :class:`_Window` that holds every cell it can enter; returns the total
+    reward and the cells.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
     back as the observation, which leaves every mean unchanged: a move scores
     its window mean and its variance given the cells chosen so far.
     """
-    poses = [(p.cell, p.heading) for p in s.poses]
-    visited, steps = set(s.visited), list(s.steps)
+    poses, visited, steps = list(walk.poses), set(walk.visited), list(walk.steps)
     total, seq, base, cov, chosen = 0.0, [], len(window.chosen), window.cov, window.chosen
     whitened = [None] * len(window.mean)  # a cell's column over the first len(w) chosen cells
     for _ in range(steps_count):
         best = None
-        for i, _, cell, nh in legal_moves(poses, visited, steps, s.budget, problem.domain):
+        for i, _, cell, nh in legal_moves(poses, visited, steps, walk.budget, problem.domain):
             j = window.index[cell]
             w = whitened[j]
             if w is None:
@@ -497,9 +528,9 @@ def _init_bounds(problem, inc, s, stage, config) -> ValueBounds:
     """:func:`init_bounds` on the factor ``inc`` over the history of ``s``."""
     if stage > config.horizon:
         return ValueBounds(0.0, 0.0)
-    remaining = config.horizon - stage + 1
+    remaining, walk = config.horizon - stage + 1, _Walk(s)
     upper = remaining * _stage_max(problem, config)
-    lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, s, remaining), s, remaining)
+    lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, walk, remaining), walk, remaining)
     return ValueBounds(min(lower, upper), upper)
 
 
@@ -520,7 +551,10 @@ class _UrtdpInstance:
         self.config = config
         self.rule = rule
         self.rng = rng
-        self.w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
+        w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
+        self.w = w.tolist()
+        self.stage_max = _stage_max(problem, config)
+        self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
         self._inc = None
         self.window = None  # the last expansion's window
@@ -546,33 +580,35 @@ class _UrtdpInstance:
         inc.pop(inc.m - len(d))
         return node, inc
 
-    def expand(self, node, inc, s, stage):
+    def expand(self, node, inc, walk, stage):
         """The node's action records, built on its first visit from one
-        :class:`_Window` on the factor ``inc`` over the node's history (kept in
-        :attr:`window` until the next expansion); the children get bounds.
+        :class:`_Window` on the factor ``inc`` over the history of ``walk`` (kept
+        in :attr:`window` until the next expansion); the children get bounds.
 
         A record is ``(action, reward, cell, children)``; child ``j``
         observes the outcome point ``zeta[j]`` at ``cell``, and the children
-        are ``None`` at the last stage.
+        are ``None`` at the last stage. ``node[3]``, the index of the largest
+        upper q, picks the descent's action.
         """
         if len(node) > 2:
             return node[2]
         problem = self.problem
-        window = self.window = _Window(problem, inc, s, max(self.config.horizon - stage, 0) + 1)
+        window = self.window = _Window(problem, inc, walk, max(self.config.horizon - stage, 0) + 1)
         records = []
-        for a in constrained_actions(s, problem.domain):
-            x = action_target(s, a).cell
+        for i, mv, x, heading in legal_moves(walk.poses, walk.visited, walk.steps, walk.budget,
+                                             problem.domain):
             j = window.index[x]
             var = window.cov.item(j, j)
             if var <= 0:
                 raise DegenerateCovariance(f"non-positive posterior variance at {x}")
             children = None if stage >= self.config.horizon else self._init_children(
-                window, transition(s, a, problem.domain), x, stage)
-            records.append((a, float(_reward(problem, window.mean[j], var)), x, children))
-        node.append(records)
+                window, walk, i, x, heading, stage)
+            reward = float(_reward(problem, window.mean[j], var))
+            records.append((self._action(i, mv), reward, x, children))
+        node += [records, _best_upper(self.q_values(records))]
         return records
 
-    def _init_children(self, window, s2, x, stage):
+    def _init_children(self, window, walk, i, x, heading, stage):
         """Initial ``[lower, upper]`` pairs of the children at ``x``, one per ``zeta``.
 
         All children share locations, so one greedy rollout (at the mean
@@ -586,10 +622,12 @@ class _UrtdpInstance:
         """
         problem = self.problem
         remaining = self.config.horizon - stage  # actions from stage + 1 on
-        upper = remaining * _stage_max(problem, self.config)
+        upper = remaining * self.stage_max
         j = window.index[x]
         pivot_var = window.push(j, [], window.cov.item(j, j))
-        v_ref, seq = _greedy_ce_rollout(problem, window, s2, remaining)
+        pose = walk.step(i, x, heading)
+        v_ref, seq = _greedy_ce_rollout(problem, window, walk, remaining)
+        walk.undo(i, pose)
         slope = 0.0 if not problem.is_lgp else (
             sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
         window.chosen.pop()
@@ -617,41 +655,42 @@ class _UrtdpInstance:
 
     def _backup(self, node, records):
         qs = self.q_values(records)
+        node[3] = _best_upper(qs)
         self._set(node, max(q for _, q, _ in qs), max(q for _, _, q in qs))
 
     # -- the simulated path --------------------------------------------------
 
-    def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0):
+    def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
         """One descent/backtrack trial; tightens bounds along the path.
 
         The root's factor walks the trial: each descent step extends it by
-        the chosen action's cell and the sampled outcome point.
+        the chosen action's cell and the sampled outcome point, popped at the
+        end. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
         """
-        (node, inc), s, stage = self._root(d0, s0, stage0), s0, stage0
-        trail = []
+        node, inc = root or self._root(d0, s0, stage0)
+        walk, stage, trail = _Walk(s0), stage0, []
         while True:
             fresh = len(node) == 2
-            records = self.expand(node, inc, s, stage)
+            records = self.expand(node, inc, walk, stage)
             if not records or stage >= self.config.horizon:  # a dead end or a leaf
                 leaf = max((r[1] for r in records), default=0.0)
                 self._set(node, leaf, leaf)
                 break
-            qs = self.q_values(records)
-            best_i = max(range(len(qs)), key=lambda i: qs[i][2])
-            a, _, x, children = records[best_i]
-            weights = self.w * [max(c[1] - c[0], 0.0) for c in children]
-            total = weights.sum()
-            probs = weights / total if total > 0 else np.full(len(children), 1.0 / len(children))
+            a, _, x, children = records[node[3]]
+            gaps = [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)]
+            total = _total(gaps)
+            probs = [g / total for g in gaps] if total > 0 else [1.0 / len(gaps)] * len(gaps)
             j = _draw(self.rng, probs)
             trail.append((node, records))
             # a node expanded in this step has the cell's row in its window
             row = self.window.columns[:, self.window.index[x]] if fresh else None
             inc.extend(x, self.zeta[j], row)
-            s = transition(s, a, self.problem.domain)
+            walk.step(a.robot_index, x, MOVE_DELTA[walk.poses[a.robot_index][1], a.move][2])
             node = children[j]
             stage += 1
         for node, records in reversed(trail):
             self._backup(node, records)
+        inc.pop(len(trail))
         self.paths_run += 1
 
     def run(self, d, s, stage, alpha, budget):
@@ -659,12 +698,12 @@ class _UrtdpInstance:
 
         Returns True if the gap criterion was met.
         """
-        root = self._root(d, s, stage)[0]
-        start = self.paths_run
-        while root[1] - root[0] > alpha:
+        root = self._root(d, s, stage)
+        node, start = root[0], self.paths_run
+        while node[1] - node[0] > alpha:
             if self.paths_run - start >= budget:
                 return False
-            self.simulated_path(d, s, stage)
+            self.simulated_path(d, s, stage, root)
         return True
 
     def root_bounds(self, d, s, stage) -> ValueBounds:
@@ -674,14 +713,25 @@ class _UrtdpInstance:
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
         root, inc = self._root(d, s, stage)
-        return self.q_values(self.expand(root, inc, s, stage))
+        return self.q_values(self.expand(root, inc, _Walk(s), stage))
 
 
-def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+def _best_upper(qs) -> int:
+    """Index of the first action with the largest upper q (0 when there is none)."""
+    return max(range(len(qs)), key=lambda i: qs[i][2], default=0)
+
+
+def _total(xs) -> float:
+    """``np.sum(xs)`` with numpy's rounding: fewer than eight terms are added
+    in order from zero (builtin ``sum`` compensates from Python 3.12 on),
+    eight or more by numpy's own pairwise sum."""
+    return reduce(operator.add, xs, 0.0) if len(xs) < 8 else float(np.sum(xs))
+
+
+def _draw(rng: np.random.Generator, probs) -> int:
     """``rng.choice(len(probs), p=probs)``: its arithmetic and stream, not its checks."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = list(accumulate(probs))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 class UrtdpPolicy(Policy):
@@ -799,8 +849,8 @@ def mes_nonadaptive(
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    poses = [(p.cell, p.heading) for p in s0.poses]
-    visited = set(s0.visited)
+    walk = _Walk(s0)
+    visited = walk.visited
     seq = []  # (robot, move, its pose before the move) along the path
 
     # every prior gain in one batch
@@ -821,20 +871,17 @@ def mes_nonadaptive(
     def moves(j):
         """Legal ``(robot, move, cell, heading)`` of the robot that moves at depth ``j``."""
         i = j % k
-        legal = legal_moves([poses[i]], visited, (s0.steps[i] + j // k,), n, domain)
+        legal = legal_moves([walk.poses[i]], visited, (walk.steps[i],), n, domain)
         return [(i, mv, cell, hd) for _, mv, cell, hd in legal]
 
     def push(val, i, mv, cell, hd):
         """Take a move; return the running value plus the new cell's entropy."""
-        seq.append((i, mv, poses[i]))
-        poses[i] = (cell, hd)
-        visited.add(cell)
+        seq.append((i, mv, walk.step(i, cell, hd)))
         return val + _entropy(inc.extend(cell, 0.0))
 
     def pop():
         i, _, pose = seq.pop()
-        visited.discard(poses[i][0])
-        poses[i] = pose
+        walk.undo(i, pose)
         inc.pop(1)
 
     def actions():

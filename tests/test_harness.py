@@ -523,3 +523,24 @@ def test_cli_seed_offset_shifts_seeds(tmp_path):
         "run", "--config", str(cfg_path), "--out", str(out2), "--seed-offset", "7"
     ]) == 0
     assert out1.joinpath("results.csv").read_text() != out2.joinpath("results.csv").read_text()
+
+
+def test_cli_run_reports_each_cut_mes_search(tmp_path, capsys):
+    # a MES search stopped by its node budget keeps its outcome on the record
+    # and gets one summary line and one stderr note; results.csv is unchanged
+    cfg_path = write_config(tmp_path, policies="greedy,mes", models="lgp,gp",
+                            mes_node_budget="5")
+    records = run_experiment(load_config(cfg_path))
+    assert [(r.policy, r.mes_exact, r.mes_nodes) for r in records] == [
+        ("greedy", None, None), ("greedy", None, None), ("mes", False, 6), ("mes", False, 6)]
+    exact = [replace(r, mes_exact=True) if r.policy == "mes" else r for r in records]
+    cut_csv, cut_summary = emit_results(records, tmp_path / "cut")
+    exact_csv, exact_summary = emit_results(exact, tmp_path / "exact")
+    assert cut_csv.read_text() == exact_csv.read_text()
+    assert cut_csv.read_text().splitlines()[0] == "policy,model,k,seed,ent,err,wall_time_s"
+    assert cut_summary.read_text().splitlines() == exact_summary.read_text().splitlines() + [
+        "mes_search_cut model=gp seed=0 nodes=6", "mes_search_cut model=gp seed=1 nodes=6"]
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"note: the mes search of seed {seed} stopped at 6 nodes (mes_node_budget): "
+        "its path is the best found, not a certified optimum" for seed in (0, 1)]

@@ -31,6 +31,7 @@ from hotspotplan.planners import (
     Problem,
     ValueBounds,
     _UrtdpInstance,
+    _Walk,
     bounded_dp,
     exact_dp,
     greedy_adaptive,
@@ -431,7 +432,7 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     inst = urtdp_policy(problem, cfg).instance
     root, root_inc = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, root_inc, s0, 0)
+    entries = inst.expand(root, root_inc, _Walk(s0), 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
     for (_, _, x, children), seq in zip(entries, seqs):
@@ -508,7 +509,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
         root_inc = inst._root(d0, s0, 0)[1]
         rollouts.clear()
-        records = inst.expand([0.0, 0.0], root_inc, s0, 0)
+        records = inst.expand([0.0, 0.0], root_inc, _Walk(s0), 0)
         assert len(rollouts) == len(records)
         for (a, _, x, children), (total, seq) in zip(records, rollouts):
             j = inst.window.index[x]
@@ -554,7 +555,7 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=2), "jensen",
                           np.random.default_rng(0))
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    records = inst.expand([0.0, 0.0], inc, s, stage)
+    records = inst.expand([0.0, 0.0], inc, _Walk(s), stage)
     # every cell that some run of at most horizon - stage + 1 legal moves enters
     entered = set()
 
@@ -590,6 +591,17 @@ def test_outcome_draw_matches_generator_choice():
         for _ in range(3):
             assert planners._draw(ours, probs) == int(theirs.choice(len(probs), p=probs))
         assert ours.random() == theirs.random()
+
+
+def test_gap_total_rounds_as_numpy_sums():
+    # the descent normalizes its gap weights by this total, as the numpy
+    # array sum did; one ulp apart could move the draw across the uniform
+    gen = np.random.default_rng(7)
+    for n in range(2, 10):
+        for _ in range(2000):
+            gaps = gen.random(n) * 10.0 ** gen.uniform(-8, 2, n)
+            gaps[gen.random(n) < 0.2] = 0.0
+            assert planners._total(gaps.tolist()) == gaps.sum()
 
 
 def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
@@ -657,6 +669,52 @@ def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
     node1, inc1 = inst._root(d1, s1, 1)
     assert node1 is not node and inc1 is not inc and inc1.m == len(d1)
     assert list(inst.tables) == [state_key(1, s1, d1)]
+
+
+# root brackets and first actions recorded on commit 9d0cc4b, before trials
+# walked poses in place and read a cached descent index; exact equality
+_PINNED_BRACKETS = {
+    ("gp", 1): (7.023093591420345, 9.992393651372549, (0, "left")),
+    ("gp", 2): (7.496933386550863, 11.538024806764541, (1, "left")),
+    ("lgp", 1): (15.105968542467595, 31.864263558840015, (0, "left")),
+    ("lgp", 2): (13.042623190546125, 40.251849649523024, (1, "left")),
+}
+
+
+@pytest.mark.parametrize("model, k", sorted(_PINNED_BRACKETS))
+def test_urtdp_root_bracket_and_first_action_are_pinned(model, k):
+    budget = 10 // k
+    problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, k=k, model=model,
+                                    n_prior=20, budget=budget)
+    cfg = PlannerConfig(horizon=k * budget - 1, nu=3, alpha=1e-12,
+                        max_simulated_paths=200, seed=5)
+    res = urtdp(problem, d0, s0, cfg)
+    lower, upper, (robot, move) = _PINNED_BRACKETS[model, k]
+    assert (res.bounds.lower, res.bounds.upper) == (lower, upper)
+    assert res.policy.act(s0, d0, 0) == ConstrainedJointAction(robot, move)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["gp", "lgp"]), st.integers(1, 2),
+       st.integers(1, 4), st.integers(1, 3))
+def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, horizon, nu):
+    # after every trial, each expanded node's cached index is the first
+    # record with the largest upper q, and its bounds are the largest q's
+    problem, d0, s0 = make_instance(seed=seed, rows=3, cols=4, k=k, model=model, n_prior=2)
+    inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=nu), "jensen",
+                          np.random.default_rng(seed))
+    for _ in range(8):
+        inst.simulated_path(d0, s0, 0)
+        stack = [inst.tables[state_key(0, s0, d0)]]
+        while stack:
+            node = stack.pop()
+            if len(node) == 2 or not node[2]:
+                continue
+            qs = inst.q_values(node[2])
+            uppers = [hi for _, _, hi in qs]
+            assert node[3] == uppers.index(max(uppers))
+            assert node[:2] == [max(lo for _, lo, _ in qs), max(uppers)]
+            stack.extend(c for _, _, _, children in node[2] for c in children or ())
 
 
 # -- init_bounds -------------------------------------------------------------
