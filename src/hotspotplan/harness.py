@@ -149,6 +149,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("each (policy, model) arm may be listed only once")
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError("each seed may be listed only once")
     if cfg.field_csv is None:
         missing = [k for k in _SYNTHETIC_KEYS if getattr(cfg, k) is None]
         if missing:
@@ -226,6 +228,8 @@ def load_config(path) -> ExperimentConfig:
         key = key.strip()
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is repeated")
         try:
             values[key] = _PARSERS[types[key]](raw.strip())
         except ValueError as exc:

@@ -33,8 +33,8 @@ location and outcome in order, so two branches never meet. A node is its
 ``[lower, upper]`` pair; once expanded it also holds one record per action
 with the reward, the observed cell and the child nodes, one per outcome
 point. A trial walks the root's one factor down the tree, extending it by
-each observed cell and outcome point, and derives the team states as it
-goes, so no history, state or key is stored below the root.
+each observed cell and outcome point, so no history, state or key is
+stored below the root.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
@@ -47,8 +47,8 @@ in Python floats, and each slope is read off its covariance
 entropy sampling, MI-based greedy) commit their paths from the prior data.
 
 Every planner steps the constrained joint actions, one robot move per
-stage; MES's branch and bound, too, takes one robot move per node, robots
-in turn.
+stage (MES's branch and bound one per node, robots in turn). Policies act
+at a ``TeamState``; every search steps one :class:`_Walk` and undoes it.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from .world import (
     action_target,
     constrained_actions,
     legal_moves,
-    transition,
 )
 
 MODELS = ("gp", "lgp")
@@ -206,23 +205,34 @@ def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> flo
 
 
 class _Walk:
-    """A team state walked in place: ``(cell, heading)`` poses, step counts, visited set."""
+    """A team state walked in place on ``domain``: ``(cell, heading)`` poses, step
+    counts, visited set, per-robot ``budget`` (the state's unless given), the
+    ``trail`` of steps to undo, and :meth:`moves`, every search's move enumeration."""
 
-    def __init__(self, s: TeamState):
+    def __init__(self, s: TeamState, domain: GridDomain, budget: int | None = None):
         self.poses = [(p.cell, p.heading) for p in s.poses]
-        self.steps, self.visited, self.budget = list(s.steps), set(s.visited), s.budget
+        self.steps, self.visited, self.domain = list(s.steps), set(s.visited), domain
+        self.budget = s.budget if budget is None else budget
+        self.trail = []
 
-    def step(self, i: int, cell, heading: str):
-        """Move robot ``i``; return its pose before the move, for :meth:`undo`."""
-        pose, self.poses[i] = self.poses[i], (cell, heading)
+    def moves(self):
+        """Yield the legal ``(robot, move, cell, heading)`` in :func:`legal_moves`'
+        order; a step taken while they are read is undone before the next."""
+        return legal_moves(self.poses, self.visited, self.steps, self.budget, self.domain)
+
+    def step(self, i: int, cell, heading: str) -> None:
+        self.trail.append((i, self.poses[i]))
+        self.poses[i] = (cell, heading)
         self.steps[i] += 1
         self.visited.add(cell)
-        return pose
 
-    def undo(self, i: int, pose) -> None:
-        self.visited.discard(self.poses[i][0])
-        self.poses[i] = pose
-        self.steps[i] -= 1
+    def undo(self, count: int = 1) -> None:
+        """Take back the last ``count`` steps."""
+        for _ in range(count):
+            i, pose = self.trail.pop()
+            self.visited.discard(self.poses[i][0])
+            self.poses[i] = pose
+            self.steps[i] -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +256,21 @@ class _TreeSolver:
         self.w = np.asarray(weights, dtype=float)
         self.zeta = np.asarray(points, dtype=float)
         self.n_actions = n_actions
-        self._inc = None
+        self._inc = self._walk = None
 
     def solve(self, s: TeamState, d: PosteriorData):
         """Return (value, [(action, q)]) at the root state."""
         self._inc = IncrementalPosterior(
             self.problem.kernel_table, d.locations, d.z, len(d) + self.n_actions
         )
-        acts = constrained_actions(s, self.problem.domain)
-        q_list = [(a, float(self._q(s, 0, a))) for a in acts]
+        self._walk = _Walk(s, self.problem.domain)
+        q_list = [(ConstrainedJointAction(i, mv), float(self._q(0, i, x, heading)))
+                  for i, mv, x, heading in list(self._walk.moves())]
         value = max((q for _, q in q_list), default=0.0)
         return value, q_list
 
-    def _q(self, s, depth, a):
+    def _q(self, depth, i, x, heading):
         inc, b = self._inc, self.zeta.shape[0]
-        x = action_target(s, a).cell
         (mu,), (var,) = inc.batch([x])
         if var <= 0:
             raise DegenerateCovariance(f"non-positive posterior variance at {x}")
@@ -270,17 +280,19 @@ class _TreeSolver:
         if depth == self.n_actions - 1:
             return np.broadcast_to(np.asarray(reward, dtype=float), (b,) * depth)
         inc.extend(x, 0.0, inc.columns[:, 0])
-        child = self._value(transition(s, a, self.problem.domain), depth + 1)
+        self._walk.step(i, x, heading)
+        child = self._value(depth + 1)
+        self._walk.undo()
         inc.pop(1)
         return reward + np.tensordot(child, self.w, axes=(-1, 0))
 
-    def _value(self, s, depth):
+    def _value(self, depth):
         shape = (self.zeta.shape[0],) * depth
-        acts = constrained_actions(s, self.problem.domain)
-        if not acts:
+        moves = list(self._walk.moves())
+        if not moves:
             # dead end: remaining stages contribute nothing
             return np.zeros(shape)
-        best = reduce(np.maximum, (self._q(s, depth, a) for a in acts))
+        best = reduce(np.maximum, (self._q(depth, i, x, hd) for i, _, x, hd in moves))
         return np.broadcast_to(best, shape)
 
 
@@ -290,22 +302,21 @@ def _check_bounded_size(problem: Problem, s0: TeamState, config: PlannerConfig, 
 
     A move sequence from ``s0`` that ends after ``j`` moves ends in a branch
     array of ``points**(j - 1)`` elements (``points**horizon`` at full
-    length). The sequences are walked with ``legal_moves``, and the walk
-    stops as soon as their total passes the limit.
+    length). The sequences are walked on one :class:`_Walk`, stepped and
+    undone, and the walk stops as soon as their total passes the limit.
     """
-    domain, length, walk, leaves = problem.domain, config.horizon + 1, _Walk(s0), 0.0
+    length, walk, leaves = config.horizon + 1, _Walk(s0, problem.domain), 0.0
 
     def over(depth):
         nonlocal leaves
-        moves = [] if depth == length else list(
-            legal_moves(walk.poses, walk.visited, walk.steps, walk.budget, domain))
+        moves = [] if depth == length else list(walk.moves())
         if not moves:
             leaves += float(points) ** max(depth - 1, 0)
             return leaves > BOUNDED_MAX_LEAVES
         for i, _, cell, heading in moves:
-            pose = walk.step(i, cell, heading)
+            walk.step(i, cell, heading)
             stop = over(depth + 1)
-            walk.undo(i, pose)
+            walk.undo()
             if stop:
                 return True
         return False
@@ -468,20 +479,19 @@ class _Window:
 
 
 def _greedy_ce_rollout(problem, window, walk, steps_count):
-    """Greedy certainty-equivalent rollout from ``walk`` (left as it is) on a
-    :class:`_Window` that holds every cell it can enter; returns the total
-    reward and the cells.
+    """Greedy certainty-equivalent rollout from ``walk`` (stepped, then undone)
+    on a :class:`_Window` that holds every cell it can enter; returns the
+    total reward and the cells.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
     back as the observation, which leaves every mean unchanged: a move scores
     its window mean and its variance given the cells chosen so far.
     """
-    poses, visited, steps = list(walk.poses), set(walk.visited), list(walk.steps)
     total, seq, base, cov, chosen = 0.0, [], len(window.chosen), window.cov, window.chosen
     whitened = [None] * len(window.mean)  # a cell's column over the first len(w) chosen cells
     for _ in range(steps_count):
         best = None
-        for i, _, cell, nh in legal_moves(poses, visited, steps, walk.budget, problem.domain):
+        for i, _, cell, nh in walk.moves():
             j = window.index[cell]
             w = whitened[j]
             if w is None:
@@ -498,10 +508,9 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
         reward, i, cell, nh, j, w, var = best
         total += reward
         window.push(j, w, var)
-        poses[i] = (cell, nh)
-        visited.add(cell)
-        steps[i] += 1
+        walk.step(i, cell, nh)
         seq.append(cell)
+    walk.undo(len(seq))
     del window.chosen[base:]
     return total, seq
 
@@ -528,7 +537,7 @@ def _init_bounds(problem, inc, s, stage, config) -> ValueBounds:
     """:func:`init_bounds` on the factor ``inc`` over the history of ``s``."""
     if stage > config.horizon:
         return ValueBounds(0.0, 0.0)
-    remaining, walk = config.horizon - stage + 1, _Walk(s)
+    remaining, walk = config.horizon - stage + 1, _Walk(s, problem.domain)
     upper = remaining * _stage_max(problem, config)
     lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, walk, remaining), walk, remaining)
     return ValueBounds(min(lower, upper), upper)
@@ -595,8 +604,7 @@ class _UrtdpInstance:
         problem = self.problem
         window = self.window = _Window(problem, inc, walk, max(self.config.horizon - stage, 0) + 1)
         records = []
-        for i, mv, x, heading in legal_moves(walk.poses, walk.visited, walk.steps, walk.budget,
-                                             problem.domain):
+        for i, mv, x, heading in walk.moves():
             j = window.index[x]
             var = window.cov.item(j, j)
             if var <= 0:
@@ -625,9 +633,9 @@ class _UrtdpInstance:
         upper = remaining * self.stage_max
         j = window.index[x]
         pivot_var = window.push(j, [], window.cov.item(j, j))
-        pose = walk.step(i, x, heading)
+        walk.step(i, x, heading)
         v_ref, seq = _greedy_ce_rollout(problem, window, walk, remaining)
-        walk.undo(i, pose)
+        walk.undo()
         slope = 0.0 if not problem.is_lgp else (
             sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
         window.chosen.pop()
@@ -668,7 +676,7 @@ class _UrtdpInstance:
         end. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
         """
         node, inc = root or self._root(d0, s0, stage0)
-        walk, stage, trail = _Walk(s0), stage0, []
+        walk, stage, trail = _Walk(s0, self.problem.domain), stage0, []
         while True:
             fresh = len(node) == 2
             records = self.expand(node, inc, walk, stage)
@@ -713,7 +721,7 @@ class _UrtdpInstance:
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
         root, inc = self._root(d, s, stage)
-        return self.q_values(self.expand(root, inc, _Walk(s), stage))
+        return self.q_values(self.expand(root, inc, _Walk(s, self.problem.domain), stage))
 
 
 def _best_upper(qs) -> int:
@@ -799,15 +807,6 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
 # ---------------------------------------------------------------------------
 
 
-def _replay_paths(s0: TeamState, domain, actions) -> list:
-    """Per-robot cell paths of committed constrained actions replayed from ``s0``."""
-    paths = [[p.cell] for p in s0.poses]
-    for a in actions:
-        paths[a.robot_index].append(action_target(s0, a).cell)
-        s0 = transition(s0, a, domain)
-    return paths
-
-
 @dataclass
 class MesResult:
     value: float
@@ -843,18 +842,16 @@ def mes_nonadaptive(
     exhausting the tree certifies optimality. Joint entropies use the GP
     (log-scale) model.
     """
-    domain = problem.domain
     k, total = s0.k, s0.k * n
-    s0 = TeamState(s0.poses, s0.visited, s0.steps, n)
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    walk = _Walk(s0)
+    walk = _Walk(s0, problem.domain, n)
     visited = walk.visited
-    seq = []  # (robot, move, its pose before the move) along the path
+    seq = []  # (robot, move, cell) along the path
 
     # every prior gain in one batch
-    free = [c for c in domain.cells() if c not in visited]
+    free = [c for c in problem.domain.cells() if c not in visited]
     _, var = inc.batch(free)
     gain_sorted = sorted(zip(free, _entropy(var).tolist()), key=lambda kv: -kv[1])
 
@@ -868,36 +865,28 @@ def mes_nonadaptive(
                 need -= 1
         return tail
 
-    def moves(j):
-        """Legal ``(robot, move, cell, heading)`` of the robot that moves at depth ``j``."""
-        i = j % k
-        legal = legal_moves([walk.poses[i]], visited, (walk.steps[i],), n, domain)
-        return [(i, mv, cell, hd) for _, mv, cell, hd in legal]
-
     def push(val, i, mv, cell, hd):
         """Take a move; return the running value plus the new cell's entropy."""
-        seq.append((i, mv, walk.step(i, cell, hd)))
+        seq.append((i, mv, cell))
+        walk.step(i, cell, hd)
         return val + _entropy(inc.extend(cell, 0.0))
 
     def pop():
-        i, _, pose = seq.pop()
-        walk.undo(i, pose)
+        seq.pop()
+        walk.undo()
         inc.pop(1)
-
-    def actions():
-        return [ConstrainedJointAction(i, mv) for i, mv, _ in seq]
 
     def greedy():
         """Each move takes the largest variance of one batch; the value is the
         running sum the search forms along the same path."""
         val = 0.0
         for j in range(total):
-            opts = moves(j)
+            opts = [m for m in walk.moves() if m[0] == j % k]
             if not opts:
                 return -math.inf, None
             _, var = inc.batch([cell for _, _, cell, _ in opts])
             val = push(val, *opts[int(np.argmax(var))])
-        return val, actions()
+        return val, seq[:]
 
     best_val, best_seq = greedy()
     while seq:
@@ -915,9 +904,9 @@ def mes_nonadaptive(
         nonlocal nodes, best_val, best_seq, found
         if j == total:
             if keeps(val):
-                best_val, best_seq, found = val, actions(), True
+                best_val, best_seq, found = val, seq[:], True
             return
-        for move in moves(j):
+        for move in [m for m in walk.moves() if m[0] == j % k]:
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
@@ -933,8 +922,11 @@ def mes_nonadaptive(
         exact = False
     if best_seq is None:
         raise DeadEnd("no complete joint path of the requested length exists")
-    paths = _replay_paths(s0, domain, best_seq)
-    return MesResult(best_val, paths, NonAdaptivePolicy(best_seq), exact, nodes)
+    paths = [[p.cell] for p in s0.poses]
+    for i, _, cell in best_seq:
+        paths[i].append(cell)
+    actions = [ConstrainedJointAction(i, mv) for i, mv, _ in best_seq]
+    return MesResult(best_val, paths, NonAdaptivePolicy(actions), exact, nodes)
 
 
 @dataclass
@@ -955,29 +947,30 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     map's spectrum (:meth:`~hotspotplan.field_model.MapSpectrum.leave_one_out`),
     so no step factors anything map-sized.
     """
-    domain = problem.domain
-    h = problem.hyper
-    s0 = s = TeamState(s0.poses, s0.visited, s0.steps, n)
-    total = s.k * n
+    total = s0.k * n
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    spectrum = map_spectrum(h, domain)
+    spectrum = map_spectrum(problem.hyper, problem.domain)
     if not spectrum.positive:
         raise SingularGram("map gram matrix not positive definite")
+    walk = _Walk(s0, problem.domain, n)
+    paths = [[p.cell] for p in s0.poses]
     selected = []
     actions = []
     scores = []
     for _ in range(total):
-        acts = constrained_actions(s, domain)
-        if not acts:
+        moves = list(walk.moves())
+        if not moves:
             raise DeadEnd("mi_greedy path construction blocked")
-        ys = [action_target(s, a).cell for a in acts]
+        ys = [cell for _, _, cell, _ in moves]
         _, var_sel = inc.batch(ys)
         var_rest = spectrum.leave_one_out(ys, selected)
         mi = 0.5 * (np.log(var_sel) - np.log(var_rest))
         b = int(np.argmax(mi))
-        inc.extend(ys[b], 0.0)
-        selected.append(ys[b])
-        actions.append(acts[b])
+        i, mv, cell, heading = moves[b]
+        inc.extend(cell, 0.0)
+        selected.append(cell)
+        actions.append(ConstrainedJointAction(i, mv))
         scores.append(float(mi[b]))
-        s = transition(s, acts[b], domain)
-    return MiResult(_replay_paths(s0, domain, actions), NonAdaptivePolicy(actions), scores)
+        paths[i].append(cell)
+        walk.step(i, cell, heading)
+    return MiResult(paths, NonAdaptivePolicy(actions), scores)

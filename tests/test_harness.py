@@ -186,6 +186,23 @@ def test_config_rejects_a_repeated_arm(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_a_repeated_seed(tmp_path):
+    # a repeated seed would run twice, count twice in the summary's runs and
+    # pair both copies with one base record in each paired t-test
+    path = write_config(tmp_path, seeds="0, 0, 1")
+    with pytest.raises(ConfigError, match="seed may be listed only once"):
+        load_config(path)
+
+
+def test_config_rejects_a_repeated_key(tmp_path):
+    # a repeated key would silently keep its last value
+    path = tmp_path / "c.cfg"
+    path.write_text(BASE_CONFIG.strip() + "\nrows = 5\n")
+    line = len(BASE_CONFIG.strip().splitlines()) + 1
+    with pytest.raises(ConfigError, match=rf"c\.cfg:{line}: config key 'rows' is repeated"):
+        load_config(path)
+
+
 def test_config_needs_field_source(tmp_path):
     text = "\n".join(
         l for l in BASE_CONFIG.strip().splitlines() if not l.startswith("field_")

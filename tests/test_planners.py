@@ -52,6 +52,7 @@ from hotspotplan.world import (
     action_target,
     constrained_actions,
     full_joint_actions,
+    interior_heading,
     legal_moves,
     move_target,
     transition,
@@ -249,6 +250,27 @@ def test_bounded_dp_solves_a_boxed_in_instance_urtdp_closes():
         res.bounds.upper, abs=1e-12)
 
 
+# recorded at d484319, before the exhaustive solver stepped a walk: bounded_dp
+# at horizon 3, nu 3 and exact_dp at horizon 2 with three quadrature panels
+_EXHAUSTIVE_PINS = [
+    (0, 1, "gp", "0x1.9f085a9d6c56bp+1", "0x1.9f085a9d6c56ap+1", "0x1.2eb4a6967114ep+1"),
+    (0, 1, "lgp", "0x1.47e2a6d944d92p+2", "0x1.55a4dcb8cde61p+2", "0x1.0bb10c256cc62p+2"),
+    (0, 2, "gp", "0x1.780f02d344765p+1", "0x1.780f02d344765p+1", "0x1.24fc32d96456ep+1"),
+    (0, 2, "lgp", "0x1.53a23e76ca2fep+2", "0x1.626483d14ad0ap+2", "0x1.182d5ee4c1a74p+2"),
+    (1, 1, "lgp", "0x1.06c063f6d7557p+2", "0x1.07adfdc3472acp+2", "0x1.912f1f6ac11d6p+1"),
+    (1, 2, "lgp", "0x1.a443e059436dep+1", "0x1.b85b406f35062p+1", "0x1.4761e9c2817f6p+1"),
+]
+
+
+@pytest.mark.parametrize("seed, k, model, lower, upper, exact", _EXHAUSTIVE_PINS)
+def test_exhaustive_values_are_pinned(seed, k, model, lower, upper, exact):
+    problem, d0, s0 = make_instance(seed=seed, rows=4, cols=4, k=k, model=model)
+    cfg = cfg_for(horizon=3, nu=3)
+    assert bounded_dp(problem, d0, s0, cfg, "lower")[0].hex() == lower
+    assert bounded_dp(problem, d0, s0, cfg, "upper")[0].hex() == upper
+    assert exact_dp(problem, d0, s0, cfg_for(horizon=2), quadrature_order=3).hex() == exact
+
+
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_bounded_dp_refuses_an_open_instance_quickly(side):
     domain = GridDomain(14, 12)
@@ -432,7 +454,7 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     inst = urtdp_policy(problem, cfg).instance
     root, root_inc = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, root_inc, _Walk(s0), 0)
+    entries = inst.expand(root, root_inc, _Walk(s0, problem.domain), 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
     for (_, _, x, children), seq in zip(entries, seqs):
@@ -509,7 +531,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
         root_inc = inst._root(d0, s0, 0)[1]
         rollouts.clear()
-        records = inst.expand([0.0, 0.0], root_inc, _Walk(s0), 0)
+        records = inst.expand([0.0, 0.0], root_inc, _Walk(s0, problem.domain), 0)
         assert len(rollouts) == len(records)
         for (a, _, x, children), (total, seq) in zip(records, rollouts):
             j = inst.window.index[x]
@@ -555,7 +577,7 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=2), "jensen",
                           np.random.default_rng(0))
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    records = inst.expand([0.0, 0.0], inc, _Walk(s), stage)
+    records = inst.expand([0.0, 0.0], inc, _Walk(s, problem.domain), stage)
     # every cell that some run of at most horizon - stage + 1 legal moves enters
     entered = set()
 
@@ -573,6 +595,46 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     assert bool(records) == bool(entered)
     if entered:
         assert entered <= set(inst.window.index)
+
+
+@st.composite
+def _team_cases(draw):
+    domain = GridDomain(draw(st.sampled_from([3, 4])), 4)
+    k = draw(st.integers(1, 3))
+    picked = draw(st.lists(st.sampled_from(domain.cells()), min_size=k + 1, max_size=k + 4,
+                           unique=True))
+    budget = draw(st.sampled_from([None, 1, 2, 3]))
+    poses = tuple(RobotPose(c, draw(st.sampled_from(HEADINGS))) for c in picked[:k])
+    s = TeamState(poses, frozenset(picked), budget=budget)
+    return domain, s, draw(st.integers(0, 2))
+
+
+def _walk_state(walk):
+    return list(walk.poses), list(walk.steps), set(walk.visited), walk.budget, walk.trail
+
+
+@settings(max_examples=120, deadline=None)
+@given(_team_cases(), st.sampled_from(["lgp", "gp"]))
+def test_every_search_hands_back_its_walk_unchanged(case, model):
+    # the rollout, an expansion and the exhaustive solver step one walk in
+    # place; each must undo every step before it returns
+    domain, s, horizon = case
+    problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), model)
+    d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
+    cfg = cfg_for(horizon=horizon, nu=2)
+    fresh = _walk_state(_Walk(s, domain))
+    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + horizon + 1)
+    walk = _Walk(s, domain)
+    window = planners._Window(problem, inc, walk, horizon + 1)
+    planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
+    assert _walk_state(walk) == fresh and window.chosen == []
+    inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
+    inst.expand([0.0, 0.0], inc, walk, 0)
+    assert _walk_state(walk) == fresh
+    w, zeta = standardized_rule(2, cfg.truncation_m, "jensen")
+    solver = planners._TreeSolver(problem, w, zeta, horizon + 1)
+    solver.solve(s, d)
+    assert _walk_state(solver._walk) == fresh
 
 
 def test_outcome_draw_matches_generator_choice():
@@ -935,6 +997,35 @@ def test_mes_node_budget_falls_back_to_incumbent():
         assert capped.value == pytest.approx(
             gaussian_entropy(posterior(d0, cells, problem.hyper)), abs=1e-10
         )
+
+
+def _replayed_paths(s0, domain, actions, n):
+    """Per-robot cells of ``actions`` stepped through ``transition`` from ``s0``
+    with per-robot budget ``n``."""
+    s = TeamState(s0.poses, s0.visited, s0.steps, n)
+    paths = [[p.cell] for p in s.poses]
+    for a in actions:
+        s = transition(s, a, domain)
+        paths[a.robot_index].append(s.poses[a.robot_index].cell)
+    return paths
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mes_and_mi_paths_are_their_actions_replayed(k, n):
+    # the searches record each chosen cell; stepping the committed actions
+    # through the world model must give the same paths
+    domain = GridDomain(4, 4)
+    problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), "lgp")
+    starts = [(0, 0), (3, 3), (0, 3)][:k]
+    poses = tuple(RobotPose(c, interior_heading(c, domain)) for c in starts)
+    s0 = TeamState(poses, frozenset(starts + [(2, 1)]))
+    d0 = PosteriorData(sorted(s0.visited), np.linspace(-0.5, 0.5, k + 1))
+    mes = mes_nonadaptive(problem, d0, s0, n, node_budget=2000)
+    mi = mi_greedy(problem, d0, s0, n)
+    for res in (mes, mi):
+        assert len(res.policy.actions) == k * n
+        assert res.paths == _replayed_paths(s0, domain, res.policy.actions, n)
 
 
 # -- mi_greedy ---------------------------------------------------------------
