@@ -10,7 +10,8 @@ measurement outcome are handled three ways:
                      (upper) weighted sums, solved exhaustively;
 * ``urtdp``        - anytime trial-based solver that grows a search tree of
                      lower/upper bounds for the Jensen and EM problems and
-                     tightens them along simulated paths.
+                     tightens them along simulated paths; the two searches
+                     run side by side, the EM one in a forked child process.
 
 The exhaustive solvers (``exact_dp`` and ``bounded_dp``) share one
 vectorized tree recursion parameterized by the standardized outcome points,
@@ -55,7 +56,12 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
+import signal
+import threading
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate
@@ -215,10 +221,11 @@ class _Walk:
         self.budget = s.budget if budget is None else budget
         self.trail = []
 
-    def moves(self):
-        """Yield the legal ``(robot, move, cell, heading)`` in :func:`legal_moves`'
-        order; a step taken while they are read is undone before the next."""
-        return legal_moves(self.poses, self.visited, self.steps, self.budget, self.domain)
+    def moves(self, robot: int | None = None):
+        """Yield the legal ``(robot, move, cell, heading)`` (of ``robot`` alone, if
+        given) in :func:`legal_moves`' order; a step taken while they are read is
+        undone before the next."""
+        return legal_moves(self.poses, self.visited, self.steps, self.budget, self.domain, robot)
 
     def step(self, i: int, cell, heading: str) -> None:
         self.trail.append((i, self.poses[i]))
@@ -783,23 +790,103 @@ class UrtdpResult:
 def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerConfig) -> UrtdpResult:
     """Anytime bracketing of the strictly adaptive value plus a policy.
 
-    Two trial-based instances run side by side: one on the Jensen (lower)
-    problem and one on the EM (upper) problem, each until its own root gap
-    falls under ``alpha`` or it spends ``max_simulated_paths`` trials. The
-    returned root bounds are the Jensen instance's lower bound and the EM
-    instance's upper bound, which bracket the exhaustive lower/upper problem
-    values (and hence the true optimum) at all times. The policy is greedy on
-    the lower-problem bounds.
+    Two trial-based instances run side by side, in two processes: the
+    caller runs the one on the Jensen (lower) problem while a forked child
+    (:func:`_forked`) runs the one on the EM (upper) problem, each until its
+    own root gap falls under ``alpha`` or it spends ``max_simulated_paths``
+    trials. Both are built here and draw their own streams, so the result
+    does not depend on the split. The returned root bounds are the Jensen
+    instance's lower bound and the EM instance's upper bound, which bracket
+    the exhaustive lower/upper problem values (and hence the true optimum)
+    at all times. The policy is greedy on the lower-problem bounds and keeps
+    the Jensen tree. POSIX only; do not call it from a multi-threaded process.
     """
     policy = urtdp_policy(problem, config)
     low = policy.instance
     up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1))
-    ok_low = low.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
-    ok_up = up.run(d0, s0, 0, config.alpha, config.max_simulated_paths)
-    bounds = ValueBounds(
-        low.root_bounds(d0, s0, 0).lower, up.root_bounds(d0, s0, 0).upper
-    )
-    return UrtdpResult(bounds, policy, low.paths_run, up.paths_run, not (ok_low and ok_up))
+    args = (d0, s0, 0, config.alpha, config.max_simulated_paths)
+
+    def em_half():
+        closed = up.run(*args)
+        return closed, up.root_bounds(d0, s0, 0).upper, up.paths_run
+
+    with _forked(em_half) as em_result:
+        ok_low = low.run(*args)
+        ok_up, upper, upper_paths = em_result()
+    bounds = ValueBounds(low.root_bounds(d0, s0, 0).lower, upper)
+    return UrtdpResult(bounds, policy, low.paths_run, upper_paths, not (ok_low and ok_up))
+
+
+@contextmanager
+def _forked(fn):
+    """Run ``fn()`` in a forked child while the ``with`` block runs.
+
+    Yields a function that waits for the child and returns ``fn``'s result
+    or raises its exception. The child sends only that, pickled, through a
+    pipe, and always ends in ``os._exit``. It also ends, within
+    milliseconds, once its caller is gone: only the caller holds the write
+    end of a second pipe, which a child thread reads until end of file.
+    Leaving the block kills a child not yet waited for, so an error or an
+    interrupt in the caller does not wait for ``fn``; the child is reaped
+    either way.
+    """
+    result_r, result_w = os.pipe()
+    alive_r, alive_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (result_r, result_w, alive_r, alive_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(result_r)
+            os.close(alive_w)
+            threading.Thread(target=_exit_at_eof, args=(alive_r,), daemon=True).start()
+            try:
+                out = (True, fn())
+            except BaseException as exc:  # sent to the caller, which raises it
+                out = (False, exc)
+            with open(result_w, "wb") as f:
+                f.write(pickle.dumps(out))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(result_w)
+    os.close(alive_r)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with open(result_r, "rb", closefd=False) as f:
+            data = f.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            raise RuntimeError(
+                f"the forked search ended without a result (exit code "
+                f"{os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(result_r)
+        os.close(alive_w)
+
+
+def _exit_at_eof(fd: int) -> None:
+    """End this process once no process holds the write end of ``fd``'s pipe."""
+    while os.read(fd, 1):
+        pass
+    os._exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +968,7 @@ def mes_nonadaptive(
         running sum the search forms along the same path."""
         val = 0.0
         for j in range(total):
-            opts = [m for m in walk.moves() if m[0] == j % k]
+            opts = list(walk.moves(j % k))
             if not opts:
                 return -math.inf, None
             _, var = inc.batch([cell for _, _, cell, _ in opts])
@@ -906,7 +993,7 @@ def mes_nonadaptive(
             if keeps(val):
                 best_val, best_seq, found = val, seq[:], True
             return
-        for move in [m for m in walk.moves() if m[0] == j % k]:
+        for move in walk.moves(j % k):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted

@@ -115,18 +115,19 @@ def move_target(pose: RobotPose, move: str) -> RobotPose:
     return RobotPose((pose.cell[0] + dr, pose.cell[1] + dc), heading)
 
 
-def legal_moves(poses, visited, steps, budget, domain: GridDomain):
-    """Yield ``(robot, move, cell, heading)`` for every legal one-robot move.
+def legal_moves(poses, visited, steps, budget, domain: GridDomain, robot: int | None = None):
+    """Yield ``(robot, move, cell, heading)`` for every legal one-robot move
+    (of robot ``robot`` alone, if given).
 
     ``poses`` holds ``(cell, heading)`` pairs. Robots whose step count has
     reached ``budget`` do not move; a move must stay on the grid and land on
     a cell not in ``visited``. Order: robot index, then front < left < right.
     """
     rows, cols = domain.rows, domain.cols
-    for i, (cell, hd) in enumerate(poses):
+    for i in range(len(poses)) if robot is None else (robot,):
         if budget is not None and steps[i] >= budget:
             continue
-        r, c = cell
+        (r, c), hd = poses[i]
         for mv in MOVES:
             dr, dc, nh = MOVE_DELTA[(hd, mv)]
             r2, c2 = r + dr, c + dc

@@ -165,3 +165,15 @@ def make_field_instance(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After each test the process has no child, running or unreaped
+    (``urtdp`` forks one per call and must reap it before it returns)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: {f'pid {pid}, now reaped' if pid else 'running'}")

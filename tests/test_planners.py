@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from conftest import (
 import hotspotplan.field_model as fm
 from hotspotplan import planners
 from hotspotplan.discretization import standardized_rule
-from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge
+from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge, SingularGram
 from hotspotplan.field_model import (
     Hyperparams,
     IncrementalPosterior,
@@ -29,6 +34,7 @@ from hotspotplan.planners import (
     BoundedLowerPolicy,
     PlannerConfig,
     Problem,
+    UrtdpPolicy,
     ValueBounds,
     _UrtdpInstance,
     _Walk,
@@ -430,7 +436,10 @@ def test_urtdp_trials_walk_one_factor_and_store_no_histories(monkeypatch):
     monkeypatch.setattr(PosteriorData, "extended", count_extended)
     monkeypatch.setattr(IncrementalPosterior, "__init__", count_init)
     res = urtdp(problem, d0, s0, cfg)
-    assert res.lower_paths == res.upper_paths == 50
+    # urtdp's EM half ran in a forked child, which counted for itself: run it here too
+    up = _UrtdpInstance(problem, cfg, "em", planners._trial_rng(cfg, 1))
+    up.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
+    assert res.lower_paths == res.upper_paths == up.paths_run == 50
     assert calls["extended"] == 0
     assert calls["factor"] <= res.lower_paths + res.upper_paths + 2
 
@@ -754,6 +763,120 @@ def test_urtdp_root_bracket_and_first_action_are_pinned(model, k):
     lower, upper, (robot, move) = _PINNED_BRACKETS[model, k]
     assert (res.bounds.lower, res.bounds.upper) == (lower, upper)
     assert res.policy.act(s0, d0, 0) == ConstrainedJointAction(robot, move)
+
+
+# -- the two-process bracket: the EM half runs in a forked child --------------
+
+
+@pytest.mark.parametrize("model, k, rows, cols, n_prior, budget, alpha", [
+    ("gp", 1, 14, 12, 20, 10, 1e-12), ("gp", 2, 14, 12, 20, 5, 1e-12),
+    ("lgp", 1, 14, 12, 20, 10, 1e-12), ("lgp", 2, 14, 12, 20, 5, 1e-12),
+    ("lgp", 1, 3, 3, 3, 2, 1e-6),  # both halves close their gaps
+])
+def test_urtdp_equals_its_two_instances_run_in_process(model, k, rows, cols, n_prior, budget,
+                                                       alpha):
+    problem, d0, s0 = make_instance(seed=16, rows=rows, cols=cols, k=k, model=model,
+                                    n_prior=n_prior, budget=budget)
+    cfg = PlannerConfig(horizon=k * budget - 1, nu=3, alpha=alpha, max_simulated_paths=60,
+                        seed=7)
+    res = urtdp(problem, d0, s0, cfg)
+    low = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
+    up = _UrtdpInstance(problem, cfg, "em", planners._trial_rng(cfg, 1))
+    closed = [inst.run(d0, s0, 0, alpha, cfg.max_simulated_paths) for inst in (low, up)]
+    assert all(closed) == (alpha > 1e-9)
+    assert res.bounds.lower.hex() == low.root_bounds(d0, s0, 0).lower.hex()
+    assert res.bounds.upper.hex() == up.root_bounds(d0, s0, 0).upper.hex()
+    assert (res.lower_paths, res.upper_paths) == (low.paths_run, up.paths_run)
+    assert res.exhausted == (not all(closed))
+    assert res.policy.act(s0, d0, 0) == UrtdpPolicy(low, cfg).act(s0, d0, 0)
+
+
+def _fail_in(monkeypatch, rule, error, paths_first=0):
+    """Make the ``rule`` instance's ``run`` raise ``error`` after ``paths_first`` trials."""
+    run = _UrtdpInstance.run
+
+    def failing(inst, d, s, stage, alpha, budget):
+        if inst.rule != rule:
+            return run(inst, d, s, stage, alpha, budget)
+        run(inst, d, s, stage, alpha, paths_first)
+        raise error
+
+    monkeypatch.setattr(_UrtdpInstance, "run", failing)
+
+
+def test_an_error_in_the_em_search_reaches_the_caller(monkeypatch):
+    # the forked child inherits the patch, so its EM run raises
+    _fail_in(monkeypatch, "em", SingularGram("EM search: gram matrix not positive definite"))
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
+    with pytest.raises(SingularGram) as caught:
+        urtdp(problem, d0, s0, cfg_for(horizon=3, nu=3, paths=20))
+    assert type(caught.value) is SingularGram
+    assert str(caught.value) == "EM search: gram matrix not positive definite"
+
+
+@pytest.mark.parametrize("error", [SingularGram("Jensen search failed"), KeyboardInterrupt()],
+                         ids=["library-error", "keyboard-interrupt"])
+def test_an_error_in_the_jensen_search_stops_the_em_search_at_once(monkeypatch, error):
+    _fail_in(monkeypatch, "jensen", error, paths_first=5)
+    problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20,
+                                    budget=10)
+    cfg = PlannerConfig(horizon=9, nu=3, alpha=1e-12, max_simulated_paths=1_000_000, seed=0)
+    t0 = time.perf_counter()
+    with pytest.raises(type(error)):
+        urtdp(problem, d0, s0, cfg)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ChildProcessError):  # the child is gone and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+_MID_URTDP = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from conftest import make_instance
+from hotspotplan.planners import PlannerConfig, urtdp
+problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20, budget=10)
+urtdp(problem, d0, s0, PlannerConfig(horizon=9, nu=3, alpha=1e-12,
+                                     max_simulated_paths=1_000_000, seed=0))
+"""
+
+
+def _live_parent(pid):
+    """The parent pid of a live process, from ``/proc/<pid>/stat``; None once it
+    is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state, ppid = f.read().rsplit(")", 1)[1].split()[:2]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return None if state in "ZX" else int(ppid)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_killing_the_caller_mid_urtdp_ends_the_em_search(tmp_path):
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.Popen([sys.executable, "-c", _MID_URTDP, str(tests), str(tests.parent / "src")],
+                            cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    forked = []
+    try:
+        deadline = time.monotonic() + 60
+        while not forked and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            forked = [int(p) for p in os.listdir("/proc")
+                      if p.isdigit() and _live_parent(p) == proc.pid]
+        assert len(forked) == 1, proc.stderr.read().decode() if proc.poll() is not None else ""
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while _live_parent(forked[0]) is not None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_parent(forked[0]) is None
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+        for pid in forked:
+            if _live_parent(pid) is not None:  # the assertion failed: do not leave it running
+                os.kill(pid, signal.SIGKILL)
 
 
 @settings(max_examples=40, deadline=None)
