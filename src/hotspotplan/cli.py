@@ -34,10 +34,10 @@ def _cmd_generate(args) -> int:
     cfg = load_config(args.config)
     if cfg.field_csv is not None:
         raise ConfigError("generate needs synthetic field keys, not field_csv")
+    seeds = cfg.offset_seeds(args.seed_offset)
     out = make_output_dir(args.out)
     h = cfg.synthetic_hyperparams()
-    for seed in cfg.seeds:
-        seed += args.seed_offset
+    for seed in seeds:
         field = sample_field(h, cfg.domain, seed)
         path = out / f"field_{seed}.csv"
         save_field_csv(field, path)
@@ -63,8 +63,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    for seed in cfg.seeds:
-        seed += args.seed_offset
+    for seed in cfg.offset_seeds(args.seed_offset):
         res = compute_bounds(cfg, seed)
         b = res.bounds
         print(

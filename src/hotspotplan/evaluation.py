@@ -84,22 +84,15 @@ def ent_metric(problem: Problem, d: PosteriorData) -> float:
     return map_entropy(d, problem.domain, problem.hyper)
 
 
-def _predict_all(problem: Problem, d: PosteriorData) -> np.ndarray:
-    mean, var = posterior_marginals(d, problem.domain.cells(), problem.hyper)
-    pred = np.exp(mean + 0.5 * var)
-    return pred.reshape(problem.domain.rows, problem.domain.cols)
-
-
 def err_metric(problem: Problem, d: PosteriorData, field: np.ndarray) -> float:
     """Mean-squared relative prediction error over every domain cell."""
-    pred = _predict_all(problem, d)
-    mu_bar = float(field.mean())
-    return float(np.mean(((field - pred) / mu_bar) ** 2))
+    return float(np.mean(error_map(problem, d, field) ** 2))
 
 
 def error_map(problem: Problem, d: PosteriorData, field: np.ndarray) -> np.ndarray:
     """Per-cell absolute relative prediction error grid."""
-    pred = _predict_all(problem, d)
+    mean, var = posterior_marginals(d, problem.domain.cells(), problem.hyper)
+    pred = np.exp(mean + 0.5 * var).reshape(problem.domain.rows, problem.domain.cols)
     mu_bar = float(field.mean())
     return np.abs(field - pred) / mu_bar
 

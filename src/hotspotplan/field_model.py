@@ -58,12 +58,14 @@ class Hyperparams:
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        if self.signal_variance <= 0:
-            raise ValueError("signal_variance must be positive")
-        if self.length_scale <= 0:
-            raise ValueError("length_scale must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
+        if not math.isfinite(self.mean):
+            raise ValueError("mean must be finite")
+        if not 0 < self.signal_variance < math.inf:
+            raise ValueError("signal_variance must be positive and finite")
+        if not 0 < self.length_scale < math.inf:
+            raise ValueError("length_scale must be positive and finite")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be non-negative and finite")
 
     @property
     def nugget(self) -> float:

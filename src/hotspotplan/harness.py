@@ -89,6 +89,13 @@ class ExperimentConfig:
     def stages(self) -> int:
         return self.team_size * self.budget_per_robot
 
+    def offset_seeds(self, offset: int) -> list[int]:
+        """The seeds plus ``offset``, the seeds a verb runs; each must be non-negative."""
+        seeds = [s + offset for s in self.seeds]
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+        return seeds
+
     def synthetic_hyperparams(self) -> Hyperparams:
         return Hyperparams(
             self.field_mean,
@@ -126,16 +133,10 @@ def default_start_cells(domain: GridDomain, k: int) -> tuple[Cell, ...]:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.team_size < 1:
-        raise ConfigError("team_size must be >= 1")
-    if cfg.budget_per_robot < 1:
-        raise ConfigError("budget_per_robot must be >= 1")
-    if cfg.prior_units < 1:
-        raise ConfigError("prior_units must be positive")
-    if cfg.fit_grid_points < 1:
-        raise ConfigError("fit_grid_points must be >= 1")
-    if cfg.mes_node_budget < 1:
-        raise ConfigError("mes_node_budget must be >= 1")
+    for key in ("team_size", "budget_per_robot", "prior_units", "fit_grid_points",
+                "mes_node_budget"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if len(cfg.policies) != len(cfg.models):
         raise ConfigError("policies and models lists must have equal length")
     if not cfg.policies:
@@ -151,6 +152,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("need at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ConfigError("each seed may be listed only once")
+    cfg.offset_seeds(0)  # raises on a negative seed
     if cfg.field_csv is None:
         missing = [k for k in _SYNTHETIC_KEYS if getattr(cfg, k) is None]
         if missing:
@@ -266,8 +268,8 @@ def load_field_csv(path, domain: GridDomain | None = None) -> np.ndarray:
             r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if v <= 0:
-            raise NonPositiveValue(f"{path}:{lineno}: value must be positive, got {v}")
+        if not 0 < v < np.inf:
+            raise NonPositiveValue(f"{path}:{lineno}: value must be positive and finite, got {v}")
         if (r, c) in entries:
             raise MissingCell(f"{path}:{lineno}: duplicate cell ({r},{c})")
         entries[(r, c)] = v
@@ -296,6 +298,11 @@ def save_field_csv(field: np.ndarray, path) -> None:
     for r in range(rows):
         for c in range(cols):
             lines.append(f"{r},{c},{float(field[r, c])!r}")
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path``, each ending in a newline."""
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -383,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, threads: int = 1
     """Run every (policy, model) arm on every seed; records ordered by the
     arm's first place in the config, then by seed."""
     cfg = validate_config(cfg)
-    seeds = [s + seed_offset for s in cfg.seeds]
+    seeds = cfg.offset_seeds(seed_offset)
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             per_seed = list(pool.map(run_seed, [cfg] * len(seeds), seeds))
@@ -437,10 +444,7 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
         lines.append(
             f"{r.policy},{r.model},{r.k},{r.seed},{_fmt(r.ent)},{_fmt(r.err)},{_fmt(r.wall_time_s)}"
         )
-    try:
-        csv_path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {csv_path}: {exc}") from exc
+    _write_lines(csv_path, lines)
 
     summary_path = out / "summary.txt"
     by_arm: dict[tuple[str, str], list[ResultRecord]] = {}
@@ -478,8 +482,5 @@ def emit_results(records, out_dir) -> tuple[Path, Path]:
             )
     slines += [f"mes_search_cut model={r.model} seed={r.seed} nodes={r.mes_nodes}"
                for r in records if r.mes_exact is False]
-    try:
-        summary_path.write_text("\n".join(slines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {summary_path}: {exc}") from exc
+    _write_lines(summary_path, slines)
     return csv_path, summary_path

@@ -55,16 +55,16 @@ at a ``TeamState``; every search steps one :class:`_Walk` and undoes it.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import os
-import pickle
-import signal
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -147,8 +147,8 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.nu < 1 or self.truncation_m <= 0 or self.alpha <= 0:
-            raise ValueError("nu, truncation_m and alpha must be positive")
+        if self.nu < 1 or not 0 < self.truncation_m < math.inf or not 0 < self.alpha < math.inf:
+            raise ValueError("nu, truncation_m and alpha must be positive and finite")
         if self.max_simulated_paths < 1:
             raise ValueError("max_simulated_paths must be positive")
 
@@ -791,15 +791,17 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     """Anytime bracketing of the strictly adaptive value plus a policy.
 
     Two trial-based instances run side by side, in two processes: the
-    caller runs the one on the Jensen (lower) problem while a forked child
-    (:func:`_forked`) runs the one on the EM (upper) problem, each until its
-    own root gap falls under ``alpha`` or it spends ``max_simulated_paths``
-    trials. Both are built here and draw their own streams, so the result
-    does not depend on the split. The returned root bounds are the Jensen
-    instance's lower bound and the EM instance's upper bound, which bracket
-    the exhaustive lower/upper problem values (and hence the true optimum)
-    at all times. The policy is greedy on the lower-problem bounds and keeps
-    the Jensen tree. POSIX only; do not call it from a multi-threaded process.
+    caller runs the one on the Jensen (lower) problem while a child, a
+    ``multiprocessing`` fork-context process (:func:`_forked`), runs the one
+    on the EM (upper) problem, each until its own root gap falls under
+    ``alpha`` or it spends ``max_simulated_paths`` trials. Both are built
+    here and draw their own streams, so the result does not depend on the
+    split. The returned root bounds are the Jensen instance's lower bound
+    and the EM instance's upper bound, which bracket the exhaustive
+    lower/upper problem values (and hence the true optimum) at all times.
+    The policy is greedy on the lower-problem bounds and keeps the Jensen
+    tree. POSIX only; do not call it from a multi-threaded process or from
+    a daemonic one, such as a ``multiprocessing.Pool`` worker.
     """
     policy = urtdp_policy(problem, config)
     low = policy.instance
@@ -822,71 +824,54 @@ def _forked(fn):
     """Run ``fn()`` in a forked child while the ``with`` block runs.
 
     Yields a function that waits for the child and returns ``fn``'s result
-    or raises its exception. The child sends only that, pickled, through a
-    pipe, and always ends in ``os._exit``. It also ends, within
-    milliseconds, once its caller is gone: only the caller holds the write
-    end of a second pipe, which a child thread reads until end of file.
-    Leaving the block kills a child not yet waited for, so an error or an
-    interrupt in the caller does not wait for ``fn``; the child is reaped
-    either way.
+    or raises its exception. The child is a ``multiprocessing`` fork-context
+    process: it sends only that, as ``(ok, value)``, through a one-way pipe,
+    and it ends, within milliseconds, once its caller is gone. A child that
+    ends without sending raises ``RuntimeError`` with its exit code. Leaving
+    the block kills a child not yet waited for, so an error or an interrupt
+    in the caller does not wait for ``fn``; the child is reaped either way.
+    Not from a daemonic process, which ``multiprocessing`` lets start none.
     """
-    result_r, result_w = os.pipe()
-    alive_r, alive_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (result_r, result_w, alive_r, alive_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(result_r)
-            os.close(alive_w)
-            threading.Thread(target=_exit_at_eof, args=(alive_r,), daemon=True).start()
+    ctx = multiprocessing.get_context("fork")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_child, args=(fn, send_end))
+    with recv_end:
+        with send_end:  # only the child keeps a send end, so its exit is end of file
+            child.start()
+
+        def result():
             try:
-                out = (True, fn())
-            except BaseException as exc:  # sent to the caller, which raises it
-                out = (False, exc)
-            with open(result_w, "wb") as f:
-                f.write(pickle.dumps(out))
-            status = 0
+                ok, value = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the forked search ended without a result "
+                                   f"(exit code {child.exitcode})") from None
+            child.join()
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
         finally:
-            os._exit(status)
-    os.close(result_w)
-    os.close(alive_r)
-    reaped = False
+            child.kill()
+            child.join()
+            child.close()
 
-    def result():
-        nonlocal reaped
-        with open(result_r, "rb", closefd=False) as f:
-            data = f.read()
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        if not data:
-            raise RuntimeError(
-                f"the forked search ended without a result (exit code "
-                f"{os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
 
+def _run_in_child(fn, send_end) -> None:
+    """The body of :func:`_forked`'s child: send ``(ok, value)`` for ``fn()``."""
+
+    def exit_with_parent():
+        wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
     try:
-        yield result
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(result_r)
-        os.close(alive_w)
-
-
-def _exit_at_eof(fd: int) -> None:
-    """End this process once no process holds the write end of ``fd``'s pipe."""
-    while os.read(fd, 1):
-        pass
-    os._exit(1)
+        out = (True, fn())
+    except BaseException as exc:  # sent to the caller, which raises it
+        out = (False, exc)
+    send_end.send(out)
 
 
 # ---------------------------------------------------------------------------

@@ -155,13 +155,10 @@ def transition(s: TeamState, a: ConstrainedJointAction, domain: GridDomain) -> T
     """Apply a constrained joint action; the new cell becomes observed."""
     if not (0 <= a.robot_index < s.k):
         raise IllegalAction(f"robot index {a.robot_index} out of range")
-    if s.budget is not None and s.steps[a.robot_index] >= s.budget:
-        raise IllegalAction("robot has exhausted its path budget")
     nxt = move_target(s.poses[a.robot_index], a.move)
-    if not domain.contains(nxt.cell):
-        raise IllegalAction(f"move leaves the grid: {nxt.cell}")
-    if nxt.cell in s.visited:
-        raise IllegalAction(f"cell already observed: {nxt.cell}")
+    legal = legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain, a.robot_index)
+    if a.move not in {mv for _, mv, _, _ in legal}:
+        raise IllegalAction(f"robot {a.robot_index} may not move {a.move} to {nxt.cell}")
     poses = list(s.poses)
     poses[a.robot_index] = nxt
     steps = list(s.steps)

@@ -96,10 +96,11 @@ def test_field_csv_rejects_missing_cells(tmp_path):
         load_field_csv(path)
 
 
-def test_field_csv_rejects_nonpositive_values(tmp_path):
+@pytest.mark.parametrize("value", ["-2.0", "nan", "inf"])
+def test_field_csv_rejects_nonpositive_values(tmp_path, value):
     path = tmp_path / "f.csv"
-    path.write_text("row,col,value\n0,0,1.0\n0,1,-2.0\n")
-    with pytest.raises(NonPositiveValue):
+    path.write_text(f"row,col,value\n0,0,1.0\n0,1,{value}\n")
+    with pytest.raises(NonPositiveValue, match=r"f\.csv:3: value must be positive and finite"):
         load_field_csv(path)
 
 
@@ -169,6 +170,18 @@ def test_config_rejects_more_prior_units_than_the_prior_draw_can_supply(tmp_path
     ("rows", "0"),
     ("fit_grid_points", "0"),
     ("mes_node_budget", "-5"),
+    # NaN and inf pass a sign test; each must be refused as a config error
+    ("alpha", "nan"),
+    ("alpha", "inf"),
+    ("truncation_m", "nan"),
+    ("truncation_m", "inf"),
+    ("field_mean", "nan"),
+    ("field_mean", "inf"),
+    ("field_signal_variance", "inf"),
+    ("field_length_scale", "nan"),
+    ("field_noise_variance", "nan"),
+    ("field_noise_variance", "inf"),
+    ("seeds", "-1"),
 ])
 def test_config_rejects_every_value_its_objects_reject(tmp_path, capsys, key, value):
     # the grid, planner config and field prior reject these; loading does too
@@ -540,6 +553,16 @@ def test_cli_seed_offset_shifts_seeds(tmp_path):
         "run", "--config", str(cfg_path), "--out", str(out2), "--seed-offset", "7"
     ]) == 0
     assert out1.joinpath("results.csv").read_text() != out2.joinpath("results.csv").read_text()
+
+
+@pytest.mark.parametrize("verb", ["generate", "run", "bounds"])
+def test_cli_rejects_a_seed_offset_that_makes_a_seed_negative(tmp_path, capsys, verb):
+    # numpy refuses a negative seed; every verb that offsets seeds stops first
+    out = tmp_path / "out"
+    args = [verb, "--config", str(write_config(tmp_path)), "--seed-offset", "-1"]
+    assert cli_main(args + ([] if verb == "bounds" else ["--out", str(out)])) == 1
+    assert "config error: seeds must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_reports_each_cut_mes_search(tmp_path, capsys):

@@ -829,6 +829,42 @@ def test_an_error_in_the_jensen_search_stops_the_em_search_at_once(monkeypatch, 
         os.waitpid(-1, os.WNOHANG)
 
 
+class _Unpicklable(Exception):
+    """An error the child cannot send back: pickling it raises."""
+
+    def __reduce__(self):
+        raise TypeError("this error cannot be pickled")
+
+
+def _exit_3(inst, *args):
+    os._exit(3)
+
+
+def _raise_unpicklable(inst, *args):
+    raise _Unpicklable("EM search failed")
+
+
+@pytest.mark.parametrize("em_run, code", [(_exit_3, 3), (_raise_unpicklable, 1)],
+                         ids=["exit-3", "unpicklable-error"])
+def test_an_em_search_that_ends_without_a_result_is_a_runtime_error(monkeypatch, em_run, code):
+    # the forked child inherits the patch; the caller's Jensen run is the real one
+    run = _UrtdpInstance.run
+    monkeypatch.setattr(_UrtdpInstance, "run",
+                        lambda inst, *args: (em_run if inst.rule == "em" else run)(inst, *args))
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
+    with pytest.raises(RuntimeError, match=rf"ended without a result \(exit code {code}\)$"):
+        urtdp(problem, d0, s0, cfg_for(horizon=3, nu=3, paths=20))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_forked_calls_leave_no_file_descriptor_open():
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        with planners._forked(lambda: 42) as result:
+            assert result() == 42
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 _MID_URTDP = """
 import sys
 sys.path[:0] = sys.argv[1:3]

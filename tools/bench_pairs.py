@@ -19,8 +19,11 @@ interpolation), the parent's interquartile range, the change's median over
 the parent's, the pairs in which the change was better (ties count for
 neither side) and whether the change's median is within the metric's bound.
 A claimed gain (``--gain "<metric> on <workload>"``) also gets ``claim_met``:
-the change won at least nine tenths of the pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
+there are at least ``MIN_CLAIM_PAIRS`` pairs, the change won at least nine
+tenths of them, and its median is better than the parent's by more than the
+parent's interquartile range. The file also records the working tree's
+``HEAD`` commit and whether the tree, apart from the file itself, had
+uncommitted changes, so it says whether it measured committed code.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_CLAIM_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -82,7 +86,8 @@ def summarize(metric: dict, parent: list[float], change: list[float], claimed: b
     }
     if claimed:
         gain = c_med - p_med if higher else p_med - c_med
-        out["claim_met"] = wins >= 0.9 * len(parent) and gain > p_q[1] - p_q[0]
+        out["claim_met"] = (len(parent) >= MIN_CLAIM_PAIRS and wins >= 0.9 * len(parent)
+                            and gain > p_q[1] - p_q[0])
     return out
 
 
@@ -93,9 +98,20 @@ def export(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def report(args, spec, seeds, runs) -> dict:
+def tree_state(out_path: Path) -> dict:
+    """The working tree's ``HEAD`` commit, and whether the tree, apart from
+    ``out_path``, matches it."""
+    def git(*args) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    changed = git("status", "--porcelain", "--", ".", f":!{out_path.name}")
+    return {"change_head": git("rev-parse", "HEAD"), "change_tree_clean": not changed}
+
+
+def report(args, spec, seeds, runs, git_state: dict) -> dict:
     out = {
-        "pr": args.pr, "change": args.change, "parent_commit": args.parent,
+        "pr": args.pr, "change": args.change, "parent_commit": args.parent, **git_state,
         "command": "python3 bench/run.py --workload <w> --seed <n> "
                    f"--seconds {spec['run_seconds']:g} --trace 0",
         "machine": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}; "
@@ -138,6 +154,7 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     out_path = ROOT / f"BENCH_{args.pr}.json"
     runs = {w: [] for w in workloads}
+    git_state = tree_state(out_path)
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         export(args.parent, Path(parent_tree))
@@ -153,7 +170,8 @@ def main(argv=None) -> int:
                                      for k, v in result[side]["metrics"].items()),
                           file=sys.stderr, flush=True)
                 runs[workload].append((seed, result["parent"], result["change"]))
-                out_path.write_text(json.dumps(report(args, spec, seeds, runs), indent=1) + "\n")
+                out = report(args, spec, seeds, runs, git_state)
+                out_path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {out_path}")
     return 0
 
