@@ -75,7 +75,6 @@ from .planners import (
     bounded_dp,
     exact_dp,
     greedy_adaptive,
-    init_bounds,
     mes_nonadaptive,
     mi_greedy,
     stagewise_reward,

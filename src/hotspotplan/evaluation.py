@@ -27,7 +27,7 @@ from scipy.stats import t as student_t
 from .errors import DeadEnd, InsufficientData
 from .field_model import PosteriorData, map_entropy, posterior_marginals
 from .planners import Policy, Problem
-from .world import TeamState, action_target, transition
+from .world import TeamState, transition
 
 
 @dataclass
@@ -70,8 +70,8 @@ def rollout(
             break
         finally:
             plan_time += time.perf_counter() - t0
-        cell = action_target(s, a).cell
         s = transition(s, a, problem.domain)
+        cell = s.poses[a.robot_index].cell
         d = d.extended(cell, math.log(field[cell]))
         paths[a.robot_index].append(cell)
     ent = ent_metric(problem, d)

@@ -387,12 +387,15 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, threads: int = 1):
-    """Run every (policy, model) arm on every seed; records ordered by the
-    arm's first place in the config, then by seed."""
+    """Run every (policy, model) arm on every seed, in ``threads`` worker
+    processes (at most one per seed) when it is above 1; records ordered by
+    the arm's first place in the config, then by seed."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     cfg = validate_config(cfg)
     seeds = cfg.offset_seeds(seed_offset)
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
             per_seed = list(pool.map(run_seed, [cfg] * len(seeds), seeds))
     else:
         per_seed = [run_seed(cfg, s) for s in seeds]

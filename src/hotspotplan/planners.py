@@ -48,8 +48,10 @@ in Python floats, and each slope is read off its covariance
 entropy sampling, MI-based greedy) commit their paths from the prior data.
 
 Every planner steps the constrained joint actions, one robot move per
-stage (MES's branch and bound one per node, robots in turn). Policies act
-at a ``TeamState``; every search steps one :class:`_Walk` and undoes it.
+stage (MES's branch and bound one per node, robots in turn), and reads them
+from one enumeration, :meth:`hotspotplan.world.Walk.moves`. Policies act at a
+``TeamState`` and read a fresh walk of it; every search steps one walk and
+undoes it.
 """
 
 from __future__ import annotations
@@ -78,15 +80,7 @@ from .field_model import (
     PosteriorData,
     map_spectrum,
 )
-from .world import (
-    MOVE_DELTA,
-    ConstrainedJointAction,
-    GridDomain,
-    TeamState,
-    action_target,
-    constrained_actions,
-    legal_moves,
-)
+from .world import MOVE_DELTA, ConstrainedJointAction, GridDomain, TeamState, Walk, transition
 
 MODELS = ("gp", "lgp")
 
@@ -203,43 +197,13 @@ def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> flo
 
     Log-scale Gaussian entropy for the GP model; plus the posterior mean for
     the log-GP model (original-scale entropy). The cost depends on the
-    history length only, never on the domain size.
+    history length only, never on the domain size. An action that
+    :func:`~hotspotplan.world.transition` refuses raises ``IllegalAction``.
     """
+    cell = transition(s, a, problem.domain).poses[a.robot_index].cell
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    mu, var = inc.batch([action_target(s, a).cell])
+    mu, var = inc.batch([cell])
     return float(_reward(problem, mu[0], var[0]))
-
-
-class _Walk:
-    """A team state walked in place on ``domain``: ``(cell, heading)`` poses, step
-    counts, visited set, per-robot ``budget`` (the state's unless given), the
-    ``trail`` of steps to undo, and :meth:`moves`, every search's move enumeration."""
-
-    def __init__(self, s: TeamState, domain: GridDomain, budget: int | None = None):
-        self.poses = [(p.cell, p.heading) for p in s.poses]
-        self.steps, self.visited, self.domain = list(s.steps), set(s.visited), domain
-        self.budget = s.budget if budget is None else budget
-        self.trail = []
-
-    def moves(self, robot: int | None = None):
-        """Yield the legal ``(robot, move, cell, heading)`` (of ``robot`` alone, if
-        given) in :func:`legal_moves`' order; a step taken while they are read is
-        undone before the next."""
-        return legal_moves(self.poses, self.visited, self.steps, self.budget, self.domain, robot)
-
-    def step(self, i: int, cell, heading: str) -> None:
-        self.trail.append((i, self.poses[i]))
-        self.poses[i] = (cell, heading)
-        self.steps[i] += 1
-        self.visited.add(cell)
-
-    def undo(self, count: int = 1) -> None:
-        """Take back the last ``count`` steps."""
-        for _ in range(count):
-            i, pose = self.trail.pop()
-            self.visited.discard(self.poses[i][0])
-            self.poses[i] = pose
-            self.steps[i] -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +234,7 @@ class _TreeSolver:
         self._inc = IncrementalPosterior(
             self.problem.kernel_table, d.locations, d.z, len(d) + self.n_actions
         )
-        self._walk = _Walk(s, self.problem.domain)
+        self._walk = Walk(s, self.problem.domain)
         q_list = [(ConstrainedJointAction(i, mv), float(self._q(0, i, x, heading)))
                   for i, mv, x, heading in list(self._walk.moves())]
         value = max((q for _, q in q_list), default=0.0)
@@ -309,10 +273,10 @@ def _check_bounded_size(problem: Problem, s0: TeamState, config: PlannerConfig, 
 
     A move sequence from ``s0`` that ends after ``j`` moves ends in a branch
     array of ``points**(j - 1)`` elements (``points**horizon`` at full
-    length). The sequences are walked on one :class:`_Walk`, stepped and
+    length). The sequences are walked on one :class:`Walk`, stepped and
     undone, and the walk stops as soon as their total passes the limit.
     """
-    length, walk, leaves = config.horizon + 1, _Walk(s0, problem.domain), 0.0
+    length, walk, leaves = config.horizon + 1, Walk(s0, problem.domain), 0.0
 
     def over(depth):
         nonlocal leaves
@@ -448,12 +412,13 @@ class NonAdaptivePolicy(Policy):
 
 def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> ConstrainedJointAction:
     """Reward-maximizing single action; ties go to canonical action order."""
-    acts = constrained_actions(s, problem.domain)
-    if not acts:
+    moves = list(Walk(s, problem.domain).moves())
+    if not moves:
         raise DeadEnd("no legal action")
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    rewards = _reward(problem, *inc.batch([action_target(s, a).cell for a in acts]))
-    return acts[int(np.argmax(rewards))]
+    rewards = _reward(problem, *inc.batch([cell for _, _, cell, _ in moves]))
+    i, mv, _, _ = moves[int(np.argmax(rewards))]
+    return ConstrainedJointAction(i, mv)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +432,7 @@ class _Window:
     move. ``chosen`` conditions it on cells in turn: a Cholesky factor in
     Python floats, ``(cell index, whitened column, pivot)`` per cell."""
 
-    def __init__(self, problem: Problem, inc: IncrementalPosterior, walk: _Walk, moves: int):
+    def __init__(self, problem: Problem, inc: IncrementalPosterior, walk: Walk, moves: int):
         cells = {}
         for (cell, _), steps in zip(walk.poses, walk.steps):
             reach = moves if walk.budget is None else min(moves, walk.budget - steps)
@@ -522,34 +487,6 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
     return total, seq
 
 
-def init_bounds(
-    problem: Problem,
-    d: PosteriorData,
-    s: TeamState,
-    stage: int,
-    config: PlannerConfig,
-) -> ValueBounds:
-    """Informed initial heuristic bounds for the remaining stages.
-
-    Upper: :func:`_stage_max` per remaining stage. Lower: the reward
-    actually collected by a greedy certainty-equivalent rollout (outcomes
-    replaced by their posterior means, the truncated mean), which
-    lower-bounds the Jensen-problem value at the state.
-    """
-    return _init_bounds(problem, IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d)),
-                        s, stage, config)
-
-
-def _init_bounds(problem, inc, s, stage, config) -> ValueBounds:
-    """:func:`init_bounds` on the factor ``inc`` over the history of ``s``."""
-    if stage > config.horizon:
-        return ValueBounds(0.0, 0.0)
-    remaining, walk = config.horizon - stage + 1, _Walk(s, problem.domain)
-    upper = remaining * _stage_max(problem, config)
-    lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, walk, remaining), walk, remaining)
-    return ValueBounds(min(lower, upper), upper)
-
-
 class _UrtdpInstance:
     """Trial-based search tree of bounds for one bounded approximate problem.
 
@@ -581,17 +518,29 @@ class _UrtdpInstance:
 
     def _root(self, d, s, stage) -> tuple[list, IncrementalPosterior]:
         """The root node of ``(s, d)`` and its factor over ``d``, built together
-        when new, in place of the last root (the factor seeds the node's
-        :func:`init_bounds`), and popped back to ``d`` for each use, with room
-        for one trial's walk from ``stage``."""
+        when new, in place of the last root, and popped back to ``d`` for each
+        use, with room for one trial's walk from ``stage``.
+
+        A root is seeded here and nowhere else. Past the horizon it is
+        ``[0, 0]``. Otherwise its upper bound is :func:`_stage_max` per
+        remaining stage, and its lower bound the reward that a greedy
+        certainty-equivalent rollout (outcomes replaced by their posterior
+        means) collects on the new factor, capped at the upper bound; that
+        reward lower-bounds the Jensen-problem value at the state.
+        """
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
-            inc = IncrementalPosterior(
-                self.problem.kernel_table, d.locations, d.z, len(d) + self.config.horizon - stage)
-            vb = _init_bounds(self.problem, inc, s, stage, self.config)
-            node, self._inc = [vb.lower, vb.upper], inc
-            self.tables = {key: node}
+            problem, remaining = self.problem, self.config.horizon - stage + 1
+            inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z,
+                                       len(d) + self.config.horizon - stage)
+            node = [0.0, 0.0]
+            if remaining > 0:
+                walk, upper = Walk(s, problem.domain), remaining * self.stage_max
+                lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, walk, remaining),
+                                              walk, remaining)
+                node = [min(lower, upper), upper]
+            self.tables, self._inc = {key: node}, inc
         inc = self._inc
         inc.pop(inc.m - len(d))
         return node, inc
@@ -683,7 +632,7 @@ class _UrtdpInstance:
         end. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
         """
         node, inc = root or self._root(d0, s0, stage0)
-        walk, stage, trail = _Walk(s0, self.problem.domain), stage0, []
+        walk, stage, trail = Walk(s0, self.problem.domain), stage0, []
         while True:
             fresh = len(node) == 2
             records = self.expand(node, inc, walk, stage)
@@ -728,7 +677,7 @@ class _UrtdpInstance:
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
         root, inc = self._root(d, s, stage)
-        return self.q_values(self.expand(root, inc, _Walk(s, self.problem.domain), stage))
+        return self.q_values(self.expand(root, inc, Walk(s, self.problem.domain), stage))
 
 
 def _best_upper(qs) -> int:
@@ -757,8 +706,7 @@ class UrtdpPolicy(Policy):
         self.config = config
 
     def act(self, s, d, stage):
-        acts = constrained_actions(s, self.instance.problem.domain)
-        if not acts:
+        if next(Walk(s, self.instance.problem.domain).moves(), None) is None:
             raise DeadEnd("no legal action")
         self.instance.run(d, s, stage, self.config.alpha, self.config.max_simulated_paths)
         return max(self.instance.root_q_values(d, s, stage), key=lambda q: q[1])[0]
@@ -918,7 +866,7 @@ def mes_nonadaptive(
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    walk = _Walk(s0, problem.domain, n)
+    walk = Walk(s0, problem.domain, n)
     visited = walk.visited
     seq = []  # (robot, move, cell) along the path
 
@@ -1024,7 +972,7 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     spectrum = map_spectrum(problem.hyper, problem.domain)
     if not spectrum.positive:
         raise SingularGram("map gram matrix not positive definite")
-    walk = _Walk(s0, problem.domain, n)
+    walk = Walk(s0, problem.domain, n)
     paths = [[p.cell] for p in s0.poses]
     selected = []
     actions = []

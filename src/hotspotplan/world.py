@@ -5,7 +5,8 @@ the cell in front of it or to its left or right; the heading after a move is
 the direction of travel. Moves onto cells that were already observed are
 illegal, so every path is self-avoiding. With ``k`` robots the constrained
 action set lets exactly one robot move per stage, keeping its size at most
-``3k``.
+``3k``. :meth:`Walk.moves` enumerates the legal moves, for every transition,
+policy and search; the walk is stepped and undone in place.
 """
 
 from __future__ import annotations
@@ -115,36 +116,57 @@ def move_target(pose: RobotPose, move: str) -> RobotPose:
     return RobotPose((pose.cell[0] + dr, pose.cell[1] + dc), heading)
 
 
-def legal_moves(poses, visited, steps, budget, domain: GridDomain, robot: int | None = None):
-    """Yield ``(robot, move, cell, heading)`` for every legal one-robot move
-    (of robot ``robot`` alone, if given).
+class Walk:
+    """A team state walked in place on ``domain``: ``(cell, heading)`` poses, step
+    counts, visited set, per-robot ``budget`` (the state's unless given) and the
+    ``trail`` of steps to undo. :meth:`moves` is the one enumeration of legal
+    moves: every transition, policy and search reads it."""
 
-    ``poses`` holds ``(cell, heading)`` pairs. Robots whose step count has
-    reached ``budget`` do not move; a move must stay on the grid and land on
-    a cell not in ``visited``. Order: robot index, then front < left < right.
-    """
-    rows, cols = domain.rows, domain.cols
-    for i in range(len(poses)) if robot is None else (robot,):
-        if budget is not None and steps[i] >= budget:
-            continue
-        (r, c), hd = poses[i]
-        for mv in MOVES:
-            dr, dc, nh = MOVE_DELTA[(hd, mv)]
-            r2, c2 = r + dr, c + dc
-            if 0 <= r2 < rows and 0 <= c2 < cols and (r2, c2) not in visited:
-                yield i, mv, (r2, c2), nh
+    def __init__(self, s: TeamState, domain: GridDomain, budget: int | None = None):
+        self.poses = [(p.cell, p.heading) for p in s.poses]
+        self.steps, self.visited, self.domain = list(s.steps), set(s.visited), domain
+        self.budget = s.budget if budget is None else budget
+        self.trail = []
 
+    def moves(self, robot: int | None = None):
+        """Yield ``(robot, move, cell, heading)`` for every legal one-robot move
+        (of robot ``robot`` alone, if given).
 
-def _pose_pairs(s: TeamState):
-    return [(p.cell, p.heading) for p in s.poses]
+        Robots whose step count has reached ``budget`` do not move; a move must
+        stay on the grid and land on an unvisited cell. Order: robot index, then
+        front < left < right. A step taken while they are read is undone before
+        the next.
+        """
+        poses, steps, visited, budget = self.poses, self.steps, self.visited, self.budget
+        rows, cols = self.domain.rows, self.domain.cols
+        for i in range(len(poses)) if robot is None else (robot,):
+            if budget is not None and steps[i] >= budget:
+                continue
+            (r, c), hd = poses[i]
+            for mv in MOVES:
+                dr, dc, nh = MOVE_DELTA[(hd, mv)]
+                r2, c2 = r + dr, c + dc
+                if 0 <= r2 < rows and 0 <= c2 < cols and (r2, c2) not in visited:
+                    yield i, mv, (r2, c2), nh
+
+    def step(self, i: int, cell: Cell, heading: str) -> None:
+        self.trail.append((i, self.poses[i]))
+        self.poses[i] = (cell, heading)
+        self.steps[i] += 1
+        self.visited.add(cell)
+
+    def undo(self, count: int = 1) -> None:
+        """Take back the last ``count`` steps."""
+        for _ in range(count):
+            i, pose = self.trail.pop()
+            self.visited.discard(self.poses[i][0])
+            self.poses[i] = pose
+            self.steps[i] -= 1
 
 
 def constrained_actions(s: TeamState, domain: GridDomain) -> list[ConstrainedJointAction]:
     """Legal one-robot moves, ordered by (robot_index, front<left<right)."""
-    return [
-        ConstrainedJointAction(i, mv)
-        for i, mv, _, _ in legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain)
-    ]
+    return [ConstrainedJointAction(i, mv) for i, mv, _, _ in Walk(s, domain).moves()]
 
 
 def action_target(s: TeamState, a: ConstrainedJointAction) -> RobotPose:
@@ -155,15 +177,15 @@ def transition(s: TeamState, a: ConstrainedJointAction, domain: GridDomain) -> T
     """Apply a constrained joint action; the new cell becomes observed."""
     if not (0 <= a.robot_index < s.k):
         raise IllegalAction(f"robot index {a.robot_index} out of range")
-    nxt = move_target(s.poses[a.robot_index], a.move)
-    legal = legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain, a.robot_index)
-    if a.move not in {mv for _, mv, _, _ in legal}:
-        raise IllegalAction(f"robot {a.robot_index} may not move {a.move} to {nxt.cell}")
-    poses = list(s.poses)
-    poses[a.robot_index] = nxt
-    steps = list(s.steps)
-    steps[a.robot_index] += 1
-    return TeamState(tuple(poses), s.visited | {nxt.cell}, tuple(steps), s.budget)
+    for i, mv, cell, heading in Walk(s, domain).moves(a.robot_index):
+        if mv == a.move:
+            poses = list(s.poses)
+            poses[i] = RobotPose(cell, heading)
+            steps = list(s.steps)
+            steps[i] += 1
+            return TeamState(tuple(poses), s.visited | {cell}, tuple(steps), s.budget)
+    cell = action_target(s, a).cell
+    raise IllegalAction(f"robot {a.robot_index} may not move {a.move} to {cell}")
 
 
 def full_joint_actions(s: TeamState, domain: GridDomain) -> list[tuple[str, ...]]:
@@ -174,7 +196,7 @@ def full_joint_actions(s: TeamState, domain: GridDomain) -> list[tuple[str, ...]
     into the same cell are excluded.
     """
     per_robot: list[list[tuple]] = [[] for _ in s.poses]
-    for i, mv, cell, _ in legal_moves(_pose_pairs(s), s.visited, s.steps, s.budget, domain):
+    for i, mv, cell, _ in Walk(s, domain).moves():
         per_robot[i].append((mv, cell))
     if not all(per_robot):  # a robot is out of budget or boxed in
         return []

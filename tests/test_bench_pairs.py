@@ -1,7 +1,9 @@
 """The paired-benchmark summary of ``tools/bench_pairs.py``: its win count,
-the interquartile-range rule and pair floor of a claimed gain, and its bound
-check. Only ``summarize`` is called; no benchmark runs."""
+the interquartile-range rule and pair floor of a claimed gain, its bound
+check and the failed-share rule. Only ``summarize`` and ``report`` are
+called, on synthetic runs; no benchmark runs."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -55,3 +57,30 @@ def test_within_bound_allows_the_bound_in_the_worse_direction_only(better, ratio
     metric = HIGHER if better == "higher" else LOWER
     out = bench_pairs.summarize(metric, PARENT, [p * ratio for p in PARENT], claimed=False)
     assert out["within_bound"] is within
+
+
+def _run(attempted, failed, value=100.0):
+    return {"attempted": attempted, "failed": failed, "correct": True,
+            "metrics": {"urtdp_paths_per_s": {"value": value}}}
+
+
+@pytest.mark.parametrize("parent, change, not_worse", [
+    ([(25, 5), (25, 5)], [(25, 5), (25, 5)], True),  # 10/50 on both sides
+    ([(25, 5), (25, 5)], [(25, 5), (25, 6)], False),  # 11/50: one more failure
+    ([(25, 5), (25, 5)], [(30, 6), (20, 4)], True),  # 10/50 split differently
+    ([(25, 5), (25, 5)], [(50, 5), (50, 5)], True),  # 10/100: more attempted
+    ([(63, 0), (63, 0)], [(63, 0), (62, 1)], False),  # 1/125 against none
+    ([(0, 0), (0, 0)], [(0, 0), (0, 0)], True),  # nothing attempted
+])
+def test_report_compares_the_failed_shares_over_all_runs(parent, change, not_worse):
+    args = argparse.Namespace(pr=0, change="synthetic", parent="abc", gain=None)
+    spec = {"run_seconds": 25, "end_to_end": [HIGHER]}
+    pairs = [(seed, _run(*p), _run(*c)) for seed, (p, c) in enumerate(zip(parent, change))]
+    entry = bench_pairs.report(args, spec, [0, 1], {"w": pairs, "empty": []}, {})["workloads"]
+    assert list(entry) == ["w"]
+    entry = entry["w"]
+    for side, runs in (("parent", parent), ("change", change)):
+        attempted, failed = (sum(r[i] for r in runs) for i in (0, 1))
+        assert entry[f"{side}_failed_share"] == f"{failed}/{attempted}"
+    assert entry["failed_share_not_worse"] is not_worse
+    assert entry["parent_all_correct"] and entry["change_all_correct"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import MISSING, fields, replace
 
@@ -475,6 +476,56 @@ def test_parallel_seeds_match_sequential(tmp_path):
     seq = run_experiment(cfg, threads=1)
     par = run_experiment(cfg, threads=2)
     assert strip_times(seq) == strip_times(par)
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and maps
+    in this process, so no worker process starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    return _InlinePool
+
+
+@pytest.mark.parametrize("threads, workers", [(1, []), (2, [2]), (3, [3]), (64, [3])])
+def test_the_pool_has_at_most_one_worker_per_seed(tmp_path, inline_pool, threads, workers):
+    cfg = load_config(write_config(tmp_path, seeds="0,1,2"))
+    records = run_experiment(cfg, threads=threads)
+    assert inline_pool.sizes == workers
+    assert strip_times(records) == strip_times(run_experiment(cfg))
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_is_a_config_error(tmp_path, inline_pool, threads):
+    cfg = load_config(write_config(tmp_path))
+    with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+        run_experiment(cfg, threads=threads)
+    assert inline_pool.sizes == []
+
+
+def test_cli_run_rejects_zero_threads(tmp_path, inline_pool, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(out), "--threads", "0"]
+    assert cli_main(argv) == 1
+    assert "config error: threads must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists() and inline_pool.sizes == []
 
 
 # -- cli ------------------------------------------------------------------------

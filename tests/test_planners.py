@@ -20,7 +20,13 @@ from conftest import (
 import hotspotplan.field_model as fm
 from hotspotplan import planners
 from hotspotplan.discretization import standardized_rule
-from hotspotplan.errors import DeadEnd, HotspotPlanError, InstanceTooLarge, SingularGram
+from hotspotplan.errors import (
+    DeadEnd,
+    HotspotPlanError,
+    IllegalAction,
+    InstanceTooLarge,
+    SingularGram,
+)
 from hotspotplan.field_model import (
     Hyperparams,
     IncrementalPosterior,
@@ -37,11 +43,9 @@ from hotspotplan.planners import (
     UrtdpPolicy,
     ValueBounds,
     _UrtdpInstance,
-    _Walk,
     bounded_dp,
     exact_dp,
     greedy_adaptive,
-    init_bounds,
     mes_nonadaptive,
     mi_greedy,
     stagewise_reward,
@@ -55,11 +59,11 @@ from hotspotplan.world import (
     GridDomain,
     RobotPose,
     TeamState,
+    Walk,
     action_target,
     constrained_actions,
     full_joint_actions,
     interior_heading,
-    legal_moves,
     move_target,
     transition,
 )
@@ -107,6 +111,23 @@ def test_lgp_reward_shifts_affinely_with_data():
     )
     d_shift = PosteriorData(d0.locations, d0.z + delta)
     assert stagewise_reward(shifted, s0, a, d_shift) == pytest.approx(base + delta, abs=1e-9)
+
+
+@pytest.mark.parametrize("pose, action", [
+    (RobotPose((0, 0), "N"), ConstrainedJointAction(0, "left")),  # off the grid to (0, -1)
+    (RobotPose((0, 0), "N"), ConstrainedJointAction(0, "front")),  # off the grid to (-1, 0)
+    (RobotPose((1, 2), "S"), ConstrainedJointAction(0, "front")),  # onto visited (2, 2)
+    (RobotPose((0, 0), "N"), ConstrainedJointAction(3, "right")),  # no robot 3
+])
+def test_stagewise_reward_refuses_an_illegal_action(pose, action):
+    # an off-grid target must not alias a kernel-table code, nor a visited
+    # cell score as new: the reward takes only the moves a transition takes
+    problem = Problem(GridDomain(4, 4), Hyperparams(0.2, 1.0, 1.5, 0.02), "lgp")
+    visited = sorted({pose.cell, (2, 2)})
+    s = TeamState((pose,), frozenset(visited), budget=3)
+    d = PosteriorData(visited, np.linspace(-0.5, 0.5, len(visited)))
+    with pytest.raises(IllegalAction):
+        stagewise_reward(problem, s, action, d)
 
 
 # -- exact_dp ----------------------------------------------------------------
@@ -463,7 +484,7 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     inst = urtdp_policy(problem, cfg).instance
     root, root_inc = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, root_inc, _Walk(s0, problem.domain), 0)
+    entries = inst.expand(root, root_inc, Walk(s0, problem.domain), 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
     for (_, _, x, children), seq in zip(entries, seqs):
@@ -490,11 +511,10 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
 def _factor_ce_rollout(problem, inc, s, steps_count):
     """Reference greedy CE rollout on the factor: one batch and one extend per
     step, the rollout the window replaced."""
-    poses = [(p.cell, p.heading) for p in s.poses]
-    visited, steps = set(s.visited), list(s.steps)
+    walk = Walk(s, problem.domain)
     total, seq = 0.0, []
     for _ in range(steps_count):
-        moves = list(legal_moves(poses, visited, steps, s.budget, problem.domain))
+        moves = list(walk.moves())
         if not moves:
             break
         mus, variances = inc.batch([m[2] for m in moves])
@@ -503,9 +523,7 @@ def _factor_ce_rollout(problem, inc, s, steps_count):
         i, _, cell, nh = moves[b]
         total += float(rewards[b])
         inc.extend(cell, 0.0)
-        poses[i] = (cell, nh)
-        visited.add(cell)
-        steps[i] += 1
+        walk.step(i, cell, nh)
         seq.append(cell)
     inc.pop(len(seq))
     return total, seq
@@ -531,7 +549,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         cfg = cfg_for(horizon=3 * k - 1, nu=3)
         inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 3 * k)
         rollouts.clear()
-        lower = init_bounds(problem, d0, s0, 0, cfg).lower
+        lower = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0).lower
         ref_total, ref_seq = _factor_ce_rollout(problem, inc, s0, cfg.horizon + 1)
         assert rollouts[0][1] == ref_seq
         assert rollouts[0][0] == pytest.approx(ref_total, rel=1e-12, abs=0)
@@ -540,7 +558,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
         root_inc = inst._root(d0, s0, 0)[1]
         rollouts.clear()
-        records = inst.expand([0.0, 0.0], root_inc, _Walk(s0, problem.domain), 0)
+        records = inst.expand([0.0, 0.0], root_inc, Walk(s0, problem.domain), 0)
         assert len(rollouts) == len(records)
         for (a, _, x, children), (total, seq) in zip(records, rollouts):
             j = inst.window.index[x]
@@ -586,21 +604,20 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=2), "jensen",
                           np.random.default_rng(0))
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    records = inst.expand([0.0, 0.0], inc, _Walk(s, problem.domain), stage)
+    records = inst.expand([0.0, 0.0], inc, Walk(s, problem.domain), stage)
     # every cell that some run of at most horizon - stage + 1 legal moves enters
-    entered = set()
+    entered, walker = set(), Walk(s, domain)
 
-    def walk(poses, visited, steps, moves):
+    def walk(moves):
         if moves == 0:
             return
-        for i, _, cell, heading in legal_moves(poses, visited, steps, s.budget, domain):
+        for i, _, cell, heading in list(walker.moves()):
             entered.add(cell)
-            poses2, steps2 = list(poses), list(steps)
-            poses2[i], steps2[i] = (cell, heading), steps2[i] + 1
-            walk(poses2, visited | {cell}, steps2, moves - 1)
+            walker.step(i, cell, heading)
+            walk(moves - 1)
+            walker.undo()
 
-    walk([(p.cell, p.heading) for p in s.poses], set(s.visited), list(s.steps),
-         horizon - stage + 1)
+    walk(horizon - stage + 1)
     assert bool(records) == bool(entered)
     if entered:
         assert entered <= set(inst.window.index)
@@ -631,9 +648,9 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), model)
     d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
     cfg = cfg_for(horizon=horizon, nu=2)
-    fresh = _walk_state(_Walk(s, domain))
+    fresh = _walk_state(Walk(s, domain))
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + horizon + 1)
-    walk = _Walk(s, domain)
+    walk = Walk(s, domain)
     window = planners._Window(problem, inc, walk, horizon + 1)
     planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
     assert _walk_state(walk) == fresh and window.chosen == []
@@ -938,19 +955,19 @@ def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, hor
             stack.extend(c for _, _, _, children in node[2] for c in children or ())
 
 
-# -- init_bounds -------------------------------------------------------------
+# -- root bounds -------------------------------------------------------------
 
 
 def test_init_bounds_empty_horizon():
     problem, d0, s0 = make_instance(seed=17, rows=3, cols=3)
-    vb = init_bounds(problem, d0, s0, stage=3, config=cfg_for(horizon=2))
+    vb = urtdp_policy(problem, cfg_for(horizon=2)).instance.root_bounds(d0, s0, 3)
     assert (vb.lower, vb.upper) == (0.0, 0.0)
 
 
 def test_init_bounds_gp_upper_has_no_mean_term():
     problem, d0, s0 = make_instance(seed=18, rows=3, cols=3, model="gp")
     cfg = cfg_for(horizon=2)
-    vb = init_bounds(problem, d0, s0, 0, cfg)
+    vb = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0)
     h = problem.hyper
     expected = 3 * 0.5 * (LOG_2PI_E + math.log(h.prior_variance))
     assert vb.upper == pytest.approx(expected, abs=1e-12)
@@ -960,7 +977,7 @@ def test_init_bounds_bracket_exact_value():
     for seed in range(4):
         problem, d0, s0 = make_instance(seed=30 + seed, rows=3, cols=3, model="lgp")
         cfg = cfg_for(horizon=2, nu=4)
-        vb = init_bounds(problem, d0, s0, 0, cfg)
+        vb = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0)
         value = exact_dp(problem, d0, s0, cfg)
         assert vb.lower - 1e-8 <= value <= vb.upper + 1e-8
 

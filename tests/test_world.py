@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotspotplan.errors import IllegalAction
 from hotspotplan.world import (
+    HEADINGS,
+    MOVES,
     GridDomain,
     RobotPose,
     TeamState,
     ConstrainedJointAction,
+    Walk,
     constrained_actions,
     full_joint_actions,
     interior_heading,
@@ -201,3 +206,47 @@ def test_interior_heading_points_inward():
     assert interior_heading((4, 2), dom) == "N"
     assert interior_heading((2, 0), dom) == "E"
     assert interior_heading((2, 4), dom) == "W"
+
+
+@st.composite
+def _walk_cases(draw):
+    domain = GridDomain(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    k = draw(st.integers(1, 3))
+    picked = draw(st.lists(st.sampled_from(domain.cells()), min_size=k, max_size=k + 4,
+                           unique=True))
+    budget = draw(st.sampled_from([None, 1, 2, 3]))
+    poses = tuple(RobotPose(c, draw(st.sampled_from(HEADINGS))) for c in picked[:k])
+    steps = tuple(draw(st.integers(0, 3 if budget is None else budget)) for _ in range(k))
+    robot = draw(st.none() | st.integers(0, k - 1))
+    return domain, TeamState(poses, frozenset(picked), steps, budget), robot
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_cases())
+def test_walk_moves_read_the_same_while_each_is_stepped_and_undone(case):
+    # a search reads moves() while it steps a move, goes deeper, and undoes
+    # both before the next one: the reading must equal the whole list, which
+    # must be the legal moves in robot, then front < left < right, order
+    domain, s, robot = case
+    walk = Walk(s, domain)
+    whole = list(walk.moves(robot))
+    fresh = (list(walk.poses), list(walk.steps), set(walk.visited), walk.budget, [])
+    read = []
+    for i, mv, cell, heading in walk.moves(robot):
+        read.append((i, mv, cell, heading))
+        walk.step(i, cell, heading)
+        deeper = list(walk.moves())[:1]
+        for j, _, cell2, heading2 in deeper:
+            walk.step(j, cell2, heading2)
+        walk.undo(1 + len(deeper))
+    assert read == whole
+    assert (walk.poses, walk.steps, walk.visited, walk.budget, walk.trail) == fresh
+    legal = [
+        (i, mv, move_target(s.poses[i], mv).cell, move_target(s.poses[i], mv).heading)
+        for i in (range(s.k) if robot is None else [robot])
+        if s.budget is None or s.steps[i] < s.budget
+        for mv in MOVES
+        if domain.contains(move_target(s.poses[i], mv).cell)
+        and move_target(s.poses[i], mv).cell not in s.visited
+    ]
+    assert whole == legal

@@ -21,7 +21,10 @@ neither side) and whether the change's median is within the metric's bound.
 A claimed gain (``--gain "<metric> on <workload>"``) also gets ``claim_met``:
 there are at least ``MIN_CLAIM_PAIRS`` pairs, the change won at least nine
 tenths of them, and its median is better than the parent's by more than the
-parent's interquartile range. The file also records the working tree's
+parent's interquartile range. Per workload the file also holds each side's
+failed share, its failed operations over its attempted ones summed over the
+runs, and ``failed_share_not_worse``: the change's share is at most the
+parent's. The file also records the working tree's
 ``HEAD`` commit and whether the tree, apart from the file itself, had
 uncommitted changes, so it says whether it measured committed code.
 """
@@ -123,12 +126,16 @@ def report(args, spec, seeds, runs, git_state: dict) -> dict:
     for workload, pairs in runs.items():
         if not pairs:
             continue
-        entry = {"seeds": [seed for seed, _, _ in pairs]}
+        entry, share = {"seeds": [seed for seed, _, _ in pairs]}, {}
         for side in ("parent", "change"):
             results = [p if side == "parent" else c for _, p, c in pairs]
             shares = sorted({(r["attempted"], r["failed"]) for r in results})
             entry[f"{side}_attempted_failed"] = [list(s) for s in shares]
             entry[f"{side}_all_correct"] = all(r["correct"] for r in results)
+            failed, attempted = (sum(r[key] for r in results) for key in ("failed", "attempted"))
+            entry[f"{side}_failed_share"] = f"{failed}/{attempted}"
+            share[side] = failed / attempted if attempted else 0.0
+        entry["failed_share_not_worse"] = share["change"] <= share["parent"]
         for metric in spec["end_to_end"]:
             name = metric["name"]
             parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
