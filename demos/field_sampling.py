@@ -17,7 +17,7 @@ from hotspotplan import (
     Hyperparams,
     PosteriorData,
     lognormal_predictor,
-    posterior,
+    posterior_marginals,
     sample_field,
 )
 
@@ -56,8 +56,8 @@ rel_err = np.abs(field - pred) / field.mean()
 print("\nAbsolute relative error of the lognormal predictor after 25 observations:")
 print(ascii_heat(rel_err))
 
-g = posterior(d, [c for c in cells if c not in set(obs)], h)
+var = posterior_marginals(d, [c for c in cells if c not in set(obs)], h)[1]
 print(
     f"\nposterior log-scale variance: prior {h.prior_variance:.3f} -> "
-    f"mean over unobserved cells {np.diag(g.covariance).mean():.3f}"
+    f"mean over unobserved cells {var.mean():.3f}"
 )

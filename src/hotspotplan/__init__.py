@@ -41,14 +41,9 @@ from .evaluation import (
 from .field_model import (
     Hyperparams,
     PosteriorData,
-    PosteriorGaussian,
     covariance,
     fit_hyperparams,
-    gaussian_entropy,
-    lgp_entropy,
-    log_marginal_likelihood,
     lognormal_predictor,
-    posterior,
     posterior_marginals,
     sample_field,
 )

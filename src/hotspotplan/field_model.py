@@ -9,8 +9,7 @@ All entropies are in nats.
 
 The kernel and the numpy row-append of a Cholesky factor each have one
 definition here (URTDP's posterior window appends to its own small factor in
-Python floats). :func:`posterior` and the other reference computations
-factorize from scratch; the planners condition through
+Python floats). The planners condition through
 :class:`IncrementalPosterior`, the one factor that grows and shrinks with a
 history: a search walks it down a branch by appending each outcome as its
 standardized point, not its value, and back up by dropping rows, and a window
@@ -20,10 +19,9 @@ factored per call: the map's Gram matrix is separable, and its cached
 :class:`MapSpectrum` (two 1-D eigendecompositions) gives the map entropy by
 the chain rule with one factor over the observed cells (:func:`map_entropy`)
 and the MI baseline's leave-one-out variances; the predictor needs only means
-and variances (:func:`posterior_marginals`). :func:`lgp_entropy` stays as the
-joint factor of any target set. The set-up factors nothing per candidate:
-:func:`fit_hyperparams` scores its grid from one eigendecomposition per
-length scale, and :func:`sample_field` keeps one map's factor.
+and variances (:func:`posterior_marginals`). The set-up factors nothing per
+candidate: :func:`fit_hyperparams` scores its grid from one eigendecomposition
+per length scale, and :func:`sample_field` keeps one map's factor.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DegenerateCovariance, InsufficientData, SingularGram
 from .world import Cell, GridDomain
@@ -112,24 +109,6 @@ class PosteriorData:
 
     def __repr__(self):
         return f"PosteriorData({len(self)} obs)"
-
-
-@dataclass(frozen=True)
-class PosteriorGaussian:
-    """Joint Gaussian over target cells: mean vector and covariance matrix."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
-        c = np.asarray(self.covariance, dtype=float)
-        if c.shape != (m.shape[0], m.shape[0]):
-            raise ValueError("covariance shape must match target count")
-        if not np.allclose(c, c.T, atol=1e-10 * (1.0 + np.abs(c).max(initial=0.0))):
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", 0.5 * (c + c.T))
 
 
 def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
@@ -220,7 +199,7 @@ class IncrementalPosterior:
     ``y = L^-1 (z - mean)`` in preallocated buffers, so appending one
     observation costs one triangular solve, dropping the last ones costs
     nothing, and target means/variances cost a single batched solve. Results
-    match :func:`posterior` exactly. The factor depends on the locations
+    match the exact GP posterior. The factor depends on the locations
     only, so the outcome branches of a move share it. :meth:`extend` can take
     column ``j`` of the last :meth:`batch`'s whitened ``columns`` as its row.
     Measured values enter through the constructor only: an appended entry of
@@ -301,34 +280,14 @@ class IncrementalPosterior:
         self.m -= count
 
 
-def posterior(d: PosteriorData, targets, h: Hyperparams) -> PosteriorGaussian:
-    """Posterior mean vector and covariance matrix at the target cells.
-
-    The covariance depends only on the observed locations, never on the
-    measurement values; only the mean depends on ``d.z``.
-    """
-    targets = [tuple(t) for t in targets]
-    if not targets:
-        raise ValueError("need at least one target cell")
-    k_tt = cov_matrix(targets, targets, h)
-    if len(d) == 0:
-        return PosteriorGaussian(np.full(len(targets), h.mean), k_tt)
-    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
-    k_ot = cov_matrix(d.locations, targets, h)
-    solved = cho_solve((L, True), k_ot)
-    mean = h.mean + solved.T @ (d.z - h.mean)
-    cov = k_tt - k_ot.T @ solved
-    return PosteriorGaussian(mean, 0.5 * (cov + cov.T))
-
-
 def posterior_marginals(d: PosteriorData, targets, h: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances at the target cells: the mean and the
-    covariance diagonal of :func:`posterior`, without the covariance.
+    covariance diagonal of the exact GP posterior, without the covariance.
 
     One factor over the ``m`` observed cells and one ``m x N`` whitened
     cross-covariance, so the cost is O(m^2 N) time and O(m N) memory. The
     cross-covariance carries the nugget, so a target that is also observed
-    gets the posterior variance :func:`posterior` reports.
+    gets the exact GP posterior variance.
     """
     t = np.asarray(targets, dtype=float).reshape(-1, 2)
     if len(d) == 0:
@@ -337,57 +296,6 @@ def posterior_marginals(d: PosteriorData, targets, h: Hyperparams) -> tuple[np.n
     half = dtrsm(1.0, L, cov_matrix(d.locations, t, h), lower=1)
     mean = h.mean + half.T @ dtrsv(L, d.z - h.mean, lower=1)
     return mean, h.prior_variance - np.einsum("ij,ij->j", half, half)
-
-
-def gaussian_entropy(g: PosteriorGaussian) -> float:
-    """Differential entropy ``log sqrt((2 pi e)^k det cov)`` in nats."""
-    k = g.mean.shape[0]
-    try:
-        L = cholesky(g.covariance, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovariance(f"covariance not positive definite: {exc}") from exc
-    diag = np.diag(L)
-    if np.any(diag <= 0):
-        raise DegenerateCovariance("non-positive pivot in factorization")
-    logdet = 2.0 * float(np.sum(np.log(diag)))
-    return 0.5 * (k * LOG_2PI_E + logdet)
-
-
-def lgp_entropy(d: PosteriorData, targets, h: Hyperparams) -> float:
-    """Joint entropy of the original-scale measurements at the targets.
-
-    Equals the Gaussian entropy of the log-scale posterior plus the sum of
-    the posterior log-scale means. With targets = all unobserved cells this
-    is the posterior map entropy (the ENT metric integrand).
-
-    One Cholesky factor of the joint Gram matrix over the ``m`` observed
-    cells followed by the ``N`` targets gives both terms: the target block
-    ``L_TT`` factors the posterior covariance, so its diagonal gives the
-    log-determinant, and the cross block ``L_TO`` times ``L_OO^-1 (z - mean)``
-    gives the posterior means. Cost O((m + N)^3) time and O((m + N)^2)
-    memory, with no posterior covariance formed. Raises
-    :class:`SingularGram` if the observed block is not positive definite and
-    :class:`DegenerateCovariance` if the posterior covariance is not.
-    """
-    m = len(d)
-    cells = list(d.locations) + [tuple(t) for t in targets]
-    n = len(cells) - m
-    if n == 0:
-        raise ValueError("need at least one target cell")
-    gram = cov_matrix(cells, cells, h)
-    # the Gram is symmetric, so its transpose is the same matrix in Fortran
-    # order and LAPACK factors it in place
-    L, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
-    if info > m:
-        raise DegenerateCovariance(f"posterior covariance not positive definite (pivot {info})")
-    if info > 0:
-        raise SingularGram(f"gram matrix not positive definite (pivot {info})")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L)[m:])))
-    mean_sum = n * h.mean
-    if m:
-        resid = dtrsv(L[:m, :m], d.z - h.mean, lower=1)
-        mean_sum += float(np.sum(L[m:, :m] @ resid))
-    return 0.5 * (n * LOG_2PI_E + logdet) + mean_sum
 
 
 class MapSpectrum:
@@ -421,7 +329,7 @@ class MapSpectrum:
 
     def leave_one_out(self, targets, removed) -> np.ndarray:
         """Posterior variance of each target cell given every other cell of the
-        map but the ``removed`` ones, as :func:`posterior` would report it.
+        map but the ``removed`` ones: the exact GP posterior variance.
 
         With ``P = K^-1`` and ``S`` the removed cells, the precision of the
         map without ``S`` is the Schur complement ``P_UU - P_US P_SS^-1 P_SU``,
@@ -451,8 +359,8 @@ def map_spectrum(h: Hyperparams, domain: GridDomain) -> MapSpectrum:
 
 
 def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
-    """:func:`lgp_entropy` over every cell of ``domain`` that ``d`` leaves
-    unobserved: the posterior map entropy.
+    """The posterior map entropy: the joint entropy of the original-scale
+    measurements at every cell of ``domain`` that ``d`` leaves unobserved.
 
     By the chain rule, the log-scale part is the joint entropy of the map
     less that of the ``m`` observed cells, ``0.5 (n log 2 pi e + log det K -
@@ -512,14 +420,6 @@ def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:
     """Posterior mean of the original-scale measurement at ``x``."""
     mean, var = posterior_marginals(d, [x], h)
     return float(np.exp(mean[0] + 0.5 * var[0]))
-
-
-def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
-    """Gaussian log marginal likelihood of the log measurements."""
-    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
-    half = solve_triangular(L, d.z - h.mean, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (half @ half + logdet + len(d) * math.log(2.0 * math.pi))
 
 
 def default_grids(d: PosteriorData, domain: GridDomain, points: int = 20):

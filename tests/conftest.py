@@ -15,12 +15,7 @@ import pytest
 
 from hotspotplan.discretization import truncated_quadrature_rule
 from hotspotplan.errors import DeadEnd
-from hotspotplan.field_model import (
-    Hyperparams,
-    PosteriorData,
-    gaussian_entropy,
-    posterior,
-)
+from hotspotplan.field_model import Hyperparams, PosteriorData
 from hotspotplan.planners import Problem, stagewise_reward
 from hotspotplan.world import (
     GridDomain,
@@ -31,6 +26,7 @@ from hotspotplan.world import (
     interior_heading,
     transition,
 )
+from oracles import gaussian_entropy, posterior
 
 
 def make_instance(

@@ -18,9 +18,10 @@ from conftest import (
     quadrature_policy_map_entropy,
     quadrature_policy_reward,
 )
+from oracles import gaussian_entropy, lgp_entropy, posterior
 from hotspotplan.discretization import em_points, equal_probability_boundaries, jensen_points
 from hotspotplan.evaluation import paired_ttest, rollout
-from hotspotplan.field_model import PosteriorData, gaussian_entropy, lgp_entropy, posterior
+from hotspotplan.field_model import PosteriorData
 from hotspotplan.harness import ExperimentConfig, run_seed, validate_config
 from hotspotplan.planners import (
     BoundedLowerPolicy,

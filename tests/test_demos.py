@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hotspotplan.cli import main as cli_main
 from hotspotplan.harness import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +44,11 @@ def test_readme_quick_start_runs_and_config_loads(tmp_path, capsys):
     path.write_text(ini)
     cfg = load_config(path)
     assert (cfg.rows, cfg.cols, cfg.team_size) == (14, 12, 2)
+
+
+def test_readme_names_only_verbs_the_cli_accepts():
+    verbs = [m for block in _readme_blocks("sh")
+             for m in re.findall(r"^hotspotplan\s+(\S+)", block, re.M)]
+    assert verbs
+    for verb in verbs:
+        assert cli_main([verb, "--help"]) == 0, verb

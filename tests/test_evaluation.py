@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import nct, t as student_t
 
 from conftest import make_field_instance, make_instance
+from oracles import gaussian_entropy, lgp_entropy, posterior
 from hotspotplan.errors import InsufficientData
 from hotspotplan.evaluation import (
     ent_metric,
@@ -16,9 +17,6 @@ from hotspotplan.evaluation import (
 from hotspotplan.field_model import (
     Hyperparams,
     PosteriorData,
-    gaussian_entropy,
-    lgp_entropy,
-    posterior,
     sample_field,
 )
 from hotspotplan.planners import (

@@ -12,21 +12,23 @@ from hotspotplan.field_model import (
     IncrementalPosterior,
     KernelTable,
     PosteriorData,
-    PosteriorGaussian,
     cov_matrix,
     covariance,
     fit_hyperparams,
-    gaussian_entropy,
-    lgp_entropy,
-    log_marginal_likelihood,
     lognormal_predictor,
     map_entropy,
     map_spectrum,
-    posterior,
     posterior_marginals,
     sample_field,
 )
 from hotspotplan.world import GridDomain
+from oracles import (
+    PosteriorGaussian,
+    gaussian_entropy,
+    lgp_entropy,
+    log_marginal_likelihood,
+    posterior,
+)
 
 LOG_2PI_E = math.log(2 * math.pi * math.e)
 

@@ -575,12 +575,12 @@ def test_cli_output_path_that_is_a_file_is_a_runtime_error(tmp_path, capsys, ver
     assert f"runtime error: cannot create {taken}" in capsys.readouterr().err
 
 
-def test_cli_selftest_passes():
-    assert cli_main(["selftest"]) == 0
+def test_cli_unknown_verb_is_a_usage_error(capsys):
+    assert cli_main(["selftest"]) == 1
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--config", "x.cfg", "--threads", "2"],
-                                  ["selftest", "--out", "x"],
                                   ["generate", "--config", "x.cfg", "--threads", "2"]])
 def test_cli_rejects_flags_the_verb_does_not_read(argv, capsys):
     assert cli_main(argv) == 1
