@@ -15,13 +15,14 @@ history: a search walks it down a branch by appending each outcome as its
 standardized point, not its value, and back up by dropping rows, and a window
 of cells gets its joint posterior from it; it gathers every kernel entry by
 cell offset from the grid's :class:`KernelTable`. Nothing map-sized is
-factored per call: the map's Gram matrix is separable, and its cached
+factored: the map's Gram matrix is separable, and its cached
 :class:`MapSpectrum` (two 1-D eigendecompositions) gives the map entropy by
-the chain rule with one factor over the observed cells (:func:`map_entropy`)
-and the MI baseline's leave-one-out variances; the predictor needs only means
-and variances (:func:`posterior_marginals`). The set-up factors nothing per
-candidate: :func:`fit_hyperparams` scores its grid from one eigendecomposition
-per length scale, and :func:`sample_field` keeps one map's factor.
+the chain rule with one factor over the observed cells (:func:`map_entropy`),
+the MI baseline's leave-one-out variances and field draws
+(:func:`sample_field`); the predictor needs only means and variances
+(:func:`posterior_marginals`). The set-up factors nothing per candidate:
+:func:`fit_hyperparams` scores its grid from one eigendecomposition per
+length scale.
 """
 
 from __future__ import annotations
@@ -321,6 +322,8 @@ class MapSpectrum:
         self.positive = bool((self.lam > 0).all())
         # the Gram's row sums, s (A 1)_r (B 1)_c + tau, indexed by cell
         self.row_sums = h.signal_variance * np.outer(corr[0].sum(1), corr[1].sum(1)) + tau
+        for array in (self.qa, self.qb, self.lam, self.row_sums):
+            array.setflags(write=False)  # one cached spectrum serves every caller
 
     @functools.cached_property
     def logdet(self) -> float:
@@ -371,8 +374,8 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     ``m x m`` factor, independent of the map size. Raises
     :class:`DegenerateCovariance` if the map's Gram matrix is not positive
     definite and :class:`SingularGram` if the observed block is not.
-    At a zero noise variance the jitter floor sets much of the value: -269.88,
-    -267.79, -255.58 at ``JITTER_FRACTION`` 1e-12, 1e-10, 1e-8 on the README
+    At a zero noise variance the jitter floor sets much of the value: -371.34,
+    -369.24, -357.03 at ``JITTER_FRACTION`` 1e-12, 1e-10, 1e-8 on the README
     config's seed-0 prior data, noise set to 0. Fitted noise is positive.
     """
     if not all(map(domain.contains, d.locations)):
@@ -394,26 +397,21 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=1)
-def _field_factor(h: Hyperparams, domain: GridDomain, prior_variance: float) -> np.ndarray:
-    """Read-only lower Gram factor of every cell of the map; the prior variance
-    is in the key, so a changed ``JITTER_FRACTION`` refactors."""
-    cells = domain.cells()
-    L = _gram_factor(cov_matrix(cells, cells, h), h)
-    L.setflags(write=False)
-    return L
-
-
 def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     """Draw one field realization: exp of a joint GP sample over all cells.
 
     Returns a positive array of shape ``(rows, cols)``; deterministic in
-    ``seed``. The map's Gram factor is cached between calls.
+    ``seed``. The sample is ``mean + Q_A (sqrt(lam) E) Q_B^T`` for a
+    ``rows x cols`` standard normal ``E``, from the cached
+    :class:`MapSpectrum`: its covariance is the map's Gram matrix, and nothing
+    map-sized is factored. Raises :class:`SingularGram` if that Gram matrix is
+    not positive definite.
     """
-    L = _field_factor(h, domain, h.prior_variance)
-    rng = np.random.default_rng(seed)
-    z = h.mean + L @ rng.standard_normal(domain.size)
-    return np.exp(z).reshape(domain.rows, domain.cols)
+    spec = map_spectrum(h, domain)
+    if not spec.positive:
+        raise SingularGram("map gram matrix not positive definite")
+    e = np.random.default_rng(seed).standard_normal((domain.rows, domain.cols))
+    return np.exp(h.mean + spec.qa @ (np.sqrt(spec.lam) * e) @ spec.qb.T)
 
 
 def lognormal_predictor(d: PosteriorData, x: Cell, h: Hyperparams) -> float:

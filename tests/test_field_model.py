@@ -21,6 +21,8 @@ from hotspotplan.field_model import (
     posterior_marginals,
     sample_field,
 )
+from hotspotplan.evaluation import ent_metric
+from hotspotplan.planners import Problem
 from hotspotplan.world import GridDomain
 from oracles import (
     PosteriorGaussian,
@@ -335,17 +337,17 @@ def test_sample_field_moments_match_kernel():
 
 
 def _fresh_draw(h, dom, seed):
-    cells = dom.cells()
-    L = fm._gram_factor(cov_matrix(cells, cells, h), h)
-    z = h.mean + L @ np.random.default_rng(seed).standard_normal(len(cells))
-    return np.exp(z).reshape(dom.rows, dom.cols)
+    spec = fm.MapSpectrum(h, dom, h.prior_variance)  # uncached
+    e = np.random.default_rng(seed).standard_normal((dom.rows, dom.cols))
+    return np.exp(h.mean + spec.qa @ (np.sqrt(spec.lam) * e) @ spec.qb.T)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_sample_field_equals_a_draw_from_a_fresh_factor(noise):
     h = Hyperparams(0.4, 0.9, 1.8, noise)
     dom = GridDomain(14, 12)
-    for seed in (3, 4, 3):  # the second and third calls read the cached factor
+    fm._map_spectrum.cache_clear()
+    for seed in (3, 4, 3):  # the second and third calls read the cached spectrum
         assert np.array_equal(sample_field(h, dom, seed), _fresh_draw(h, dom, seed))
 
 
@@ -363,26 +365,29 @@ def test_sample_field_factor_is_read_only():
     h = Hyperparams(0.0, 1.0, 1.5, 0.02)
     dom = GridDomain(4, 5)
     sample_field(h, dom, 0)
-    L = fm._field_factor(h, dom, h.prior_variance)
-    assert not L.flags.writeable
-    with pytest.raises(ValueError):
-        L[0, 0] = 2.0
+    spec = map_spectrum(h, dom)
+    for array in (spec.qa, spec.qb, spec.lam):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
+
+
+def test_sample_field_rejects_a_gram_that_is_not_positive_definite(monkeypatch):
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)  # every correlation at length 1e12 is 1
+    with pytest.raises(SingularGram):
+        sample_field(Hyperparams(0.0, 1.0, 1e12, 0.0), GridDomain(3, 3), 0)
 
 
 def test_sample_field_holds_one_map_factor():
-    h1 = Hyperparams(0.0, 1.0, 1.5, 0.02)
-    h2 = Hyperparams(0.0, 1.0, 2.0, 0.02)
+    h = Hyperparams(0.0, 1.0, 1.5, 0.02)
     dom = GridDomain(5, 4)
-    sample_field(h1, dom, 0)
-    misses = fm._field_factor.cache_info().misses
-    sample_field(h1, dom, 1)
-    assert fm._field_factor.cache_info().misses == misses  # reused
-    sample_field(h2, dom, 0)
-    sample_field(h1, GridDomain(4, 5), 0)
-    sample_field(h1, dom, 2)  # evicted by the two maps since
-    info = fm._field_factor.cache_info()
-    assert info.misses == misses + 3
-    assert info.currsize == info.maxsize == 1
+    sample_field(h, dom, 0)
+    info = fm._map_spectrum.cache_info()
+    sample_field(h, dom, 1)
+    assert fm._map_spectrum.cache_info().misses == info.misses  # reused
+    ent_metric(Problem(dom, h, "gp"), PosteriorData([], []))
+    after = fm._map_spectrum.cache_info()
+    assert (after.misses, after.hits) == (info.misses, info.hits + 2)  # ENT reads the sampler's entry
 
 
 # -- lognormal_predictor -----------------------------------------------------

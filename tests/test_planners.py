@@ -1263,8 +1263,8 @@ def test_mi_matches_brute_force_increment():
 
 def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
     # counted work, not time: on a 56 x 48 map no kernel matrix, factor,
-    # solve or inverse that ent_metric or mi_greedy asks for has N = 2,688 rows
-    # or columns
+    # solve or inverse that ent_metric, mi_greedy or sample_field asks for has
+    # N = 2,688 rows or columns
     problem, d0, s0 = make_instance(seed=3, rows=56, cols=48, k=2, model="gp", n_prior=20,
                                     length_scale=2.0, noise_variance=0.05)
     n_cells = problem.domain.size
@@ -1295,6 +1295,7 @@ def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
         for cell in path[1:]:
             d = d.extended(cell, 0.1)
     ent_metric(problem, d)
+    fm.sample_field(problem.hyper, problem.domain, seed=3)
     assert ("eigh", [(56, 56)]) in calls and ("eigh", [(48, 48)]) in calls
     assert ("cov_matrix", [(len(d), 2), (len(d), 2)]) in calls
     assert [c for c in calls if any(n_cells in dims for dims in c[1])] == []
