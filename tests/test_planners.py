@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -1197,6 +1197,125 @@ def test_mes_and_mi_paths_are_their_actions_replayed(k, n):
     for res in (mes, mi):
         assert len(res.policy.actions) == k * n
         assert res.paths == _replayed_paths(s0, domain, res.policy.actions, n)
+
+
+@st.composite
+def _mes_cases(draw):
+    """Tiny MES instances: 3x3 to 4x4 maps, k = 1 or 2, random hyperparameters
+    (the 1e-3 length scale and the zero-noise jitter prior among them); some
+    robots' start cells are visited but hold no datum."""
+    domain = GridDomain(draw(st.integers(3, 4)), draw(st.integers(3, 4)))
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4) if k == 1 else st.integers(1, 3))
+    picked = draw(st.lists(st.sampled_from(domain.cells()), min_size=k, max_size=k + 3,
+                           unique=True))
+    poses = tuple(RobotPose(c, draw(st.sampled_from(HEADINGS))) for c in picked[:k])
+    bare = {picked[i] for i in draw(st.sets(st.integers(0, k - 1)))}
+    held = [c for c in picked if c not in bare]
+    z = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(held), max_size=len(held)))
+    h = Hyperparams(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 4.0)),
+                    draw(st.one_of(st.just(1e-3), st.floats(0.3, 3.0))),
+                    draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0))))
+    s0 = TeamState(poses, frozenset(picked), budget=n)
+    return Problem(domain, h, "gp"), PosteriorData(held, z), s0, n
+
+
+def _bare_start_case():
+    # robot 1's start cell is visited but holds no datum, so its first move,
+    # taken below robot 0's, may reach the prior variance
+    poses = (RobotPose((0, 0), "S"), RobotPose((2, 3), "N"))
+    s0 = TeamState(poses, frozenset({(0, 0), (2, 3)}), budget=2)
+    problem = Problem(GridDomain(3, 4), Hyperparams(0.1, 1.2, 1.4, 0.0), "gp")
+    return problem, PosteriorData([(0, 0)], [0.4]), s0, 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mes_cases())
+@example(_bare_start_case())
+def test_mes_tail_bounds_every_completion(case):
+    # at every node of the search tree, the running value plus the search's
+    # tail is at least the best completion through that node; so the search
+    # returns the lexicographically first best sequence, scored as it scores
+    problem, d0, s0, n = case
+    k, total = s0.k, s0.k * n
+    tails = planners._mes_tails(problem, d0, s0, n)
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
+    walk = Walk(s0, problem.domain, n)
+    leaves = {}  # one-robot-move sequence -> value, in the search's order
+
+    def best_below(j, seq, val):
+        if j == total:
+            leaves[tuple(seq)] = val
+            return val
+        best = -math.inf
+        for i, mv, cell, heading in list(walk.moves(j % k)):
+            walk.step(i, cell, heading)
+            child_val = val + planners._entropy(inc.extend(cell, 0.0))
+            below = best_below(j + 1, seq + [(i, mv)], child_val)
+            assert child_val + tails[j] >= below
+            best = max(best, below)
+            inc.pop(1)
+            walk.undo()
+        return best
+
+    best_below(0, [], 0.0)
+    if not leaves:
+        with pytest.raises(DeadEnd):
+            mes_nonadaptive(problem, d0, s0, n)
+        return
+    res = mes_nonadaptive(problem, d0, s0, n)
+    best = max(leaves.values())
+    first = next(seq for seq, v in leaves.items() if v == best)
+    assert res.exact
+    assert res.value == best
+    assert [(a.robot_index, a.move) for a in res.policy.actions] == list(first)
+    # the dense oracle over the joint moves: the same value, and the same
+    # sequence unless another one ties with it to within rounding
+    oracle_val, combos = enumerate_mes_oracle(problem, d0, s0, n)
+    oracle_seq = tuple((i, mv) for combo in combos for i, mv in enumerate(combo))
+    assert oracle_val == pytest.approx(best, abs=1e-9)
+    assert leaves[oracle_seq] == pytest.approx(best, abs=1e-9)
+    if sum(v >= best - 1e-9 for v in leaves.values()) == 1:
+        assert oracle_seq == first
+
+
+def test_mes_work_does_not_grow_with_the_map(monkeypatch):
+    # a reach that stays inside 14 x 12: on a map 16 times larger the search
+    # visits the same nodes, and no posterior batch is wider than one
+    # robot's moves
+    h = Hyperparams(0.4, 1.3, 2.0, 0.05)
+    starts = [(6, 4), (7, 7)]
+    locs = [(2, 3), (4, 9), (9, 5), (11, 2), (5, 6), (10, 9)] + starts
+    d0 = PosteriorData(locs, np.linspace(-0.6, 0.9, len(locs)))
+    s0 = TeamState((RobotPose(starts[0], "N"), RobotPose(starts[1], "S")), frozenset(locs))
+    widths = []
+    batch = IncrementalPosterior.batch
+
+    def spy(self, targets):
+        widths.append(len(targets))
+        return batch(self, targets)
+
+    monkeypatch.setattr(IncrementalPosterior, "batch", spy)
+    small, large = (mes_nonadaptive(Problem(GridDomain(rows, cols), h, "gp"), d0, s0, n=4)
+                    for rows, cols in ((14, 12), (56, 48)))
+    assert small.exact and small.nodes > 100
+    assert (large.value, large.paths, large.nodes, large.exact) == (
+        small.value, small.paths, small.nodes, small.exact)
+    assert widths and max(widths) <= 3 * s0.k
+
+
+def test_mes_closes_the_readme_row_a_map_wide_bound_cut():
+    # README config, k = 2, seed 2: a bound from the map's best prior
+    # entropies stopped at 200,001 nodes with the incumbent below
+    cfg = validate_config(ExperimentConfig(
+        rows=14, cols=12, team_size=2, budget_per_robot=9, prior_units=20,
+        policies=("mes",), models=("gp",), seeds=(2,), field_mean=0.4,
+        field_signal_variance=1.3, field_length_scale=2.0, field_noise_variance=0.05))
+    _, d0, s0, fitted = _build_instance(cfg, 2)
+    res = mes_nonadaptive(Problem(cfg.domain, fitted, "gp"), d0, s0, cfg.budget_per_robot,
+                          node_budget=cfg.mes_node_budget)
+    assert res.exact
+    assert res.value >= float.fromhex("0x1.fa3248f30dcedp+3")
 
 
 # -- mi_greedy ---------------------------------------------------------------
