@@ -41,7 +41,6 @@ from .evaluation import (
 from .field_model import (
     Hyperparams,
     PosteriorData,
-    covariance,
     fit_hyperparams,
     lognormal_predictor,
     posterior_marginals,

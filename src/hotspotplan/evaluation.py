@@ -10,9 +10,10 @@ entropy, read off the map Gram's spectrum (two 1-D eigendecompositions,
 cached per hyperparameters and grid), less that of the observed cells: one
 ``m x m`` factor per call (:func:`~hotspotplan.field_model.map_entropy`).
 ERR needs only each cell's posterior mean and variance
-(:func:`~hotspotplan.field_model.posterior_marginals`): O(m N) memory and
-O(m^2 N) time. Neither forms the posterior covariance matrix, and neither
-factors anything map-sized.
+(:func:`~hotspotplan.field_model.posterior_marginals`), one batch of the
+planners' incremental factor: O(m N) memory and O(m^2 N) time. Both gather
+their kernel entries from the grid's kernel table. Neither forms the
+posterior covariance matrix, and neither factors anything map-sized.
 """
 
 from __future__ import annotations

@@ -7,20 +7,19 @@ variance is zero (:attr:`Hyperparams.nugget`). Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel and the numpy row-append of a Cholesky factor each have one
-definition here (URTDP's posterior window appends to its own small factor in
-Python floats). The planners condition through
-:class:`IncrementalPosterior`, the one factor that grows and shrinks with a
-history: a search walks it down a branch by appending each outcome as its
-standardized point, not its value, and back up by dropping rows, and a window
-of cells gets its joint posterior from it; it gathers every kernel entry by
-cell offset from the grid's :class:`KernelTable`. Nothing map-sized is
+The kernel has one definition here, the grid's :class:`KernelTable`: every
+Gram matrix and cross-covariance is gathered from it by cell offset. Observed
+data are conditioned on one way, through :class:`IncrementalPosterior` (URTDP's
+posterior window appends to its own small factor in Python floats). The
+planners walk it down a branch by appending each outcome as its standardized
+point, not its value, and back up by dropping rows, and a window of cells gets
+its joint posterior from it; the predictor's means and variances
+(:func:`posterior_marginals`) are one batch of it. Nothing map-sized is
 factored: the map's Gram matrix is separable, and its cached
 :class:`MapSpectrum` (two 1-D eigendecompositions) gives the map entropy by
 the chain rule with one factor over the observed cells (:func:`map_entropy`),
 the MI baseline's leave-one-out variances and field draws
-(:func:`sample_field`); the predictor needs only means and variances
-(:func:`posterior_marginals`). The set-up factors nothing per candidate:
+(:func:`sample_field`). The set-up factors nothing per candidate:
 :func:`fit_hyperparams` scores its grid from one eigendecomposition per
 length scale.
 """
@@ -112,16 +111,6 @@ class PosteriorData:
         return f"PosteriorData({len(self)} obs)"
 
 
-def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
-    """Isotropic squared-exponential kernel plus nugget at identical cells."""
-    dx = x[0] - u[0]
-    dy = x[1] - u[1]
-    value = h.signal_variance * math.exp(-(dx * dx + dy * dy) / (2.0 * h.length_scale**2))
-    if x == u:
-        value += h.nugget
-    return value
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of two ``(n, 2)`` integer cell arrays (exact)."""
     sq = a @ (-2.0 * b.T)
@@ -143,21 +132,6 @@ def _se(sq: np.ndarray, h: Hyperparams) -> np.ndarray:
     return sq
 
 
-def cov_matrix(cells_a, cells_b, h: Hyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two cell lists (vectorized kernel).
-
-    Cells are integer grid points, so a zero distance means the same cell:
-    the nugget goes exactly there.
-    """
-    a = np.asarray(cells_a, dtype=float).reshape(-1, 2)
-    b = np.asarray(cells_b, dtype=float).reshape(-1, 2)
-    sq = _sq_dists(a, b)
-    same = sq == 0
-    k = _se(sq, h)
-    k[same] += h.nugget
-    return k
-
-
 def _gram_factor(gram: np.ndarray, h: Hyperparams) -> np.ndarray:
     """Lower Cholesky factor of a Gram matrix of distinct cells, its diagonal the prior variance."""
     np.fill_diagonal(gram, h.prior_variance)
@@ -168,15 +142,16 @@ def _gram_factor(gram: np.ndarray, h: Hyperparams) -> np.ndarray:
 
 
 class KernelTable:
-    """The squared-exponential kernel, nugget excluded, of every cell offset
-    of one grid.
+    """The kernel at every cell offset of one grid: the squared-exponential
+    kernel, plus the nugget at the zero offset.
 
     Two cells of a ``rows x cols`` grid differ by one of
     ``(2 rows - 1)(2 cols - 1)`` offsets. With ``width = 2 cols - 1`` and the
     code ``r * width + c`` of a cell ``(r, c)``, the kernel between cells
     ``a`` and ``b`` is ``values[center + code(a) - code(b)]``: an integer
-    subtract and a gather, bit for bit :func:`cov_matrix` between distinct
-    cells. A 42 x 36 grid needs 5,893 floats.
+    subtract and a gather (:meth:`matrix`). A 42 x 36 grid needs 5,893
+    floats. The nugget is read when the table is built; every factor puts the
+    prior variance of its own call on its diagonal.
     """
 
     def __init__(self, h: Hyperparams, domain: GridDomain):
@@ -186,22 +161,30 @@ class KernelTable:
         self.center = (rows - 1) * self.width + cols - 1
         dr, dc = np.divmod(np.arange((2 * rows - 1) * self.width), self.width)
         self.values = _se(((dr - rows + 1) ** 2 + (dc - cols + 1) ** 2).astype(float), h)
+        self.values[self.center] += h.nugget
 
     def codes(self, cells) -> np.ndarray:
         """The codes of a list of cells."""
         return np.array([r * self.width + c for r, c in cells], dtype=np.intp)
 
+    def matrix(self, cells_a, cells_b) -> np.ndarray:
+        """The kernel matrix between two lists of cells."""
+        a = self.codes(cells_a)
+        b = a if cells_b is cells_a else self.codes(cells_b)
+        return self.values[self.center + a[:, None] - b]
+
 
 class IncrementalPosterior:
     """Posterior evaluator over one observation sequence that grows and shrinks.
 
-    This is the single GP factor the planners condition on. It keeps the
-    Cholesky factor of the Gram matrix and the whitened residual
-    ``y = L^-1 (z - mean)`` in preallocated buffers, so appending one
-    observation costs one triangular solve, dropping the last ones costs
-    nothing, and target means/variances cost a single batched solve. Results
-    match the exact GP posterior. The factor depends on the locations
-    only, so the outcome branches of a move share it. :meth:`extend` can take
+    This is the library's one GP factor: the planners and
+    :func:`posterior_marginals` condition on it. It keeps the Cholesky factor
+    of the Gram matrix and the whitened residual ``y = L^-1 (z - mean)`` in
+    preallocated buffers, so appending one observation costs one triangular
+    solve, dropping the last ones costs nothing, and target means/variances
+    cost a single batched solve. Results are the exact GP posterior at any
+    target. The factor depends on the locations only, so the outcome
+    branches of a move share it. :meth:`extend` can take
     column ``j`` of the last :meth:`batch`'s whitened ``columns`` as its row.
     Measured values enter through the constructor only: an appended entry of
     ``y`` is ``(z - mu) / sd`` for an outcome of mean ``mu`` and deviation
@@ -222,17 +205,14 @@ class IncrementalPosterior:
         if not all(map(table.domain.contains, locs)):
             raise ValueError("observed cells must lie on the kernel table's grid")
         if m:
-            codes = table.codes(locs)
-            self._offsets[:m] = codes + table.center
-            self._L[:m, :m] = _gram_factor(table.values[self._offsets[:m, None] - codes], h)
+            self._offsets[:m] = table.codes(locs) + table.center
+            self._L[:m, :m] = _gram_factor(table.matrix(locs, locs), h)
             self._y[:m] = dtrsv(self._L[:m, :m], np.asarray(z, dtype=float) - h.mean, lower=1)
 
     def batch(self, targets) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior means and variances at the target cells.
-
-        Targets must be cells not yet in the sequence (the nugget cross-term
-        for coinciding cells is not applied here).
-        """
+        """Posterior means and variances at the target cells, the exact GP
+        posterior also at a cell already in the sequence: the table's zero
+        offset carries the nugget."""
         h = self.h
         half = self.columns = self.whitened(targets)
         mu = h.mean + half.T @ self._y[: self.m]
@@ -241,10 +221,10 @@ class IncrementalPosterior:
 
     def joint(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and covariance of distinct cells not in the sequence:
-        one :meth:`batch`, its variances on the diagonal, ``K - C^T C`` off it."""
+        one :meth:`batch`, its variances on the diagonal, ``K - C^T C`` off it,
+        ``K`` the table's :meth:`~KernelTable.matrix` of the cells."""
         mu, var = self.batch(cells)
-        c = self.table.codes(cells)
-        cov = self.table.values[(c + self.table.center)[:, None] - c] - self.columns.T @ self.columns
+        cov = self.table.matrix(cells, cells) - self.columns.T @ self.columns
         np.fill_diagonal(cov, var)
         return mu, cov
 
@@ -285,18 +265,17 @@ def posterior_marginals(d: PosteriorData, targets, h: Hyperparams) -> tuple[np.n
     """Posterior means and variances at the target cells: the mean and the
     covariance diagonal of the exact GP posterior, without the covariance.
 
-    One factor over the ``m`` observed cells and one ``m x N`` whitened
-    cross-covariance, so the cost is O(m^2 N) time and O(m N) memory. The
-    cross-covariance carries the nugget, so a target that is also observed
-    gets the exact GP posterior variance.
+    One :meth:`IncrementalPosterior.batch` of ``N`` targets given the ``m``
+    observed cells, on the kernel table of the smallest grid at the origin
+    that holds them all: O(m^2 N) time and O(m N) memory. A target that is
+    also observed gets the exact GP posterior variance. Raises ``ValueError``
+    for a cell with a negative coordinate.
     """
-    t = np.asarray(targets, dtype=float).reshape(-1, 2)
-    if len(d) == 0:
-        return np.full(t.shape[0], h.mean), np.full(t.shape[0], h.prior_variance)
-    L = _gram_factor(cov_matrix(d.locations, d.locations, h), h)
-    half = dtrsm(1.0, L, cov_matrix(d.locations, t, h), lower=1)
-    mean = h.mean + half.T @ dtrsv(L, d.z - h.mean, lower=1)
-    return mean, h.prior_variance - np.einsum("ij,ij->j", half, half)
+    rows, cols = zip((0, 0), *d.locations, *targets)
+    if min(rows) < 0 or min(cols) < 0:
+        raise ValueError("cells must have non-negative coordinates")
+    table = KernelTable(h, GridDomain(max(rows) + 1, max(cols) + 1))
+    return IncrementalPosterior(table, d.locations, d.z, len(d)).batch(targets)
 
 
 class MapSpectrum:
@@ -389,7 +368,7 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
         raise DegenerateCovariance("map gram matrix not positive definite")
     value = 0.5 * (n * LOG_2PI_E + spec.logdet) + n * h.mean
     if m:
-        gram = cov_matrix(d.locations, d.locations, h)
+        gram = KernelTable(h, domain).matrix(d.locations, d.locations)
         L = _gram_factor(gram, h)
         r, c = np.array(d.locations).T
         k_ou1 = spec.row_sums[r, c] - gram.sum(axis=1)

@@ -4,9 +4,12 @@ The library forms no map-sized posterior covariance: a stage reward needs
 one cell's posterior mean and variance, and the map entropy comes from the
 map's spectrum. These oracles factorize from scratch over the whole target
 set, so the tests can check the library's incremental and spectral paths
-against the textbook formulas. They share the library's kernel
-(:func:`hotspotplan.field_model.cov_matrix`) and Gram factor, so a changed
-``JITTER_FRACTION`` reaches them too.
+against the textbook formulas. The dense kernel lives here, apart from the
+library's kernel table: :func:`covariance` evaluates it one pair at a time
+and :func:`cov_matrix` over two cell lists from the squared distances, so a
+test of the table checks it against a formula of its own. The oracles share
+the library's Gram factor and nugget, so a changed ``JITTER_FRACTION``
+reaches them too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,33 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from hotspotplan.errors import DegenerateCovariance, SingularGram
-from hotspotplan.field_model import LOG_2PI_E, Hyperparams, PosteriorData, _gram_factor, cov_matrix
+from hotspotplan.field_model import LOG_2PI_E, Hyperparams, PosteriorData, _gram_factor, _se, _sq_dists
+from hotspotplan.world import Cell
+
+
+def covariance(x: Cell, u: Cell, h: Hyperparams) -> float:
+    """Isotropic squared-exponential kernel plus nugget at identical cells."""
+    dx = x[0] - u[0]
+    dy = x[1] - u[1]
+    value = h.signal_variance * math.exp(-(dx * dx + dy * dy) / (2.0 * h.length_scale**2))
+    if x == u:
+        value += h.nugget
+    return value
+
+
+def cov_matrix(cells_a, cells_b, h: Hyperparams) -> np.ndarray:
+    """Cross-covariance matrix between two cell lists (vectorized kernel).
+
+    Cells are integer grid points, so a zero distance means the same cell:
+    the nugget goes exactly there.
+    """
+    a = np.asarray(cells_a, dtype=float).reshape(-1, 2)
+    b = np.asarray(cells_b, dtype=float).reshape(-1, 2)
+    sq = _sq_dists(a, b)
+    same = sq == 0
+    k = _se(sq, h)
+    k[same] += h.nugget
+    return k
 
 
 @dataclass(frozen=True)

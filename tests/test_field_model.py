@@ -12,8 +12,6 @@ from hotspotplan.field_model import (
     IncrementalPosterior,
     KernelTable,
     PosteriorData,
-    cov_matrix,
-    covariance,
     fit_hyperparams,
     lognormal_predictor,
     map_entropy,
@@ -26,6 +24,8 @@ from hotspotplan.planners import Problem
 from hotspotplan.world import GridDomain
 from oracles import (
     PosteriorGaussian,
+    cov_matrix,
+    covariance,
     gaussian_entropy,
     lgp_entropy,
     log_marginal_likelihood,
@@ -297,6 +297,32 @@ def test_posterior_marginals_match_posterior_diagonal(rng, noise, locs):
     np.testing.assert_allclose(
         var, np.diag(g.covariance), rtol=1e-12, atol=1e-12 * h.prior_variance
     )
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.0])
+def test_batch_is_the_posterior_at_cells_already_in_the_sequence(rng, noise):
+    # the table's zero offset carries the nugget, so a target that is also an
+    # observed cell gets the posterior of that same measurement again
+    h = Hyperparams(0.3, 1.2, 1.6, noise)
+    locs = [(0, 0), (3, 1), (5, 4), (2, 2)]
+    z = rng.normal(size=len(locs))
+    dom = GridDomain(6, 5)
+    inc = IncrementalPosterior(KernelTable(h, dom), locs, z, capacity=len(locs))
+    mean, var = inc.batch(dom.cells())
+    g = posterior(PosteriorData(locs, z), dom.cells(), h)
+    np.testing.assert_allclose(mean, g.mean, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(var, np.diag(g.covariance), rtol=0, atol=1e-12 * h.prior_variance)
+
+
+def test_posterior_marginals_refuse_a_negative_coordinate():
+    # the kernel table covers the grid from the origin: a cell off it would
+    # gather another offset's entry
+    h = Hyperparams(0.3, 1.2, 1.6, 0.05)
+    d = PosteriorData([(0, 0), (2, 1)], [0.4, -0.2])
+    with pytest.raises(ValueError):
+        posterior_marginals(d, [(1, 1), (-1, 2)], h)
+    with pytest.raises(ValueError):
+        posterior_marginals(PosteriorData([(0, -3)], [0.1]), [(1, 1)], h)
 
 
 # -- sample_field ------------------------------------------------------------
@@ -675,19 +701,26 @@ def test_batch_variances_equal_the_variances_extend_returns(rng, noise):
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 @pytest.mark.parametrize("rows, cols", [(14, 12), (42, 36)])
 def test_kernel_table_equals_cov_matrix_at_every_offset(rows, cols, noise):
-    # all pairs of cells of the grid reach every offset; only the nugget (the
-    # jitter when the noise is zero), which the table leaves out, sits on the
-    # zero offset
+    # all pairs of cells of the grid reach every offset, the zero offset with
+    # its nugget (the jitter when the noise is zero) included
     h = Hyperparams(0.4, 1.3, 2.0, noise)
     cells = GridDomain(rows, cols).cells()
     table = KernelTable(h, GridDomain(rows, cols))
     assert table.values.shape == ((2 * rows - 1) * (2 * cols - 1),)
     codes = table.codes(cells)
     gathered = table.values[table.center + codes[:, None] - codes[None, :]]
-    dense = cov_matrix(cells, cells, h)
-    diagonal = np.eye(len(cells), dtype=bool)
-    assert np.array_equal(gathered[~diagonal], dense[~diagonal])
-    assert np.array_equal(gathered[diagonal] + h.nugget, dense[diagonal])
+    assert np.array_equal(gathered, cov_matrix(cells, cells, h))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_kernel_table_matrix_equals_cov_matrix(rng, noise):
+    h = Hyperparams(0.4, 1.3, 2.0, noise)
+    table = KernelTable(h, GridDomain(7, 5))
+    cells = table.domain.cells()
+    a = [cells[i] for i in rng.choice(len(cells), 9, replace=False)]
+    b = a[3:7] + [cells[i] for i in rng.choice(len(cells), 6, replace=False)]
+    for x, y in ((a, b), (b, a), (a, a), (a, list(a))):
+        assert np.array_equal(table.matrix(x, y), cov_matrix(x, y, h))
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.02])

@@ -1403,7 +1403,7 @@ def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
 
         monkeypatch.setattr(owner, name, recorded)
 
-    for name in ("cov_matrix", "cholesky", "cho_solve", "solve_triangular", "dtrsm", "dtrsv"):
+    for name in ("_gram_factor", "cholesky", "cho_solve", "solve_triangular", "dtrsm", "dtrsv"):
         record(fm, name)
     for name in ("eigh", "inv", "cholesky", "solve", "slogdet", "det"):
         record(np.linalg, name)
@@ -1416,7 +1416,7 @@ def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
     ent_metric(problem, d)
     fm.sample_field(problem.hyper, problem.domain, seed=3)
     assert ("eigh", [(56, 56)]) in calls and ("eigh", [(48, 48)]) in calls
-    assert ("cov_matrix", [(len(d), 2), (len(d), 2)]) in calls
+    assert ("_gram_factor", [(len(d), len(d))]) in calls
     assert [c for c in calls if any(n_cells in dims for dims in c[1])] == []
 
 

@@ -22,7 +22,12 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   lists for seeds 0, 1000 and 2000, recorded as they are;
 * ``readme/k<k>/...``: the README's config at k = 1 and 2, seeds 0-4:
   ``compute_bounds`` (the ``bounds`` verb) and ``run_seed``'s records (the
-  ``run`` verb) without their wall times.
+  ``run`` verb) without their wall times;
+* ``field/<i>``: the field model on its own, on 40 seeded instances (grids
+  2-39 cells a side, 0-39 data with every eighth history empty, noise 0,
+  1e-4, 0.05 or 0.5, length scales 1e-3 to 30): a sha256 of
+  ``posterior_marginals``' means and variances over every cell, observed
+  cells included, ``map_entropy`` and one ``lognormal_predictor``.
 
 The library is whichever ``hotspotplan`` the interpreter imports, so
 ``PYTHONPATH=<checkout>/src`` fingerprints another checkout with this
@@ -39,8 +44,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -187,11 +194,38 @@ def _readme(out: dict) -> None:
                     [[name, value] for name, value in fields.items()])
 
 
+def _field(out: dict) -> None:
+    from hotspotplan.field_model import (Hyperparams, PosteriorData, lognormal_predictor, map_entropy,
+                                         posterior_marginals)
+    from hotspotplan.world import GridDomain
+
+    rng = np.random.default_rng(24)
+    for i in range(40):
+        dom = GridDomain(*(int(n) for n in rng.integers(2, 40, size=2)))
+        ell = float(np.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+        h = Hyperparams(float(rng.normal()), float(rng.uniform(0.2, 3.0)), ell,
+                        float(rng.choice([0.0, 1e-4, 0.05, 0.5])))
+        cells = dom.cells()
+        m = 0 if i % 8 == 0 else int(rng.integers(0, min(40, dom.size)))
+        locs = [cells[j] for j in rng.choice(dom.size, m, replace=False)]
+        d = PosteriorData(locs, h.mean + rng.standard_normal(m))
+        x = locs[0] if m and i % 2 else cells[int(rng.integers(dom.size))]  # odd: an observed cell
+        key = f"field/{i}/{dom.rows}x{dom.cols}/m{m}"
+
+        def marginals():
+            mean, var = posterior_marginals(d, cells, h)
+            return hashlib.sha256(np.concatenate([mean, var]).astype(np.float64).tobytes()).hexdigest()
+
+        record(out, f"{key}/marginals", marginals)
+        record(out, f"{key}/map_entropy", lambda: map_entropy(d, dom, h))
+        record(out, f"{key}/predictor", lambda: lognormal_predictor(d, x, h))
+
+
 def fingerprint(long: bool = False) -> dict:
     """Every key of the fingerprint, in a fixed order."""
     out: dict = {}
     steps = [("tiny", _tiny), ("slow", lambda o: _slow(o, 2_000)), ("closure", _closure),
-             ("readme", _readme)]
+             ("readme", _readme), ("field", _field)]
     if long:
         steps.append(("long", lambda o: _slow(o, 120_000)))
     for name, step in steps:
