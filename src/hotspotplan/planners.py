@@ -44,8 +44,15 @@ unchanged; the rollout's value is therefore affine in the child's outcome.
 A node's first visit builds one window, the joint posterior of the cells
 its actions and their children's rollouts can enter; the rollouts run on it
 in Python floats, and each slope is read off its covariance
-(:meth:`_UrtdpInstance._init_children`). Non-adaptive baselines (maximum
-entropy sampling, MI-based greedy) commit their paths from the prior data.
+(:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the root's
+records are rolled out when it is expanded, since the policy reads their
+lower q-values, and any other record when a trial first enters it, on the
+window of its node (rebuilt if the node was expanded by an earlier trial).
+Until then its children hold only their upper bounds and a lower bound of
+``-inf``, which keeps the record out of its node's lower max; the record a
+trial enters is rolled out first, so every node's lower bound is a rollout
+value. Non-adaptive baselines (maximum entropy sampling, MI-based greedy)
+commit their paths from the prior data.
 
 Every planner steps the constrained joint actions, one robot move per
 stage (MES's branch and bound one per node, robots in turn), and reads them
@@ -510,7 +517,9 @@ class _UrtdpInstance:
         self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
         self._inc = None
-        self.window = None  # the last expansion's window
+        # the last expansion's window; a trial that enters a record in the same
+        # step rolls its children out on it
+        self.window = None
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
 
@@ -547,56 +556,63 @@ class _UrtdpInstance:
 
     def expand(self, node, inc, walk, stage):
         """The node's action records, built on its first visit from one
-        :class:`_Window` on the factor ``inc`` over the history of ``walk`` (kept
-        in :attr:`window` until the next expansion); the children get bounds.
+        :class:`_Window` on the factor ``inc`` over the history of ``walk``,
+        kept in :attr:`window`.
 
         A record is ``(action, reward, cell, children)``; child ``j``
         observes the outcome point ``zeta[j]`` at ``cell``, and the children
-        are ``None`` at the last stage. ``node[3]``, the index of the largest
-        upper q, picks the descent's action.
+        are ``None`` at the last stage. Every child gets its upper bound
+        here. Only at the start of the walk, the decision's root, does every
+        record get its children's lower bounds (:meth:`_init_children`);
+        elsewhere they stay ``-inf`` until a trial enters the record.
+        ``node[3]``, the index of the largest upper q, picks the descent's
+        action.
         """
         if len(node) > 2:
             return node[2]
-        problem = self.problem
-        window = self.window = _Window(problem, inc, walk, max(self.config.horizon - stage, 0) + 1)
+        problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
+        window = self.window = _Window(problem, inc, walk, max(remaining, 0) + 1)
+        upper, root = remaining * self.stage_max, not walk.trail
         records = []
         for i, mv, x, heading in walk.moves():
             j = window.index[x]
             var = window.cov.item(j, j)
             if var <= 0:
                 raise DegenerateCovariance(f"non-positive posterior variance at {x}")
-            children = None if stage >= self.config.horizon else self._init_children(
-                window, walk, i, x, heading, stage)
+            children = None
+            if remaining > 0:
+                children = [[-math.inf, upper] for _ in self.zeta]
+                if root:
+                    self._init_children(window, walk, i, x, heading, stage, children)
             reward = float(_reward(problem, window.mean[j], var))
             records.append((self._action(i, mv), reward, x, children))
         node += [records, _best_upper(self.q_values(records))]
         return records
 
-    def _init_children(self, window, walk, i, x, heading, stage):
-        """Initial ``[lower, upper]`` pairs of the children at ``x``, one per ``zeta``.
+    def _init_children(self, window, walk, i, x, heading, stage, children):
+        """Set the lower bounds of ``children``, the record's child nodes at
+        ``x`` (one per ``zeta``), each capped at the child's upper bound.
 
         All children share locations, so one greedy rollout (at the mean
-        outcome), on the parent's ``window`` with ``x`` chosen, fixes a
-        feasible continuation ``seq`` for all of them; its certainty-equivalent
-        value at each child point is an admissible lower bound. It is affine
-        in the outcome, since fed-back means leave every mean unchanged, with
-        slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read off the window: child
-        ``j`` gets ``v_ref + slope * sd * zeta[j]``. The upper bound is outcome
-        independent.
+        outcome), on the ``window`` of their parent, at ``stage``, with ``x``
+        chosen, fixes a feasible continuation ``seq`` for all of them; its
+        certainty-equivalent value at each child point is an admissible lower
+        bound. It is affine in the outcome, since fed-back means leave every
+        mean unchanged, with slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read
+        off the window: child ``j`` gets ``v_ref + slope * sd * zeta[j]``.
         """
         problem = self.problem
-        remaining = self.config.horizon - stage  # actions from stage + 1 on
-        upper = remaining * self.stage_max
         j = window.index[x]
         pivot_var = window.push(j, [], window.cov.item(j, j))
         walk.step(i, x, heading)
-        v_ref, seq = _greedy_ce_rollout(problem, window, walk, remaining)
+        v_ref, seq = _greedy_ce_rollout(problem, window, walk, self.config.horizon - stage)
         walk.undo()
         slope = 0.0 if not problem.is_lgp else (
             sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
         window.chosen.pop()
         sd = math.sqrt(pivot_var)
-        return [[min(v_ref + slope * sd * float(zj), upper), upper] for zj in self.zeta]
+        for child, zj in zip(children, self.zeta):
+            child[0] = min(v_ref + slope * sd * float(zj), child[1])
 
     # -- bound arithmetic ----------------------------------------------------
 
@@ -629,27 +645,37 @@ class _UrtdpInstance:
 
         The root's factor walks the trial: each descent step extends it by
         the chosen action's cell and the sampled outcome point, popped at the
-        end. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
+        end. A record entered for the first time gets its children's lower
+        bounds before the outcome draw, on its node's window, rebuilt here if
+        an earlier trial expanded the node. ``root`` is ``_root(d0, s0,
+        stage0)`` if the caller has it.
         """
         node, inc = root or self._root(d0, s0, stage0)
-        walk, stage, trail = Walk(s0, self.problem.domain), stage0, []
+        problem, horizon = self.problem, self.config.horizon
+        walk, stage, trail = Walk(s0, problem.domain), stage0, []
         while True:
             fresh = len(node) == 2
             records = self.expand(node, inc, walk, stage)
-            if not records or stage >= self.config.horizon:  # a dead end or a leaf
+            window = self.window if fresh else None  # this node's, when built in this step
+            if not records or stage >= horizon:  # a dead end or a leaf
                 leaf = max((r[1] for r in records), default=0.0)
                 self._set(node, leaf, leaf)
                 break
             a, _, x, children = records[node[3]]
+            heading = MOVE_DELTA[walk.poses[a.robot_index][1], a.move][2]
+            if children[0][0] == -math.inf:  # entered for the first time
+                if window is None:
+                    window = _Window(problem, inc, walk, horizon - stage + 1)
+                self._init_children(window, walk, a.robot_index, x, heading, stage, children)
             gaps = [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)]
             total = _total(gaps)
             probs = [g / total for g in gaps] if total > 0 else [1.0 / len(gaps)] * len(gaps)
             j = _draw(self.rng, probs)
             trail.append((node, records))
-            # a node expanded in this step has the cell's row in its window
-            row = self.window.columns[:, self.window.index[x]] if fresh else None
+            # a window built at this node has the cell's row
+            row = window.columns[:, window.index[x]] if window is not None else None
             inc.extend(x, self.zeta[j], row)
-            walk.step(a.robot_index, x, MOVE_DELTA[walk.poses[a.robot_index][1], a.move][2])
+            walk.step(a.robot_index, x, heading)
             node = children[j]
             stage += 1
         for node, records in reversed(trail):

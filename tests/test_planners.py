@@ -464,7 +464,10 @@ def test_urtdp_trials_walk_one_factor_and_store_no_histories(monkeypatch):
 def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monkeypatch):
     # each child's seeded lower bound is the certainty-equivalent value of the
     # greedy continuation recorded at the mean outcome, evaluated at the
-    # child's own outcome; recomputed here from scratch with posterior()
+    # child's own outcome; recomputed here from scratch with posterior(). The
+    # root's records are rolled out when it is expanded, any other record when
+    # a trial first enters it: on the window of a node expanded in that trial,
+    # or on a window rebuilt at a node an earlier trial expanded
     problem, d0, s0 = make_instance(seed=22, rows=4, cols=4, model=model)
     cfg = cfg_for(horizon=4, nu=3)
     seqs = []
@@ -477,6 +480,27 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
 
     monkeypatch.setattr(planners, "_greedy_ce_rollout", recording)
     inst = urtdp_policy(problem, cfg).instance
+
+    def checked_children(d, x, children, seq):
+        """Check each child of the record at ``x`` observed from data ``d``;
+        return how many were not capped at their upper bound."""
+        g = posterior(d, [x], problem.hyper)
+        mean, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
+        checked = 0
+        for zj, (lower, upper) in zip(mean + sd * inst.zeta, children):
+            dj, value = d.extended(x, zj), 0.0
+            for c in seq:
+                g = posterior(dj, [c], problem.hyper)
+                mu, var = float(g.mean[0]), float(g.covariance[0, 0])
+                value += 0.5 * (LOG_2PI_E + math.log(var)) + (mu if model == "lgp" else 0.0)
+                dj = dj.extended(c, mu)
+            if value > upper:
+                assert lower == upper
+                continue
+            assert lower == pytest.approx(value, rel=1e-9)
+            checked += 1
+        return checked
+
     root, root_inc = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
     entries = inst.expand(root, root_inc, Walk(s0, problem.domain), 0)
@@ -484,23 +508,40 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     checked = 0
     for (_, _, x, children), seq in zip(entries, seqs):
         assert len(seq) == cfg.horizon
-        g = posterior(d0, [x], problem.hyper)
-        mean, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
-        for zj, child in zip(mean + sd * inst.zeta, children):
-            d = d0.extended(x, zj)
-            value = 0.0
-            for c in seq:
-                g = posterior(d, [c], problem.hyper)
-                mu, var = float(g.mean[0]), float(g.covariance[0, 0])
-                value += 0.5 * (LOG_2PI_E + math.log(var)) + (mu if model == "lgp" else 0.0)
-                d = d.extended(c, mu)
-            lower, upper = child
-            if value > upper:
-                assert lower == upper
-                continue
-            assert lower == pytest.approx(value, rel=1e-9)
-            checked += 1
+        checked += checked_children(d0, x, children, seq)
     assert checked >= 6
+
+    # below the root: the trial's steps so far are its extends of the factor
+    steps, fresh, lazy = [], [], {"expanded": 0, "rebuilt": 0}
+    extend, expand = IncrementalPosterior.extend, _UrtdpInstance.expand
+    init_children = _UrtdpInstance._init_children
+
+    def spy_extend(inc, cell, zeta, row=None):
+        steps.append((cell, zeta))
+        return extend(inc, cell, zeta, row)
+
+    def spy_expand(obj, node, inc, walk, stage):
+        fresh.append(len(node) == 2)
+        return expand(obj, node, inc, walk, stage)
+
+    def spy_init_children(obj, window, walk, i, x, heading, stage, children):
+        assert walk.trail and [child[0] for child in children] == [-math.inf] * len(children)
+        seqs.clear()
+        init_children(obj, window, walk, i, x, heading, stage, children)
+        d = d0
+        for cell, zeta in steps:
+            g = posterior(d, [cell], problem.hyper)
+            d = d.extended(cell, float(g.mean[0]) + math.sqrt(g.covariance[0, 0]) * zeta)
+        # the node was expanded in this step when its expand built the records
+        lazy["expanded" if fresh[-1] else "rebuilt"] += checked_children(d, x, children, seqs[0])
+
+    monkeypatch.setattr(IncrementalPosterior, "extend", spy_extend)
+    monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
+    monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
+    for _ in range(30):
+        steps.clear()
+        inst.simulated_path(d0, s0, 0)
+    assert lazy["expanded"] >= 6 and lazy["rebuilt"] >= 6
 
 
 def _factor_ce_rollout(problem, inc, s, steps_count):
@@ -688,21 +729,39 @@ def test_gap_total_rounds_as_numpy_sums():
 
 
 def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
-    # a node expanded in the same step hands the walk its cell's whitened
-    # column; the factor then equals a fresh one over the walk's history
+    # a step whose node has a window built in this trial, by its expansion or
+    # to roll out a record an earlier trial left unrolled, hands the walk its
+    # cell's whitened column; the factor then equals a fresh one over the
+    # walk's history
     problem, d0, s0 = make_instance(seed=23, rows=5, cols=5, model="lgp", n_prior=4)
     cfg = cfg_for(horizon=4, nu=3)
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(3))
-    rows = []
-    extend = IncrementalPosterior.extend
+    rows, built, expanding = [], [], [False]
+    extend, expand, window_init = IncrementalPosterior.extend, _UrtdpInstance.expand, \
+        planners._Window.__init__
 
     def spy(inc, cell, zeta, row=None):
         rows.append((cell, zeta, row is not None))
         return extend(inc, cell, zeta, row)
 
+    def spy_expand(obj, *args):
+        expanding[0] = True
+        try:
+            return expand(obj, *args)
+        finally:
+            expanding[0] = False
+
+    def spy_window(window, problem, inc, walk, moves):
+        built.append((len(walk.trail), expanding[0]))  # the step it serves
+        window_init(window, problem, inc, walk, moves)
+
     monkeypatch.setattr(IncrementalPosterior, "extend", spy)
-    for path in range(2):
+    monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
+    monkeypatch.setattr(planners._Window, "__init__", spy_window)
+    rebuilt_rows = 0
+    for path in range(12):
         rows.clear()
+        built.clear()
         inst.simulated_path(d0, s0, 0)
         inc = inst._root(d0, s0, 0)[1]
         m = len(d0) + len(rows)
@@ -715,13 +774,18 @@ def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
         assert np.allclose(inc._L[:m, :m], fresh._L, rtol=0, atol=1e-12)
         assert np.allclose(inc._y[:m], fresh._y, rtol=0, atol=1e-12)
         given_rows = [r for _, _, r in rows]
-        # the first trial expands every node it meets; the second walks
-        # through the root, expanded by the first, before it meets new nodes
+        steps_with_window = {step for step, _ in built}
+        assert given_rows == [step in steps_with_window for step in range(len(rows))]
+        rebuilt_rows += sum(not by_expand and step < len(rows) for step, by_expand in built)
+        # the first trial expands every node it meets; the later ones walk
+        # through the root, expanded (and rolled out) by the first
         if path == 0:
             assert given_rows == [True] * cfg.horizon
         else:
             assert given_rows[0] is False
-        assert any(given_rows)
+        if path == 1:
+            assert any(given_rows)
+    assert rebuilt_rows >= 3
 
 
 def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
@@ -754,13 +818,93 @@ def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
     assert list(inst.tables) == [state_key(1, s1, d1)]
 
 
-# root brackets and first actions recorded on commit 9d0cc4b, before trials
-# walked poses in place and read a cached descent index; exact equality
+def test_child_rollouts_run_at_the_root_and_where_trials_go(monkeypatch):
+    # one rollout seeds the root, one per root record, and one per record below
+    # the root that a trial entered (one of its children was expanded); the
+    # records no trial entered are never rolled out
+    calls = [0]
+    rollout = planners._greedy_ce_rollout
+
+    def counting(*args):
+        calls[0] += 1
+        return rollout(*args)
+
+    monkeypatch.setattr(planners, "_greedy_ce_rollout", counting)
+    problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, k=2, model="lgp", n_prior=20,
+                                    budget=5)
+    cfg = PlannerConfig(horizon=9, nu=3, alpha=1e-12, max_simulated_paths=10, seed=5)
+    inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
+    assert not inst.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
+    root = inst.tables[state_key(0, s0, d0)]
+    built = entered = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if len(node) == 2:
+            continue
+        for _, _, _, children in node[2]:
+            if children is None:
+                continue
+            built += 1
+            entered += node is not root and any(len(child) > 2 for child in children)
+            stack.extend(children)
+    assert calls[0] == 1 + len(root[2]) + entered
+    assert calls[0] < built
+
+
+@st.composite
+def _lazy_cases(draw):
+    k = draw(st.integers(1, 2))
+    return dict(seed=draw(st.integers(0, 10_000)), rows=draw(st.integers(3, 4)),
+                cols=draw(st.integers(3, 4)), k=k, model=draw(st.sampled_from(["gp", "lgp"])),
+                n_prior=draw(st.integers(1, 3))), draw(st.integers(1, 4 - k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lazy_cases(), st.sampled_from(["jensen", "em"]), st.integers(2, 3))
+def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
+    # after every trial, every expanded node has a finite lower bound, no more
+    # than its own rule's exhaustive value from the node's state, and a
+    # rolled-out record; every record a trial entered is rolled out. Only the
+    # lower bounds are asserted: the lgp upper bound is not admissible yet
+    instance, horizon = case
+    problem, d0, s0 = make_instance(**instance)
+    cfg = cfg_for(horizon=horizon, nu=nu)
+    inst = _UrtdpInstance(problem, cfg, rule, np.random.default_rng(instance["seed"]))
+    side = "lower" if rule == "jensen" else "upper"
+    truths = {}
+    for _ in range(6):
+        inst.simulated_path(d0, s0, 0)
+        stack = [(inst.tables[state_key(0, s0, d0)], s0, d0, 0)]
+        while stack:
+            node, s, d, stage = stack.pop()
+            if len(node) == 2:
+                continue
+            assert math.isfinite(node[0])
+            if id(node) not in truths:
+                sub_cfg = cfg_for(horizon=horizon - stage, nu=nu)
+                truths[id(node)] = bounded_dp(problem, d, s, sub_cfg, side)[0]
+            assert node[0] <= truths[id(node)] + 1e-8
+            records = [r for r in node[2] if r[3] is not None]
+            if records:
+                assert any(children[0][0] > -math.inf for _, _, _, children in records)
+            for a, _, x, children in records:
+                if any(len(child) > 2 for child in children):
+                    assert all(math.isfinite(child[0]) for child in children)
+                g = posterior(d, [x], problem.hyper)
+                mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
+                s2 = transition(s, a, problem.domain)
+                stack.extend((child, s2, d.extended(x, zj), stage + 1)
+                             for zj, child in zip(mu + sd * inst.zeta, children))
+
+
+# root brackets and first actions recorded once child rollouts below the root
+# became lazy (they run when a trial first enters a record); exact equality
 _PINNED_BRACKETS = {
-    ("gp", 1): (7.023093591420345, 9.992393651372549, (0, "left")),
-    ("gp", 2): (7.496933386550863, 11.538024806764541, (1, "left")),
-    ("lgp", 1): (15.105968542467595, 31.864263558840015, (0, "left")),
-    ("lgp", 2): (13.042623190546125, 40.251849649523024, (1, "left")),
+    ("gp", 1): (7.01719416380862, 9.992393651372549, (0, "left")),
+    ("gp", 2): (7.496886734476965, 11.538024806764541, (1, "left")),
+    ("lgp", 1): (15.012308455783216, 32.078035762352954, (0, "left")),
+    ("lgp", 2): (13.025186042019994, 40.251849649523024, (1, "left")),
 }
 
 
