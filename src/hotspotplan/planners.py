@@ -22,10 +22,11 @@ log-mean for the log-GP model (the original-scale entropy). Its one
 per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
 one GP factor, ``field_model.IncrementalPosterior``, extended (by a branch
 outcome's standardized point ``zeta``, never its value) and popped along
-each search: the exhaustive solver's depth-first recursion, URTDP's
-trials and windows, MES's branch and bound, MI's selected set and the
-greedy planner's candidate batch. Each factor gathers its kernel entries
-from the problem's one ``kernel_table``, so its cost never grows with the map.
+each search: the exhaustive solver's depth-first recursion, MES's branch
+and bound, MI's selected set and the greedy planner's candidate batch.
+URTDP reads it once per decision, for its root's window (below). Each
+factor gathers its kernel entries from the problem's one ``kernel_table``,
+so its cost never grows with the map.
 MI's other variance, each candidate's given every unselected cell, comes from
 the map's spectrum (``field_model.MapSpectrum``), with no map-sized factor.
 
@@ -33,22 +34,22 @@ Below its root, URTDP's state space is a tree: a history holds every
 location and outcome in order, so two branches never meet. A node is its
 ``[lower, upper]`` pair; once expanded it also holds one record per action
 with the reward, the observed cell and the child nodes, one per outcome
-point. A trial walks the root's one factor down the tree, extending it by
-each observed cell and outcome point, so no history, state or key is
-stored below the root.
+point. The root holds one window, the joint posterior of the unvisited
+cells within its remaining moves; a child's cells are among its parent's,
+and its posterior is the parent's conditioned on one cell, a rank-1 update.
+A trial carries the root's window down the tree that way, so no history,
+state, key or posterior is stored below the root.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
 That feedback has zero innovation, so it leaves every posterior mean
 unchanged; the rollout's value is therefore affine in the child's outcome.
-A node's first visit builds one window, the joint posterior of the cells
-its actions and their children's rollouts can enter; the rollouts run on it
-in Python floats, and each slope is read off its covariance
-(:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the root's
-records are rolled out when it is expanded, since the policy reads their
-lower q-values, and any other record when a trial first enters it, on the
-window of its node (rebuilt if the node was expanded by an earlier trial).
-Until then its children hold only their upper bounds and a lower bound of
+A rollout runs on the window of its record's node in Python floats, and
+its slope is read off the covariance (:meth:`_UrtdpInstance._init_children`).
+Rollouts are lazy: the root's records are rolled out when it is expanded,
+since the policy reads their lower q-values, and any other record when a
+trial first enters it, on the window that trial carries to its node. Until
+then its children hold only their upper bounds and a lower bound of
 ``-inf``, which keeps the record out of its node's lower max; the record a
 trial enters is rolled out first, so every node's lower bound is a rollout
 value. Non-adaptive baselines (maximum entropy sampling, MI-based greedy)
@@ -76,6 +77,7 @@ from itertools import accumulate
 from multiprocessing.connection import wait
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .discretization import standardized_rule, truncated_quadrature_rule
 from .errors import BoundsCrossed, DeadEnd, DegenerateCovariance, InstanceTooLarge, SingularGram
@@ -434,20 +436,33 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 
 
 class _Window:
-    """The joint posterior, from the factor ``inc`` over the history of ``walk``,
-    of the unvisited cells within ``moves`` steps of a robot that can still
-    move. ``chosen`` conditions it on cells in turn: a Cholesky factor in
-    Python floats, ``(cell index, whitened column, pivot)`` per cell."""
+    """The joint posterior (``mean``, ``cov``) of the cells in ``index``.
+    ``chosen`` conditions it on cells in turn for a rollout: a Cholesky
+    factor in Python floats, ``(cell index, whitened column, pivot)`` per cell."""
 
-    def __init__(self, problem: Problem, inc: IncrementalPosterior, walk: Walk, moves: int):
+    def __init__(self, index: dict, mean: np.ndarray, cov: np.ndarray):
+        self.index, self.mean, self.cov = index, mean, cov
+        self.chosen = []
+
+    @classmethod
+    def over(cls, problem: Problem, inc: IncrementalPosterior, walk: Walk, moves: int):
+        """One :meth:`~IncrementalPosterior.joint` on the factor ``inc`` over the history
+        of ``walk``, of the unvisited cells within ``moves`` steps of a robot that can move."""
         cells = {}
         for (cell, _), steps in zip(walk.poses, walk.steps):
             reach = moves if walk.budget is None else min(moves, walk.budget - steps)
             cells.update(dict.fromkeys(problem.diamond(cell, reach)))
-        self.index = {x: i for i, x in enumerate(x for x in cells if x not in walk.visited)}
-        mean, self.cov = inc.joint(list(self.index))
-        self.mean, self.columns = mean.tolist(), inc.columns
-        self.chosen = []
+        index = {x: i for i, x in enumerate(x for x in cells if x not in walk.visited)}
+        return cls(index, *inc.joint(list(index)))
+
+    def conditioned(self, j: int, zeta: float) -> _Window:
+        """This window given cell ``j`` at the standardized point ``zeta``, with
+        ``c = cov[:, j] / sqrt(cov[j, j])``: ``cov - c c^T`` (a BLAS rank-1 update
+        of a copy) and ``mean + zeta c`` (GPML, A.3), sharing the index."""
+        cov = self.cov
+        c = cov[:, j] / math.sqrt(cov.item(j, j))
+        return _Window(self.index, self.mean + zeta * c,
+                       dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1))
 
     def push(self, j: int, w, var: float) -> float:
         """Choose cell ``j`` by its column and variance; return its pivot variance."""
@@ -479,7 +494,7 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
             for k, row, pivot in chosen[len(w):] if w else chosen:
                 w.append((cov.item(k, j) - sum(map(operator.mul, row, w))) / pivot)
             var = cov.item(j, j) - sum(map(operator.mul, w, w))
-            reward = float(_reward(problem, window.mean[j], var))
+            reward = float(_reward(problem, window.mean.item(j), var))
             if best is None or reward > best[0]:
                 best = (reward, i, cell, nh, j, w, var)
         if best is None:
@@ -501,9 +516,10 @@ class _UrtdpInstance:
     upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
     problem's exhaustive value at the node's state. ``tables`` maps the state
     key of the root the instance last planned from to its node, and
-    ``_inc`` is that root's factor; the nodes below the root hang off its
-    action records (see the module docstring). A decision never returns to
-    an earlier root, so a new root replaces the old one and its tree.
+    ``_window`` is that root's window, which every trial carries down; the
+    nodes below the root hang off its action records (see the module
+    docstring). A decision never returns to an earlier root, so a new root
+    replaces the old one and its tree.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -516,48 +532,42 @@ class _UrtdpInstance:
         self.stage_max = _stage_max(problem, config)
         self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
-        self._inc = None
-        # the last expansion's window; a trial that enters a record in the same
-        # step rolls its children out on it
-        self.window = None
+        self._window = None
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
 
     # -- the tree --------------------------------------------------------------
 
-    def _root(self, d, s, stage) -> tuple[list, IncrementalPosterior]:
-        """The root node of ``(s, d)`` and its factor over ``d``, built together
-        when new, in place of the last root, and popped back to ``d`` for each
-        use, with room for one trial's walk from ``stage``.
+    def _root(self, d, s, stage) -> tuple[list, _Window]:
+        """The root node of ``(s, d)`` and its window over the cells within
+        ``horizon - stage + 1`` moves (at least one), built together when new,
+        in place of the last root.
 
         A root is seeded here and nowhere else. Past the horizon it is
         ``[0, 0]``. Otherwise its upper bound is :func:`_stage_max` per
         remaining stage, and its lower bound the reward that a greedy
         certainty-equivalent rollout (outcomes replaced by their posterior
-        means) collects on the new factor, capped at the upper bound; that
+        means) collects on the window, capped at the upper bound; that
         reward lower-bounds the Jensen-problem value at the state.
         """
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
             problem, remaining = self.problem, self.config.horizon - stage + 1
-            inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z,
-                                       len(d) + self.config.horizon - stage)
+            inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
+            walk = Walk(s, problem.domain)
+            window = _Window.over(problem, inc, walk, max(remaining, 1))
             node = [0.0, 0.0]
             if remaining > 0:
-                walk, upper = Walk(s, problem.domain), remaining * self.stage_max
-                lower, _ = _greedy_ce_rollout(problem, _Window(problem, inc, walk, remaining),
-                                              walk, remaining)
+                upper = remaining * self.stage_max
+                lower, _ = _greedy_ce_rollout(problem, window, walk, remaining)
                 node = [min(lower, upper), upper]
-            self.tables, self._inc = {key: node}, inc
-        inc = self._inc
-        inc.pop(inc.m - len(d))
-        return node, inc
+            self.tables, self._window = {key: node}, window
+        return node, self._window
 
-    def expand(self, node, inc, walk, stage):
-        """The node's action records, built on its first visit from one
-        :class:`_Window` on the factor ``inc`` over the history of ``walk``,
-        kept in :attr:`window`.
+    def expand(self, node, window, walk, stage):
+        """The node's action records, built on its first visit from the
+        node's :class:`_Window`, which the trial carries.
 
         A record is ``(action, reward, cell, children)``; child ``j``
         observes the outcome point ``zeta[j]`` at ``cell``, and the children
@@ -571,7 +581,6 @@ class _UrtdpInstance:
         if len(node) > 2:
             return node[2]
         problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
-        window = self.window = _Window(problem, inc, walk, max(remaining, 0) + 1)
         upper, root = remaining * self.stage_max, not walk.trail
         records = []
         for i, mv, x, heading in walk.moves():
@@ -584,7 +593,7 @@ class _UrtdpInstance:
                 children = [[-math.inf, upper] for _ in self.zeta]
                 if root:
                     self._init_children(window, walk, i, x, heading, stage, children)
-            reward = float(_reward(problem, window.mean[j], var))
+            reward = float(_reward(problem, window.mean.item(j), var))
             records.append((self._action(i, mv), reward, x, children))
         node += [records, _best_upper(self.q_values(records))]
         return records
@@ -643,20 +652,18 @@ class _UrtdpInstance:
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
         """One descent/backtrack trial; tightens bounds along the path.
 
-        The root's factor walks the trial: each descent step extends it by
-        the chosen action's cell and the sampled outcome point, popped at the
-        end. A record entered for the first time gets its children's lower
-        bounds before the outcome draw, on its node's window, rebuilt here if
-        an earlier trial expanded the node. ``root`` is ``_root(d0, s0,
-        stage0)`` if the caller has it.
+        The trial carries the root's window down: each descent step
+        conditions it on the chosen action's cell at the sampled outcome
+        point (:meth:`_Window.conditioned`), a new window per level that is
+        dropped on the way back up. A record entered for the first time gets
+        its children's lower bounds on its node's window before the outcome
+        draw. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
         """
-        node, inc = root or self._root(d0, s0, stage0)
+        node, window = root or self._root(d0, s0, stage0)
         problem, horizon = self.problem, self.config.horizon
         walk, stage, trail = Walk(s0, problem.domain), stage0, []
         while True:
-            fresh = len(node) == 2
-            records = self.expand(node, inc, walk, stage)
-            window = self.window if fresh else None  # this node's, when built in this step
+            records = self.expand(node, window, walk, stage)
             if not records or stage >= horizon:  # a dead end or a leaf
                 leaf = max((r[1] for r in records), default=0.0)
                 self._set(node, leaf, leaf)
@@ -664,23 +671,18 @@ class _UrtdpInstance:
             a, _, x, children = records[node[3]]
             heading = MOVE_DELTA[walk.poses[a.robot_index][1], a.move][2]
             if children[0][0] == -math.inf:  # entered for the first time
-                if window is None:
-                    window = _Window(problem, inc, walk, horizon - stage + 1)
                 self._init_children(window, walk, a.robot_index, x, heading, stage, children)
             gaps = [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)]
             total = _total(gaps)
             probs = [g / total for g in gaps] if total > 0 else [1.0 / len(gaps)] * len(gaps)
             j = _draw(self.rng, probs)
             trail.append((node, records))
-            # a window built at this node has the cell's row
-            row = window.columns[:, window.index[x]] if window is not None else None
-            inc.extend(x, self.zeta[j], row)
+            window = window.conditioned(window.index[x], self.zeta[j])
             walk.step(a.robot_index, x, heading)
             node = children[j]
             stage += 1
         for node, records in reversed(trail):
             self._backup(node, records)
-        inc.pop(len(trail))
         self.paths_run += 1
 
     def run(self, d, s, stage, alpha, budget):
@@ -702,8 +704,8 @@ class _UrtdpInstance:
 
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
-        root, inc = self._root(d, s, stage)
-        return self.q_values(self.expand(root, inc, Walk(s, self.problem.domain), stage))
+        root, window = self._root(d, s, stage)
+        return self.q_values(self.expand(root, window, Walk(s, self.problem.domain), stage))
 
 
 def _best_upper(qs) -> int:

@@ -30,7 +30,7 @@ from hotspotplan.errors import (
 )
 from hotspotplan.field_model import Hyperparams, IncrementalPosterior, PosteriorData
 from hotspotplan.evaluation import ent_metric
-from hotspotplan.harness import ExperimentConfig, _build_instance, validate_config
+from hotspotplan.harness import ExperimentConfig, _build_instance, run_seed, validate_config
 from hotspotplan.planners import (
     BoundedLowerPolicy,
     PlannerConfig,
@@ -466,8 +466,8 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     # greedy continuation recorded at the mean outcome, evaluated at the
     # child's own outcome; recomputed here from scratch with posterior(). The
     # root's records are rolled out when it is expanded, any other record when
-    # a trial first enters it: on the window of a node expanded in that trial,
-    # or on a window rebuilt at a node an earlier trial expanded
+    # a trial first enters it, on the window the trial carries: at a node
+    # expanded in that trial, or at one an earlier trial expanded
     problem, d0, s0 = make_instance(seed=22, rows=4, cols=4, model=model)
     cfg = cfg_for(horizon=4, nu=3)
     seqs = []
@@ -501,9 +501,9 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
             checked += 1
         return checked
 
-    root, root_inc = inst._root(d0, s0, 0)
+    root, window = inst._root(d0, s0, 0)
     seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, root_inc, Walk(s0, problem.domain), 0)
+    entries = inst.expand(root, window, Walk(s0, problem.domain), 0)
     assert len(seqs) == len(entries) > 1
     checked = 0
     for (_, _, x, children), seq in zip(entries, seqs):
@@ -511,18 +511,19 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
         checked += checked_children(d0, x, children, seq)
     assert checked >= 6
 
-    # below the root: the trial's steps so far are its extends of the factor
-    steps, fresh, lazy = [], [], {"expanded": 0, "rebuilt": 0}
-    extend, expand = IncrementalPosterior.extend, _UrtdpInstance.expand
+    # below the root: the trial's steps so far are its conditionings of the
+    # carried window
+    steps, fresh, lazy = [], [], {"expanded": 0, "earlier": 0}
+    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
     init_children = _UrtdpInstance._init_children
 
-    def spy_extend(inc, cell, zeta, row=None):
-        steps.append((cell, zeta))
-        return extend(inc, cell, zeta, row)
+    def spy_conditioned(window, j, zeta):
+        steps.append((next(x for x, i in window.index.items() if i == j), zeta))
+        return conditioned(window, j, zeta)
 
-    def spy_expand(obj, node, inc, walk, stage):
+    def spy_expand(obj, node, window, walk, stage):
         fresh.append(len(node) == 2)
-        return expand(obj, node, inc, walk, stage)
+        return expand(obj, node, window, walk, stage)
 
     def spy_init_children(obj, window, walk, i, x, heading, stage, children):
         assert walk.trail and [child[0] for child in children] == [-math.inf] * len(children)
@@ -533,15 +534,15 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
             g = posterior(d, [cell], problem.hyper)
             d = d.extended(cell, float(g.mean[0]) + math.sqrt(g.covariance[0, 0]) * zeta)
         # the node was expanded in this step when its expand built the records
-        lazy["expanded" if fresh[-1] else "rebuilt"] += checked_children(d, x, children, seqs[0])
+        lazy["expanded" if fresh[-1] else "earlier"] += checked_children(d, x, children, seqs[0])
 
-    monkeypatch.setattr(IncrementalPosterior, "extend", spy_extend)
+    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
     for _ in range(30):
         steps.clear()
         inst.simulated_path(d0, s0, 0)
-    assert lazy["expanded"] >= 6 and lazy["rebuilt"] >= 6
+    assert lazy["expanded"] >= 6 and lazy["earlier"] >= 6
 
 
 def _factor_ce_rollout(problem, inc, s, steps_count):
@@ -592,13 +593,13 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         assert lower == pytest.approx(min(ref_total, 3 * k * planners._stage_max(problem, cfg)),
                                       rel=1e-12, abs=0)
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
-        root_inc = inst._root(d0, s0, 0)[1]
+        window = inst._root(d0, s0, 0)[1]
         rollouts.clear()
-        records = inst.expand([0.0, 0.0], root_inc, Walk(s0, problem.domain), 0)
+        records = inst.expand([0.0, 0.0], window, Walk(s0, problem.domain), 0)
         assert len(rollouts) == len(records)
         for (a, _, x, children), (total, seq) in zip(records, rollouts):
-            j = inst.window.index[x]
-            mu, sd = inst.window.mean[j], math.sqrt(inst.window.cov.item(j, j))
+            j = window.index[x]
+            mu, sd = window.mean.item(j), math.sqrt(window.cov.item(j, j))
             var = inc.extend(x, 0.0)
             ref_total, ref_seq = _factor_ce_rollout(
                 problem, inc, transition(s0, a, problem.domain), cfg.horizon)
@@ -639,8 +640,8 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
     inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=2), "jensen",
                           np.random.default_rng(0))
-    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-    records = inst.expand([0.0, 0.0], inc, Walk(s, problem.domain), stage)
+    window = inst._root(d, s, stage)[1]
+    records = inst.expand([0.0, 0.0], window, Walk(s, problem.domain), stage)
     # every cell that some run of at most horizon - stage + 1 legal moves enters
     entered, walker = set(), Walk(s, domain)
 
@@ -656,7 +657,7 @@ def test_node_window_holds_every_cell_its_actions_and_rollouts_can_enter(case, m
     walk(horizon - stage + 1)
     assert bool(records) == bool(entered)
     if entered:
-        assert entered <= set(inst.window.index)
+        assert entered <= set(window.index)
 
 
 @st.composite
@@ -687,11 +688,11 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     fresh = _walk_state(Walk(s, domain))
     inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + horizon + 1)
     walk = Walk(s, domain)
-    window = planners._Window(problem, inc, walk, horizon + 1)
+    window = planners._Window.over(problem, inc, walk, horizon + 1)
     planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
     assert _walk_state(walk) == fresh and window.chosen == []
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
-    inst.expand([0.0, 0.0], inc, walk, 0)
+    inst.expand([0.0, 0.0], window, walk, 0)
     assert _walk_state(walk) == fresh
     w, zeta = standardized_rule(2, cfg.truncation_m, "jensen")
     solver = planners._TreeSolver(problem, w, zeta, horizon + 1)
@@ -728,69 +729,51 @@ def test_gap_total_rounds_as_numpy_sums():
             assert planners._total(gaps.tolist()) == gaps.sum()
 
 
-def test_descent_from_a_fresh_node_reuses_the_window_row(monkeypatch):
-    # a step whose node has a window built in this trial, by its expansion or
-    # to roll out a record an earlier trial left unrolled, hands the walk its
-    # cell's whitened column; the factor then equals a fresh one over the
-    # walk's history
-    problem, d0, s0 = make_instance(seed=23, rows=5, cols=5, model="lgp", n_prior=4)
-    cfg = cfg_for(horizon=4, nu=3)
-    inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(3))
-    rows, built, expanding = [], [], [False]
-    extend, expand, window_init = IncrementalPosterior.extend, _UrtdpInstance.expand, \
-        planners._Window.__init__
+@pytest.mark.parametrize("model", ["lgp", "gp"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_carried_window_equals_a_fresh_joint_at_every_node(model, k, monkeypatch):
+    # each trial carries the root's window down the tree by rank-1 updates;
+    # at every node it reaches, the window's means and covariance over its
+    # unvisited cells equal one fresh joint() on a factor over the node's
+    # history, each step observing its cell at the sampled outcome point
+    problem, d0, s0 = make_instance(seed=23 + k, rows=14, cols=12, k=k, model=model,
+                                    n_prior=20, budget=5)
+    cfg = PlannerConfig(horizon=5 * k - 1, nu=3, alpha=1e-12, max_simulated_paths=10, seed=3)
+    inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
+    steps, seen = [], []
+    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
 
-    def spy(inc, cell, zeta, row=None):
-        rows.append((cell, zeta, row is not None))
-        return extend(inc, cell, zeta, row)
+    def spy_conditioned(window, j, zeta):
+        steps.append((next(x for x, i in window.index.items() if i == j), zeta))
+        return conditioned(window, j, zeta)
 
-    def spy_expand(obj, *args):
-        expanding[0] = True
-        try:
-            return expand(obj, *args)
-        finally:
-            expanding[0] = False
+    def spy_expand(obj, node, window, walk, stage):
+        seen.append((window, list(steps), set(walk.visited)))
+        return expand(obj, node, window, walk, stage)
 
-    def spy_window(window, problem, inc, walk, moves):
-        built.append((len(walk.trail), expanding[0]))  # the step it serves
-        window_init(window, problem, inc, walk, moves)
-
-    monkeypatch.setattr(IncrementalPosterior, "extend", spy)
+    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
-    monkeypatch.setattr(planners._Window, "__init__", spy_window)
-    rebuilt_rows = 0
-    for path in range(12):
-        rows.clear()
-        built.clear()
+    for _ in range(8):
+        steps.clear()
         inst.simulated_path(d0, s0, 0)
-        inc = inst._root(d0, s0, 0)[1]
-        m = len(d0) + len(rows)
-        # the walk's history: each step observes mu + sd * zeta at its cell
-        d = d0
-        for cell, zeta, _ in rows:
-            g = posterior(d, [cell], problem.hyper)
-            d = d.extended(cell, float(g.mean[0]) + math.sqrt(g.covariance[0, 0]) * zeta)
-        fresh = IncrementalPosterior(problem.kernel_table, d.locations, d.z, m)
-        assert np.allclose(inc._L[:m, :m], fresh._L, rtol=0, atol=1e-12)
-        assert np.allclose(inc._y[:m], fresh._y, rtol=0, atol=1e-12)
-        given_rows = [r for _, _, r in rows]
-        steps_with_window = {step for step, _ in built}
-        assert given_rows == [step in steps_with_window for step in range(len(rows))]
-        rebuilt_rows += sum(not by_expand and step < len(rows) for step, by_expand in built)
-        # the first trial expands every node it meets; the later ones walk
-        # through the root, expanded (and rolled out) by the first
-        if path == 0:
-            assert given_rows == [True] * cfg.horizon
-        else:
-            assert given_rows[0] is False
-        if path == 1:
-            assert any(given_rows)
-    assert rebuilt_rows >= 3
+    assert len(seen) >= 8 * cfg.horizon
+    scale = problem.hyper.prior_variance
+    for window, history, visited in seen:
+        inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z,
+                                   len(d0) + len(history))
+        for cell, zeta in history:
+            inc.extend(cell, zeta)
+        cells = [x for x in window.index if x not in visited]
+        rows = [window.index[x] for x in cells]
+        mean, cov = inc.joint(cells)
+        assert window.mean[rows] == pytest.approx(mean, rel=1e-9, abs=1e-9 * math.sqrt(scale))
+        assert window.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9, abs=1e-9 * scale)
 
 
-def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
-    # a root's node and factor live under its one state key: every trial and
-    # every q-value read from that root gets the same factor, popped back to d0
+def test_root_keeps_one_window_across_trials_and_q_values(monkeypatch):
+    # a root's node and window live under its one state key: every trial and
+    # every q-value read from that root gets the same window, with no cell
+    # left chosen by a rollout
     problem, d0, s0 = make_instance(seed=24, rows=4, cols=4, model="lgp")
     inst = _UrtdpInstance(problem, cfg_for(horizon=3, nu=2), "jensen", np.random.default_rng(1))
     seen = []
@@ -798,7 +781,7 @@ def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
 
     def spy(obj, d, s, stage):
         seen.append(root(obj, d, s, stage))
-        assert seen[-1][1].m == len(d)
+        assert seen[-1][1].chosen == []
         return seen[-1]
 
     monkeypatch.setattr(_UrtdpInstance, "_root", spy)
@@ -806,15 +789,17 @@ def test_root_keeps_one_factor_across_trials_and_q_values(monkeypatch):
         inst.simulated_path(d0, s0, 0)
     inst.root_q_values(d0, s0, 0)
     inst.run(d0, s0, 0, 1e-12, 3)
-    node, inc = inst._root(d0, s0, 0)
+    node, window = inst._root(d0, s0, 0)
     assert len(seen) >= 8
-    assert all(n is node and f is inc for n, f in seen)
+    assert all(n is node and w is window for n, w in seen)
     assert list(inst.tables) == [state_key(0, s0, d0)]
-    # another root gets its own node and factor, in place of the first
+    # another root gets its own node and window, in place of the first
     a = constrained_actions(s0, problem.domain)[0]
-    s1, d1 = transition(s0, a, problem.domain), d0.extended(action_target(s0, a).cell, 0.1)
-    node1, inc1 = inst._root(d1, s1, 1)
-    assert node1 is not node and inc1 is not inc and inc1.m == len(d1)
+    cell = action_target(s0, a).cell
+    s1, d1 = transition(s0, a, problem.domain), d0.extended(cell, 0.1)
+    node1, window1 = inst._root(d1, s1, 1)
+    assert node1 is not node and window1 is not window and window1.chosen == []
+    assert cell in window.index and cell not in window1.index
     assert list(inst.tables) == [state_key(1, s1, d1)]
 
 
@@ -850,6 +835,42 @@ def test_child_rollouts_run_at_the_root_and_where_trials_go(monkeypatch):
             stack.extend(children)
     assert calls[0] == 1 + len(root[2]) + entered
     assert calls[0] < built
+
+
+def test_urtdp_policy_runs_one_joint_per_decision_and_extends_no_factor(monkeypatch):
+    # README config, k = 2: a decision's root gathers and solves its window
+    # once, and every window below it is a rank-1 update of its parent's, so
+    # the search never extends a factor
+    cfg = validate_config(ExperimentConfig(
+        rows=14, cols=12, team_size=2, budget_per_robot=9, prior_units=20,
+        policies=("urtdp",), models=("lgp",), seeds=(0,), nu=3, truncation_m=4.0, alpha=0.05,
+        max_simulated_paths=100, field_mean=0.4, field_signal_variance=1.3,
+        field_length_scale=2.0, field_noise_variance=0.05))
+    counts, deciding = {"act": 0, "joint": 0, "extend": 0}, [False]
+    act, joint, extend = UrtdpPolicy.act, IncrementalPosterior.joint, IncrementalPosterior.extend
+
+    def spy_act(policy, *args):
+        counts["act"] += 1
+        deciding[0] = True
+        try:
+            return act(policy, *args)
+        finally:
+            deciding[0] = False
+
+    def spy_joint(inc, cells):
+        counts["joint"] += 1
+        return joint(inc, cells)
+
+    def spy_extend(inc, *args):
+        counts["extend"] += deciding[0]
+        return extend(inc, *args)
+
+    monkeypatch.setattr(UrtdpPolicy, "act", spy_act)
+    monkeypatch.setattr(IncrementalPosterior, "joint", spy_joint)
+    monkeypatch.setattr(IncrementalPosterior, "extend", spy_extend)
+    (record,) = run_seed(cfg, 0)
+    assert not record.dead_ended
+    assert counts == {"act": cfg.stages, "joint": cfg.stages, "extend": 0}
 
 
 @st.composite
@@ -898,12 +919,12 @@ def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
                              for zj, child in zip(mu + sd * inst.zeta, children))
 
 
-# root brackets and first actions recorded once child rollouts below the root
-# became lazy (they run when a trial first enters a record); exact equality
+# root brackets and first actions recorded once each trial carried its
+# window down the tree (one rank-1 update per step); exact equality
 _PINNED_BRACKETS = {
-    ("gp", 1): (7.01719416380862, 9.992393651372549, (0, "left")),
-    ("gp", 2): (7.496886734476965, 11.538024806764541, (1, "left")),
-    ("lgp", 1): (15.012308455783216, 32.078035762352954, (0, "left")),
+    ("gp", 1): (7.017194163808616, 9.992393651372549, (0, "left")),
+    ("gp", 2): (7.496886734476966, 11.538024806764541, (0, "left")),
+    ("lgp", 1): (15.012308455783213, 32.078035762352954, (0, "left")),
     ("lgp", 2): (13.025186042019994, 40.251849649523024, (1, "left")),
 }
 
