@@ -18,15 +18,14 @@ vectorized tree recursion parameterized by the standardized outcome points,
 and every planner maximizes one stage reward
 (:func:`_reward`): the entropy ``0.5 * log(2 pi e v)`` of the revealed log
 measurement (:func:`_entropy`, which MES sums as well), plus its posterior
-log-mean for the log-GP model (the original-scale entropy). Its one
-per-stage upper bound is :func:`_stage_max`. Every conditioning goes through
-one GP factor, ``field_model.IncrementalPosterior``, extended (by a branch
-outcome's standardized point ``zeta``, never its value) and popped along
-each search: the exhaustive solver's depth-first recursion, MES's branch
-and bound, MI's selected set and the greedy planner's candidate batch.
-URTDP reads it once per decision, for its root's window (below). Each
-factor gathers its kernel entries from the problem's one ``kernel_table``,
-so its cost never grows with the map.
+log-mean for the log-GP model (the original-scale entropy). Every
+conditioning goes through one GP factor, ``field_model.IncrementalPosterior``,
+extended (by a branch outcome's standardized point ``zeta``, never its
+value) and popped along each search: the exhaustive solver's depth-first
+recursion, MES's branch and bound, MI's selected set and the greedy
+planner's candidate batch. URTDP reads it once per decision, for its root's
+window (below). Each factor gathers its kernel entries from the problem's
+one ``kernel_table``, so its cost never grows with the map.
 MI's other variance, each candidate's given every unselected cell, comes from
 the map's spectrum (``field_model.MapSpectrum``), with no map-sized factor.
 
@@ -43,12 +42,12 @@ state, key or posterior is stored below the root.
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
 That feedback has zero innovation, so it leaves every posterior mean
-unchanged; the rollout's value is therefore affine in the child's outcome.
-A rollout runs on the window of its record's node in Python floats, and
-its slope is read off the covariance (:meth:`_UrtdpInstance._init_children`).
-Rollouts are lazy: the root's records are rolled out when it is expanded,
-since the policy reads their lower q-values, and any other record when a
-trial first enters it, on the window that trial carries to its node. Until
+unchanged; the rollout's value is therefore affine in the child's outcome. A
+rollout runs on the window a trial carries to its record's node, in Python
+floats, and its slope is read off the covariance
+(:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the root's
+records are rolled out when it is expanded, since the policy reads their
+lower q-values, and any other record when a trial first enters it. Until
 then its children hold only their upper bounds and a lower bound of
 ``-inf``, which keeps the record out of its node's lower max; the record a
 trial enters is rolled out first, so every node's lower bound is a rollout
@@ -190,14 +189,6 @@ def _reward(problem: Problem, mu, var):
     and variances ``var`` (vectorized): the log-scale entropy, plus the
     log-mean for the log-GP model (original-scale entropy)."""
     return _entropy(var) + mu if problem.is_lgp else _entropy(var)
-
-
-def _stage_max(problem: Problem, config: PlannerConfig) -> float:
-    """Upper bound on one stage's reward: the prior-variance entropy, plus
-    (log-GP) the largest mean inside the truncated support."""
-    h = problem.hyper
-    sd = math.sqrt(h.prior_variance)
-    return float(_reward(problem, h.mean + config.truncation_m * sd, h.prior_variance))
 
 
 def stagewise_reward(problem: Problem, s: TeamState, a, d: PosteriorData) -> float:
@@ -445,14 +436,15 @@ class _Window:
         self.chosen = []
 
     @classmethod
-    def over(cls, problem: Problem, inc: IncrementalPosterior, walk: Walk, moves: int):
-        """One :meth:`~IncrementalPosterior.joint` on the factor ``inc`` over the history
-        of ``walk``, of the unvisited cells within ``moves`` steps of a robot that can move."""
+    def over(cls, problem: Problem, d: PosteriorData, walk: Walk, moves: int):
+        """The window given ``d`` of the unvisited cells within ``moves`` steps
+        of a robot of ``walk`` that can move: one :meth:`~IncrementalPosterior.joint`."""
         cells = {}
         for (cell, _), steps in zip(walk.poses, walk.steps):
             reach = moves if walk.budget is None else min(moves, walk.budget - steps)
             cells.update(dict.fromkeys(problem.diamond(cell, reach)))
         index = {x: i for i, x in enumerate(x for x in cells if x not in walk.visited)}
+        inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
         return cls(index, *inc.joint(list(index)))
 
     def conditioned(self, j: int, zeta: float) -> _Window:
@@ -470,6 +462,20 @@ class _Window:
             raise SingularGram("gram extension lost positive definiteness")
         self.chosen.append((j, w, math.sqrt(var)))
         return var
+
+
+def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage: int) -> float:
+    """A bound on every stage reward below a root at ``stage`` with ``window``,
+    clipped at 0 (a dead end earns 0): the largest entropy among its cells,
+    plus (log-GP) ``mu + m sqrt(T v)``. Conditioning never raises a variance,
+    and the ``T = horizon - stage`` observations move ``mu`` by ``sum zeta
+    c``, with ``|zeta| <= m`` and ``sum c^2 <= v``: by at most ``m sqrt(T v)``
+    (Cauchy-Schwarz)."""
+    v, t = np.diagonal(window.cov), max(config.horizon - stage, 0)
+    bound = _entropy(v)
+    if problem.is_lgp:
+        bound = bound + window.mean + config.truncation_m * np.sqrt(t * v)
+    return float(np.max(bound, initial=0.0))
 
 
 def _greedy_ce_rollout(problem, window, walk, steps_count):
@@ -515,11 +521,9 @@ class _UrtdpInstance:
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
     upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
     problem's exhaustive value at the node's state. ``tables`` maps the state
-    key of the root the instance last planned from to its node, and
-    ``_window`` is that root's window, which every trial carries down; the
-    nodes below the root hang off its action records (see the module
-    docstring). A decision never returns to an earlier root, so a new root
-    replaces the old one and its tree.
+    key of the root the instance last planned from to its node, which holds
+    the tree, and ``_window`` is its window. A decision never returns to an
+    earlier root, so a new root replaces the old one and its tree.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -529,10 +533,9 @@ class _UrtdpInstance:
         self.rng = rng
         w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
         self.w = w.tolist()
-        self.stage_max = _stage_max(problem, config)
         self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
-        self._window = None
+        self._window, self.stage_upper = None, 0.0  # the root's window and stage bound
         self.paths_run = 0
         self.on_backup = None  # test hook: called with (node, lower, upper)
 
@@ -541,47 +544,42 @@ class _UrtdpInstance:
     def _root(self, d, s, stage) -> tuple[list, _Window]:
         """The root node of ``(s, d)`` and its window over the cells within
         ``horizon - stage + 1`` moves (at least one), built together when new,
-        in place of the last root.
+        in place of the last root; a root is seeded here and nowhere else.
 
-        A root is seeded here and nowhere else. Past the horizon it is
-        ``[0, 0]``. Otherwise its upper bound is :func:`_stage_max` per
-        remaining stage, and its lower bound the reward that a greedy
-        certainty-equivalent rollout (outcomes replaced by their posterior
-        means) collects on the window, capped at the upper bound; that
-        reward lower-bounds the Jensen-problem value at the state.
+        Its upper bound is :func:`_stage_upper` of the window per remaining
+        stage (none past the horizon), kept for the nodes below it. Its lower
+        bound, a lower bound on the Jensen-problem value, is the reward that a
+        greedy certainty-equivalent rollout (outcomes replaced by their
+        posterior means) collects on the window, capped at the upper bound.
         """
         key = state_key(stage, s, d)
         node = self.tables.get(key)
         if node is None:
-            problem, remaining = self.problem, self.config.horizon - stage + 1
-            inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
+            problem, remaining = self.problem, max(self.config.horizon - stage + 1, 0)
             walk = Walk(s, problem.domain)
-            window = _Window.over(problem, inc, walk, max(remaining, 1))
-            node = [0.0, 0.0]
-            if remaining > 0:
-                upper = remaining * self.stage_max
-                lower, _ = _greedy_ce_rollout(problem, window, walk, remaining)
-                node = [min(lower, upper), upper]
+            window = _Window.over(problem, d, walk, max(remaining, 1))
+            self.stage_upper = _stage_upper(problem, self.config, window, stage)
+            upper = remaining * self.stage_upper
+            lower, _ = _greedy_ce_rollout(problem, window, walk, remaining)
+            node = [min(lower, upper), upper]
             self.tables, self._window = {key: node}, window
         return node, self._window
 
     def expand(self, node, window, walk, stage):
-        """The node's action records, built on its first visit from the
-        node's :class:`_Window`, which the trial carries.
+        """The node's action records, built on its first visit from its ``window``.
 
         A record is ``(action, reward, cell, children)``; child ``j``
         observes the outcome point ``zeta[j]`` at ``cell``, and the children
         are ``None`` at the last stage. Every child gets its upper bound
-        here. Only at the start of the walk, the decision's root, does every
+        here. Only at the decision's root (the start of the walk) does every
         record get its children's lower bounds (:meth:`_init_children`);
         elsewhere they stay ``-inf`` until a trial enters the record.
-        ``node[3]``, the index of the largest upper q, picks the descent's
-        action.
+        ``node[3]``, the index of the largest upper q, picks the descent.
         """
         if len(node) > 2:
             return node[2]
         problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
-        upper, root = remaining * self.stage_max, not walk.trail
+        upper, root = remaining * self.stage_upper, not walk.trail
         records = []
         for i, mv, x, heading in walk.moves():
             j = window.index[x]
@@ -650,14 +648,12 @@ class _UrtdpInstance:
     # -- the simulated path --------------------------------------------------
 
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
-        """One descent/backtrack trial; tightens bounds along the path.
-
-        The trial carries the root's window down: each descent step
-        conditions it on the chosen action's cell at the sampled outcome
-        point (:meth:`_Window.conditioned`), a new window per level that is
-        dropped on the way back up. A record entered for the first time gets
-        its children's lower bounds on its node's window before the outcome
-        draw. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
+        """One descent/backtrack trial; tightens bounds along the path. Each
+        descent step conditions the carried window on the chosen cell at the
+        sampled outcome point, a new window per level. A record entered for
+        the first time gets its children's lower bounds on its node's window
+        before the outcome draw. ``root`` is ``_root(d0, s0, stage0)`` if the
+        caller has it.
         """
         node, window = root or self._root(d0, s0, stage0)
         problem, horizon = self.problem, self.config.horizon

@@ -308,7 +308,9 @@ def test_bounded_dp_refuses_an_open_instance_quickly(side):
 # -- urtdp -------------------------------------------------------------------
 
 
-def test_urtdp_horizon_zero_closes_in_one_path():
+def test_urtdp_horizon_zero_closes_without_a_path():
+    # at horizon 0 the root's bound is the best window reward, here the best
+    # one-step reward, so the seeded root is closed and no path runs
     problem, d0, s0 = make_instance(seed=11, rows=3, cols=3, model="lgp")
     cfg = cfg_for(horizon=0, nu=2, alpha=1e-9, paths=10)
     res = urtdp(problem, d0, s0, cfg)
@@ -318,7 +320,8 @@ def test_urtdp_horizon_zero_closes_in_one_path():
     )
     assert res.bounds.lower == pytest.approx(best, abs=1e-12)
     assert res.bounds.upper == pytest.approx(best, abs=1e-12)
-    assert res.lower_paths == 1 and res.upper_paths == 1
+    assert (res.bounds.lower, res.bounds.upper) == (1.3010144313193193, 1.3010144313193193)
+    assert res.lower_paths == 0 and res.upper_paths == 0
     assert not res.exhausted
 
 
@@ -545,6 +548,20 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     assert lazy["expanded"] >= 6 and lazy["earlier"] >= 6
 
 
+def _stage_upper_oracle(problem, cfg, inc, cells, stage):
+    """The per-stage upper bound of a root at ``stage`` from each cell's
+    posterior on the factor ``inc``: the largest entropy, plus (lgp) mean and
+    ``m sqrt(T v)`` drift over ``T = horizon - stage`` observations, clipped at 0."""
+    mus, variances = inc.batch(cells)
+    best = 0.0
+    for mu, var in zip(mus.tolist(), variances.tolist()):
+        value = 0.5 * (LOG_2PI_E + math.log(var))
+        if problem.is_lgp:
+            value += mu + cfg.truncation_m * math.sqrt((cfg.horizon - stage) * var)
+        best = max(best, value)
+    return best
+
+
 def _factor_ce_rollout(problem, inc, s, steps_count):
     """Reference greedy CE rollout on the factor: one batch and one extend per
     step, the rollout the window replaced."""
@@ -570,7 +587,8 @@ def _factor_ce_rollout(problem, inc, s, steps_count):
 @pytest.mark.parametrize("k", [1, 2])
 def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
     # every child rollout of an expansion, and the root's initial rollout,
-    # take the reference's cells, total and lgp slope
+    # take the reference's cells, total and lgp slope; every upper bound is
+    # the remaining stages times the root window's stage bound
     rollouts = []
     rollout = planners._greedy_ce_rollout
 
@@ -590,10 +608,10 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         ref_total, ref_seq = _factor_ce_rollout(problem, inc, s0, cfg.horizon + 1)
         assert rollouts[0][1] == ref_seq
         assert rollouts[0][0] == pytest.approx(ref_total, rel=1e-12, abs=0)
-        assert lower == pytest.approx(min(ref_total, 3 * k * planners._stage_max(problem, cfg)),
-                                      rel=1e-12, abs=0)
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
         window = inst._root(d0, s0, 0)[1]
+        stage_upper = _stage_upper_oracle(problem, cfg, inc, list(window.index), 0)
+        assert lower == pytest.approx(min(ref_total, 3 * k * stage_upper), rel=1e-12, abs=0)
         rollouts.clear()
         records = inst.expand([0.0, 0.0], window, Walk(s0, problem.domain), 0)
         assert len(rollouts) == len(records)
@@ -609,9 +627,9 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
             inc.pop(1)
             assert seq == ref_seq
             assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
-            upper = cfg.horizon * planners._stage_max(problem, cfg)
+            upper = cfg.horizon * stage_upper
             for zj, (lo, hi) in zip(mu + sd * inst.zeta, children):
-                assert hi == upper
+                assert hi == pytest.approx(upper, rel=1e-12, abs=0)
                 assert lo == pytest.approx(min(ref_total + slope * (zj - mu), upper),
                                            rel=1e-12, abs=1e-12)
             checked += 1
@@ -686,9 +704,8 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
     cfg = cfg_for(horizon=horizon, nu=2)
     fresh = _walk_state(Walk(s, domain))
-    inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d) + horizon + 1)
     walk = Walk(s, domain)
-    window = planners._Window.over(problem, inc, walk, horizon + 1)
+    window = planners._Window.over(problem, d, walk, horizon + 1)
     planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
     assert _walk_state(walk) == fresh and window.chosen == []
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
@@ -886,8 +903,8 @@ def _lazy_cases(draw):
 def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
     # after every trial, every expanded node has a finite lower bound, no more
     # than its own rule's exhaustive value from the node's state, and a
-    # rolled-out record; every record a trial entered is rolled out. Only the
-    # lower bounds are asserted: the lgp upper bound is not admissible yet
+    # rolled-out record; every record a trial entered is rolled out (the upper
+    # bounds: test_upper_bounds_stay_admissible)
     instance, horizon = case
     problem, d0, s0 = make_instance(**instance)
     cfg = cfg_for(horizon=horizon, nu=nu)
@@ -919,13 +936,91 @@ def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
                              for zj, child in zip(mu + sd * inst.zeta, children))
 
 
-# root brackets and first actions recorded once each trial carried its
-# window down the tree (one rank-1 update per step); exact equality
+@settings(max_examples=80, deadline=None)
+@given(_lazy_cases(), st.sampled_from(["jensen", "em"]), st.integers(1, 3),
+       st.sampled_from([1.3, 3.0]), st.sampled_from([0.0, 2.0, 4.0]))
+def test_upper_bounds_stay_admissible(case, rule, nu, length_scale, shift):
+    # after every trial, every expanded node's upper bound is at least its own
+    # rule's exhaustive value from the node's state, for both models; data up
+    # to four prior deviations high let chained outcomes drift the mean past
+    # the prior's truncated support, where a prior-variance bound fails
+    instance, horizon = case
+    problem, d0, s0 = make_instance(**instance, length_scale=length_scale)
+    d0 = PosteriorData(d0.locations, d0.z + shift * math.sqrt(problem.hyper.prior_variance))
+    cfg = cfg_for(horizon=horizon, nu=nu)
+    inst = _UrtdpInstance(problem, cfg, rule, np.random.default_rng(instance["seed"]))
+    side = "lower" if rule == "jensen" else "upper"
+    truths = {}
+    for _ in range(6):
+        inst.simulated_path(d0, s0, 0)
+        stack = [(inst.tables[state_key(0, s0, d0)], s0, d0, 0)]
+        while stack:
+            node, s, d, stage = stack.pop()
+            if len(node) == 2:
+                continue
+            if id(node) not in truths:
+                sub_cfg = cfg_for(horizon=horizon - stage, nu=nu)
+                truths[id(node)] = bounded_dp(problem, d, s, sub_cfg, side)[0]
+            assert node[1] >= truths[id(node)] - 1e-8
+            for a, _, x, children in node[2]:
+                g = posterior(d, [x], problem.hyper)
+                mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
+                s2 = transition(s, a, problem.domain)
+                stack.extend((child, s2, d.extended(x, zj), stage + 1)
+                             for zj, child in zip(mu + sd * inst.zeta, children or ()))
+
+
+def test_urtdp_brackets_the_one_by_twelve_corridor():
+    # a corridor whose chained lgp outcomes drift the mean past the prior's
+    # truncated support: a prior-variance stage bound closed the EM search
+    # below bounded_dp's EM value there, and urtdp() raised BoundsCrossed
+    domain = GridDomain(1, 12)
+    d0 = PosteriorData([(0, 0)], [0.0])
+    s0 = TeamState((RobotPose((0, 0), "E"),), frozenset({(0, 0)}))
+    problem = Problem(domain, Hyperparams(0.0, 2.0, 3.0, 0.01), "lgp")
+    cfg = PlannerConfig(horizon=9, nu=1, truncation_m=4.0, alpha=1e-12,
+                        max_simulated_paths=400, seed=0)
+    res = urtdp(problem, d0, s0, cfg)
+    lower, upper = (bounded_dp(problem, d0, s0, cfg, side)[0] for side in ("lower", "upper"))
+    assert res.bounds.lower <= lower + 1e-9
+    assert res.bounds.upper >= upper - 1e-9
+
+
+def _closure_instance(seed):
+    """The 4x4, horizon-3 instance of the benchmark's closure check for ``seed``."""
+    domain = GridDomain(4, 4)
+    h = Hyperparams(0.4, 1.3, 2.0, 0.05)
+    truth = fm.sample_field(h, domain, seed)
+    rng = np.random.default_rng([seed, 2])
+    cells = [c for c in domain.cells() if c not in {(0, 0), (1, 0), (0, 1)}]
+    prior = [cells[i] for i in sorted(rng.choice(len(cells), size=3, replace=False))]
+    locations = prior + [(0, 0)]
+    d0 = PosteriorData(locations, [math.log(truth[c]) for c in locations])
+    s0 = TeamState((RobotPose((0, 0), "S"),), frozenset(locations))
+    cfg = PlannerConfig(horizon=3, nu=2, truncation_m=4.0, alpha=1e-9,
+                        max_simulated_paths=100_000, seed=seed)
+    return Problem(domain, h, "lgp"), d0, s0, cfg
+
+
+@pytest.mark.parametrize("seed", [7000, 82000])
+def test_urtdp_closes_on_the_exhaustive_em_value(seed):
+    # the lgp EM search closed 9.7e-4 (7000) and 4.5e-4 (82000) below
+    # bounded_dp's EM value while its stage bound ignored the mean's drift
+    problem, d0, s0, cfg = _closure_instance(seed)
+    res = urtdp(problem, d0, s0, cfg)
+    assert not res.exhausted
+    for value, side in ((res.bounds.lower, "lower"), (res.bounds.upper, "upper")):
+        exact = bounded_dp(problem, d0, s0, cfg, side)[0]
+        assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+
+# root brackets and first actions recorded once every upper bound came from
+# the root window's admissible stage bound; exact equality
 _PINNED_BRACKETS = {
-    ("gp", 1): (7.017194163808616, 9.992393651372549, (0, "left")),
-    ("gp", 2): (7.496886734476966, 11.538024806764541, (0, "left")),
-    ("lgp", 1): (15.012308455783213, 32.078035762352954, (0, "left")),
-    ("lgp", 2): (13.025186042019994, 40.251849649523024, (1, "left")),
+    ("gp", 1): (7.017408688449043, 9.879516064621887, (0, "left")),
+    ("gp", 2): (7.496886734476966, 11.522965949390423, (0, "left")),
+    ("lgp", 1): (15.033487357750982, 72.98365015131071, (0, "left")),
+    ("lgp", 2): (13.037022555382274, 90.71141622306119, (1, "front")),
 }
 
 
@@ -1125,11 +1220,16 @@ def test_init_bounds_empty_horizon():
 
 
 def test_init_bounds_gp_upper_has_no_mean_term():
+    # three stages times the largest posterior entropy among the unvisited
+    # cells within three moves of the robot
     problem, d0, s0 = make_instance(seed=18, rows=3, cols=3, model="gp")
     cfg = cfg_for(horizon=2)
     vb = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0)
-    h = problem.hyper
-    expected = 3 * 0.5 * (LOG_2PI_E + math.log(h.prior_variance))
+    (r, c), = (pose.cell for pose in s0.poses)
+    cells = [x for x in problem.domain.cells()
+             if x not in s0.visited and abs(x[0] - r) + abs(x[1] - c) <= 3]
+    g = posterior(d0, cells, problem.hyper)
+    expected = 3 * max(0.5 * (LOG_2PI_E + math.log(v)) for v in np.diag(g.covariance))
     assert vb.upper == pytest.approx(expected, abs=1e-12)
 
 
