@@ -437,8 +437,7 @@ def test_urtdp_policy_matches_bounded_lower_policy():
 
 def test_urtdp_trials_walk_one_factor_and_store_no_histories(monkeypatch):
     # below the root the tree keeps no per-child history: no PosteriorData is
-    # extended, and each trial builds one factor (each root one more, for its
-    # initial bound)
+    # extended, and each root builds one factor, for its window
     problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
     cfg = cfg_for(horizon=3, nu=3, alpha=1e-12, paths=50)
     calls = {"extended": 0, "factor": 0}
@@ -460,7 +459,7 @@ def test_urtdp_trials_walk_one_factor_and_store_no_histories(monkeypatch):
     up.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
     assert res.lower_paths == res.upper_paths == up.paths_run == 50
     assert calls["extended"] == 0
-    assert calls["factor"] <= res.lower_paths + res.upper_paths + 2
+    assert calls["factor"] == 2  # the two in-process roots: urtdp's Jensen half and up
 
 
 @pytest.mark.parametrize("model", ["lgp", "gp"])
@@ -752,33 +751,40 @@ def test_carried_window_equals_a_fresh_joint_at_every_node(model, k, monkeypatch
     # each trial carries the root's window down the tree by rank-1 updates;
     # at every node it reaches, the window's means and covariance over its
     # unvisited cells equal one fresh joint() on a factor over the node's
-    # history, each step observing its cell at the sampled outcome point
+    # history, read off the tree: the cell and outcome point of each record
+    # and child on the path from the root
     problem, d0, s0 = make_instance(seed=23 + k, rows=14, cols=12, k=k, model=model,
                                     n_prior=20, budget=5)
     cfg = PlannerConfig(horizon=5 * k - 1, nu=3, alpha=1e-12, max_simulated_paths=10, seed=3)
     inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
-    steps, seen = [], []
-    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
-
-    def spy_conditioned(window, j, zeta):
-        steps.append((next(x for x, i in window.index.items() if i == j), zeta))
-        return conditioned(window, j, zeta)
+    seen = []
+    expand = _UrtdpInstance.expand
 
     def spy_expand(obj, node, window, walk, stage):
-        seen.append((window, list(steps), set(walk.visited)))
+        seen.append((node, window, set(walk.visited)))
         return expand(obj, node, window, walk, stage)
 
-    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     for _ in range(8):
-        steps.clear()
         inst.simulated_path(d0, s0, 0)
+    parent, stack = {}, [inst.tables[state_key(0, s0, d0)]]
+    while stack:
+        node = stack.pop()
+        for _, _, x, children in node[2] if len(node) > 2 else ():
+            for child, zeta in zip(children or (), inst.zeta):
+                parent[id(child)] = (node, x, zeta)
+                stack.append(child)
     assert len(seen) >= 8 * cfg.horizon
     scale = problem.hyper.prior_variance
-    for window, history, visited in seen:
+    for node, window, visited in seen:
+        history = []
+        while id(node) in parent:
+            node, x, zeta = parent[id(node)]
+            history.append((x, zeta))
+        assert len(visited) == len(s0.visited) + len(history)
         inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z,
                                    len(d0) + len(history))
-        for cell, zeta in history:
+        for cell, zeta in reversed(history):
             inc.extend(cell, zeta)
         cells = [x for x in window.index if x not in visited]
         rows = [window.index[x] for x in cells]
