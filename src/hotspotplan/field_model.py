@@ -10,7 +10,7 @@ All entropies are in nats.
 The kernel has one definition here, the grid's :class:`KernelTable`: every
 Gram matrix and cross-covariance is gathered from it by cell offset. Observed
 data are conditioned on one way, through :class:`IncrementalPosterior` (URTDP's
-posterior window appends to its own small factor in Python floats). The
+window, one joint of it per decision, takes rank-1 updates down its tree). The
 planners walk it down a branch by appending each outcome as its standardized
 point, not its value, and back up by dropping rows, and a window of cells gets
 its joint posterior from it; the predictor's means and variances
