@@ -10,6 +10,15 @@ Library layout:
 * ``harness``        - batch experiments, field CSV I/O, results persistence
 """
 
+import os
+
+# One BLAS thread unless the caller set another, before numpy loads: the
+# planners make many small BLAS calls (a rank-1 update per URTDP step), and
+# an OpenBLAS thread spins while it waits for a descheduled one, so extra
+# threads cost CPU time and, on a shared machine, much more.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .discretization import (
     em_points,
     equal_probability_boundaries,

@@ -43,16 +43,17 @@ URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
 That feedback has zero innovation, so it leaves every posterior mean
 unchanged; the rollout's value is therefore affine in the child's outcome. A
-rollout runs on the window a trial carries to its record's node, in Python
-floats, and its slope is read off the covariance
-(:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the root's
-records are rolled out when it is expanded, since the policy reads their
-lower q-values, and any other record when a trial first enters it. Until
-then its children hold only their upper bounds and a lower bound of
-``-inf``, which keeps the record out of its node's lower max; the record a
-trial enters is rolled out first, so every node's lower bound is a rollout
-value. Non-adaptive baselines (maximum entropy sampling, MI-based greedy)
-commit their paths from the prior data.
+rollout runs on the window a trial carries to its record's node and
+conditions it on each cell it chooses by the descent's rank-1 update at
+``zeta = 0``, so URTDP conditions a window one way; its slope is read off
+the covariance (:meth:`_UrtdpInstance._init_children`). Rollouts are lazy:
+the root's records are rolled out when it is expanded, since the policy
+reads their lower q-values, and any other record when a trial first enters
+it. Until then its children hold only their upper bounds and a lower bound
+of ``-inf``, which keeps the record out of its node's lower max; the record
+a trial enters is rolled out first, so every node's lower bound is a
+rollout value. Non-adaptive baselines (maximum entropy sampling, MI-based
+greedy) commit their paths from the prior data.
 
 Every planner steps the constrained joint actions, one robot move per
 stage (MES's branch and bound one per node, robots in turn), and reads them
@@ -427,13 +428,11 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 
 
 class _Window:
-    """The joint posterior (``mean``, ``cov``) of the cells in ``index``.
-    ``chosen`` conditions it on cells in turn for a rollout: a Cholesky
-    factor in Python floats, ``(cell index, whitened column, pivot)`` per cell."""
+    """The joint posterior (``mean``, ``cov``) of the cells in ``index``;
+    conditioning one gives a new window, so a window is never changed."""
 
     def __init__(self, index: dict, mean: np.ndarray, cov: np.ndarray):
         self.index, self.mean, self.cov = index, mean, cov
-        self.chosen = []
 
     @classmethod
     def over(cls, problem: Problem, d: PosteriorData, walk: Walk, moves: int):
@@ -452,16 +451,12 @@ class _Window:
         ``c = cov[:, j] / sqrt(cov[j, j])``: ``cov - c c^T`` (a BLAS rank-1 update
         of a copy) and ``mean + zeta c`` (GPML, A.3), sharing the index."""
         cov = self.cov
-        c = cov[:, j] / math.sqrt(cov.item(j, j))
-        return _Window(self.index, self.mean + zeta * c,
-                       dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1))
-
-    def push(self, j: int, w, var: float) -> float:
-        """Choose cell ``j`` by its column and variance; return its pivot variance."""
+        var = cov.item(j, j)
         if var <= 0:
             raise SingularGram("gram extension lost positive definiteness")
-        self.chosen.append((j, w, math.sqrt(var)))
-        return var
+        c = cov[:, j] / math.sqrt(var)
+        return _Window(self.index, self.mean + zeta * c,
+                       dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1))
 
 
 def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage: int) -> float:
@@ -484,34 +479,27 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
     total reward and the cells.
 
     Each step takes the reward-maximizing move and feeds the posterior mean
-    back as the observation, which leaves every mean unchanged: a move scores
-    its window mean and its variance given the cells chosen so far.
+    back as the observation (``zeta = 0``), which leaves every mean
+    unchanged: a move scores its window mean and its variance on the window
+    conditioned on the cells chosen so far. The last step conditions nothing.
     """
-    total, seq, base, cov, chosen = 0.0, [], len(window.chosen), window.cov, window.chosen
-    whitened = [None] * len(window.mean)  # a cell's column over the first len(w) chosen cells
+    total, seq = 0.0, []
     for _ in range(steps_count):
         best = None
         for i, _, cell, nh in walk.moves():
             j = window.index[cell]
-            w = whitened[j]
-            if w is None:
-                w = whitened[j] = []
-            # a fresh column reads every chosen cell without copying the list
-            for k, row, pivot in chosen[len(w):] if w else chosen:
-                w.append((cov.item(k, j) - sum(map(operator.mul, row, w))) / pivot)
-            var = cov.item(j, j) - sum(map(operator.mul, w, w))
-            reward = float(_reward(problem, window.mean.item(j), var))
+            reward = float(_reward(problem, window.mean.item(j), window.cov.item(j, j)))
             if best is None or reward > best[0]:
-                best = (reward, i, cell, nh, j, w, var)
+                best = (reward, i, cell, nh, j)
         if best is None:
             break
-        reward, i, cell, nh, j, w, var = best
+        reward, i, cell, nh, j = best
         total += reward
-        window.push(j, w, var)
         walk.step(i, cell, nh)
         seq.append(cell)
+        if len(seq) < steps_count:
+            window = window.conditioned(j, 0.0)
     walk.undo(len(seq))
-    del window.chosen[base:]
     return total, seq
 
 
@@ -601,22 +589,23 @@ class _UrtdpInstance:
         ``x`` (one per ``zeta``), each capped at the child's upper bound.
 
         All children share locations, so one greedy rollout (at the mean
-        outcome), on the ``window`` of their parent, at ``stage``, with ``x``
-        chosen, fixes a feasible continuation ``seq`` for all of them; its
-        certainty-equivalent value at each child point is an admissible lower
-        bound. It is affine in the outcome, since fed-back means leave every
-        mean unchanged, with slope ``sum_i cov[x, seq_i] / pivot(x)^2`` read
-        off the window: child ``j`` gets ``v_ref + slope * sd * zeta[j]``.
+        outcome), on the ``window`` of their parent conditioned on ``x`` at
+        ``zeta = 0``, fixes a feasible continuation ``seq`` for all of them;
+        its certainty-equivalent value at each child point is an admissible
+        lower bound. It is affine in the outcome, since fed-back means leave
+        every mean unchanged, with slope ``sum_i cov[x, seq_i] / cov[x, x]``
+        read off the parent's window: child ``j`` gets
+        ``v_ref + slope * sd * zeta[j]``.
         """
         problem = self.problem
         j = window.index[x]
-        pivot_var = window.push(j, [], window.cov.item(j, j))
+        pivot_var = window.cov.item(j, j)
         walk.step(i, x, heading)
-        v_ref, seq = _greedy_ce_rollout(problem, window, walk, self.config.horizon - stage)
+        v_ref, seq = _greedy_ce_rollout(problem, window.conditioned(j, 0.0), walk,
+                                        self.config.horizon - stage)
         walk.undo()
         slope = 0.0 if not problem.is_lgp else (
             sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
-        window.chosen.pop()
         sd = math.sqrt(pivot_var)
         for child, zj in zip(children, self.zeta):
             child[0] = min(v_ref + slope * sd * float(zj), child[1])
@@ -725,14 +714,14 @@ def _draw(rng: np.random.Generator, probs) -> int:
 class UrtdpPolicy(Policy):
     """Greedy-on-lower-bound policy; replans anytime from the current state."""
 
-    def __init__(self, instance: _UrtdpInstance, config: PlannerConfig):
+    def __init__(self, instance: _UrtdpInstance):
         self.instance = instance
-        self.config = config
 
     def act(self, s, d, stage):
         if next(Walk(s, self.instance.problem.domain).moves(), None) is None:
             raise DeadEnd("no legal action")
-        self.instance.run(d, s, stage, self.config.alpha, self.config.max_simulated_paths)
+        config = self.instance.config
+        self.instance.run(d, s, stage, config.alpha, config.max_simulated_paths)
         return max(self.instance.root_q_values(d, s, stage), key=lambda q: q[1])[0]
 
 
@@ -747,7 +736,7 @@ def urtdp_policy(problem: Problem, config: PlannerConfig) -> UrtdpPolicy:
 
     Its trials draw the same stream as the lower instance of :func:`urtdp`.
     """
-    return UrtdpPolicy(_UrtdpInstance(problem, config, "jensen", _trial_rng(config, 0)), config)
+    return UrtdpPolicy(_UrtdpInstance(problem, config, "jensen", _trial_rng(config, 0)))
 
 
 @dataclass

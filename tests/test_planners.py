@@ -513,38 +513,98 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
         checked += checked_children(d0, x, children, seq)
     assert checked >= 6
 
-    # below the root: the trial's steps so far are its conditionings of the
-    # carried window
-    steps, fresh, lazy = [], [], {"expanded": 0, "earlier": 0}
-    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
-    init_children = _UrtdpInstance._init_children
-
-    def spy_conditioned(window, j, zeta):
-        steps.append((next(x for x, i in window.index.items() if i == j), zeta))
-        return conditioned(window, j, zeta)
+    # below the root: a record is entered at the node the trial last
+    # expanded, whose history is read off the tree
+    expanded, lazy = [], {"expanded": 0, "earlier": 0}
+    expand, init_children = _UrtdpInstance.expand, _UrtdpInstance._init_children
 
     def spy_expand(obj, node, window, walk, stage):
-        fresh.append(len(node) == 2)
+        expanded.append((node, len(node) == 2))
         return expand(obj, node, window, walk, stage)
 
     def spy_init_children(obj, window, walk, i, x, heading, stage, children):
         assert walk.trail and [child[0] for child in children] == [-math.inf] * len(children)
         seqs.clear()
         init_children(obj, window, walk, i, x, heading, stage, children)
+        node, fresh = expanded[-1]
         d = d0
-        for cell, zeta in steps:
+        for cell, zeta in _history(_tree_parents(root, inst.zeta), node):
             g = posterior(d, [cell], problem.hyper)
             d = d.extended(cell, float(g.mean[0]) + math.sqrt(g.covariance[0, 0]) * zeta)
         # the node was expanded in this step when its expand built the records
-        lazy["expanded" if fresh[-1] else "earlier"] += checked_children(d, x, children, seqs[0])
+        lazy["expanded" if fresh else "earlier"] += checked_children(d, x, children, seqs[0])
+
+    monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
+    monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
+    for _ in range(30):
+        inst.simulated_path(d0, s0, 0)
+    assert lazy["expanded"] >= 6 and lazy["earlier"] >= 6
+
+
+def _tree_parents(root, zeta):
+    """``id(child) -> (node, cell, outcome point)`` for every child node under ``root``."""
+    parent, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        for _, _, x, children in node[2] if len(node) > 2 else ():
+            for child, z in zip(children or (), zeta):
+                parent[id(child)] = (node, x, z)
+                stack.append(child)
+    return parent
+
+
+def _history(parent, node):
+    """The cell and outcome point of each record and child from the root down to ``node``."""
+    history = []
+    while id(node) in parent:
+        node, x, zeta = parent[id(node)]
+        history.append((x, zeta))
+    return history[::-1]
+
+
+def test_a_trial_conditions_once_per_descent_step_child_seeding_and_rollout_step(monkeypatch):
+    # every conditioning below the root is _Window.conditioned: one per
+    # descent step, one per _init_children (its record's cell at the mean
+    # outcome) and one per cell a rollout chose, except the last cell of a
+    # rollout that ran its full length, whose window nothing reads
+    problem, d0, s0 = make_instance(seed=21, rows=4, cols=4, k=2, model="lgp")
+    cfg = cfg_for(horizon=5, nu=3)
+    inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(2))
+    counts, totals = {}, {"init_children": 0, "rollout": 0}
+    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
+    init_children, rollout = _UrtdpInstance._init_children, planners._greedy_ce_rollout
+
+    def spy_conditioned(window, j, zeta):
+        counts["conditioned"] += 1
+        return conditioned(window, j, zeta)
+
+    def spy_expand(obj, *args):
+        counts["expand"] += 1
+        return expand(obj, *args)
+
+    def spy_init_children(obj, *args):
+        counts["init_children"] += 1
+        return init_children(obj, *args)
+
+    def spy_rollout(problem, window, walk, steps_count):
+        total, seq = rollout(problem, window, walk, steps_count)
+        counts["rollout"] += len(seq) - (0 < len(seq) == steps_count)
+        return total, seq
 
     monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
-    for _ in range(30):
-        steps.clear()
+    monkeypatch.setattr(planners, "_greedy_ce_rollout", spy_rollout)
+    for _ in range(20):
+        counts.update(dict.fromkeys(("conditioned", "expand", "init_children", "rollout"), 0))
         inst.simulated_path(d0, s0, 0)
-    assert lazy["expanded"] >= 6 and lazy["earlier"] >= 6
+        descents = counts["expand"] - 1  # the last expand is the leaf's or a dead end's
+        assert descents >= 1
+        assert counts["conditioned"] == descents + counts["init_children"] + counts["rollout"]
+        for key in totals:
+            totals[key] += counts[key]
+    root = inst.tables[state_key(0, s0, d0)]
+    assert totals["init_children"] > len(root[2]) and totals["rollout"] > totals["init_children"]
 
 
 def _stage_upper_oracle(problem, cfg, inc, cells, stage):
@@ -693,6 +753,11 @@ def _walk_state(walk):
     return list(walk.poses), list(walk.steps), set(walk.visited), walk.budget, walk.trail
 
 
+def _bits(window):
+    """A window's means and covariance, byte for byte."""
+    return window.mean.tobytes(), window.cov.tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(_team_cases(), st.sampled_from(["lgp", "gp"]))
 def test_every_search_hands_back_its_walk_unchanged(case, model):
@@ -705,11 +770,12 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     fresh = _walk_state(Walk(s, domain))
     walk = Walk(s, domain)
     window = planners._Window.over(problem, d, walk, horizon + 1)
+    before = _bits(window)
     planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
-    assert _walk_state(walk) == fresh and window.chosen == []
+    assert _walk_state(walk) == fresh and _bits(window) == before
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
     inst.expand([0.0, 0.0], window, walk, 0)
-    assert _walk_state(walk) == fresh
+    assert _walk_state(walk) == fresh and _bits(window) == before
     w, zeta = standardized_rule(2, cfg.truncation_m, "jensen")
     solver = planners._TreeSolver(problem, w, zeta, horizon + 1)
     solver.solve(s, d)
@@ -767,24 +833,15 @@ def test_carried_window_equals_a_fresh_joint_at_every_node(model, k, monkeypatch
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     for _ in range(8):
         inst.simulated_path(d0, s0, 0)
-    parent, stack = {}, [inst.tables[state_key(0, s0, d0)]]
-    while stack:
-        node = stack.pop()
-        for _, _, x, children in node[2] if len(node) > 2 else ():
-            for child, zeta in zip(children or (), inst.zeta):
-                parent[id(child)] = (node, x, zeta)
-                stack.append(child)
+    parent = _tree_parents(inst.tables[state_key(0, s0, d0)], inst.zeta)
     assert len(seen) >= 8 * cfg.horizon
     scale = problem.hyper.prior_variance
     for node, window, visited in seen:
-        history = []
-        while id(node) in parent:
-            node, x, zeta = parent[id(node)]
-            history.append((x, zeta))
+        history = _history(parent, node)
         assert len(visited) == len(s0.visited) + len(history)
         inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z,
                                    len(d0) + len(history))
-        for cell, zeta in reversed(history):
+        for cell, zeta in history:
             inc.extend(cell, zeta)
         cells = [x for x in window.index if x not in visited]
         rows = [window.index[x] for x in cells]
@@ -795,16 +852,17 @@ def test_carried_window_equals_a_fresh_joint_at_every_node(model, k, monkeypatch
 
 def test_root_keeps_one_window_across_trials_and_q_values(monkeypatch):
     # a root's node and window live under its one state key: every trial and
-    # every q-value read from that root gets the same window, with no cell
-    # left chosen by a rollout
+    # every q-value read from that root gets the same window, bit-equal to
+    # its first sight, so no trial, rollout or q-value read changed it
     problem, d0, s0 = make_instance(seed=24, rows=4, cols=4, model="lgp")
     inst = _UrtdpInstance(problem, cfg_for(horizon=3, nu=2), "jensen", np.random.default_rng(1))
-    seen = []
+    seen, first = [], {}
     root = _UrtdpInstance._root
 
     def spy(obj, d, s, stage):
         seen.append(root(obj, d, s, stage))
-        assert seen[-1][1].chosen == []
+        window = seen[-1][1]
+        assert first.setdefault(id(window), _bits(window)) == _bits(window)
         return seen[-1]
 
     monkeypatch.setattr(_UrtdpInstance, "_root", spy)
@@ -821,9 +879,12 @@ def test_root_keeps_one_window_across_trials_and_q_values(monkeypatch):
     cell = action_target(s0, a).cell
     s1, d1 = transition(s0, a, problem.domain), d0.extended(cell, 0.1)
     node1, window1 = inst._root(d1, s1, 1)
-    assert node1 is not node and window1 is not window and window1.chosen == []
+    assert node1 is not node and window1 is not window
     assert cell in window.index and cell not in window1.index
     assert list(inst.tables) == [state_key(1, s1, d1)]
+    for _ in range(3):
+        inst.simulated_path(d1, s1, 1)
+    assert _bits(window1) == first[id(window1)] and _bits(window) == first[id(window)]
 
 
 def test_child_rollouts_run_at_the_root_and_where_trials_go(monkeypatch):
@@ -1023,7 +1084,7 @@ def test_urtdp_closes_on_the_exhaustive_em_value(seed):
 # root brackets and first actions recorded once every upper bound came from
 # the root window's admissible stage bound; exact equality
 _PINNED_BRACKETS = {
-    ("gp", 1): (7.017408688449043, 9.879516064621887, (0, "left")),
+    ("gp", 1): (7.017408688449045, 9.879516064621887, (0, "left")),
     ("gp", 2): (7.496886734476966, 11.522965949390423, (0, "left")),
     ("lgp", 1): (15.033487357750982, 72.98365015131071, (0, "left")),
     ("lgp", 2): (13.037022555382274, 90.71141622306119, (1, "front")),
@@ -1066,7 +1127,7 @@ def test_urtdp_equals_its_two_instances_run_in_process(model, k, rows, cols, n_p
     assert res.bounds.upper.hex() == up.root_bounds(d0, s0, 0).upper.hex()
     assert (res.lower_paths, res.upper_paths) == (low.paths_run, up.paths_run)
     assert res.exhausted == (not all(closed))
-    assert res.policy.act(s0, d0, 0) == UrtdpPolicy(low, cfg).act(s0, d0, 0)
+    assert res.policy.act(s0, d0, 0) == UrtdpPolicy(low).act(s0, d0, 0)
 
 
 def _fail_in(monkeypatch, rule, error, paths_first=0):
