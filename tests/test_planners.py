@@ -782,6 +782,14 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     assert _walk_state(solver._walk) == fresh
 
 
+@pytest.mark.parametrize("pivot", [0.0, -1e-12])
+def test_conditioning_a_window_on_a_non_positive_variance_is_a_singular_gram(pivot):
+    window = planners._Window({(0, 0): 0, (0, 1): 1}, np.zeros(2),
+                              np.array([[pivot, 0.0], [0.0, 1.0]]))
+    with pytest.raises(SingularGram):
+        window.conditioned(0, 0.0)
+
+
 def test_outcome_draw_matches_generator_choice():
     # the walk's draw consumes the stream as Generator.choice does and picks
     # the same index, zero weights and the uniform fallback included
