@@ -9,9 +9,13 @@ measurement outcome are handled three ways:
 * ``bounded_dp``   - generalized Jensen (lower) or Edmundson-Madansky
                      (upper) weighted sums, solved exhaustively;
 * ``urtdp``        - anytime trial-based solver that grows a search tree of
-                     lower/upper bounds for the Jensen and EM problems and
-                     tightens them along simulated paths; the two searches
-                     run side by side, the EM one in a forked child process.
+                     lower/upper bounds and tightens them along simulated
+                     paths. For the log-GP model it searches the Jensen and
+                     EM problems side by side, the EM one in a forked child
+                     process. For the GP model no reward reads an outcome, so
+                     adaptivity has no benefit: the exact, Jensen and EM
+                     values are one number, and one search, at the single
+                     outcome point at the mean, brackets it.
 
 The exhaustive solvers (``exact_dp`` and ``bounded_dp``) share one
 vectorized tree recursion parameterized by the standardized outcome points,
@@ -154,6 +158,8 @@ class PlannerConfig:
             raise ValueError("nu, truncation_m and alpha must be positive and finite")
         if self.max_simulated_paths < 1:
             raise ValueError("max_simulated_paths must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -507,11 +513,13 @@ class _UrtdpInstance:
     """Trial-based search tree of bounds for one bounded approximate problem.
 
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
-    upper (EM) problem. Every node's ``[lower, upper]`` pair brackets that
-    problem's exhaustive value at the node's state. ``tables`` maps the state
-    key of the root the instance last planned from to its node, which holds
-    the tree, and ``_window`` is its window. A decision never returns to an
-    earlier root, so a new root replaces the old one and its tree.
+    upper (EM) problem. For the GP model either rule solves the problem at
+    the one outcome point at the mean, whose value both equal. Every node's
+    ``[lower, upper]`` pair brackets that problem's exhaustive value at the
+    node's state. ``tables`` maps the state key of the root the instance
+    last planned from to its node, which holds the tree, and ``_window`` is
+    its window. A decision never returns to an earlier root, so a new root
+    replaces the old one and its tree.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -519,7 +527,10 @@ class _UrtdpInstance:
         self.config = config
         self.rule = rule
         self.rng = rng
-        w, self.zeta = standardized_rule(config.nu, config.truncation_m, rule)
+        # no gp reward reads an outcome, so the one point at the mean carries
+        # the whole value, whatever the rule
+        nu, side = (config.nu, rule) if problem.is_lgp else (1, "jensen")
+        w, self.zeta = standardized_rule(nu, config.truncation_m, side)
         self.w = w.tolist()
         self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
@@ -604,8 +615,7 @@ class _UrtdpInstance:
         v_ref, seq = _greedy_ce_rollout(problem, window.conditioned(j, 0.0), walk,
                                         self.config.horizon - stage)
         walk.undo()
-        slope = 0.0 if not problem.is_lgp else (
-            sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var)
+        slope = sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var
         sd = math.sqrt(pivot_var)
         for child, zj in zip(children, self.zeta):
             child[0] = min(v_ref + slope * sd * float(zj), child[1])
@@ -718,9 +728,11 @@ class UrtdpPolicy(Policy):
         self.instance = instance
 
     def act(self, s, d, stage):
+        config = self.instance.config
+        if stage > config.horizon:
+            raise ValueError("policy asked to act beyond its horizon")
         if next(Walk(s, self.instance.problem.domain).moves(), None) is None:
             raise DeadEnd("no legal action")
-        config = self.instance.config
         self.instance.run(d, s, stage, config.alpha, config.max_simulated_paths)
         return max(self.instance.root_q_values(d, s, stage), key=lambda q: q[1])[0]
 
@@ -741,6 +753,11 @@ def urtdp_policy(problem: Problem, config: PlannerConfig) -> UrtdpPolicy:
 
 @dataclass
 class UrtdpResult:
+    """What :func:`urtdp` returns: the root ``bounds``, the ``policy`` that
+    keeps the Jensen tree, the trials each search ran and whether a search
+    spent its budget before its gap closed. ``upper_paths`` counts the EM
+    search's trials, and is 0 for the GP model, which runs none."""
+
     bounds: ValueBounds
     policy: UrtdpPolicy
     lower_paths: int
@@ -751,23 +768,35 @@ class UrtdpResult:
 def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerConfig) -> UrtdpResult:
     """Anytime bracketing of the strictly adaptive value plus a policy.
 
-    Two trial-based instances run side by side, in two processes: the
-    caller runs the one on the Jensen (lower) problem while a child, a
-    ``multiprocessing`` fork-context process (:func:`_forked`), runs the one
-    on the EM (upper) problem, each until its own root gap falls under
-    ``alpha`` or it spends ``max_simulated_paths`` trials. Both are built
-    here and draw their own streams, so the result does not depend on the
-    split. The returned root bounds are the Jensen instance's lower bound
-    and the EM instance's upper bound, which bracket the exhaustive
+    For the log-GP model two trial-based instances run side by side, in two
+    processes: the caller runs the one on the Jensen (lower) problem while a
+    child, a ``multiprocessing`` fork-context process (:func:`_forked`),
+    runs the one on the EM (upper) problem, each until its own root gap
+    falls under ``alpha`` or it spends ``max_simulated_paths`` trials. Both
+    are built here and draw their own streams, so the result does not depend
+    on the split. The returned root bounds are the Jensen instance's lower
+    bound and the EM instance's upper bound, which bracket the exhaustive
     lower/upper problem values (and hence the true optimum) at all times.
-    The policy is greedy on the lower-problem bounds and keeps the Jensen
-    tree. POSIX only; do not call it from a multi-threaded process or from
-    a daemonic one, such as a ``multiprocessing.Pool`` worker.
+    That call is POSIX only; do not make it from a multi-threaded process
+    or from a daemonic one, such as a ``multiprocessing.Pool`` worker.
+
+    For the GP model a stage reward depends on locations only, so the
+    paper's sufficient condition for adaptivity to have no benefit holds:
+    the exact, Jensen and EM values are one number. The Jensen instance
+    then searches the one outcome point at the mean, whatever ``nu`` and
+    ``truncation_m``, and its own root ``[lower, upper]`` brackets that
+    value; no EM instance is built and no child is started.
+
+    Either way the policy is greedy on the lower-problem bounds and keeps
+    the Jensen tree.
     """
     policy = urtdp_policy(problem, config)
     low = policy.instance
-    up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1))
     args = (d0, s0, 0, config.alpha, config.max_simulated_paths)
+    if not problem.is_lgp:
+        closed = low.run(*args)
+        return UrtdpResult(low.root_bounds(d0, s0, 0), policy, low.paths_run, 0, not closed)
+    up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1))
 
     def em_half():
         closed = up.run(*args)

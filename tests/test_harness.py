@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import re
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -548,6 +549,14 @@ def test_cli_bounds_prints_bracket(tmp_path, capsys):
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "lower=" in out and "upper=" in out and "gap=" in out
+
+
+def test_cli_bounds_on_gp_runs_one_search(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, models="gp", alpha="1e-9", max_simulated_paths="50")
+    assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["seed=0", "seed=1"]
+    assert all(re.search(r" paths=[1-9][0-9]*\+0\b", line) for line in lines)
 
 
 def test_cli_bounds_crossed_is_a_runtime_error(tmp_path, monkeypatch, capsys):

@@ -511,7 +511,8 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     for (_, _, x, children), seq in zip(entries, seqs):
         assert len(seq) == cfg.horizon
         checked += checked_children(d0, x, children, seq)
-    assert checked >= 6
+    # every root child is checked: three per record (lgp, nu = 3) or one (gp)
+    assert checked == len(entries) * len(inst.zeta)
 
     # below the root: a record is entered at the node the trial last
     # expanded, whose history is read off the tree
@@ -1090,10 +1091,11 @@ def test_urtdp_closes_on_the_exhaustive_em_value(seed):
 
 
 # root brackets and first actions recorded once every upper bound came from
-# the root window's admissible stage bound; exact equality
+# the root window's admissible stage bound, and gp searched once, at the mean
+# outcome (k = 1 closes at MES's certified 7.043044382979995); exact equality
 _PINNED_BRACKETS = {
-    ("gp", 1): (7.017408688449045, 9.879516064621887, (0, "left")),
-    ("gp", 2): (7.496886734476966, 11.522965949390423, (0, "left")),
+    ("gp", 1): (7.043044382979994, 7.043044382979994, (0, "left")),
+    ("gp", 2): (7.496886734476967, 10.268347287273476, (1, "left")),
     ("lgp", 1): (15.033487357750982, 72.98365015131071, (0, "left")),
     ("lgp", 2): (13.037022555382274, 90.71141622306119, (1, "front")),
 }
@@ -1112,6 +1114,52 @@ def test_urtdp_root_bracket_and_first_action_are_pinned(model, k):
     assert res.policy.act(s0, d0, 0) == ConstrainedJointAction(robot, move)
 
 
+# -- gp: adaptivity has no benefit, so one search at the mean outcome ---------
+
+
+@pytest.mark.parametrize("k, budget", [(1, 3), (2, 2)])
+def test_gp_urtdp_closes_at_the_bounded_and_mes_values(k, budget):
+    # no gp reward reads an outcome, so the exhaustive Jensen and EM values
+    # and MES's non-adaptive one are one number, where the one search closes
+    for seed in range(104, 108):
+        problem, d0, s0 = make_instance(seed=seed, rows=4, cols=4, k=k, model="gp",
+                                        budget=budget)
+        cfg = cfg_for(horizon=k * budget - 1, nu=3, alpha=1e-12, paths=2000, seed=seed)
+        res = urtdp(problem, d0, s0, cfg)
+        assert not res.exhausted and res.upper_paths == 0
+        mes = mes_nonadaptive(problem, d0, s0, n=budget)
+        assert mes.exact
+        for value in (bounded_dp(problem, d0, s0, cfg, "lower")[0],
+                      bounded_dp(problem, d0, s0, cfg, "upper")[0], mes.value):
+            assert res.bounds.lower == pytest.approx(value, rel=0, abs=1e-9)
+            assert res.bounds.upper == pytest.approx(value, rel=0, abs=1e-9)
+
+
+def test_gp_urtdp_starts_no_child(monkeypatch):
+    def no_fork(fn):
+        raise AssertionError("urtdp() forked a child")
+
+    monkeypatch.setattr(planners, "_forked", no_fork)
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="gp")
+    assert urtdp(problem, d0, s0, cfg_for(horizon=3, nu=3, paths=20)).upper_paths == 0
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
+    with pytest.raises(AssertionError, match="forked a child"):
+        urtdp(problem, d0, s0, cfg_for(horizon=3, nu=3, paths=20))
+
+
+def test_gp_urtdp_does_not_depend_on_nu_or_truncation():
+    problem, d0, s0 = make_instance(seed=16, rows=6, cols=6, k=2, model="gp", n_prior=6,
+                                    budget=3)
+    outputs = set()
+    for nu in (1, 2, 3, 4):
+        for m in (2.0, 4.0):
+            res = urtdp(problem, d0, s0, cfg_for(horizon=5, nu=nu, m=m, alpha=1e-12, paths=40,
+                                                 seed=3))
+            outputs.add((res.bounds.lower.hex(), res.bounds.upper.hex(), res.lower_paths,
+                         res.upper_paths, res.exhausted, res.policy.act(s0, d0, 0)))
+    assert len(outputs) == 1
+
+
 # -- the two-process bracket: the EM half runs in a forked child --------------
 
 
@@ -1127,13 +1175,17 @@ def test_urtdp_equals_its_two_instances_run_in_process(model, k, rows, cols, n_p
     cfg = PlannerConfig(horizon=k * budget - 1, nu=3, alpha=alpha, max_simulated_paths=60,
                         seed=7)
     res = urtdp(problem, d0, s0, cfg)
-    low = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
-    up = _UrtdpInstance(problem, cfg, "em", planners._trial_rng(cfg, 1))
-    closed = [inst.run(d0, s0, 0, alpha, cfg.max_simulated_paths) for inst in (low, up)]
+    # gp runs no EM search: the Jensen instance's own root brackets its value
+    instances = [_UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))]
+    if model == "lgp":
+        instances.append(_UrtdpInstance(problem, cfg, "em", planners._trial_rng(cfg, 1)))
+    closed = [inst.run(d0, s0, 0, alpha, cfg.max_simulated_paths) for inst in instances]
+    low, up = instances[0], instances[-1]
     assert all(closed) == (alpha > 1e-9)
     assert res.bounds.lower.hex() == low.root_bounds(d0, s0, 0).lower.hex()
     assert res.bounds.upper.hex() == up.root_bounds(d0, s0, 0).upper.hex()
-    assert (res.lower_paths, res.upper_paths) == (low.paths_run, up.paths_run)
+    upper_paths = up.paths_run if model == "lgp" else 0
+    assert (res.lower_paths, res.upper_paths) == (low.paths_run, upper_paths)
     assert res.exhausted == (not all(closed))
     assert res.policy.act(s0, d0, 0) == UrtdpPolicy(low).act(s0, d0, 0)
 
@@ -1339,6 +1391,22 @@ def test_greedy_tie_breaks_to_first_action():
     s0 = TeamState((RobotPose((2, 2), "N"),), frozenset({(2, 2)}))
     a = greedy_adaptive(problem, d0, s0)
     assert (a.robot_index, a.move) == (0, "front")
+
+
+@pytest.mark.parametrize("make_policy", [BoundedLowerPolicy, urtdp_policy])
+def test_policy_refuses_to_act_past_its_horizon(make_policy):
+    problem, d0, s0 = make_instance(seed=13, rows=4, cols=4, model="lgp")
+    policy = make_policy(problem, cfg_for(horizon=1, nu=2, paths=20))
+    policy.act(s0, d0, 1)
+    for stage in (2, 5):
+        with pytest.raises(ValueError, match="beyond its horizon"):
+            policy.act(s0, d0, stage)
+
+
+def test_planner_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        cfg_for(horizon=1, seed=-1)
+    assert cfg_for(horizon=1, seed=0).seed == 0
 
 
 def test_greedy_dead_end_raises():

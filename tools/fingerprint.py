@@ -17,7 +17,8 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   count and MI's paths and scores (2 moves per robot);
 * ``slow/<model>/<paths>``: ``urtdp`` on the instance of
   ``test_urtdp_full_path_budget_runs_to_completion`` for both models, at
-  2,000 paths per side (and at 120,000 with ``--long``);
+  2,000 paths per search (and at 120,000 with ``--long``): two searches for
+  ``lgp``, one for ``gp``, whose EM path count is 0;
 * ``closure/<seed>``: the problems ``check_closure`` of ``bench/workloads.py``
   lists for seeds 0, 1000 and 2000, recorded as they are;
 * ``readme/k<k>/...``: the README's config at k = 1 and 2, seeds 0-4:
