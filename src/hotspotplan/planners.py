@@ -9,13 +9,11 @@ measurement outcome are handled three ways:
 * ``bounded_dp``   - generalized Jensen (lower) or Edmundson-Madansky
                      (upper) weighted sums, solved exhaustively;
 * ``urtdp``        - anytime trial-based solver that grows a search tree of
-                     lower/upper bounds and tightens them along simulated
-                     paths. For the log-GP model it searches the Jensen and
-                     EM problems side by side, the EM one in a forked child
-                     process. For the GP model no reward reads an outcome, so
-                     adaptivity has no benefit: the exact, Jensen and EM
-                     values are one number, and one search, at the single
-                     outcome point at the mean, brackets it.
+                     lower/upper bounds for the Jensen and EM problems and
+                     tightens them along simulated paths; for the log-GP
+                     model the two run side by side, the EM one in a forked
+                     child process. Under the GP model adaptivity has no
+                     benefit, and one search at the mean outcome suffices.
 
 The exhaustive solvers (``exact_dp`` and ``bounded_dp``) share one
 vectorized tree recursion parameterized by the standardized outcome points,
@@ -513,13 +511,13 @@ class _UrtdpInstance:
     """Trial-based search tree of bounds for one bounded approximate problem.
 
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
-    upper (EM) problem. For the GP model either rule solves the problem at
-    the one outcome point at the mean, whose value both equal. Every node's
-    ``[lower, upper]`` pair brackets that problem's exhaustive value at the
-    node's state. ``tables`` maps the state key of the root the instance
-    last planned from to its node, which holds the tree, and ``_window`` is
-    its window. A decision never returns to an earlier root, so a new root
-    replaces the old one and its tree.
+    upper (EM) problem; for the GP model, whose rewards read no outcome,
+    either solves the problem at the one outcome point at the mean. Every
+    node's ``[lower, upper]`` pair brackets that problem's exhaustive value
+    at the node's state. ``tables`` maps the state key of the root the
+    instance last planned from to its node, which holds the tree, and
+    ``_window`` is its window. A decision never returns to an earlier root,
+    so a new root replaces the old one and its tree.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -527,8 +525,6 @@ class _UrtdpInstance:
         self.config = config
         self.rule = rule
         self.rng = rng
-        # no gp reward reads an outcome, so the one point at the mean carries
-        # the whole value, whatever the rule
         nu, side = (config.nu, rule) if problem.is_lgp else (1, "jensen")
         w, self.zeta = standardized_rule(nu, config.truncation_m, side)
         self.w = w.tolist()
@@ -753,10 +749,9 @@ def urtdp_policy(problem: Problem, config: PlannerConfig) -> UrtdpPolicy:
 
 @dataclass
 class UrtdpResult:
-    """What :func:`urtdp` returns: the root ``bounds``, the ``policy`` that
-    keeps the Jensen tree, the trials each search ran and whether a search
-    spent its budget before its gap closed. ``upper_paths`` counts the EM
-    search's trials, and is 0 for the GP model, which runs none."""
+    """:func:`urtdp`'s root bracket, policy, trials per search and whether a
+    search spent its budget; ``upper_paths`` is 0 for the GP model, which
+    runs no EM search."""
 
     bounds: ValueBounds
     policy: UrtdpPolicy
@@ -780,15 +775,12 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     That call is POSIX only; do not make it from a multi-threaded process
     or from a daemonic one, such as a ``multiprocessing.Pool`` worker.
 
-    For the GP model a stage reward depends on locations only, so the
-    paper's sufficient condition for adaptivity to have no benefit holds:
-    the exact, Jensen and EM values are one number. The Jensen instance
-    then searches the one outcome point at the mean, whatever ``nu`` and
-    ``truncation_m``, and its own root ``[lower, upper]`` brackets that
-    value; no EM instance is built and no child is started.
-
-    Either way the policy is greedy on the lower-problem bounds and keeps
-    the Jensen tree.
+    For the GP model no stage reward reads an outcome, a sufficient
+    condition for adaptivity to have no benefit: the exact, Jensen and EM
+    values are one number. The Jensen instance alone, on the one outcome
+    point at the mean whatever ``nu`` and ``truncation_m``, brackets it by
+    its own root bounds, and no child is started. Either way the policy is
+    greedy on the lower-problem bounds and keeps the Jensen tree.
     """
     policy = urtdp_policy(problem, config)
     low = policy.instance
