@@ -39,7 +39,11 @@ point. The root holds one window, the joint posterior of the unvisited
 cells within its remaining moves; a child's cells are among its parent's,
 and its posterior is the parent's conditioned on one cell, a rank-1 update.
 A trial carries the root's window down the tree that way, so no history,
-state, key or posterior is stored below the root.
+state, key or posterior is stored below the root. A covariance depends on
+the cells conditioned on and their order, never on the outcomes, so the
+windows of one trial share a covariance trie (:class:`_Cov`): conditioning
+on a cell sequence the trial already took reuses its covariance and only
+shifts the mean. The trie lives for one trial.
 
 URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
@@ -431,12 +435,42 @@ def greedy_adaptive(problem: Problem, d: PosteriorData, s: TeamState) -> Constra
 # ---------------------------------------------------------------------------
 
 
-class _Window:
-    """The joint posterior (``mean``, ``cov``) of the cells in ``index``;
-    conditioning one gives a new window, so a window is never changed."""
+class _Cov:
+    """A node of a trial's covariance trie: the covariance ``cov`` of a window,
+    its conditioned ``children`` keyed by window index, the column ``c`` that
+    conditioned it out of its parent (``None`` at the trie's root), and the
+    entropies of its variances, computed on first use."""
 
-    def __init__(self, index: dict, mean: np.ndarray, cov: np.ndarray):
-        self.index, self.mean, self.cov = index, mean, cov
+    __slots__ = ("cov", "c", "children", "_entropy")
+
+    def __init__(self, cov: np.ndarray, c: np.ndarray | None = None):
+        self.cov, self.c, self.children, self._entropy = cov, c, {}, None
+
+    @property
+    def entropy(self) -> np.ndarray:
+        """``_entropy(diag(cov))``; a conditioned-out cell's variance is about
+        0, so its entropy means nothing, and no move can enter that cell."""
+        if self._entropy is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._entropy = _entropy(np.diagonal(self.cov))
+        return self._entropy
+
+
+class _Window:
+    """The joint posterior (``mean``, ``node.cov``) of the cells in ``index``;
+    conditioning one gives a new window, so a window is never changed.
+
+    A covariance depends on where and in what order cells were measured,
+    never on what was measured, so windows conditioned on one cell sequence
+    share one covariance: ``node``, a node of a covariance trie (:class:`_Cov`).
+    """
+
+    def __init__(self, index: dict, mean: np.ndarray, node: _Cov):
+        self.index, self.mean, self.node = index, mean, node
+
+    @property
+    def cov(self) -> np.ndarray:
+        return self.node.cov
 
     @classmethod
     def over(cls, problem: Problem, d: PosteriorData, walk: Walk, moves: int):
@@ -448,19 +482,42 @@ class _Window:
             cells.update(dict.fromkeys(problem.diamond(cell, reach)))
         index = {x: i for i, x in enumerate(x for x in cells if x not in walk.visited)}
         inc = IncrementalPosterior(problem.kernel_table, d.locations, d.z, len(d))
-        return cls(index, *inc.joint(list(index)))
+        mean, cov = inc.joint(list(index))
+        return cls(index, mean, _Cov(cov))
+
+    def fresh(self) -> _Window:
+        """This window on the root of a new trie, which keeps what it is
+        conditioned on from here: dropping the window drops them all."""
+        return _Window(self.index, self.mean, _Cov(self.node.cov))
 
     def conditioned(self, j: int, zeta: float) -> _Window:
         """This window given cell ``j`` at the standardized point ``zeta``, with
         ``c = cov[:, j] / sqrt(cov[j, j])``: ``cov - c c^T`` (a BLAS rank-1 update
-        of a copy) and ``mean + zeta c`` (GPML, A.3), sharing the index."""
-        cov = self.cov
-        var = cov.item(j, j)
-        if var <= 0:
-            raise SingularGram("gram extension lost positive definiteness")
-        c = cov[:, j] / math.sqrt(var)
-        return _Window(self.index, self.mean + zeta * c,
-                       dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1))
+        of a copy, once per trie node) and ``mean + zeta c`` (GPML, A.3),
+        sharing the index; at ``zeta = 0`` it shares the mean too."""
+        child = self.node.children.get(j)
+        if child is None:
+            cov = self.node.cov
+            var = cov.item(j, j)
+            if var <= 0:
+                raise SingularGram("gram extension lost positive definiteness")
+            c = cov[:, j] / math.sqrt(var)
+            child = self.node.children[j] = _Cov(
+                dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1), c)
+        return _Window(self.index, self.mean if zeta == 0 else self.mean + zeta * child.c, child)
+
+    def scored(self, problem: Problem, moves):
+        """``(reward, move)`` per move of ``moves``, each ``(robot, move, cell,
+        heading)``: :func:`_reward` of the cell it enters, read off the node's
+        entropies. A non-positive variance raises :class:`DegenerateCovariance`."""
+        index, mean, node, lgp = self.index, self.mean, self.node, problem.is_lgp
+        cov, entropy = node.cov, node.entropy
+        for move in moves:
+            x = move[2]
+            j = index[x]
+            if cov.item(j, j) <= 0:
+                raise DegenerateCovariance(f"non-positive posterior variance at {x}")
+            yield (entropy.item(j) + mean.item(j) if lgp else entropy.item(j)), move
 
 
 def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage: int) -> float:
@@ -485,24 +542,23 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
     Each step takes the reward-maximizing move and feeds the posterior mean
     back as the observation (``zeta = 0``), which leaves every mean
     unchanged: a move scores its window mean and its variance on the window
-    conditioned on the cells chosen so far. The last step conditions nothing.
+    conditioned on the cells chosen so far (:meth:`_Window.scored`). The last
+    step conditions nothing.
     """
     total, seq = 0.0, []
     for _ in range(steps_count):
         best = None
-        for i, _, cell, nh in walk.moves():
-            j = window.index[cell]
-            reward = float(_reward(problem, window.mean.item(j), window.cov.item(j, j)))
-            if best is None or reward > best[0]:
-                best = (reward, i, cell, nh, j)
+        for scored in window.scored(problem, walk.moves()):
+            if best is None or scored[0] > best[0]:
+                best = scored
         if best is None:
             break
-        reward, i, cell, nh, j = best
+        reward, (i, _, cell, nh) = best
         total += reward
         walk.step(i, cell, nh)
         seq.append(cell)
         if len(seq) < steps_count:
-            window = window.conditioned(j, 0.0)
+            window = window.conditioned(window.index[cell], 0.0)
     walk.undo(len(seq))
     return total, seq
 
@@ -555,7 +611,7 @@ class _UrtdpInstance:
             window = _Window.over(problem, d, walk, max(remaining, 1))
             self.stage_upper = _stage_upper(problem, self.config, window, stage)
             upper = remaining * self.stage_upper
-            lower, _ = _greedy_ce_rollout(problem, window, walk, remaining)
+            lower, _ = _greedy_ce_rollout(problem, window.fresh(), walk, remaining)
             node = [min(lower, upper), upper]
             self.tables, self._window = {key: node}, window
         return node, self._window
@@ -576,19 +632,14 @@ class _UrtdpInstance:
         problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
         upper, root = remaining * self.stage_upper, not walk.trail
         records = []
-        for i, mv, x, heading in walk.moves():
-            j = window.index[x]
-            var = window.cov.item(j, j)
-            if var <= 0:
-                raise DegenerateCovariance(f"non-positive posterior variance at {x}")
+        for reward, (i, mv, x, heading) in window.scored(problem, walk.moves()):
             children = None
             if remaining > 0:
                 children = [[-math.inf, upper] for _ in self.zeta]
                 if root:
                     self._init_children(window, walk, i, x, heading, stage, children)
-            reward = float(_reward(problem, window.mean.item(j), var))
             records.append((self._action(i, mv), reward, x, children))
-        node += [records, _best_upper(self.q_values(records))]
+        node += [records, self._scan(records)[0]]
         return records
 
     def _init_children(self, window, walk, i, x, heading, stage, children):
@@ -629,6 +680,23 @@ class _UrtdpInstance:
             out.append((a, reward + lo, reward + hi))
         return out
 
+    def _scan(self, records) -> tuple[int, float, float]:
+        """One pass over :meth:`q_values`: the index of the first action with
+        the largest upper q (0 when there is none), and the largest lower and
+        upper q (``-inf`` when there is none), each kept as ``max`` keeps it."""
+        best, lower, upper, w = 0, -math.inf, -math.inf, self.w
+        for i, (_, reward, _, children) in enumerate(records):
+            lo = hi = 0.0
+            for wj, child in zip(w, children or ()):
+                lo += wj * child[0]
+                hi += wj * child[1]
+            lo, hi = reward + lo, reward + hi
+            if not i or lo > lower:
+                lower = lo
+            if not i or hi > upper:
+                best, upper = i, hi
+        return best, lower, upper
+
     def _set(self, node, lower, upper):
         node[0] = lower
         node[1] = upper
@@ -636,9 +704,8 @@ class _UrtdpInstance:
             self.on_backup(node, lower, upper)
 
     def _backup(self, node, records):
-        qs = self.q_values(records)
-        node[3] = _best_upper(qs)
-        self._set(node, max(q for _, q, _ in qs), max(q for _, _, q in qs))
+        node[3], lower, upper = self._scan(records)
+        self._set(node, lower, upper)
 
     # -- the simulated path --------------------------------------------------
 
@@ -649,8 +716,14 @@ class _UrtdpInstance:
         the first time gets its children's lower bounds on its node's window
         before the outcome draw. ``root`` is ``_root(d0, s0, stage0)`` if the
         caller has it.
+
+        The trial carries the root's window on a fresh covariance trie
+        (:meth:`_Window.fresh`), so its descent, child seeding and rollouts
+        build each covariance once per cell sequence, and the trie goes when
+        the trial ends.
         """
         node, window = root or self._root(d0, s0, stage0)
+        window = window.fresh()
         problem, horizon = self.problem, self.config.horizon
         walk, stage, trail = Walk(s0, problem.domain), stage0, []
         while True:
@@ -696,12 +769,7 @@ class _UrtdpInstance:
     def root_q_values(self, d, s, stage):
         """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
         root, window = self._root(d, s, stage)
-        return self.q_values(self.expand(root, window, Walk(s, self.problem.domain), stage))
-
-
-def _best_upper(qs) -> int:
-    """Index of the first action with the largest upper q (0 when there is none)."""
-    return max(range(len(qs)), key=lambda i: qs[i][2], default=0)
+        return self.q_values(self.expand(root, window.fresh(), Walk(s, self.problem.domain), stage))
 
 
 def _total(xs) -> float:

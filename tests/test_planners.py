@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from hotspotplan import planners
 from hotspotplan.discretization import standardized_rule
 from hotspotplan.errors import (
     DeadEnd,
+    DegenerateCovariance,
     HotspotPlanError,
     IllegalAction,
     InstanceTooLarge,
@@ -786,9 +788,139 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
 @pytest.mark.parametrize("pivot", [0.0, -1e-12])
 def test_conditioning_a_window_on_a_non_positive_variance_is_a_singular_gram(pivot):
     window = planners._Window({(0, 0): 0, (0, 1): 1}, np.zeros(2),
-                              np.array([[pivot, 0.0], [0.0, 1.0]]))
+                              planners._Cov(np.array([[pivot, 0.0], [0.0, 1.0]])))
     with pytest.raises(SingularGram):
         window.conditioned(0, 0.0)
+
+
+@pytest.mark.parametrize("variance", [-1e-12, 0.0])
+def test_a_rollout_scoring_a_non_positive_variance_raises_as_expand_does(variance):
+    # the robot at (1, 1) heading N enters (0, 1), (1, 0) or (1, 2); the first
+    # has a non-positive variance, which neither search may score
+    problem = Problem(GridDomain(3, 3), Hyperparams(0.2, 1.0, 1.5, 0.02), "lgp")
+    s = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}))
+    window = planners._Window({(0, 1): 0, (1, 0): 1, (1, 2): 2}, np.zeros(3),
+                              planners._Cov(np.diag([variance, 1.0, 1.0])))
+    walk = Walk(s, problem.domain)
+    with pytest.raises(DegenerateCovariance):
+        planners._greedy_ce_rollout(problem, window, walk, 1)
+    inst = _UrtdpInstance(problem, cfg_for(horizon=1, nu=2), "jensen", np.random.default_rng(0))
+    with pytest.raises(DegenerateCovariance):
+        inst.expand([0.0, 0.0], window, Walk(s, problem.domain), 0)
+
+
+def _spy_trial_windows(monkeypatch):
+    """Record, for every window ``_Window.conditioned`` returns, its window
+    indices from the trial's root and its (cell, outcome point) history, in
+    ``windows`` (cleared per trial by the caller); count the rank-1 updates."""
+    windows, history, updates = [], {}, [0]
+    conditioned, dger = planners._Window.conditioned, planners.dger
+
+    def spy_conditioned(window, j, zeta):
+        child = conditioned(window, j, zeta)
+        cell = next(x for x, i in window.index.items() if i == j)
+        history[id(child)] = history.get(id(window), ()) + ((j, cell, float(zeta)),)
+        windows.append((child, history[id(child)]))  # live, so ids stay unique
+        return child
+
+    def spy_dger(*args, **kwargs):
+        updates[0] += 1
+        return dger(*args, **kwargs)
+
+    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
+    monkeypatch.setattr(planners, "dger", spy_dger)
+
+    def clear():
+        windows.clear()
+        history.clear()
+        updates[0] = 0
+
+    return windows, updates, clear
+
+
+def test_a_trial_builds_one_covariance_per_location_sequence(monkeypatch):
+    # a covariance depends on the cells conditioned on and their order, not
+    # on the outcomes: a trial runs one rank-1 update per distinct sequence
+    # of window indices it conditions on, however often it conditions on it
+    problem, d0, s0 = make_instance(seed=21, rows=4, cols=4, k=2, model="lgp")
+    inst = _UrtdpInstance(problem, cfg_for(horizon=5, nu=3), "jensen", np.random.default_rng(2))
+    inst._root(d0, s0, 0)  # the root's own rollout conditions on a trie of its own
+    windows, updates, clear = _spy_trial_windows(monkeypatch)
+    conditionings = rank1 = 0
+    for _ in range(20):
+        clear()
+        inst.simulated_path(d0, s0, 0)
+        sequences = {tuple(j for j, _, _ in h) for _, h in windows}
+        assert updates[0] == len(sequences) >= 1
+        conditionings += len(windows)
+        rank1 += updates[0]
+    assert rank1 < conditionings
+
+
+def test_windows_of_one_trial_on_one_sequence_share_their_covariance(monkeypatch):
+    # two windows of a trial conditioned on the same cells in the same order
+    # at different outcome points hold one covariance object, and each
+    # window's means and covariance equal a fresh joint() on its history
+    problem, d0, s0 = make_instance(seed=23, rows=14, cols=12, k=2, model="lgp",
+                                    n_prior=20, budget=4)
+    cfg = PlannerConfig(horizon=7, nu=3, alpha=1e-12, max_simulated_paths=10, seed=3)
+    inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
+    inst._root(d0, s0, 0)  # the root's own rollout conditions on a trie of its own
+    windows, _, clear = _spy_trial_windows(monkeypatch)
+    scale, pairs = problem.hyper.prior_variance, 0
+    for _ in range(6):
+        clear()
+        inst.simulated_path(d0, s0, 0)
+        by_sequence = {}
+        for window, history in windows:
+            by_sequence.setdefault(tuple(j for j, _, _ in history), []).append((window, history))
+        for group in by_sequence.values():
+            outcomes = {history for _, history in group}
+            if len(outcomes) < 2:
+                continue
+            pairs += 1
+            assert all(window.cov is group[0][0].cov for window, _ in group)
+            for window, history in group:
+                inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z,
+                                           len(d0) + len(history))
+                for _, cell, zeta in history:
+                    inc.extend(cell, zeta)
+                taken = {cell for _, cell, _ in history}
+                cells = [x for x in window.index if x not in taken]
+                rows = [window.index[x] for x in cells]
+                mean, cov = inc.joint(cells)
+                assert window.mean[rows] == pytest.approx(mean, rel=1e-9,
+                                                          abs=1e-9 * math.sqrt(scale))
+                assert window.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9,
+                                                                       abs=1e-9 * scale)
+    assert pairs >= 6
+
+
+def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
+    # each trial conditions on a trie of its own: once it returns, every
+    # window and covariance it conditioned is freed (no cycle holds them),
+    # and the root's window has no child
+    problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, k=2, model="lgp",
+                                    n_prior=20, budget=5)
+    cfg = PlannerConfig(horizon=9, nu=3, alpha=1e-12, max_simulated_paths=10, seed=5)
+    inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
+    refs = []
+    conditioned = planners._Window.conditioned
+
+    def spy_conditioned(window, j, zeta):
+        child = conditioned(window, j, zeta)
+        refs.append((weakref.ref(child), weakref.ref(child.cov)))
+        return child
+
+    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
+    for _ in range(4):
+        refs.clear()
+        inst.simulated_path(d0, s0, 0)
+        assert len(refs) > cfg.horizon
+        assert all(window() is None and cov() is None for window, cov in refs)
+    window = inst._root(d0, s0, 0)[1]
+    inst.root_q_values(d0, s0, 0)
+    assert window.node.children == {}
 
 
 def test_outcome_draw_matches_generator_choice():
