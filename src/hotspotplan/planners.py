@@ -487,8 +487,11 @@ class _Window:
 
     def fresh(self) -> _Window:
         """This window on the root of a new trie, which keeps what it is
-        conditioned on from here: dropping the window drops them all."""
-        return _Window(self.index, self.mean, _Cov(self.node.cov))
+        conditioned on from here: dropping the window drops them all. The
+        root shares this node's covariance and entropies."""
+        node = _Cov(self.node.cov)
+        node._entropy = self.node.entropy
+        return _Window(self.index, self.mean, node)
 
     def conditioned(self, j: int, zeta: float) -> _Window:
         """This window given cell ``j`` at the standardized point ``zeta``, with
@@ -528,7 +531,7 @@ def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage
     c``, with ``|zeta| <= m`` and ``sum c^2 <= v``: by at most ``m sqrt(T v)``
     (Cauchy-Schwarz)."""
     v, t = np.diagonal(window.cov), max(config.horizon - stage, 0)
-    bound = _entropy(v)
+    bound = window.node.entropy
     if problem.is_lgp:
         bound = bound + window.mean + config.truncation_m * np.sqrt(t * v)
     return float(np.max(bound, initial=0.0))
@@ -681,9 +684,10 @@ class _UrtdpInstance:
         return out
 
     def _scan(self, records) -> tuple[int, float, float]:
-        """One pass over :meth:`q_values`: the index of the first action with
-        the largest upper q (0 when there is none), and the largest lower and
-        upper q (``-inf`` when there is none), each kept as ``max`` keeps it."""
+        """The q-values of :meth:`q_values` in one pass over ``records``: the
+        index of the first action with the largest upper q (0 when there is
+        none), and the largest lower and upper q (``-inf`` when there is
+        none), each kept as ``max`` keeps it."""
         best, lower, upper, w = 0, -math.inf, -math.inf, self.w
         for i, (_, reward, _, children) in enumerate(records):
             lo = hi = 0.0
