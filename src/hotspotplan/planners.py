@@ -49,17 +49,17 @@ URTDP seeds a child's lower bound with a certainty-equivalent rollout: the
 greedy continuation that feeds each posterior mean back as the observation.
 That feedback has zero innovation, so it leaves every posterior mean
 unchanged; the rollout's value is therefore affine in the child's outcome. A
-rollout runs on the window a trial carries to its record's node and
-conditions it on each cell it chooses by the descent's rank-1 update at
-``zeta = 0``, so URTDP conditions a window one way; its slope is read off
-the covariance (:meth:`_UrtdpInstance._init_children`). Rollouts are lazy:
-the root's records are rolled out when it is expanded, since the policy
-reads their lower q-values, and any other record when a trial first enters
-it. Until then its children hold only their upper bounds and a lower bound
-of ``-inf``, which keeps the record out of its node's lower max; the record
-a trial enters is rolled out first, so every node's lower bound is a
-rollout value. Non-adaptive baselines (maximum entropy sampling, MI-based
-greedy) commit their paths from the prior data.
+rollout reads the means of the window a trial carries to its record's node
+once and steps down its trie, to the child (:meth:`_Cov.child`, the one
+rank-1 update) of each cell it chooses; its slope is read off the
+covariance (:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the
+root's records are rolled out when it is expanded, since the policy reads
+their lower q-values, and any other record when a trial first enters it.
+Until then its children hold only their upper bounds and a lower bound of
+``-inf``, which keeps the record out of its node's lower max; the record a
+trial enters is rolled out first, so every node's lower bound is a rollout
+value. Non-adaptive baselines (maximum entropy sampling, MI-based greedy)
+commit their paths from the prior data.
 
 Every planner steps the constrained joint actions, one robot move per
 stage (MES's branch and bound one per node, robots in turn), and reads them
@@ -448,12 +448,22 @@ class _Cov:
 
     @property
     def entropy(self) -> np.ndarray:
-        """``_entropy(diag(cov))``; a conditioned-out cell's variance is about
-        0, so its entropy means nothing, and no move can enter that cell."""
+        """Entropies of ``diag(cov)``; a conditioned-out cell's (variance ~0) is never read."""
         if self._entropy is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self._entropy = _entropy(np.diagonal(self.cov))
+            self._entropy = _entropy(np.maximum(self.cov.diagonal(), 5e-324))
         return self._entropy
+
+    def child(self, j: int) -> _Cov:
+        """This node given window index ``j``, built on first use: ``cov - c c^T``
+        with ``c = cov[:, j] / sqrt(cov[j, j])``, a BLAS rank-1 update of a copy."""
+        child = self.children.get(j)
+        if child is None:
+            cov, var = self.cov, self.cov.item(j, j)
+            if var <= 0:
+                raise SingularGram("gram extension lost positive definiteness")
+            c = cov[:, j] / math.sqrt(var)
+            child = self.children[j] = _Cov(dger(-1.0, c, c, a=cov.copy("F"), overwrite_a=1), c)
+        return child
 
 
 class _Window:
@@ -494,33 +504,24 @@ class _Window:
         return _Window(self.index, self.mean, node)
 
     def conditioned(self, j: int, zeta: float) -> _Window:
-        """This window given cell ``j`` at the standardized point ``zeta``, with
-        ``c = cov[:, j] / sqrt(cov[j, j])``: ``cov - c c^T`` (a BLAS rank-1 update
-        of a copy, once per trie node) and ``mean + zeta c`` (GPML, A.3),
-        sharing the index; at ``zeta = 0`` it shares the mean too."""
-        child = self.node.children.get(j)
-        if child is None:
-            cov = self.node.cov
-            var = cov.item(j, j)
-            if var <= 0:
-                raise SingularGram("gram extension lost positive definiteness")
-            c = cov[:, j] / math.sqrt(var)
-            child = self.node.children[j] = _Cov(
-                dger(-1.0, c, c, a=cov.copy(order="F"), overwrite_a=1), c)
+        """This window given cell ``j`` at the standardized point ``zeta``: the
+        node's child ``j`` (:meth:`_Cov.child`) and ``mean + zeta c`` (GPML,
+        A.3), sharing the index; at ``zeta = 0`` it shares the mean too."""
+        child = self.node.child(j)
         return _Window(self.index, self.mean if zeta == 0 else self.mean + zeta * child.c, child)
 
-    def scored(self, problem: Problem, moves):
+    def scored(self, problem: Problem, moves) -> list:
         """``(reward, move)`` per move of ``moves``, each ``(robot, move, cell,
         heading)``: :func:`_reward` of the cell it enters, read off the node's
         entropies. A non-positive variance raises :class:`DegenerateCovariance`."""
         index, mean, node, lgp = self.index, self.mean, self.node, problem.is_lgp
-        cov, entropy = node.cov, node.entropy
+        cov, entropy, out = node.cov, node.entropy, []
         for move in moves:
-            x = move[2]
-            j = index[x]
+            j = index[move[2]]
             if cov.item(j, j) <= 0:
-                raise DegenerateCovariance(f"non-positive posterior variance at {x}")
-            yield (entropy.item(j) + mean.item(j) if lgp else entropy.item(j)), move
+                raise DegenerateCovariance(f"non-positive posterior variance at {move[2]}")
+            out.append(((entropy.item(j) + mean.item(j) if lgp else entropy.item(j)), move))
+        return out
 
 
 def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage: int) -> float:
@@ -542,26 +543,31 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
     on a :class:`_Window` that holds every cell it can enter; returns the
     total reward and the cells.
 
-    Each step takes the reward-maximizing move and feeds the posterior mean
-    back as the observation (``zeta = 0``), which leaves every mean
-    unchanged: a move scores its window mean and its variance on the window
-    conditioned on the cells chosen so far (:meth:`_Window.scored`). The last
-    step conditions nothing.
+    Each step takes the reward-maximizing move (the first of equals) and
+    feeds the posterior mean back as the observation (``zeta = 0``), which
+    leaves every mean unchanged: a move scores its cell's window mean and
+    its entropy on the trie node (:meth:`_Cov.child`) of the cells chosen so
+    far, as :meth:`_Window.scored` does. The last step conditions nothing.
     """
-    total, seq = 0.0, []
+    index, node, total, seq = window.index, window.node, 0.0, []
+    mean = window.mean.tolist() if problem.is_lgp else None
     for _ in range(steps_count):
-        best = None
-        for scored in window.scored(problem, walk.moves()):
-            if best is None or scored[0] > best[0]:
-                best = scored
+        cov, entropy, best = node.cov, node.entropy, None
+        for move in walk.moves():
+            j = index[move[2]]
+            if cov.item(j, j) <= 0:
+                raise DegenerateCovariance(f"non-positive posterior variance at {move[2]}")
+            reward = entropy.item(j) + mean[j] if mean is not None else entropy.item(j)
+            if best is None or reward > best:
+                best, chosen = reward, move
         if best is None:
             break
-        reward, (i, _, cell, nh) = best
-        total += reward
+        i, _, cell, nh = chosen
+        total += best
         walk.step(i, cell, nh)
         seq.append(cell)
         if len(seq) < steps_count:
-            window = window.conditioned(window.index[cell], 0.0)
+            node = node.child(index[cell])
     walk.undo(len(seq))
     return total, seq
 
@@ -658,11 +664,10 @@ class _UrtdpInstance:
         read off the parent's window: child ``j`` gets
         ``v_ref + slope * sd * zeta[j]``.
         """
-        problem = self.problem
         j = window.index[x]
         pivot_var = window.cov.item(j, j)
         walk.step(i, x, heading)
-        v_ref, seq = _greedy_ce_rollout(problem, window.conditioned(j, 0.0), walk,
+        v_ref, seq = _greedy_ce_rollout(self.problem, window.conditioned(j, 0.0), walk,
                                         self.config.horizon - stage)
         walk.undo()
         slope = sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var

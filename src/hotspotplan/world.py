@@ -6,7 +6,8 @@ the direction of travel. Moves onto cells that were already observed are
 illegal, so every path is self-avoiding. With ``k`` robots the constrained
 action set lets exactly one robot move per stage, keeping its size at most
 ``3k``. :meth:`Walk.moves` enumerates the legal moves, for every transition,
-policy and search; the walk is stepped and undone in place.
+policy and search; the walk is stepped and undone in place. It reads a pose's
+on-grid targets from its domain's ``move_table``, filled on first read.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class GridDomain:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
+        object.__setattr__(self, "move_table", {})  # pose -> targets(pose), as read
 
     @property
     def size(self) -> int:
@@ -57,6 +59,12 @@ class GridDomain:
     def cells(self) -> list[Cell]:
         """All cells in row-major order."""
         return [(r, c) for r in range(self.rows) for c in range(self.cols)]
+
+    def targets(self, pose: tuple[Cell, str]) -> tuple:
+        """``(move, cell, heading)`` per on-grid move from a ``(cell, heading)``
+        pose, front < left < right; :meth:`Walk.moves` keeps them in ``move_table``."""
+        to = [(mv, move_target(RobotPose(*pose), mv)) for mv in MOVES]
+        return tuple((mv, t.cell, t.heading) for mv, t in to if self.contains(t.cell))
 
 
 @dataclass(frozen=True)
@@ -138,16 +146,16 @@ class Walk:
         the next.
         """
         poses, steps, visited, budget = self.poses, self.steps, self.visited, self.budget
-        rows, cols = self.domain.rows, self.domain.cols
+        table = self.domain.move_table
         for i in range(len(poses)) if robot is None else (robot,):
             if budget is not None and steps[i] >= budget:
                 continue
-            (r, c), hd = poses[i]
-            for mv in MOVES:
-                dr, dc, nh = MOVE_DELTA[(hd, mv)]
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < rows and 0 <= c2 < cols and (r2, c2) not in visited:
-                    yield i, mv, (r2, c2), nh
+            targets = table.get(poses[i])
+            if targets is None:
+                targets = table[poses[i]] = self.domain.targets(poses[i])
+            for mv, cell, nh in targets:
+                if cell not in visited:
+                    yield i, mv, cell, nh
 
     def step(self, i: int, cell: Cell, heading: str) -> None:
         self.trail.append((i, self.poses[i]))

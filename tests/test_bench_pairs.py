@@ -84,3 +84,24 @@ def test_report_compares_the_failed_shares_over_all_runs(parent, change, not_wor
         assert entry[f"{side}_failed_share"] == f"{failed}/{attempted}"
     assert entry["failed_share_not_worse"] is not_worse
     assert entry["parent_all_correct"] and entry["change_all_correct"]
+
+
+@pytest.mark.parametrize("gain", ["urtdp_paths_per_s on run_k2", "paths_per_s on run-k2",
+                                  "urtdp_paths_per_s", "urtdp_paths_per_s on run-k2 "])
+def test_a_gain_naming_no_metric_and_workload_is_a_usage_error_before_any_run(
+        gain, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking --gain")
+
+    for name in ("export", "bench_run", "tree_state"):
+        monkeypatch.setattr(bench_pairs, name, no_run)
+    argv = ["--parent", "HEAD", "--pr", "0", "--seeds", "0-1", "--change", "c", "--gain", gain]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--gain" in err and "urtdp_paths_per_s on run-k2" in err
+    assert not (bench_pairs.ROOT / "BENCH_0.json").exists()
+    argv[-1] = "urtdp_paths_per_s on run-k2"  # a named one goes on to the runs
+    with pytest.raises(AssertionError, match="ran before"):
+        bench_pairs.main(argv)

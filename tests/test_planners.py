@@ -566,20 +566,21 @@ def _history(parent, node):
 
 
 def test_a_trial_conditions_once_per_descent_step_child_seeding_and_rollout_step(monkeypatch):
-    # every conditioning below the root is _Window.conditioned: one per
-    # descent step, one per _init_children (its record's cell at the mean
-    # outcome) and one per cell a rollout chose, except the last cell of a
-    # rollout that ran its full length, whose window nothing reads
+    # every conditioning below the root steps to a trie node's child
+    # (_Cov.child): one per descent step, one per _init_children (its
+    # record's cell at the mean outcome) and one per cell a rollout chose,
+    # except the last cell of a rollout that ran its full length, whose node
+    # nothing reads
     problem, d0, s0 = make_instance(seed=21, rows=4, cols=4, k=2, model="lgp")
     cfg = cfg_for(horizon=5, nu=3)
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(2))
     counts, totals = {}, {"init_children": 0, "rollout": 0}
-    conditioned, expand = planners._Window.conditioned, _UrtdpInstance.expand
+    child, expand = planners._Cov.child, _UrtdpInstance.expand
     init_children, rollout = _UrtdpInstance._init_children, planners._greedy_ce_rollout
 
-    def spy_conditioned(window, j, zeta):
-        counts["conditioned"] += 1
-        return conditioned(window, j, zeta)
+    def spy_child(node, j):
+        counts["child"] += 1
+        return child(node, j)
 
     def spy_expand(obj, *args):
         counts["expand"] += 1
@@ -594,16 +595,16 @@ def test_a_trial_conditions_once_per_descent_step_child_seeding_and_rollout_step
         counts["rollout"] += len(seq) - (0 < len(seq) == steps_count)
         return total, seq
 
-    monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
+    monkeypatch.setattr(planners._Cov, "child", spy_child)
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
     monkeypatch.setattr(planners, "_greedy_ce_rollout", spy_rollout)
     for _ in range(20):
-        counts.update(dict.fromkeys(("conditioned", "expand", "init_children", "rollout"), 0))
+        counts.update(dict.fromkeys(("child", "expand", "init_children", "rollout"), 0))
         inst.simulated_path(d0, s0, 0)
         descents = counts["expand"] - 1  # the last expand is the leaf's or a dead end's
         assert descents >= 1
-        assert counts["conditioned"] == descents + counts["init_children"] + counts["rollout"]
+        assert counts["child"] == descents + counts["init_children"] + counts["rollout"]
         for key in totals:
             totals[key] += counts[key]
     root = inst.tables[state_key(0, s0, d0)]
@@ -809,33 +810,56 @@ def test_a_rollout_scoring_a_non_positive_variance_raises_as_expand_does(varianc
         inst.expand([0.0, 0.0], window, Walk(s, problem.domain), 0)
 
 
+@pytest.mark.parametrize("model", ["gp", "lgp"])
+def test_a_rollout_takes_the_first_of_equal_moves(model):
+    # the robot at (1, 1) heading N enters (0, 1), (1, 0) or (1, 2), in that
+    # order; all three score the same, and the rollout takes the first
+    problem = Problem(GridDomain(3, 3), Hyperparams(0.2, 1.0, 1.5, 0.02), model)
+    s = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}))
+    window = planners._Window({(0, 1): 0, (1, 0): 1, (1, 2): 2}, np.full(3, 0.5),
+                              planners._Cov(np.eye(3)))
+    scored = window.scored(problem, Walk(s, problem.domain).moves())
+    assert len({reward for reward, _ in scored}) == 1
+    total, seq = planners._greedy_ce_rollout(problem, window, Walk(s, problem.domain), 1)
+    assert seq == [(0, 1)] and total == scored[0][0]
+
+
 def _spy_trial_windows(monkeypatch):
     """Record, for every window ``_Window.conditioned`` returns, its window
     indices from the trial's root and its (cell, outcome point) history, in
-    ``windows`` (cleared per trial by the caller); count the rank-1 updates."""
-    windows, history, updates = [], {}, [0]
-    conditioned, dger = planners._Window.conditioned, planners.dger
+    ``windows``; and for every trie node ``_Cov.child`` returns, rollouts'
+    included, its window indices from the trie's root, in ``nodes``. Both
+    are cleared per trial by the caller; count the rank-1 updates."""
+    windows, nodes, history, path, updates = [], [], {}, {}, [0]
+    conditioned, child, dger = planners._Window.conditioned, planners._Cov.child, planners.dger
 
     def spy_conditioned(window, j, zeta):
-        child = conditioned(window, j, zeta)
+        out = conditioned(window, j, zeta)
         cell = next(x for x, i in window.index.items() if i == j)
-        history[id(child)] = history.get(id(window), ()) + ((j, cell, float(zeta)),)
-        windows.append((child, history[id(child)]))  # live, so ids stay unique
-        return child
+        history[id(out)] = history.get(id(window), ()) + ((j, cell, float(zeta)),)
+        windows.append((out, history[id(out)]))  # live, so ids stay unique
+        return out
+
+    def spy_child(node, j):
+        out = child(node, j)
+        path[id(out)] = path.get(id(node), ()) + (j,)
+        nodes.append((out, path[id(out)]))
+        return out
 
     def spy_dger(*args, **kwargs):
         updates[0] += 1
         return dger(*args, **kwargs)
 
     monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
+    monkeypatch.setattr(planners._Cov, "child", spy_child)
     monkeypatch.setattr(planners, "dger", spy_dger)
 
     def clear():
-        windows.clear()
-        history.clear()
+        for recorded in (windows, nodes, history, path):
+            recorded.clear()
         updates[0] = 0
 
-    return windows, updates, clear
+    return windows, nodes, updates, clear
 
 
 def test_a_trial_builds_one_covariance_per_location_sequence(monkeypatch):
@@ -845,29 +869,42 @@ def test_a_trial_builds_one_covariance_per_location_sequence(monkeypatch):
     problem, d0, s0 = make_instance(seed=21, rows=4, cols=4, k=2, model="lgp")
     inst = _UrtdpInstance(problem, cfg_for(horizon=5, nu=3), "jensen", np.random.default_rng(2))
     inst._root(d0, s0, 0)  # the root's own rollout conditions on a trie of its own
-    windows, updates, clear = _spy_trial_windows(monkeypatch)
+    _, nodes, updates, clear = _spy_trial_windows(monkeypatch)
     conditionings = rank1 = 0
     for _ in range(20):
         clear()
         inst.simulated_path(d0, s0, 0)
-        sequences = {tuple(j for j, _, _ in h) for _, h in windows}
+        sequences = {sequence for _, sequence in nodes}
         assert updates[0] == len(sequences) >= 1
-        conditionings += len(windows)
+        conditionings += len(nodes)
         rank1 += updates[0]
     assert rank1 < conditionings
+
+
+def _joint_after(problem, d0, cells, taken):
+    """``joint()`` of ``cells`` other than ``taken`` given ``d0`` and the
+    ``(cell, zeta)`` pairs of ``taken``, in order: the cells and their
+    posterior means and covariance."""
+    inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + len(taken))
+    for cell, zeta in taken:
+        inc.extend(cell, zeta)
+    left = [x for x in cells if x not in {cell for cell, _ in taken}]
+    return (left, *inc.joint(left))
 
 
 def test_windows_of_one_trial_on_one_sequence_share_their_covariance(monkeypatch):
     # two windows of a trial conditioned on the same cells in the same order
     # at different outcome points hold one covariance object, and each
-    # window's means and covariance equal a fresh joint() on its history
+    # window's means and covariance equal a fresh joint() on its history, as
+    # does the covariance of every trie node a rollout stepped to
     problem, d0, s0 = make_instance(seed=23, rows=14, cols=12, k=2, model="lgp",
                                     n_prior=20, budget=4)
     cfg = PlannerConfig(horizon=7, nu=3, alpha=1e-12, max_simulated_paths=10, seed=3)
     inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
-    inst._root(d0, s0, 0)  # the root's own rollout conditions on a trie of its own
-    windows, _, clear = _spy_trial_windows(monkeypatch)
-    scale, pairs = problem.hyper.prior_variance, 0
+    index = inst._root(d0, s0, 0)[1].index  # its rollout conditions on a trie of its own
+    cell_at = {i: x for x, i in index.items()}
+    windows, nodes, _, clear = _spy_trial_windows(monkeypatch)
+    scale, pairs, rollout_nodes = problem.hyper.prior_variance, 0, 0
     for _ in range(6):
         clear()
         inst.simulated_path(d0, s0, 0)
@@ -881,19 +918,22 @@ def test_windows_of_one_trial_on_one_sequence_share_their_covariance(monkeypatch
             pairs += 1
             assert all(window.cov is group[0][0].cov for window, _ in group)
             for window, history in group:
-                inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z,
-                                           len(d0) + len(history))
-                for _, cell, zeta in history:
-                    inc.extend(cell, zeta)
-                taken = {cell for _, cell, _ in history}
-                cells = [x for x in window.index if x not in taken]
+                cells, mean, cov = _joint_after(problem, d0, window.index,
+                                                [(cell, zeta) for _, cell, zeta in history])
                 rows = [window.index[x] for x in cells]
-                mean, cov = inc.joint(cells)
                 assert window.mean[rows] == pytest.approx(mean, rel=1e-9,
                                                           abs=1e-9 * math.sqrt(scale))
                 assert window.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9,
                                                                        abs=1e-9 * scale)
-    assert pairs >= 6
+        seen = {id(window.node) for window, _ in windows}
+        for node, sequence in nodes:
+            if id(node) in seen:
+                continue
+            rollout_nodes += 1
+            cells, _, cov = _joint_after(problem, d0, index, [(cell_at[j], 0.0) for j in sequence])
+            rows = [index[x] for x in cells]
+            assert node.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9, abs=1e-9 * scale)
+    assert pairs >= 6 and rollout_nodes >= 6
 
 
 def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
@@ -904,20 +944,28 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
                                     n_prior=20, budget=5)
     cfg = PlannerConfig(horizon=9, nu=3, alpha=1e-12, max_simulated_paths=10, seed=5)
     inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
-    refs = []
-    conditioned = planners._Window.conditioned
+    refs, covs = [], []
+    conditioned, child = planners._Window.conditioned, planners._Cov.child
 
     def spy_conditioned(window, j, zeta):
-        child = conditioned(window, j, zeta)
-        refs.append((weakref.ref(child), weakref.ref(child.cov)))
-        return child
+        out = conditioned(window, j, zeta)
+        refs.append((weakref.ref(out), weakref.ref(out.cov)))
+        return out
+
+    def spy_child(node, j):  # rollouts step on trie nodes, with no window
+        out = child(node, j)
+        covs.append(weakref.ref(out.cov))
+        return out
 
     monkeypatch.setattr(planners._Window, "conditioned", spy_conditioned)
+    monkeypatch.setattr(planners._Cov, "child", spy_child)
     for _ in range(4):
         refs.clear()
+        covs.clear()
         inst.simulated_path(d0, s0, 0)
-        assert len(refs) > cfg.horizon
+        assert len(refs) > cfg.horizon and len(covs) > len(refs)
         assert all(window() is None and cov() is None for window, cov in refs)
+        assert all(cov() is None for cov in covs)
     window = inst._root(d0, s0, 0)[1]
     inst.root_q_values(d0, s0, 0)
     assert window.node.children == {}

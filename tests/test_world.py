@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hotspotplan import world
 from hotspotplan.errors import IllegalAction
 from hotspotplan.world import (
     HEADINGS,
@@ -208,12 +209,16 @@ def test_interior_heading_points_inward():
     assert interior_heading((2, 4), dom) == "W"
 
 
+_DOMAINS = {}  # one domain per shape, so its move table outlives an example
+
+
 @st.composite
 def _walk_cases(draw):
-    domain = GridDomain(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
-    k = draw(st.integers(1, 3))
-    picked = draw(st.lists(st.sampled_from(domain.cells()), min_size=k, max_size=k + 4,
-                           unique=True))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    domain = _DOMAINS.setdefault((rows, cols), GridDomain(rows, cols))
+    k = draw(st.integers(1, min(3, domain.size)))
+    picked = draw(st.lists(st.sampled_from(domain.cells()), min_size=k,
+                           max_size=min(k + 4, domain.size), unique=True))
     budget = draw(st.sampled_from([None, 1, 2, 3]))
     poses = tuple(RobotPose(c, draw(st.sampled_from(HEADINGS))) for c in picked[:k])
     steps = tuple(draw(st.integers(0, 3 if budget is None else budget)) for _ in range(k))
@@ -225,11 +230,13 @@ def _walk_cases(draw):
 @given(_walk_cases())
 def test_walk_moves_read_the_same_while_each_is_stepped_and_undone(case):
     # a search reads moves() while it steps a move, goes deeper, and undoes
-    # both before the next one: the reading must equal the whole list, which
-    # must be the legal moves in robot, then front < left < right, order
+    # both before the next one: the reading must equal the whole list, read
+    # by another walk on the same domain, which must be the legal moves in
+    # robot, then front < left < right, order; and every pose in the
+    # domain's move table holds its on-grid targets in that order
     domain, s, robot = case
+    whole = list(Walk(s, domain).moves(robot))
     walk = Walk(s, domain)
-    whole = list(walk.moves(robot))
     fresh = (list(walk.poses), list(walk.steps), set(walk.visited), walk.budget, [])
     read = []
     for i, mv, cell, heading in walk.moves(robot):
@@ -250,3 +257,24 @@ def test_walk_moves_read_the_same_while_each_is_stepped_and_undone(case):
         and move_target(s.poses[i], mv).cell not in s.visited
     ]
     assert whole == legal
+    for (cell, heading), targets in domain.move_table.items():
+        to = [move_target(RobotPose(cell, heading), mv) for mv in MOVES]
+        assert targets == tuple((mv, t.cell, t.heading) for mv, t in zip(MOVES, to)
+                                if domain.contains(t.cell))
+
+
+def test_a_pose_with_no_on_grid_move_is_kept_in_the_move_table(monkeypatch):
+    # on a 1x1 grid no move stays on the grid: the pose's empty target list
+    # is filled in once, then read from the table
+    calls = []
+
+    def spy_move_target(pose, move):
+        calls.append((pose, move))
+        return move_target(pose, move)
+
+    monkeypatch.setattr(world, "move_target", spy_move_target)
+    domain = GridDomain(1, 1)
+    s = TeamState((RobotPose((0, 0), "E"),), frozenset({(0, 0)}))
+    for _ in range(3):
+        assert list(Walk(s, domain).moves()) == [] and constrained_actions(s, domain) == []
+    assert domain.move_table == {((0, 0), "E"): ()} and len(calls) == len(MOVES)

@@ -21,7 +21,9 @@ neither side) and whether the change's median is within the metric's bound.
 A claimed gain (``--gain "<metric> on <workload>"``) also gets ``claim_met``:
 there are at least ``MIN_CLAIM_PAIRS`` pairs, the change won at least nine
 tenths of them, and its median is better than the parent's by more than the
-parent's interquartile range. Per workload the file also holds each side's
+parent's interquartile range. A ``--gain`` that names no end-to-end metric
+and workload of ``BENCHMARK.json`` is a usage error, raised before any run.
+Per workload the file also holds each side's
 failed share, its failed operations over its attempted ones summed over the
 runs, and ``failed_share_not_worse``: the change's share is at most the
 parent's. The file also records the working tree's
@@ -158,6 +160,10 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    claims = {f"{m['name']} on {w}" for m in spec["end_to_end"] for w in workloads}
+    if args.gain is not None and args.gain not in claims:
+        parser.error(f"--gain {args.gain!r} names no end-to-end metric on a workload of "
+                     f"BENCHMARK.json; one of: {', '.join(sorted(claims))}")
     seeds = parse_seeds(args.seeds)
     out_path = ROOT / f"BENCH_{args.pr}.json"
     runs = {w: [] for w in workloads}
