@@ -849,8 +849,9 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     on the split. The returned root bounds are the Jensen instance's lower
     bound and the EM instance's upper bound, which bracket the exhaustive
     lower/upper problem values (and hence the true optimum) at all times.
-    That call is POSIX only; do not make it from a multi-threaded process
-    or from a daemonic one, such as a ``multiprocessing.Pool`` worker.
+    That call is POSIX only (on Linux the child starts off the caller's
+    CPU); do not make it from a multi-threaded process or from a daemonic
+    one, such as a ``multiprocessing.Pool`` worker.
 
     For the GP model no stage reward reads an outcome, a sufficient
     condition for adaptivity to have no benefit: the exact, Jensen and EM
@@ -890,10 +891,17 @@ def _forked(fn):
     the block kills a child not yet waited for, so an error or an interrupt
     in the caller does not wait for ``fn``; the child is reaped either way.
     Not from a daemonic process, which ``multiprocessing`` lets start none.
+    A fork can leave the child on its caller's CPU for hundreds of
+    milliseconds while another idles, so on Linux the child moves off it.
     """
+    try:  # the caller's CPU just before the fork: /proc/self/stat field 39
+        with open("/proc/self/stat") as f:
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        cpu = None
     ctx = multiprocessing.get_context("fork")
     recv_end, send_end = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_run_in_child, args=(fn, send_end))
+    child = ctx.Process(target=_run_in_child, args=(fn, send_end, cpu))
     with recv_end:
         with send_end:  # only the child keeps a send end, so its exit is end of file
             child.start()
@@ -918,8 +926,14 @@ def _forked(fn):
             child.close()
 
 
-def _run_in_child(fn, send_end) -> None:
-    """The body of :func:`_forked`'s child: send ``(ok, value)`` for ``fn()``."""
+def _run_in_child(fn, send_end, caller_cpu) -> None:
+    """The body of :func:`_forked`'s child: send ``(ok, value)`` for ``fn()``.
+    It first moves off ``caller_cpu`` where it can, if more than one CPU is
+    allowed, and gives its mask back, so the kernel may balance it later."""
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    if len(allowed) > 1 and caller_cpu in allowed:
+        os.sched_setaffinity(0, allowed - {caller_cpu})
+        os.sched_setaffinity(0, allowed)
 
     def exit_with_parent():
         wait([multiprocessing.parent_process().sentinel])

@@ -1444,6 +1444,70 @@ def test_forked_calls_leave_no_file_descriptor_open():
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
+def _cpu():
+    """The CPU this process runs on, from ``/proc/self/stat`` (field 39)."""
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
+def _placement():
+    """Where ``fn`` first runs: its CPU and its affinity mask."""
+    return _cpu(), os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads /proc; needs two CPUs")
+def test_the_forked_child_starts_off_the_callers_cpu_with_the_callers_mask():
+    # a fork may leave the child on its caller's CPU while another one idles;
+    # once its mask is given back the kernel may balance it, which on a
+    # saturated machine sent a few children in a thousand back before fn ran
+    beside = 0
+    for _ in range(10):
+        caller = _cpu()
+        with planners._forked(_placement) as result:
+            cpu, mask = result()
+        beside += cpu == caller
+        assert mask == os.sched_getaffinity(0)
+    assert beside <= 1
+
+
+_PINNED_URTDP = """
+import os
+import sys
+sys.path[:0] = sys.argv[1:3]
+cpu = int(sys.argv[3])
+os.sched_setaffinity(0, {cpu})
+from conftest import make_instance
+from test_planners import _placement
+from hotspotplan import planners
+from hotspotplan.planners import PlannerConfig, urtdp
+for _ in range(5):
+    with planners._forked(_placement) as result:
+        assert result() == (cpu, {cpu}), result()
+problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20, budget=10)
+res = urtdp(problem, d0, s0, PlannerConfig(horizon=9, nu=3, alpha=1e-12,
+                                           max_simulated_paths=60, seed=7))
+print(res.bounds.lower.hex(), res.bounds.upper.hex(), res.lower_paths, res.upper_paths,
+      res.exhausted, res.policy.act(s0, d0, 0))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_caller_pinned_to_one_cpu_gets_the_same_bracket():
+    # one CPU allowed: the child stays beside its caller and still reports back
+    tests = Path(__file__).resolve().parent
+    cpu = max(os.sched_getaffinity(0))
+    out = subprocess.run([sys.executable, "-c", _PINNED_URTDP, str(tests),
+                          str(tests.parent / "src"), str(cpu)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20, budget=10)
+    res = urtdp(problem, d0, s0, cfg_for(horizon=9, nu=3, alpha=1e-12, paths=60, seed=7))
+    assert out.stdout.split(" ", 5) == [res.bounds.lower.hex(), res.bounds.upper.hex(),
+                                        str(res.lower_paths), str(res.upper_paths),
+                                        str(res.exhausted), f"{res.policy.act(s0, d0, 0)}\n"]
+
+
 _MID_URTDP = """
 import sys
 sys.path[:0] = sys.argv[1:3]
