@@ -1478,11 +1478,13 @@ sys.path[:0] = sys.argv[1:3]
 cpu = int(sys.argv[3])
 os.sched_setaffinity(0, {cpu})
 from conftest import make_instance
-from test_planners import _placement
 from hotspotplan import planners
 from hotspotplan.planners import PlannerConfig, urtdp
+def placement():
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36]), os.sched_getaffinity(0)
 for _ in range(5):
-    with planners._forked(_placement) as result:
+    with planners._forked(placement) as result:
         assert result() == (cpu, {cpu}), result()
 problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20, budget=10)
 res = urtdp(problem, d0, s0, PlannerConfig(horizon=9, nu=3, alpha=1e-12,
@@ -1503,9 +1505,8 @@ def test_a_caller_pinned_to_one_cpu_gets_the_same_bracket():
     assert out.returncode == 0, out.stderr
     problem, d0, s0 = make_instance(seed=16, rows=14, cols=12, model="lgp", n_prior=20, budget=10)
     res = urtdp(problem, d0, s0, cfg_for(horizon=9, nu=3, alpha=1e-12, paths=60, seed=7))
-    assert out.stdout.split(" ", 5) == [res.bounds.lower.hex(), res.bounds.upper.hex(),
-                                        str(res.lower_paths), str(res.upper_paths),
-                                        str(res.exhausted), f"{res.policy.act(s0, d0, 0)}\n"]
+    assert out.stdout == (f"{res.bounds.lower.hex()} {res.bounds.upper.hex()} {res.lower_paths} "
+                          f"{res.upper_paths} {res.exhausted} {res.policy.act(s0, d0, 0)}\n")
 
 
 _MID_URTDP = """
