@@ -81,7 +81,6 @@ from .planners import (
     mes_nonadaptive,
     mi_greedy,
     stagewise_reward,
-    state_key,
     urtdp,
     urtdp_policy,
 )

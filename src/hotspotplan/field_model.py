@@ -7,8 +7,9 @@ variance is zero (:attr:`Hyperparams.nugget`). Everything downstream
 (entropies, predictors, samplers) is built on the posterior of that GP.
 All entropies are in nats.
 
-The kernel has one definition here, the grid's :class:`KernelTable`: every
-Gram matrix and cross-covariance is gathered from it by cell offset. Observed
+The kernel has one definition here, :func:`_se`, which the grid's
+:class:`KernelTable` tabulates by cell offset: every Gram matrix and
+cross-covariance that conditions data is gathered from that table. Observed
 data are conditioned on one way, through :class:`IncrementalPosterior` (URTDP's
 window, one joint of it per decision, takes rank-1 updates down its tree). The
 planners walk it down a branch by appending each outcome as its standardized
@@ -16,12 +17,13 @@ point, not its value, and back up by dropping rows, and a window of cells gets
 its joint posterior from it; the predictor's means and variances
 (:func:`posterior_marginals`) are one batch of it. Nothing map-sized is
 factored: the map's Gram matrix is separable, and its cached
-:class:`MapSpectrum` (two 1-D eigendecompositions) gives the map entropy by
-the chain rule with one factor over the observed cells (:func:`map_entropy`),
-the MI baseline's leave-one-out variances and field draws
-(:func:`sample_field`). The set-up factors nothing per candidate:
-:func:`fit_hyperparams` scores its grid from one eigendecomposition per
-length scale.
+:class:`MapSpectrum` (two 1-D eigendecompositions of :func:`_se` factors, not
+read off the table) gives the map entropy by the chain rule with one factor
+over the observed cells (:func:`map_entropy`), the MI baseline's leave-one-out
+variances and field draws (:func:`sample_field`). The set-up factors nothing
+per candidate: :func:`fit_hyperparams` builds its correlations from
+:func:`_sq_dists` and :func:`_se`, not from the table, and scores its grid from
+one eigendecomposition per length scale.
 """
 
 from __future__ import annotations

@@ -578,11 +578,12 @@ class _UrtdpInstance:
     ``rule="jensen"`` solves the lower (Jensen) problem; ``rule="em"`` the
     upper (EM) problem; for the GP model, whose rewards read no outcome,
     either solves the problem at the one outcome point at the mean. Every
-    node's ``[lower, upper]`` pair brackets that problem's exhaustive value
-    at the node's state. ``tables`` maps the state key of the root the
-    instance last planned from to its node, which holds the tree, and
-    ``_window`` is its window. A decision never returns to an earlier root,
-    so a new root replaces the old one and its tree.
+    node's ``[lower, upper]`` pair brackets that problem's exhaustive value at
+    the node's state. ``tables`` maps the state key of the root the instance
+    last planned from to its node, which holds the tree, and ``_window`` is
+    its window. A decision never returns to an earlier root, so a new root
+    replaces the old one and its tree. :meth:`run` returns the root it
+    searched; :meth:`_scan` sums its q-values.
     """
 
     def __init__(self, problem, config, rule, rng):
@@ -597,7 +598,6 @@ class _UrtdpInstance:
         self.tables: dict[tuple, list] = {}
         self._window, self.stage_upper = None, 0.0  # the root's window and stage bound
         self.paths_run = 0
-        self.on_backup = None  # test hook: called with (node, lower, upper)
 
     # -- the tree --------------------------------------------------------------
 
@@ -677,23 +677,13 @@ class _UrtdpInstance:
 
     # -- bound arithmetic ----------------------------------------------------
 
-    def q_values(self, records):
-        """(action, q_lower, q_upper) per action from the current child bounds."""
-        out = []
-        for a, reward, _, children in records:
-            lo = hi = 0.0
-            for wj, child in zip(self.w, children or ()):
-                lo += wj * child[0]
-                hi += wj * child[1]
-            out.append((a, reward + lo, reward + hi))
-        return out
-
-    def _scan(self, records) -> tuple[int, float, float]:
-        """The q-values of :meth:`q_values` in one pass over ``records``: the
-        index of the first action with the largest upper q (0 when there is
-        none), and the largest lower and upper q (``-inf`` when there is
-        none), each kept as ``max`` keeps it."""
-        best, lower, upper, w = 0, -math.inf, -math.inf, self.w
+    def _scan(self, records) -> tuple[int, float, float, int]:
+        """The one q-value sum: a record's q is its reward plus its children's
+        bounds weighted by ``w``. Returns the index of the first record with
+        the largest upper q (the descent), the largest lower and upper q, and
+        the index of the first with the largest lower q (the policy's pick),
+        each kept as ``max`` keeps it (0 or ``-inf`` when there is none)."""
+        best, lower, upper, pick, w = 0, -math.inf, -math.inf, 0, self.w
         for i, (_, reward, _, children) in enumerate(records):
             lo = hi = 0.0
             for wj, child in zip(w, children or ()):
@@ -701,19 +691,17 @@ class _UrtdpInstance:
                 hi += wj * child[1]
             lo, hi = reward + lo, reward + hi
             if not i or lo > lower:
-                lower = lo
+                pick, lower = i, lo
             if not i or hi > upper:
                 best, upper = i, hi
-        return best, lower, upper
+        return best, lower, upper, pick
 
-    def _set(self, node, lower, upper):
+    def _set(self, node, lower, upper):  # the one writer of a node's bounds
         node[0] = lower
         node[1] = upper
-        if self.on_backup is not None:
-            self.on_backup(node, lower, upper)
 
     def _backup(self, node, records):
-        node[3], lower, upper = self._scan(records)
+        node[3], lower, upper, _ = self._scan(records)
         self._set(node, lower, upper)
 
     # -- the simulated path --------------------------------------------------
@@ -759,26 +747,14 @@ class _UrtdpInstance:
         self.paths_run += 1
 
     def run(self, d, s, stage, alpha, budget):
-        """Run trials until the root gap closes or the path budget is spent.
-
-        Returns True if the gap criterion was met.
-        """
+        """Run trials from the root of ``(s, d)`` until its gap is at most
+        ``alpha`` or ``budget`` trials are spent; return :meth:`_root`'s
+        ``(node, window)``, whose gap is over ``alpha`` if the budget ran out."""
         root = self._root(d, s, stage)
         node, start = root[0], self.paths_run
-        while node[1] - node[0] > alpha:
-            if self.paths_run - start >= budget:
-                return False
+        while node[1] - node[0] > alpha and self.paths_run - start < budget:
             self.simulated_path(d, s, stage, root)
-        return True
-
-    def root_bounds(self, d, s, stage) -> ValueBounds:
-        root = self._root(d, s, stage)[0]
-        return ValueBounds(root[0], root[1])
-
-    def root_q_values(self, d, s, stage):
-        """(action, q_lower, q_upper) per action at the root of ``(s, d)``."""
-        root, window = self._root(d, s, stage)
-        return self.q_values(self.expand(root, window.fresh(), Walk(s, self.problem.domain), stage))
+        return root
 
 
 def _total(xs) -> float:
@@ -795,19 +771,22 @@ def _draw(rng: np.random.Generator, probs) -> int:
 
 
 class UrtdpPolicy(Policy):
-    """Greedy-on-lower-bound policy; replans anytime from the current state."""
+    """Greedy-on-lower-bound policy: each decision runs trials from its state's
+    root, then takes the root's first action with the largest lower q."""
 
     def __init__(self, instance: _UrtdpInstance):
         self.instance = instance
 
     def act(self, s, d, stage):
-        config = self.instance.config
+        inst, config = self.instance, self.instance.config
         if stage > config.horizon:
             raise ValueError("policy asked to act beyond its horizon")
-        if next(Walk(s, self.instance.problem.domain).moves(), None) is None:
+        walk = Walk(s, inst.problem.domain)
+        if next(walk.moves(), None) is None:
             raise DeadEnd("no legal action")
-        self.instance.run(d, s, stage, config.alpha, config.max_simulated_paths)
-        return max(self.instance.root_q_values(d, s, stage), key=lambda q: q[1])[0]
+        node, window = inst.run(d, s, stage, config.alpha, config.max_simulated_paths)
+        records = inst.expand(node, window.fresh(), walk, stage)
+        return records[inst._scan(records)[3]][0]
 
 
 def _trial_rng(config: PlannerConfig, child: int) -> np.random.Generator:
@@ -827,8 +806,8 @@ def urtdp_policy(problem: Problem, config: PlannerConfig) -> UrtdpPolicy:
 @dataclass
 class UrtdpResult:
     """:func:`urtdp`'s root bracket, policy, trials per search and whether a
-    search spent its budget; ``upper_paths`` is 0 for the GP model, which
-    runs no EM search."""
+    search spent its budget with its root gap over ``alpha``; ``upper_paths``
+    is 0 for the GP model, which runs no EM search."""
 
     bounds: ValueBounds
     policy: UrtdpPolicy
@@ -846,12 +825,13 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     runs the one on the EM (upper) problem, each until its own root gap
     falls under ``alpha`` or it spends ``max_simulated_paths`` trials. Both
     are built here and draw their own streams, so the result does not depend
-    on the split. The returned root bounds are the Jensen instance's lower
-    bound and the EM instance's upper bound, which bracket the exhaustive
-    lower/upper problem values (and hence the true optimum) at all times.
-    That call is POSIX only (on Linux the child starts off the caller's
-    CPU); do not make it from a multi-threaded process or from a daemonic
-    one, such as a ``multiprocessing.Pool`` worker.
+    on the split. The returned bounds are the Jensen root's lower bound and
+    the EM root's upper bound, which bracket the exhaustive lower/upper
+    problem values (and hence the true optimum) at all times; ``exhausted``
+    is whether either root's gap is still over ``alpha``. That call is POSIX
+    only (on Linux the child starts off the caller's CPU); do not make it
+    from a multi-threaded process or from a daemonic one, such as a
+    ``multiprocessing.Pool`` worker.
 
     For the GP model no stage reward reads an outcome, a sufficient
     condition for adaptivity to have no benefit: the exact, Jensen and EM
@@ -864,19 +844,18 @@ def urtdp(problem: Problem, d0: PosteriorData, s0: TeamState, config: PlannerCon
     low = policy.instance
     args = (d0, s0, 0, config.alpha, config.max_simulated_paths)
     if not problem.is_lgp:
-        closed = low.run(*args)
-        return UrtdpResult(low.root_bounds(d0, s0, 0), policy, low.paths_run, 0, not closed)
+        bounds = ValueBounds(*low.run(*args)[0][:2])
+        return UrtdpResult(bounds, policy, low.paths_run, 0, bounds.gap > config.alpha)
     up = _UrtdpInstance(problem, config, "em", _trial_rng(config, 1))
 
     def em_half():
-        closed = up.run(*args)
-        return closed, up.root_bounds(d0, s0, 0).upper, up.paths_run
+        return ValueBounds(*up.run(*args)[0][:2]), up.paths_run
 
     with _forked(em_half) as em_result:
-        ok_low = low.run(*args)
-        ok_up, upper, upper_paths = em_result()
-    bounds = ValueBounds(low.root_bounds(d0, s0, 0).lower, upper)
-    return UrtdpResult(bounds, policy, low.paths_run, upper_paths, not (ok_low and ok_up))
+        jensen = ValueBounds(*low.run(*args)[0][:2])
+        em, upper_paths = em_result()
+    return UrtdpResult(ValueBounds(jensen.lower, em.upper), policy, low.paths_run, upper_paths,
+                       jensen.gap > config.alpha or em.gap > config.alpha)
 
 
 @contextmanager

@@ -177,7 +177,7 @@ def test_criterion_4_value_convexity():
 # -- criterion 5: URTDP correctness -------------------------------------------
 
 
-def test_criterion_5_urtdp_correctness():
+def test_criterion_5_urtdp_correctness(monkeypatch):
     with criterion(5, "URTDP bounds and policy"):
         # seed chosen for clear action-value separation (>.1 nat) at every
         # state the reference policy visits: action-for-action equality is
@@ -206,14 +206,16 @@ def test_criterion_5_urtdp_correctness():
         inst = _UrtdpInstance(problem2, fuzz_cfg, "jensen", np.random.default_rng(11))
         backups = 0
         crossings = []
+        write = _UrtdpInstance._set
 
-        def audit(key, lo, hi):
+        def audit(obj, node, lo, hi):  # every bound write goes through _set
             nonlocal backups
             backups += 1
             if lo > hi + 1e-9:
-                crossings.append((key, lo, hi))
+                crossings.append((node, lo, hi))
+            write(obj, node, lo, hi)
 
-        inst.on_backup = audit
+        monkeypatch.setattr(_UrtdpInstance, "_set", audit)
         for _ in range(10_000):
             inst.simulated_path(d2, s2, 0)
         assert crossings == []

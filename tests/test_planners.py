@@ -351,12 +351,19 @@ def test_crossed_bounds_raise_a_library_error():
         ValueBounds(1.0, 0.0)
 
 
-def test_urtdp_bracket_and_leaf_rule_along_paths():
+def test_urtdp_bracket_and_leaf_rule_along_paths(monkeypatch):
     problem, d0, s0 = make_instance(seed=14, rows=3, cols=3, model="lgp")
     cfg = cfg_for(horizon=2, nu=3, alpha=1e-9, paths=2000, seed=3)
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
     violations = []
-    inst.on_backup = lambda key, lo, hi: violations.append((lo, hi)) if lo > hi + 1e-9 else None
+    write = _UrtdpInstance._set
+
+    def audit(obj, node, lo, hi):  # every bound write goes through _set
+        if lo > hi + 1e-9:
+            violations.append((lo, hi))
+        write(obj, node, lo, hi)
+
+    monkeypatch.setattr(_UrtdpInstance, "_set", audit)
     for _ in range(200):
         inst.simulated_path(d0, s0, 0)
     assert violations == []
@@ -667,7 +674,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         cfg = cfg_for(horizon=3 * k - 1, nu=3)
         inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 3 * k)
         rollouts.clear()
-        lower = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0).lower
+        lower = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0]).lower
         ref_total, ref_seq = _factor_ce_rollout(problem, inc, s0, cfg.horizon + 1)
         assert rollouts[0][1] == ref_seq
         assert rollouts[0][0] == pytest.approx(ref_total, rel=1e-12, abs=0)
@@ -967,7 +974,7 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
         assert all(window() is None and cov() is None for window, cov in refs)
         assert all(cov() is None for cov in covs)
     window = inst._root(d0, s0, 0)[1]
-    inst.root_q_values(d0, s0, 0)
+    UrtdpPolicy(inst).act(s0, d0, 0)
     assert window.node.children == {}
 
 
@@ -1057,7 +1064,7 @@ def test_root_keeps_one_window_across_trials_and_q_values(monkeypatch):
     monkeypatch.setattr(_UrtdpInstance, "_root", spy)
     for _ in range(5):
         inst.simulated_path(d0, s0, 0)
-    inst.root_q_values(d0, s0, 0)
+    UrtdpPolicy(inst).act(s0, d0, 0)
     inst.run(d0, s0, 0, 1e-12, 3)
     node, window = inst._root(d0, s0, 0)
     assert len(seen) >= 8
@@ -1092,8 +1099,9 @@ def test_child_rollouts_run_at_the_root_and_where_trials_go(monkeypatch):
                                     budget=5)
     cfg = PlannerConfig(horizon=9, nu=3, alpha=1e-12, max_simulated_paths=10, seed=5)
     inst = _UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))
-    assert not inst.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
-    root = inst.tables[state_key(0, s0, d0)]
+    root, _ = inst.run(d0, s0, 0, cfg.alpha, cfg.max_simulated_paths)
+    assert root[1] - root[0] > cfg.alpha  # the budget ran out with the gap open
+    assert root is inst.tables[state_key(0, s0, d0)]
     built = entered = 0
     stack = [root]
     while stack:
@@ -1359,11 +1367,12 @@ def test_urtdp_equals_its_two_instances_run_in_process(model, k, rows, cols, n_p
     instances = [_UrtdpInstance(problem, cfg, "jensen", planners._trial_rng(cfg, 0))]
     if model == "lgp":
         instances.append(_UrtdpInstance(problem, cfg, "em", planners._trial_rng(cfg, 1)))
-    closed = [inst.run(d0, s0, 0, alpha, cfg.max_simulated_paths) for inst in instances]
+    roots = [inst.run(d0, s0, 0, alpha, cfg.max_simulated_paths)[0] for inst in instances]
+    closed = [not node[1] - node[0] > alpha for node in roots]
     low, up = instances[0], instances[-1]
     assert all(closed) == (alpha > 1e-9)
-    assert res.bounds.lower.hex() == low.root_bounds(d0, s0, 0).lower.hex()
-    assert res.bounds.upper.hex() == up.root_bounds(d0, s0, 0).upper.hex()
+    assert res.bounds.lower.hex() == roots[0][0].hex()
+    assert res.bounds.upper.hex() == roots[-1][1].hex()
     upper_paths = up.paths_run if model == "lgp" else 0
     assert (res.lower_paths, res.upper_paths) == (low.paths_run, upper_paths)
     assert res.exhausted == (not all(closed))
@@ -1559,12 +1568,26 @@ def test_killing_the_caller_mid_urtdp_ends_the_em_search(tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+def _reference_qs(inst, records):
+    """(q_lower, q_upper) per record: its reward plus its children's lower
+    and upper bounds weighted by the instance's ``w``, summed in order."""
+    out = []
+    for _, reward, _, children in records:
+        lo = hi = 0.0
+        for wj, child in zip(inst.w, children or ()):
+            lo += wj * child[0]
+            hi += wj * child[1]
+        out.append((reward + lo, reward + hi))
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["gp", "lgp"]), st.integers(1, 2),
        st.integers(1, 4), st.integers(1, 3))
 def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, horizon, nu):
     # after every trial, each expanded node's cached index is the first
-    # record with the largest upper q, and its bounds are the largest q's
+    # record with the largest upper q, and its bounds are the largest q's;
+    # the scan's pick is the first record with the largest lower q
     problem, d0, s0 = make_instance(seed=seed, rows=3, cols=4, k=k, model=model, n_prior=2)
     inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=nu), "jensen",
                           np.random.default_rng(seed))
@@ -1575,10 +1598,10 @@ def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, hor
             node = stack.pop()
             if len(node) == 2 or not node[2]:
                 continue
-            qs = inst.q_values(node[2])
-            uppers = [hi for _, _, hi in qs]
+            lowers, uppers = map(list, zip(*_reference_qs(inst, node[2])))
             assert node[3] == uppers.index(max(uppers))
-            assert node[:2] == [max(lo for _, lo, _ in qs), max(uppers)]
+            assert node[:2] == [max(lowers), max(uppers)]
+            assert inst._scan(node[2])[3] == lowers.index(max(lowers))
             stack.extend(c for _, _, _, children in node[2] for c in children or ())
 
 
@@ -1587,7 +1610,7 @@ def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, hor
 
 def test_init_bounds_empty_horizon():
     problem, d0, s0 = make_instance(seed=17, rows=3, cols=3)
-    vb = urtdp_policy(problem, cfg_for(horizon=2)).instance.root_bounds(d0, s0, 3)
+    vb = ValueBounds(*urtdp_policy(problem, cfg_for(horizon=2)).instance._root(d0, s0, 3)[0])
     assert (vb.lower, vb.upper) == (0.0, 0.0)
 
 
@@ -1596,7 +1619,7 @@ def test_init_bounds_gp_upper_has_no_mean_term():
     # cells within three moves of the robot
     problem, d0, s0 = make_instance(seed=18, rows=3, cols=3, model="gp")
     cfg = cfg_for(horizon=2)
-    vb = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0)
+    vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0])
     (r, c), = (pose.cell for pose in s0.poses)
     cells = [x for x in problem.domain.cells()
              if x not in s0.visited and abs(x[0] - r) + abs(x[1] - c) <= 3]
@@ -1609,7 +1632,7 @@ def test_init_bounds_bracket_exact_value():
     for seed in range(4):
         problem, d0, s0 = make_instance(seed=30 + seed, rows=3, cols=3, model="lgp")
         cfg = cfg_for(horizon=2, nu=4)
-        vb = urtdp_policy(problem, cfg).instance.root_bounds(d0, s0, 0)
+        vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0])
         value = exact_dp(problem, d0, s0, cfg)
         assert vb.lower - 1e-8 <= value <= vb.upper + 1e-8
 
