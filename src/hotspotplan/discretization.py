@@ -11,6 +11,12 @@ the Jensen weighted sum under-estimates the truncated expectation and the EM
 sum over-estimates it, and refining the partition, which inserts a boundary,
 tightens both sides. An outcome of mean ``mu`` and deviation ``sigma`` has the
 points ``mu + sigma * zeta``, with the same weights.
+
+The standard normal's cdf, quantile and density are ``scipy.special.ndtr``,
+``scipy.special.ndtri`` and ``exp(-z**2 / 2) / sqrt(2 pi)``: the functions
+and the formula that ``scipy.stats.norm`` evaluates, so every weight and
+point is the one ``norm.cdf``/``norm.ppf``/``norm.pdf`` give, without the
+cost of importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -18,11 +24,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import VanishingInterval
 
 WEIGHT_FLOOR = 1e-300
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _pdf(z):
+    """Standard normal density, in ``scipy.stats.norm.pdf``'s own formula."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def equal_probability_boundaries(nu: int, m: float) -> np.ndarray:
@@ -32,8 +44,8 @@ def equal_probability_boundaries(nu: int, m: float) -> np.ndarray:
         raise ValueError("nu must be >= 1")
     if m <= 0:
         raise ValueError("truncation width must be positive")
-    lo_cdf, hi_cdf = norm.cdf(-m), norm.cdf(m)
-    b = norm.ppf(lo_cdf + np.arange(nu + 1) / nu * (hi_cdf - lo_cdf))
+    lo_cdf, hi_cdf = ndtr(-m), ndtr(m)
+    b = ndtri(lo_cdf + np.arange(nu + 1) / nu * (hi_cdf - lo_cdf))
     b[0], b[-1] = -m, m
     return b
 
@@ -51,8 +63,8 @@ def jensen_points(boundaries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least two boundaries")
     if not np.all(np.diff(b) > 0):  # a NaN fails this too
         raise ValueError("boundaries must be strictly increasing")
-    cdf = norm.cdf(b)
-    pdf = norm.pdf(b)
+    cdf = ndtr(b)
+    pdf = _pdf(b)
     total = cdf[-1] - cdf[0]
     mass = np.diff(cdf)
     if np.any(mass < WEIGHT_FLOOR * total):
@@ -109,7 +121,7 @@ def truncated_quadrature_rule(order: int, m: float) -> tuple[np.ndarray, np.ndar
     mid = 0.5 * (bounds[:-1] + bounds[1:])
     half = 0.5 * (bounds[1:] - bounds[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    w = (half[:, None] * gw[None, :] * norm.pdf(pts).reshape(order, per_panel)).ravel()
+    w = (half[:, None] * gw[None, :] * _pdf(pts).reshape(order, per_panel)).ravel()
     w = w / w.sum()
     w.setflags(write=False)
     pts.setflags(write=False)

@@ -14,6 +14,10 @@ ERR needs only each cell's posterior mean and variance
 planners' incremental factor: O(m N) memory and O(m^2 N) time. Both gather
 their kernel entries from the grid's kernel table. Neither forms the
 posterior covariance matrix, and neither factors anything map-sized.
+
+:func:`paired_ttest` reads its critical value off
+``scipy.special.stdtrit``, the Student t quantile that
+``scipy.stats.t.ppf`` evaluates.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import DeadEnd, InsufficientData
 from .field_model import PosteriorData, map_entropy, posterior_marginals
@@ -103,8 +107,10 @@ def paired_ttest(a, b, alpha_sig: float = 0.1) -> tuple[float, bool]:
 
     Zero-variance differences degenerate to a statistic of 0 (identical
     lists, not significant) or +/-inf (constant nonzero difference,
-    significant).
+    significant). ``alpha_sig`` must lie strictly between 0 and 1.
     """
+    if not 0.0 < alpha_sig < 1.0:  # a NaN fails this too
+        raise ValueError(f"alpha_sig must lie in (0, 1), got {alpha_sig}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -119,5 +125,5 @@ def paired_ttest(a, b, alpha_sig: float = 0.1) -> tuple[float, bool]:
         stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
     else:
         stat = mean / (sd / math.sqrt(n))
-    crit = float(student_t.ppf(1.0 - alpha_sig / 2.0, n - 1))
+    crit = float(stdtrit(n - 1, 1.0 - alpha_sig / 2.0))
     return stat, abs(stat) > crit

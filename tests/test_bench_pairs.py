@@ -1,13 +1,16 @@
 """The paired-benchmark summary of ``tools/bench_pairs.py``: its win count,
 the interquartile-range rule and pair floor of a claimed gain, its bound
-check and the failed-share rule. Only ``summarize`` and ``report`` are
-called, on synthetic runs; no benchmark runs."""
+check, the failed-share rule and the toolchain versions. Only ``summarize``
+and ``report`` are called, on synthetic runs; no benchmark runs."""
 
 import argparse
 import importlib.util
+import platform
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
@@ -76,7 +79,10 @@ def test_report_compares_the_failed_shares_over_all_runs(parent, change, not_wor
     args = argparse.Namespace(pr=0, change="synthetic", parent="abc", gain=None)
     spec = {"run_seconds": 25, "end_to_end": [HIGHER]}
     pairs = [(seed, _run(*p), _run(*c)) for seed, (p, c) in enumerate(zip(parent, change))]
-    entry = bench_pairs.report(args, spec, [0, 1], {"w": pairs, "empty": []}, {})["workloads"]
+    out = bench_pairs.report(args, spec, [0, 1], {"w": pairs, "empty": []}, {})
+    assert out["toolchain"] == {"python": platform.python_version(),
+                                "numpy": numpy.__version__, "scipy": scipy.__version__}
+    entry = out["workloads"]
     assert list(entry) == ["w"]
     entry = entry["w"]
     for side, runs in (("parent", parent), ("change", change)):

@@ -52,3 +52,27 @@ def test_readme_names_only_verbs_the_cli_accepts():
     assert verbs
     for verb in verbs:
         assert cli_main([verb, "--help"]) == 0, verb
+
+
+def test_package_and_cli_load_without_scipy_stats():
+    # importing scipy.stats costs about 0.4 s and 40 MB per process, and the
+    # package needs none of it: its rules and test read scipy.special
+    code = """
+import sys
+import hotspotplan, hotspotplan.cli
+from hotspotplan.discretization import standardized_rule, truncated_quadrature_rule
+from hotspotplan.evaluation import paired_ttest
+standardized_rule(3, 4.0, "em")
+truncated_quadrature_rule(4, 4.0)
+paired_ttest([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 2.5, 1.0, 3.0, 4.5])
+loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-m", "hotspotplan", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout

@@ -27,6 +27,30 @@ def trunc_expect(fn, mean, var, m, tol=1e-12):
     return val
 
 
+def norm_rules(nu, m):
+    """Boundaries, Jensen ``(weights, points)`` and EM ``(weights, points)`` of
+    ``nu`` equal-probability intervals on ``+/- m``, evaluated with
+    ``scipy.stats.norm``: the reference each rule equals bit for bit."""
+    lo_cdf, hi_cdf = norm.cdf(-m), norm.cdf(m)
+    b = norm.ppf(lo_cdf + np.arange(nu + 1) / nu * (hi_cdf - lo_cdf))
+    b[0], b[-1] = -m, m
+    cdf, pdf = norm.cdf(b), norm.pdf(b)
+    mass = np.diff(cdf)
+    jw, jz = mass / (cdf[-1] - cdf[0]), (pdf[:-1] - pdf[1:]) / mass
+    width = b[1:] - b[:-1]
+    ew = np.zeros(nu + 1)
+    ew[1:] += jw * (jz - b[:-1]) / width
+    ew[:-1] += jw * (b[1:] - jz) / width
+    return b, (jw, jz), (ew, b)
+
+
+def same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+GRID = [(nu, m) for nu in range(1, 9) for m in (1.0, 2.0, 4.0, 6.0)]
+
+
 def on_outcome(rule, b, mean, var):
     """Weights and points of ``rule`` on standardized boundaries ``b``, mapped
     onto an outcome of that mean and variance as ``mean + sd * z``."""
@@ -65,6 +89,8 @@ def test_quantile_boundaries_match_bisection_oracle():
             else:
                 hi = mid
         assert b[j] == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+    for nu, m in GRID:
+        assert same_bits([equal_probability_boundaries(nu, m)], [norm_rules(nu, m)[0]]), (nu, m)
 
 
 def test_partition_validation():
@@ -113,6 +139,10 @@ def test_jensen_points_match_quadrature_oracle():
         assert w[j] == pytest.approx(pj, abs=1e-8)
         assert z[j] == pytest.approx(num / pj, abs=1e-8)
         assert lo < z[j] < hi
+    for nu, m in GRID:
+        _, jensen, em = norm_rules(nu, m)
+        assert same_bits(standardized_rule(nu, m, "jensen"), jensen), (nu, m)
+        assert same_bits(standardized_rule(nu, m, "em"), em), (nu, m)
 
 
 def test_jensen_vanishing_interval_raises():
@@ -381,3 +411,12 @@ def test_truncated_quadrature_rule_handles_kinks():
     assert w @ kinked(z) == pytest.approx(exact, abs=1e-4)
     exact_exp = trunc_expect(np.exp, 0.0, 1.0, 4.0, tol=1e-12)
     assert w @ np.exp(z) == pytest.approx(exact_exp, abs=1e-4)
+    # the rule is the one scipy.stats.norm's density gives, bit for bit
+    x, gw = np.polynomial.legendre.leggauss(4)
+    for order in (1, 4, 32):
+        for m in (1.0, 2.0, 4.0, 6.0):
+            b = norm_rules(order, m)[0]
+            mid, half = 0.5 * (b[:-1] + b[1:]), 0.5 * (b[1:] - b[:-1])
+            pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+            ref = (half[:, None] * gw[None, :] * norm.pdf(pts).reshape(order, 4)).ravel()
+            assert same_bits(truncated_quadrature_rule(order, m), (ref / ref.sum(), pts)), (order, m)

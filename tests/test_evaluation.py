@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import nct, t as student_t
 
 from conftest import make_field_instance, make_instance
 from oracles import gaussian_entropy, lgp_entropy, posterior
+from hotspotplan import evaluation
 from hotspotplan.errors import InsufficientData
 from hotspotplan.evaluation import (
     ent_metric,
@@ -246,13 +248,36 @@ def test_ttest_requires_five_pairs():
         paired_ttest([1.0, 2.0], [0.5, 1.5])
 
 
-def test_ttest_agrees_with_scipy_on_random_data(rng):
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, 2.0, 2.5, math.inf, -math.inf, math.nan])
+def test_ttest_rejects_a_level_outside_the_unit_interval(alpha):
+    a = [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(ValueError, match="alpha_sig"):
+        paired_ttest(a, [x - 0.5 for x in a], alpha)
+
+
+def test_ttest_agrees_with_scipy_on_random_data(rng, monkeypatch):
     a = rng.normal(size=12)
     b = rng.normal(size=12)
     stat, _ = paired_ttest(a, b, 0.1)
     from scipy.stats import ttest_rel
 
     assert stat == pytest.approx(float(ttest_rel(a, b).statistic), abs=1e-10)
+    # the critical value is scipy.stats.t.ppf's, bit for bit
+    calls = []
+
+    def recording_stdtrit(df, q):
+        calls.append((df, q, float(stdtrit(df, q))))
+        return calls[-1][2]
+
+    monkeypatch.setattr(evaluation, "stdtrit", recording_stdtrit)
+    for alpha in (0.01, 0.05, 0.1, 0.5, 0.99):
+        for n in (5, 12, 60):
+            stat, sig = paired_ttest(rng.normal(size=n) + 0.5, rng.normal(size=n), alpha)
+            crit = float(student_t.ppf(1 - alpha / 2, n - 1))
+            df, q, got = calls[-1]
+            assert (df, q) == (n - 1, 1 - alpha / 2) and got.hex() == crit.hex(), (alpha, n)
+            assert sig == (abs(stat) > crit)
+    assert len(calls) == 15
 
 
 def test_ttest_rejection_rate_matches_closed_form_power(rng):

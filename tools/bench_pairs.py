@@ -28,12 +28,16 @@ failed share, its failed operations over its attempted ones summed over the
 runs, and ``failed_share_not_worse``: the change's share is at most the
 parent's. The file also records the working tree's
 ``HEAD`` commit and whether the tree, apart from the file itself, had
-uncommitted changes, so it says whether it measured committed code.
+uncommitted changes, so it says whether it measured committed code, and the
+Python, numpy and scipy versions the runs used (read from the installed
+packages' metadata, without importing them), since a resident-set figure
+depends on those builds.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -114,9 +118,16 @@ def tree_state(out_path: Path) -> dict:
     return {"change_head": git("rev-parse", "HEAD"), "change_tree_clean": not changed}
 
 
+def toolchain() -> dict:
+    """The versions of Python, numpy and scipy that the bench runs load."""
+    return {"python": platform.python_version(),
+            **{name: importlib.metadata.version(name) for name in ("numpy", "scipy")}}
+
+
 def report(args, spec, seeds, runs, git_state: dict) -> dict:
     out = {
         "pr": args.pr, "change": args.change, "parent_commit": args.parent, **git_state,
+        "toolchain": toolchain(),
         "command": "python3 bench/run.py --workload <w> --seed <n> "
                    f"--seconds {spec['run_seconds']:g} --trace 0",
         "machine": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}; "
