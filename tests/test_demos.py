@@ -56,7 +56,7 @@ def test_readme_names_only_verbs_the_cli_accepts():
 
 def test_package_and_cli_load_without_scipy_stats():
     # importing scipy.stats costs about 0.4 s and 40 MB per process, and the
-    # package needs none of it: its rules and test read scipy.special
+    # package needs none of it: its normal rules and its t-test read scipy.special
     code = """
 import sys
 import hotspotplan, hotspotplan.cli
