@@ -85,7 +85,7 @@ def rollout(
 
 
 def ent_metric(problem: Problem, d: PosteriorData) -> float:
-    """Posterior map entropy: joint log-GP entropy of all unobserved cells."""
+    """Posterior map entropy: joint log-GP entropy of all unobserved cells (0.0 if none)."""
     return map_entropy(d, problem.domain, problem.hyper)
 
 

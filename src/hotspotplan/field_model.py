@@ -344,7 +344,8 @@ def map_spectrum(h: Hyperparams, domain: GridDomain) -> MapSpectrum:
 
 def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     """The posterior map entropy: the joint entropy of the original-scale
-    measurements at every cell of ``domain`` that ``d`` leaves unobserved.
+    measurements at every cell of ``domain`` that ``d`` leaves unobserved, 0.0
+    when it leaves none (the joint entropy of no cells).
 
     By the chain rule, the log-scale part is the joint entropy of the map
     less that of the ``m`` observed cells, ``0.5 (n log 2 pi e + log det K -
@@ -364,7 +365,7 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     m = len(d)
     n = domain.size - m
     if n == 0:
-        raise ValueError("need at least one unobserved cell")
+        return 0.0
     spec = map_spectrum(h, domain)
     if not spec.positive:
         raise DegenerateCovariance("map gram matrix not positive definite")

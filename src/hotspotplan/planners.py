@@ -51,8 +51,9 @@ That feedback has zero innovation, so it leaves every posterior mean
 unchanged; the rollout's value is therefore affine in the child's outcome. A
 rollout reads the means of the window a trial carries to its record's node
 once and steps down its trie, to the child (:meth:`_Cov.child`, the one
-rank-1 update) of each cell it chooses; its slope is read off the
-covariance (:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the
+rank-1 update) of each cell it chooses, and scores its moves as an expansion
+does, by :func:`_scored`; its slope is read off the covariance
+(:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the
 root's records are rolled out when it is expanded, since the policy reads
 their lower q-values, and any other record when a trial first enters it.
 Until then its children hold only their upper bounds and a lower bound of
@@ -467,8 +468,8 @@ class _Cov:
 
 
 class _Window:
-    """The joint posterior (``mean``, ``node.cov``) of the cells in ``index``;
-    conditioning one gives a new window, so a window is never changed.
+    """The joint posterior (``mean``, ``node.cov``) of the cells in ``index``,
+    which :func:`_scored` scores moves on; conditioning gives a new window.
 
     A covariance depends on where and in what order cells were measured,
     never on what was measured, so windows conditioned on one cell sequence
@@ -510,18 +511,17 @@ class _Window:
         child = self.node.child(j)
         return _Window(self.index, self.mean if zeta == 0 else self.mean + zeta * child.c, child)
 
-    def scored(self, problem: Problem, moves) -> list:
-        """``(reward, move)`` per move of ``moves``, each ``(robot, move, cell,
-        heading)``: :func:`_reward` of the cell it enters, read off the node's
-        entropies. A non-positive variance raises :class:`DegenerateCovariance`."""
-        index, mean, node, lgp = self.index, self.mean, self.node, problem.is_lgp
-        cov, entropy, out = node.cov, node.entropy, []
-        for move in moves:
-            j = index[move[2]]
-            if cov.item(j, j) <= 0:
-                raise DegenerateCovariance(f"non-positive posterior variance at {move[2]}")
-            out.append(((entropy.item(j) + mean.item(j) if lgp else entropy.item(j)), move))
-        return out
+
+def _scored(index: dict, mean: list | None, node: _Cov, moves):
+    """``(reward, move)`` per move ``(robot, move, cell, heading)``: :func:`_reward`
+    of its cell, off ``node``'s entropies plus ``mean`` (a list; ``None`` under
+    GP). A non-positive variance raises :class:`DegenerateCovariance`."""
+    cov, entropy = node.cov, node.entropy
+    for move in moves:
+        j = index[move[2]]
+        if cov.item(j, j) <= 0:
+            raise DegenerateCovariance(f"non-positive posterior variance at {move[2]}")
+        yield (entropy.item(j) + mean[j] if mean is not None else entropy.item(j)), move
 
 
 def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage: int) -> float:
@@ -547,17 +547,14 @@ def _greedy_ce_rollout(problem, window, walk, steps_count):
     feeds the posterior mean back as the observation (``zeta = 0``), which
     leaves every mean unchanged: a move scores its cell's window mean and
     its entropy on the trie node (:meth:`_Cov.child`) of the cells chosen so
-    far, as :meth:`_Window.scored` does. The last step conditions nothing.
+    far, by :func:`_scored`, as :meth:`_UrtdpInstance.expand` does. The last
+    step conditions nothing.
     """
     index, node, total, seq = window.index, window.node, 0.0, []
     mean = window.mean.tolist() if problem.is_lgp else None
     for _ in range(steps_count):
-        cov, entropy, best = node.cov, node.entropy, None
-        for move in walk.moves():
-            j = index[move[2]]
-            if cov.item(j, j) <= 0:
-                raise DegenerateCovariance(f"non-positive posterior variance at {move[2]}")
-            reward = entropy.item(j) + mean[j] if mean is not None else entropy.item(j)
+        best = None
+        for reward, move in _scored(index, mean, node, walk.moves()):
             if best is None or reward > best:
                 best, chosen = reward, move
         if best is None:
@@ -628,8 +625,8 @@ class _UrtdpInstance:
     def expand(self, node, window, walk, stage):
         """The node's action records, built on its first visit from its ``window``.
 
-        A record is ``(action, reward, cell, children)``; child ``j``
-        observes the outcome point ``zeta[j]`` at ``cell``, and the children
+        A record is ``(action, reward, cell, children)``, scored by :func:`_scored`;
+        child ``j`` observes the outcome point ``zeta[j]`` at ``cell``; the children
         are ``None`` at the last stage. Every child gets its upper bound
         here. Only at the decision's root (the start of the walk) does every
         record get its children's lower bounds (:meth:`_init_children`);
@@ -640,8 +637,8 @@ class _UrtdpInstance:
             return node[2]
         problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
         upper, root = remaining * self.stage_upper, not walk.trail
-        records = []
-        for reward, (i, mv, x, heading) in window.scored(problem, walk.moves()):
+        mean, records = window.mean.tolist() if problem.is_lgp else None, []
+        for reward, (i, mv, x, heading) in _scored(window.index, mean, window.node, walk.moves()):
             children = None
             if remaining > 0:
                 children = [[-math.inf, upper] for _ in self.zeta]

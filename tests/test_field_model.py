@@ -803,6 +803,13 @@ def test_map_entropy_equals_lgp_entropy_over_the_unobserved_cells(case, data):
     assert map_entropy(d, dom, h) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def test_map_entropy_of_a_fully_observed_map_is_zero():
+    # no cell is left unobserved: the joint entropy of no cells
+    dom = GridDomain(2, 3)
+    d = PosteriorData(dom.cells(), np.linspace(-1.0, 1.0, dom.size).tolist())
+    assert map_entropy(d, dom, Hyperparams(0.2, 1.0, 1.5, 0.02)) == 0.0
+
+
 def test_map_entropy_without_a_nugget_on_a_smooth_map():
     # a zero nugget jitters the whole Gram, targets included, so the joint
     # factor of a smooth map (length scale 4 on 8 x 8) stays positive definite

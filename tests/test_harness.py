@@ -5,6 +5,8 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hotspotplan import harness
 from hotspotplan.cli import main as cli_main
@@ -21,6 +23,9 @@ from hotspotplan.harness import (
     ExperimentConfig,
     ResultRecord,
     _build_instance,
+    _prior_pool,
+    compute_bounds,
+    default_start_cells,
     emit_results,
     load_config,
     load_field_csv,
@@ -380,6 +385,70 @@ def test_boxed_in_baseline_is_a_dead_ended_record(k, budget, baseline, seed):
     assert replace(greedy, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
 
 
+def fully_observed_config(tmp_path):
+    # 9 of the 12 cells start observed; the robot at (2, 0) observes the other
+    # 3 and is boxed in with 2 of its 5 steps left and no cell unobserved
+    return write_config(tmp_path, rows=3, cols=4, budget_per_robot=5, prior_units=8,
+                        start_cells="2:0", models="gp", seeds="7")
+
+
+def test_a_run_that_observes_every_cell_is_a_dead_ended_record_of_zero_entropy(tmp_path):
+    cfg = load_config(fully_observed_config(tmp_path))
+    (rec,) = run_seed(cfg, 7)
+    assert sum(len(p) - 1 for p in rec.path_cells) == 12 - cfg.prior_units - cfg.team_size
+    assert rec.dead_ended and rec.ent == 0.0 and math.isfinite(rec.err)
+
+
+_ARMS = [(name, model) for name, (models, _) in POLICY_REGISTRY.items() for model in models]
+
+
+@st.composite
+def small_configs(draw):
+    """An ExperimentConfig on a grid of 1-6 cells a side, valid or not: k = 1-3,
+    budgets 1-4, prior units up to the prior pool, a non-empty set of legal
+    arms, nu = 1-3, at most 20 paths and default or random start cells."""
+    rows, cols, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    domain = GridDomain(rows, cols)
+    starts = draw(st.one_of(st.just(()), st.lists(
+        st.sampled_from(domain.cells()), min_size=k, max_size=k).map(tuple)))
+    pool = len(_prior_pool(domain, starts or default_start_cells(domain, k)))
+    arms = draw(st.lists(st.sampled_from(_ARMS), min_size=1, max_size=len(_ARMS), unique=True))
+    return ExperimentConfig(
+        rows=rows, cols=cols, team_size=k, budget_per_robot=draw(st.integers(1, 4)),
+        prior_units=draw(st.integers(1, max(pool, 1))),
+        policies=tuple(p for p, _ in arms), models=tuple(m for _, m in arms),
+        seeds=(draw(st.integers(0, 10_000)),), nu=draw(st.integers(1, 3)), alpha=0.5,
+        max_simulated_paths=draw(st.integers(1, 20)),
+        mes_node_budget=draw(st.integers(1, 5_000)), fit_grid_points=4,
+        field_mean=0.3, field_signal_variance=1.0, field_length_scale=1.5,
+        field_noise_variance=0.01, start_cells=starts,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configs())
+@example(ExperimentConfig(
+    rows=3, cols=4, team_size=1, budget_per_robot=5, prior_units=8, policies=("greedy",),
+    models=("gp",), seeds=(7,), nu=2, alpha=0.5, max_simulated_paths=20, fit_grid_points=4,
+    field_mean=0.3, field_signal_variance=1.0, field_length_scale=1.5,
+    field_noise_variance=0.01, start_cells=((2, 0),)))
+def test_a_small_config_is_refused_or_runs_to_finite_records_and_a_bracket(cfg):
+    # a config is a ConfigError or runs: one finite record per arm, dead-ended
+    # exactly when it collected fewer than its stages, and an ordered bracket
+    try:
+        cfg = validate_config(cfg)
+    except ConfigError:
+        return
+    (seed,) = cfg.seeds
+    records = run_seed(cfg, seed)
+    assert [(r.policy, r.model) for r in records] == list(zip(cfg.policies, cfg.models))
+    for r in records:
+        assert math.isfinite(r.ent) and math.isfinite(r.err)
+        assert r.dead_ended == (sum(len(p) - 1 for p in r.path_cells) < cfg.stages)
+    bounds = compute_bounds(cfg, seed).bounds
+    assert bounds.lower <= bounds.upper + 1e-9
+
+
 def test_csv_field_source(tmp_path):
     h = Hyperparams(0.1, 1.0, 1.5, 0.01)
     field = sample_field(h, GridDomain(4, 4), seed=3)
@@ -542,6 +611,14 @@ def test_cli_run_and_generate(tmp_path, capsys):
     assert (gen_out / "field_0.csv").exists()
     # generated fields load back cleanly
     load_field_csv(gen_out / "field_0.csv", GridDomain(4, 4))
+
+
+def test_cli_run_that_observes_every_cell_exits_0_with_zero_entropy(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert cli_main(["run", "--config", str(fully_observed_config(tmp_path)),
+                     "--out", str(out)]) == 0
+    header, row = (out / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["ent"] == "0"
 
 
 def test_cli_bounds_prints_bracket(tmp_path, capsys):

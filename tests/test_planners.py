@@ -825,7 +825,9 @@ def test_a_rollout_takes_the_first_of_equal_moves(model):
     s = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}))
     window = planners._Window({(0, 1): 0, (1, 0): 1, (1, 2): 2}, np.full(3, 0.5),
                               planners._Cov(np.eye(3)))
-    scored = window.scored(problem, Walk(s, problem.domain).moves())
+    mean = window.mean.tolist() if problem.is_lgp else None
+    scored = list(planners._scored(window.index, mean, window.node,
+                                   Walk(s, problem.domain).moves()))
     assert len({reward for reward, _ in scored}) == 1
     total, seq = planners._greedy_ce_rollout(problem, window, Walk(s, problem.domain), 1)
     assert seq == [(0, 1)] and total == scored[0][0]
