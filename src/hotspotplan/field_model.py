@@ -10,16 +10,17 @@ All entropies are in nats.
 The kernel has one definition here, :func:`_se`, which the grid's
 :class:`KernelTable` tabulates by cell offset: every Gram matrix and
 cross-covariance that conditions data is gathered from that table. Observed
-data are conditioned on one way, through :class:`IncrementalPosterior` (URTDP's
-window, one joint of it per decision, takes rank-1 updates down its tree). The
-planners walk it down a branch by appending each outcome as its standardized
+data are conditioned on through :class:`IncrementalPosterior` (URTDP's
+window, one joint of it per decision, takes rank-1 updates down its tree),
+everywhere but in :func:`map_entropy` (below). The planners walk it down a branch by appending each outcome as its standardized
 point, not its value, and back up by dropping rows, and a window of cells gets
 its joint posterior from it; the predictor's means and variances
 (:func:`posterior_marginals`) are one batch of it. Nothing map-sized is
 factored: the map's Gram matrix is separable, and its cached
 :class:`MapSpectrum` (two 1-D eigendecompositions of :func:`_se` factors, not
 read off the table) gives the map entropy by the chain rule with one factor
-over the observed cells (:func:`map_entropy`), the MI baseline's leave-one-out
+over the observed cells, which :func:`map_entropy` builds and solves itself
+(:func:`_gram_factor`, ``cho_solve``), the MI baseline's leave-one-out
 variances and field draws (:func:`sample_field`). The set-up factors nothing
 per candidate: :func:`fit_hyperparams` builds its correlations from
 :func:`_sq_dists` and :func:`_se`, not from the table, and scores its grid from
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtrsm, dtrsv
 
-from .errors import DegenerateCovariance, InsufficientData, SingularGram
+from .errors import InsufficientData, SingularGram
 from .world import Cell, GridDomain
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -291,6 +292,7 @@ class MapSpectrum:
     eigenvalues are ``lam[i, j] = s a_i b_j + tau`` and its eigenvectors
     ``Q_A kron Q_B`` (Kronecker GP methods, Saatci 2011): two small ``eigh``
     calls, O(rows^3 + cols^3) time and O(N) memory for a map of ``N`` cells.
+    A Gram matrix that is not positive definite raises :class:`SingularGram`.
     """
 
     def __init__(self, h: Hyperparams, domain: GridDomain, prior_variance: float):
@@ -300,7 +302,8 @@ class MapSpectrum:
         (a, self.qa), (b, self.qb) = (np.linalg.eigh(c) for c in corr)
         tau = prior_variance - h.signal_variance
         self.lam = h.signal_variance * np.outer(a, b) + tau
-        self.positive = bool((self.lam > 0).all())
+        if not (self.lam > 0).all():
+            raise SingularGram("map gram matrix not positive definite")
         # the Gram's row sums, s (A 1)_r (B 1)_c + tau, indexed by cell
         self.row_sums = h.signal_variance * np.outer(corr[0].sum(1), corr[1].sum(1)) + tau
         for array in (self.qa, self.qb, self.lam, self.row_sums):
@@ -354,8 +357,8 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     ``n mean + (K_ou 1)^T K_oo^-1 (z - mean)``, where ``K_ou 1`` is the map
     Gram's row sums less ``K_oo 1``. So beyond the spectrum the cost is one
     ``m x m`` factor, independent of the map size. Raises
-    :class:`DegenerateCovariance` if the map's Gram matrix is not positive
-    definite and :class:`SingularGram` if the observed block is not.
+    :class:`SingularGram` if the map's Gram matrix or its observed block is
+    not positive definite.
     At a zero noise variance the jitter floor sets much of the value: -371.34,
     -369.24, -357.03 at ``JITTER_FRACTION`` 1e-12, 1e-10, 1e-8 on the README
     config's seed-0 prior data, noise set to 0. Fitted noise is positive.
@@ -367,8 +370,6 @@ def map_entropy(d: PosteriorData, domain: GridDomain, h: Hyperparams) -> float:
     if n == 0:
         return 0.0
     spec = map_spectrum(h, domain)
-    if not spec.positive:
-        raise DegenerateCovariance("map gram matrix not positive definite")
     value = 0.5 * (n * LOG_2PI_E + spec.logdet) + n * h.mean
     if m:
         gram = KernelTable(h, domain).matrix(d.locations, d.locations)
@@ -390,8 +391,6 @@ def sample_field(h: Hyperparams, domain: GridDomain, seed: int) -> np.ndarray:
     not positive definite.
     """
     spec = map_spectrum(h, domain)
-    if not spec.positive:
-        raise SingularGram("map gram matrix not positive definite")
     e = np.random.default_rng(seed).standard_normal((domain.rows, domain.cols))
     return np.exp(h.mean + spec.qa @ (np.sqrt(spec.lam) * e) @ spec.qb.T)
 

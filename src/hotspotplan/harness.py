@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,9 @@ class ExperimentConfig:
     field_noise_variance: float | None = None
     start_cells: tuple[Cell, ...] = field(default=())
 
-    @property
+    @cached_property
     def domain(self) -> GridDomain:
+        """The config's one grid, which every problem of a run shares with its move table."""
         return GridDomain(self.rows, self.cols)
 
     @property

@@ -33,8 +33,8 @@ the map's spectrum (``field_model.MapSpectrum``), with no map-sized factor.
 
 Below its root, URTDP's state space is a tree: a history holds every
 location and outcome in order, so two branches never meet. A node is its
-``[lower, upper]`` pair; once expanded it also holds one record per action
-with the reward, the observed cell and the child nodes, one per outcome
+``[lower, upper]`` pair; once expanded it also holds one record per move
+(as the walk yields it) with the reward and the child nodes, one per outcome
 point. The root holds one window, the joint posterior of the unvisited
 cells within its remaining moves; a child's cells are among its parent's,
 and its posterior is the parent's conditioned on one cell, a rank-1 update.
@@ -54,7 +54,7 @@ once and steps down its trie, to the child (:meth:`_Cov.child`, the one
 rank-1 update) of each cell it chooses, and scores its moves as an expansion
 does, by :func:`_scored`; its slope is read off the covariance
 (:meth:`_UrtdpInstance._init_children`). Rollouts are lazy: the
-root's records are rolled out when it is expanded, since the policy reads
+root's records are rolled out when it is seeded, since the policy reads
 their lower q-values, and any other record when a trial first enters it.
 Until then its children hold only their upper bounds and a lower bound of
 ``-inf``, which keeps the record out of its node's lower max; the record a
@@ -79,7 +79,7 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from multiprocessing.connection import wait
 
@@ -96,7 +96,7 @@ from .field_model import (
     PosteriorData,
     map_spectrum,
 )
-from .world import MOVE_DELTA, ConstrainedJointAction, GridDomain, TeamState, Walk, transition
+from .world import ConstrainedJointAction, GridDomain, TeamState, Walk, transition
 
 MODELS = ("gp", "lgp")
 
@@ -479,10 +479,6 @@ class _Window:
     def __init__(self, index: dict, mean: np.ndarray, node: _Cov):
         self.index, self.mean, self.node = index, mean, node
 
-    @property
-    def cov(self) -> np.ndarray:
-        return self.node.cov
-
     @classmethod
     def over(cls, problem: Problem, d: PosteriorData, walk: Walk, moves: int):
         """The window given ``d`` of the unvisited cells within ``moves`` steps
@@ -531,7 +527,7 @@ def _stage_upper(problem: Problem, config: PlannerConfig, window: _Window, stage
     and the ``T = horizon - stage`` observations move ``mu`` by ``sum zeta
     c``, with ``|zeta| <= m`` and ``sum c^2 <= v``: by at most ``m sqrt(T v)``
     (Cauchy-Schwarz)."""
-    v, t = np.diagonal(window.cov), max(config.horizon - stage, 0)
+    v, t = np.diagonal(window.node.cov), max(config.horizon - stage, 0)
     bound = window.node.entropy
     if problem.is_lgp:
         bound = bound + window.mean + config.truncation_m * np.sqrt(t * v)
@@ -591,7 +587,6 @@ class _UrtdpInstance:
         nu, side = (config.nu, rule) if problem.is_lgp else (1, "jensen")
         w, self.zeta = standardized_rule(nu, config.truncation_m, side)
         self.w = w.tolist()
-        self._action = cache(ConstrainedJointAction)  # one per (robot, move), shared by records
         self.tables: dict[tuple, list] = {}
         self._window, self.stage_upper = None, 0.0  # the root's window and stage bound
         self.paths_run = 0
@@ -601,13 +596,15 @@ class _UrtdpInstance:
     def _root(self, d, s, stage) -> tuple[list, _Window]:
         """The root node of ``(s, d)`` and its window over the cells within
         ``horizon - stage + 1`` moves (at least one), built together when new,
-        in place of the last root; a root is seeded here and nowhere else.
+        in place of the last root; a root is seeded here, whole, and nowhere else.
 
         Its upper bound is :func:`_stage_upper` of the window per remaining
         stage (none past the horizon), kept for the nodes below it. Its lower
         bound, a lower bound on the Jensen-problem value, is the reward that a
         greedy certainty-equivalent rollout (outcomes replaced by their
         posterior means) collects on the window, capped at the upper bound.
+        Then it is expanded and every record is rolled out (:meth:`_init_children`),
+        on the same fresh trie, since the policy reads the lower q-values.
         """
         key = state_key(stage, s, d)
         node = self.tables.get(key)
@@ -617,40 +614,40 @@ class _UrtdpInstance:
             window = _Window.over(problem, d, walk, max(remaining, 1))
             self.stage_upper = _stage_upper(problem, self.config, window, stage)
             upper = remaining * self.stage_upper
-            lower, _ = _greedy_ce_rollout(problem, window.fresh(), walk, remaining)
+            fresh = window.fresh()
+            lower, _ = _greedy_ce_rollout(problem, fresh, walk, remaining)
             node = [min(lower, upper), upper]
+            for move, _, children in self.expand(node, fresh, walk, stage):
+                if children:
+                    self._init_children(fresh, walk, move, stage, children)
             self.tables, self._window = {key: node}, window
         return node, self._window
 
     def expand(self, node, window, walk, stage):
         """The node's action records, built on its first visit from its ``window``.
 
-        A record is ``(action, reward, cell, children)``, scored by :func:`_scored`;
-        child ``j`` observes the outcome point ``zeta[j]`` at ``cell``; the children
-        are ``None`` at the last stage. Every child gets its upper bound
-        here. Only at the decision's root (the start of the walk) does every
-        record get its children's lower bounds (:meth:`_init_children`);
-        elsewhere they stay ``-inf`` until a trial enters the record.
-        ``node[3]``, the index of the largest upper q, picks the descent.
+        A record is ``(move, reward, children)``: ``move`` is the ``(robot, move,
+        cell, heading)`` of :meth:`~hotspotplan.world.Walk.moves`, scored by
+        :func:`_scored`; child ``j`` observes the outcome point ``zeta[j]`` at
+        the move's cell; the children are ``None`` at the last stage. Every
+        child gets its upper bound here and a lower bound of ``-inf``, which
+        :meth:`_init_children` sets when the root is seeded or a trial first
+        enters the record. ``node[3]``, the index of the largest upper q,
+        picks the descent.
         """
         if len(node) > 2:
             return node[2]
-        problem, remaining = self.problem, self.config.horizon - stage  # actions from stage + 1 on
-        upper, root = remaining * self.stage_upper, not walk.trail
-        mean, records = window.mean.tolist() if problem.is_lgp else None, []
-        for reward, (i, mv, x, heading) in _scored(window.index, mean, window.node, walk.moves()):
-            children = None
-            if remaining > 0:
-                children = [[-math.inf, upper] for _ in self.zeta]
-                if root:
-                    self._init_children(window, walk, i, x, heading, stage, children)
-            records.append((self._action(i, mv), reward, x, children))
+        remaining = self.config.horizon - stage  # actions from stage + 1 on
+        leaf, upper = remaining <= 0, remaining * self.stage_upper
+        mean = window.mean.tolist() if self.problem.is_lgp else None
+        records = [(move, reward, None if leaf else [[-math.inf, upper] for _ in self.zeta])
+                   for reward, move in _scored(window.index, mean, window.node, walk.moves())]
         node += [records, self._scan(records)[0]]
         return records
 
-    def _init_children(self, window, walk, i, x, heading, stage, children):
-        """Set the lower bounds of ``children``, the record's child nodes at
-        ``x`` (one per ``zeta``), each capped at the child's upper bound.
+    def _init_children(self, window, walk, move, stage, children):
+        """Set the lower bounds of ``children``, the child nodes at the cell
+        ``x`` of ``move`` (one per ``zeta``), each capped at its upper bound.
 
         All children share locations, so one greedy rollout (at the mean
         outcome), on the ``window`` of their parent conditioned on ``x`` at
@@ -661,13 +658,14 @@ class _UrtdpInstance:
         read off the parent's window: child ``j`` gets
         ``v_ref + slope * sd * zeta[j]``.
         """
-        j = window.index[x]
-        pivot_var = window.cov.item(j, j)
+        i, _, x, heading = move
+        cov, j = window.node.cov, window.index[x]
+        pivot_var = cov.item(j, j)
         walk.step(i, x, heading)
         v_ref, seq = _greedy_ce_rollout(self.problem, window.conditioned(j, 0.0), walk,
                                         self.config.horizon - stage)
         walk.undo()
-        slope = sum(window.cov.item(j, window.index[c]) for c in seq) / pivot_var
+        slope = sum(cov.item(j, window.index[c]) for c in seq) / pivot_var
         sd = math.sqrt(pivot_var)
         for child, zj in zip(children, self.zeta):
             child[0] = min(v_ref + slope * sd * float(zj), child[1])
@@ -681,7 +679,7 @@ class _UrtdpInstance:
         the index of the first with the largest lower q (the policy's pick),
         each kept as ``max`` keeps it (0 or ``-inf`` when there is none)."""
         best, lower, upper, pick, w = 0, -math.inf, -math.inf, 0, self.w
-        for i, (_, reward, _, children) in enumerate(records):
+        for i, (_, reward, children) in enumerate(records):
             lo = hi = 0.0
             for wj, child in zip(w, children or ()):
                 lo += wj * child[0]
@@ -705,11 +703,11 @@ class _UrtdpInstance:
 
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
         """One descent/backtrack trial; tightens bounds along the path. Each
-        descent step conditions the carried window on the chosen cell at the
-        sampled outcome point, a new window per level. A record entered for
-        the first time gets its children's lower bounds on its node's window
-        before the outcome draw. ``root`` is ``_root(d0, s0, stage0)`` if the
-        caller has it.
+        descent step conditions the carried window on the chosen record's cell
+        at the sampled outcome point, a new window per level, and steps the walk
+        by the record's move. A record entered for the first time gets its
+        children's lower bounds on its node's window before the outcome draw.
+        ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
 
         The trial carries the root's window on a fresh covariance trie
         (:meth:`_Window.fresh`), so its descent, child seeding and rollouts
@@ -726,17 +724,17 @@ class _UrtdpInstance:
                 leaf = max((r[1] for r in records), default=0.0)
                 self._set(node, leaf, leaf)
                 break
-            a, _, x, children = records[node[3]]
-            heading = MOVE_DELTA[walk.poses[a.robot_index][1], a.move][2]
+            move, _, children = records[node[3]]
             if children[0][0] == -math.inf:  # entered for the first time
-                self._init_children(window, walk, a.robot_index, x, heading, stage, children)
+                self._init_children(window, walk, move, stage, children)
             gaps = [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)]
             total = _total(gaps)
             probs = [g / total for g in gaps] if total > 0 else [1.0 / len(gaps)] * len(gaps)
             j = _draw(self.rng, probs)
             trail.append((node, records))
+            i, _, x, heading = move
             window = window.conditioned(window.index[x], self.zeta[j])
-            walk.step(a.robot_index, x, heading)
+            walk.step(i, x, heading)
             node = children[j]
             stage += 1
         for node, records in reversed(trail):
@@ -769,7 +767,8 @@ def _draw(rng: np.random.Generator, probs) -> int:
 
 class UrtdpPolicy(Policy):
     """Greedy-on-lower-bound policy: each decision runs trials from its state's
-    root, then takes the root's first action with the largest lower q."""
+    root, seeded whole by :meth:`_UrtdpInstance._root`, then takes the move of
+    the root's first record with the largest lower q."""
 
     def __init__(self, instance: _UrtdpInstance):
         self.instance = instance
@@ -778,12 +777,11 @@ class UrtdpPolicy(Policy):
         inst, config = self.instance, self.instance.config
         if stage > config.horizon:
             raise ValueError("policy asked to act beyond its horizon")
-        walk = Walk(s, inst.problem.domain)
-        if next(walk.moves(), None) is None:
+        if next(Walk(s, inst.problem.domain).moves(), None) is None:
             raise DeadEnd("no legal action")
-        node, window = inst.run(d, s, stage, config.alpha, config.max_simulated_paths)
-        records = inst.expand(node, window.fresh(), walk, stage)
-        return records[inst._scan(records)[3]][0]
+        records = inst.run(d, s, stage, config.alpha, config.max_simulated_paths)[0][2]
+        i, mv, _, _ = records[inst._scan(records)[3]][0]
+        return ConstrainedJointAction(i, mv)
 
 
 def _trial_rng(config: PlannerConfig, child: int) -> np.random.Generator:
@@ -1071,8 +1069,6 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     total = s0.k * n
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
     spectrum = map_spectrum(problem.hyper, problem.domain)
-    if not spectrum.positive:
-        raise SingularGram("map gram matrix not positive definite")
     walk = Walk(s0, problem.domain, n)
     paths = [[p.cell] for p in s0.poses]
     selected = []

@@ -1,9 +1,11 @@
 """The paired-benchmark summary of ``tools/bench_pairs.py``: its win count,
 the interquartile-range rule and pair floor of a claimed gain, its bound
-check, the failed-share rule and the toolchain versions. Only ``summarize``
-and ``report`` are called, on synthetic runs; no benchmark runs."""
+check, the failed-share rule, the toolchain versions and the ``src/`` line
+counts. ``summarize`` and ``report`` are called on synthetic runs, and
+``main`` on stand-ins for the export and the runs; no benchmark runs."""
 
 import argparse
+import json
 import importlib.util
 import platform
 from pathlib import Path
@@ -111,3 +113,26 @@ def test_a_gain_naming_no_metric_and_workload_is_a_usage_error_before_any_run(
     argv[-1] = "urtdp_paths_per_s on run-k2"  # a named one goes on to the runs
     with pytest.raises(AssertionError, match="ran before"):
         bench_pairs.main(argv)
+
+
+def test_the_record_holds_both_sides_src_line_counts(tmp_path, monkeypatch):
+    # the parent's counts come from its exported copy and the change's from
+    # the working tree, per module and in total, as wc -l counts them
+    def write_src(tree, files):
+        (tree / "src" / "hotspotplan").mkdir(parents=True)
+        for name, text in files.items():
+            (tree / "src" / "hotspotplan" / name).write_text(text)
+
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [HIGHER]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    write_src(tmp_path, {"a.py": "1\n2\n3\n", "b.py": "x\n", "notes.txt": "n\n"})
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda commit, dest: write_src(dest, {"a.py": "1\n2\n", "c.py": "no end"}))
+    monkeypatch.setattr(bench_pairs, "bench_run", lambda *args: _run(25, 0))
+    monkeypatch.setattr(bench_pairs, "tree_state", lambda out_path: {"change_head": "h"})
+    assert bench_pairs.main(["--parent", "p", "--pr", "7", "--seeds", "0-1", "--change", "c"]) == 0
+    out = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert out["change_head"] == "h"
+    assert out["src_lines"] == {"parent": {"a.py": 2, "c.py": 0, "total": 2},
+                                "change": {"a.py": 3, "b.py": 1, "total": 4}}

@@ -20,8 +20,8 @@ from hotspotplan.field_model import (
     sample_field,
 )
 from hotspotplan.evaluation import ent_metric
-from hotspotplan.planners import Problem
-from hotspotplan.world import GridDomain
+from hotspotplan.planners import Problem, mi_greedy
+from hotspotplan.world import GridDomain, RobotPose, TeamState
 from oracles import (
     PosteriorGaussian,
     cov_matrix,
@@ -848,5 +848,21 @@ def test_map_spectrum_rejects_a_gram_that_is_not_positive_definite(monkeypatch):
     # without jitter, every correlation at length 1e12 is exactly 1
     monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)
     h = Hyperparams(0.0, 1.0, 1e12, 0.0)
-    assert not map_spectrum(h, GridDomain(3, 3)).positive
-    assert map_spectrum(Hyperparams(0.0, 1.0, 1e12, 0.1), GridDomain(3, 3)).positive
+    for _ in range(2):  # the cache keeps no failure
+        with pytest.raises(SingularGram, match="map gram matrix not positive definite"):
+            map_spectrum(h, GridDomain(3, 3))
+    assert (map_spectrum(Hyperparams(0.0, 1.0, 1e12, 0.1), GridDomain(3, 3)).lam > 0).all()
+
+
+def test_every_reader_of_a_map_gram_that_is_not_positive_definite_gets_a_singular_gram(
+        monkeypatch):
+    # the spectrum judges its own Gram, so ENT, the field sampler and the MI
+    # baseline raise one error for it
+    monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)  # every correlation at length 1e12 is 1
+    h, dom = Hyperparams(0.0, 1.0, 1e12, 0.0), GridDomain(3, 3)
+    problem, d0 = Problem(dom, h, "gp"), PosteriorData([(1, 1)], [0.0])
+    s0 = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}))
+    for call in (lambda: ent_metric(problem, d0), lambda: sample_field(h, dom, 0),
+                 lambda: mi_greedy(problem, d0, s0, 1)):
+        with pytest.raises(SingularGram, match="map gram matrix not positive definite"):
+            call()

@@ -328,6 +328,24 @@ def test_run_seed_builds_every_registry_policy(tmp_path, monkeypatch):
         assert math.isfinite(r.ent) and math.isfinite(r.err)
 
 
+def test_every_arm_of_a_run_reads_the_configs_one_grid(tmp_path, monkeypatch):
+    # the config builds its grid once, so every arm's problem shares it and
+    # its move table, which holds at most one entry per cell and heading
+    problems, real = [], harness.Problem
+
+    def recording(*args, **kwargs):
+        problems.append(real(*args, **kwargs))
+        return problems[-1]
+
+    monkeypatch.setattr(harness, "Problem", recording)
+    cfg = load_config(write_config(tmp_path, policies="urtdp,greedy,mes,mi",
+                                   models="lgp,lgp,gp,gp", seeds="0"))
+    run_seed(cfg, 0)
+    assert len(problems) == len(cfg.policies)
+    assert all(problem.domain is cfg.domain for problem in problems)
+    assert 0 < len(cfg.domain.move_table) <= 4 * cfg.domain.size
+
+
 def test_run_experiment_is_deterministic(tmp_path):
     # timing aside, (config, seeds) fully determine the records
     cfg = load_config(write_config(tmp_path))

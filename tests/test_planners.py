@@ -386,10 +386,10 @@ def test_urtdp_tables_bracket_exhaustive_values_at_visited_states():
         if len(node) == 2:
             continue
         expanded.append((node, s, d, stage))
-        for a, _, x, children in node[2]:
+        for (i, mv, x, _), _, children in node[2]:
             if children is None:
                 continue
-            s2 = transition(s, a, problem.domain)
+            s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
             g = posterior(d, [x], problem.hyper)
             mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
             for zj, child in zip(mu + sd * inst.zeta, children):
@@ -476,7 +476,7 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
     # each child's seeded lower bound is the certainty-equivalent value of the
     # greedy continuation recorded at the mean outcome, evaluated at the
     # child's own outcome; recomputed here from scratch with posterior(). The
-    # root's records are rolled out when it is expanded, any other record when
+    # root's records are rolled out when it is seeded, any other record when
     # a trial first enters it, on the window the trial carries: at a node
     # expanded in that trial, or at one an earlier trial expanded
     problem, d0, s0 = make_instance(seed=22, rows=4, cols=4, model=model)
@@ -512,12 +512,12 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
             checked += 1
         return checked
 
-    root, window = inst._root(d0, s0, 0)
-    seqs.clear()  # the root's own initial rollout
-    entries = inst.expand(root, window, Walk(s0, problem.domain), 0)
+    root = inst._root(d0, s0, 0)[0]
+    del seqs[0]  # the root's own initial rollout
+    entries = root[2]
     assert len(seqs) == len(entries) > 1
     checked = 0
-    for (_, _, x, children), seq in zip(entries, seqs):
+    for ((_, _, x, _), _, children), seq in zip(entries, seqs):
         assert len(seq) == cfg.horizon
         checked += checked_children(d0, x, children, seq)
     # every root child is checked: three per record (lgp, nu = 3) or one (gp)
@@ -532,10 +532,11 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
         expanded.append((node, len(node) == 2))
         return expand(obj, node, window, walk, stage)
 
-    def spy_init_children(obj, window, walk, i, x, heading, stage, children):
+    def spy_init_children(obj, window, walk, move, stage, children):
         assert walk.trail and [child[0] for child in children] == [-math.inf] * len(children)
         seqs.clear()
-        init_children(obj, window, walk, i, x, heading, stage, children)
+        init_children(obj, window, walk, move, stage, children)
+        x = move[2]
         node, fresh = expanded[-1]
         d = d0
         for cell, zeta in _history(_tree_parents(root, inst.zeta), node):
@@ -556,7 +557,7 @@ def _tree_parents(root, zeta):
     parent, stack = {}, [root]
     while stack:
         node = stack.pop()
-        for _, _, x, children in node[2] if len(node) > 2 else ():
+        for (_, _, x, _), _, children in node[2] if len(node) > 2 else ():
             for child, z in zip(children or (), zeta):
                 parent[id(child)] = (node, x, z)
                 stack.append(child)
@@ -606,6 +607,12 @@ def test_a_trial_conditions_once_per_descent_step_child_seeding_and_rollout_step
     monkeypatch.setattr(_UrtdpInstance, "expand", spy_expand)
     monkeypatch.setattr(_UrtdpInstance, "_init_children", spy_init_children)
     monkeypatch.setattr(planners, "_greedy_ce_rollout", spy_rollout)
+    # seeding the root conditions once per _init_children and rollout step too
+    counts.update(dict.fromkeys(("child", "expand", "init_children", "rollout"), 0))
+    root = inst._root(d0, s0, 0)[0]
+    assert counts["child"] == counts["init_children"] + counts["rollout"]
+    for key in totals:
+        totals[key] += counts[key]
     for _ in range(20):
         counts.update(dict.fromkeys(("child", "expand", "init_children", "rollout"), 0))
         inst.simulated_path(d0, s0, 0)
@@ -614,7 +621,7 @@ def test_a_trial_conditions_once_per_descent_step_child_seeding_and_rollout_step
         assert counts["child"] == descents + counts["init_children"] + counts["rollout"]
         for key in totals:
             totals[key] += counts[key]
-    root = inst.tables[state_key(0, s0, d0)]
+    assert root is inst.tables[state_key(0, s0, d0)]
     assert totals["init_children"] > len(root[2]) and totals["rollout"] > totals["init_children"]
 
 
@@ -656,7 +663,7 @@ def _factor_ce_rollout(problem, inc, s, steps_count):
 @pytest.mark.parametrize("model", ["lgp", "gp"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
-    # every child rollout of an expansion, and the root's initial rollout,
+    # every child rollout of a root's seeding, and the root's initial rollout,
     # take the reference's cells, total and lgp slope; every upper bound is
     # the remaining stages times the root window's stage bound
     rollouts = []
@@ -674,23 +681,25 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
         cfg = cfg_for(horizon=3 * k - 1, nu=3)
         inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 3 * k)
         rollouts.clear()
-        lower = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0]).lower
+        lower = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0][:2]).lower
         ref_total, ref_seq = _factor_ce_rollout(problem, inc, s0, cfg.horizon + 1)
         assert rollouts[0][1] == ref_seq
         assert rollouts[0][0] == pytest.approx(ref_total, rel=1e-12, abs=0)
         inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
-        window = inst._root(d0, s0, 0)[1]
+        rollouts.clear()
+        root, window = inst._root(d0, s0, 0)
         stage_upper = _stage_upper_oracle(problem, cfg, inc, list(window.index), 0)
         assert lower == pytest.approx(min(ref_total, 3 * k * stage_upper), rel=1e-12, abs=0)
-        rollouts.clear()
-        records = inst.expand([0.0, 0.0], window, Walk(s0, problem.domain), 0)
+        del rollouts[0]  # the root's own; one per record follows
+        records = root[2]
         assert len(rollouts) == len(records)
-        for (a, _, x, children), (total, seq) in zip(records, rollouts):
+        for ((i, mv, x, _), _, children), (total, seq) in zip(records, rollouts):
             j = window.index[x]
-            mu, sd = window.mean.item(j), math.sqrt(window.cov.item(j, j))
+            mu, sd = window.mean.item(j), math.sqrt(window.node.cov.item(j, j))
             var = inc.extend(x, 0.0)
             ref_total, ref_seq = _factor_ce_rollout(
-                problem, inc, transition(s0, a, problem.domain), cfg.horizon)
+                problem, inc, transition(s0, ConstrainedJointAction(i, mv), problem.domain),
+                cfg.horizon)
             slope = 0.0
             if model == "lgp" and ref_seq:
                 slope = float(inc.whitened(ref_seq)[-1].sum()) / math.sqrt(var)
@@ -766,14 +775,14 @@ def _walk_state(walk):
 
 def _bits(window):
     """A window's means and covariance, byte for byte."""
-    return window.mean.tobytes(), window.cov.tobytes()
+    return window.mean.tobytes(), window.node.cov.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
 @given(_team_cases(), st.sampled_from(["lgp", "gp"]))
 def test_every_search_hands_back_its_walk_unchanged(case, model):
-    # the rollout, an expansion and the exhaustive solver step one walk in
-    # place; each must undo every step before it returns
+    # the rollout, an expansion with its child seeding and the exhaustive
+    # solver step one walk in place; each must undo every step before it returns
     domain, s, horizon = case
     problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), model)
     d = PosteriorData(sorted(s.visited), np.linspace(-0.5, 0.5, len(s.visited)))
@@ -785,7 +794,9 @@ def test_every_search_hands_back_its_walk_unchanged(case, model):
     planners._greedy_ce_rollout(problem, window, walk, horizon + 1)
     assert _walk_state(walk) == fresh and _bits(window) == before
     inst = _UrtdpInstance(problem, cfg, "jensen", np.random.default_rng(0))
-    inst.expand([0.0, 0.0], window, walk, 0)
+    for move, _, children in inst.expand([0.0, 0.0], window, walk, 0):
+        if children:  # seeded as _root seeds a root's records
+            inst._init_children(window, walk, move, 0, children)
     assert _walk_state(walk) == fresh and _bits(window) == before
     w, zeta = standardized_rule(2, cfg.truncation_m, "jensen")
     solver = planners._TreeSolver(problem, w, zeta, horizon + 1)
@@ -925,15 +936,15 @@ def test_windows_of_one_trial_on_one_sequence_share_their_covariance(monkeypatch
             if len(outcomes) < 2:
                 continue
             pairs += 1
-            assert all(window.cov is group[0][0].cov for window, _ in group)
+            assert all(window.node.cov is group[0][0].node.cov for window, _ in group)
             for window, history in group:
                 cells, mean, cov = _joint_after(problem, d0, window.index,
                                                 [(cell, zeta) for _, cell, zeta in history])
                 rows = [window.index[x] for x in cells]
                 assert window.mean[rows] == pytest.approx(mean, rel=1e-9,
                                                           abs=1e-9 * math.sqrt(scale))
-                assert window.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9,
-                                                                       abs=1e-9 * scale)
+                assert window.node.cov[np.ix_(rows, rows)] == pytest.approx(
+                    cov, rel=1e-9, abs=1e-9 * scale)
         seen = {id(window.node) for window, _ in windows}
         for node, sequence in nodes:
             if id(node) in seen:
@@ -958,7 +969,7 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
 
     def spy_conditioned(window, j, zeta):
         out = conditioned(window, j, zeta)
-        refs.append((weakref.ref(out), weakref.ref(out.cov)))
+        refs.append((weakref.ref(out), weakref.ref(out.node.cov)))
         return out
 
     def spy_child(node, j):  # rollouts step on trie nodes, with no window
@@ -1045,7 +1056,8 @@ def test_carried_window_equals_a_fresh_joint_at_every_node(model, k, monkeypatch
         rows = [window.index[x] for x in cells]
         mean, cov = inc.joint(cells)
         assert window.mean[rows] == pytest.approx(mean, rel=1e-9, abs=1e-9 * math.sqrt(scale))
-        assert window.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9, abs=1e-9 * scale)
+        assert window.node.cov[np.ix_(rows, rows)] == pytest.approx(cov, rel=1e-9,
+                                                                    abs=1e-9 * scale)
 
 
 def test_root_keeps_one_window_across_trials_and_q_values(monkeypatch):
@@ -1110,7 +1122,7 @@ def test_child_rollouts_run_at_the_root_and_where_trials_go(monkeypatch):
         node = stack.pop()
         if len(node) == 2:
             continue
-        for _, _, _, children in node[2]:
+        for _, _, children in node[2]:
             if children is None:
                 continue
             built += 1
@@ -1189,15 +1201,15 @@ def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
                 sub_cfg = cfg_for(horizon=horizon - stage, nu=nu)
                 truths[id(node)] = bounded_dp(problem, d, s, sub_cfg, side)[0]
             assert node[0] <= truths[id(node)] + 1e-8
-            records = [r for r in node[2] if r[3] is not None]
+            records = [r for r in node[2] if r[2] is not None]
             if records:
-                assert any(children[0][0] > -math.inf for _, _, _, children in records)
-            for a, _, x, children in records:
+                assert any(children[0][0] > -math.inf for _, _, children in records)
+            for (i, mv, x, _), _, children in records:
                 if any(len(child) > 2 for child in children):
                     assert all(math.isfinite(child[0]) for child in children)
                 g = posterior(d, [x], problem.hyper)
                 mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
-                s2 = transition(s, a, problem.domain)
+                s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
                 stack.extend((child, s2, d.extended(x, zj), stage + 1)
                              for zj, child in zip(mu + sd * inst.zeta, children))
 
@@ -1228,10 +1240,10 @@ def test_upper_bounds_stay_admissible(case, rule, nu, length_scale, shift):
                 sub_cfg = cfg_for(horizon=horizon - stage, nu=nu)
                 truths[id(node)] = bounded_dp(problem, d, s, sub_cfg, side)[0]
             assert node[1] >= truths[id(node)] - 1e-8
-            for a, _, x, children in node[2]:
+            for (i, mv, x, _), _, children in node[2]:
                 g = posterior(d, [x], problem.hyper)
                 mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
-                s2 = transition(s, a, problem.domain)
+                s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
                 stack.extend((child, s2, d.extended(x, zj), stage + 1)
                              for zj, child in zip(mu + sd * inst.zeta, children or ()))
 
@@ -1574,7 +1586,7 @@ def _reference_qs(inst, records):
     """(q_lower, q_upper) per record: its reward plus its children's lower
     and upper bounds weighted by the instance's ``w``, summed in order."""
     out = []
-    for _, reward, _, children in records:
+    for _, reward, children in records:
         lo = hi = 0.0
         for wj, child in zip(inst.w, children or ()):
             lo += wj * child[0]
@@ -1604,7 +1616,7 @@ def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, hor
             assert node[3] == uppers.index(max(uppers))
             assert node[:2] == [max(lowers), max(uppers)]
             assert inst._scan(node[2])[3] == lowers.index(max(lowers))
-            stack.extend(c for _, _, _, children in node[2] for c in children or ())
+            stack.extend(c for _, _, children in node[2] for c in children or ())
 
 
 # -- root bounds -------------------------------------------------------------
@@ -1612,7 +1624,7 @@ def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, hor
 
 def test_init_bounds_empty_horizon():
     problem, d0, s0 = make_instance(seed=17, rows=3, cols=3)
-    vb = ValueBounds(*urtdp_policy(problem, cfg_for(horizon=2)).instance._root(d0, s0, 3)[0])
+    vb = ValueBounds(*urtdp_policy(problem, cfg_for(horizon=2)).instance._root(d0, s0, 3)[0][:2])
     assert (vb.lower, vb.upper) == (0.0, 0.0)
 
 
@@ -1621,7 +1633,7 @@ def test_init_bounds_gp_upper_has_no_mean_term():
     # cells within three moves of the robot
     problem, d0, s0 = make_instance(seed=18, rows=3, cols=3, model="gp")
     cfg = cfg_for(horizon=2)
-    vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0])
+    vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0][:2])
     (r, c), = (pose.cell for pose in s0.poses)
     cells = [x for x in problem.domain.cells()
              if x not in s0.visited and abs(x[0] - r) + abs(x[1] - c) <= 3]
@@ -1634,7 +1646,7 @@ def test_init_bounds_bracket_exact_value():
     for seed in range(4):
         problem, d0, s0 = make_instance(seed=30 + seed, rows=3, cols=3, model="lgp")
         cfg = cfg_for(horizon=2, nu=4)
-        vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0])
+        vb = ValueBounds(*urtdp_policy(problem, cfg).instance._root(d0, s0, 0)[0][:2])
         value = exact_dp(problem, d0, s0, cfg)
         assert vb.lower - 1e-8 <= value <= vb.upper + 1e-8
 

@@ -31,7 +31,9 @@ parent's. The file also records the working tree's
 uncommitted changes, so it says whether it measured committed code, and the
 Python, numpy and scipy versions the runs used (read from the installed
 packages' metadata, without importing them), since a resident-set figure
-depends on those builds.
+depends on those builds, and both sides' line counts of each
+``src/hotspotplan/*.py`` module and their total (``wc -l``): the parent's from
+its exported copy, the change's from the working tree.
 """
 
 from __future__ import annotations
@@ -118,15 +120,25 @@ def tree_state(out_path: Path) -> dict:
     return {"change_head": git("rev-parse", "HEAD"), "change_tree_clean": not changed}
 
 
+def src_lines(tree: Path) -> dict:
+    """Lines (newlines, as ``wc -l`` counts them) per ``src/hotspotplan/*.py``
+    module of ``tree``, by file name, and their ``total``."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((tree / "src" / "hotspotplan").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def toolchain() -> dict:
     """The versions of Python, numpy and scipy that the bench runs load."""
     return {"python": platform.python_version(),
             **{name: importlib.metadata.version(name) for name in ("numpy", "scipy")}}
 
 
-def report(args, spec, seeds, runs, git_state: dict) -> dict:
+def report(args, spec, seeds, runs, trees: dict) -> dict:
+    """The file's content; ``trees`` holds :func:`tree_state` and both sides'
+    :func:`src_lines`."""
     out = {
-        "pr": args.pr, "change": args.change, "parent_commit": args.parent, **git_state,
+        "pr": args.pr, "change": args.change, "parent_commit": args.parent, **trees,
         "toolchain": toolchain(),
         "command": "python3 bench/run.py --workload <w> --seed <n> "
                    f"--seconds {spec['run_seconds']:g} --trace 0",
@@ -178,10 +190,11 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     out_path = ROOT / f"BENCH_{args.pr}.json"
     runs = {w: [] for w in workloads}
-    git_state = tree_state(out_path)
+    trees = tree_state(out_path)
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         export(args.parent, Path(parent_tree))
+        trees["src_lines"] = {"parent": src_lines(Path(parent_tree)), "change": src_lines(ROOT)}
         for workload in workloads:
             for seed in seeds:
                 order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
@@ -194,7 +207,7 @@ def main(argv=None) -> int:
                                      for k, v in result[side]["metrics"].items()),
                           file=sys.stderr, flush=True)
                 runs[workload].append((seed, result["parent"], result["change"]))
-                out = report(args, spec, seeds, runs, git_state)
+                out = report(args, spec, seeds, runs, trees)
                 out_path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {out_path}")
     return 0
