@@ -12,9 +12,10 @@ The kernel has one definition here, :func:`_se`, which the grid's
 cross-covariance that conditions data is gathered from that table. Observed
 data are conditioned on through :class:`IncrementalPosterior` (URTDP's
 window, one joint of it per decision, takes rank-1 updates down its tree),
-everywhere but in :func:`map_entropy` (below). The planners walk it down a branch by appending each outcome as its standardized
-point, not its value, and back up by dropping rows, and a window of cells gets
-its joint posterior from it; the predictor's means and variances
+but for :func:`map_entropy`'s own factor (below). The planners walk it down
+a branch by appending each outcome as its standardized point, not its
+value, and back up by dropping rows, and a window of cells gets its joint
+posterior from it; the predictor's means and variances
 (:func:`posterior_marginals`) are one batch of it. Nothing map-sized is
 factored: the map's Gram matrix is separable, and its cached
 :class:`MapSpectrum` (two 1-D eigendecompositions of :func:`_se` factors, not
