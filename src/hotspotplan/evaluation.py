@@ -51,9 +51,8 @@ def rollout(
     field: np.ndarray,
     d0: PosteriorData,
     s0: TeamState,
-    stages: int,
 ) -> RolloutResult:
-    """Execute a policy for ``stages`` single-observation stages.
+    """Execute a policy for ``s0.moves_left`` single-observation stages.
 
     After each move the true log measurement at the new cell is revealed and
     appended to the history. ``wall_time`` covers planning (policy.act) only.
@@ -66,7 +65,7 @@ def rollout(
     paths = [[p.cell] for p in s0.poses]
     plan_time = 0.0
     dead = False
-    for stage in range(stages):
+    for stage in range(s0.moves_left):
         t0 = time.perf_counter()
         try:
             a = policy.act(s, d, stage)

@@ -41,9 +41,8 @@ POLICY_REGISTRY = {
               lambda problem, pcfg, cfg, d0, s0: (urtdp_policy(problem, pcfg), None)),
     "greedy": (("gp", "lgp"), lambda problem, pcfg, cfg, d0, s0: (GreedyPolicy(problem), None)),
     "mes": (("gp",), lambda problem, pcfg, cfg, d0, s0: _with_search(mes_nonadaptive(
-        problem, d0, s0, cfg.budget_per_robot, node_budget=cfg.mes_node_budget))),
-    "mi": (("gp",), lambda problem, pcfg, cfg, d0, s0: (mi_greedy(
-        problem, d0, s0, cfg.budget_per_robot).policy, None)),
+        problem, d0, s0, node_budget=cfg.mes_node_budget))),
+    "mi": (("gp",), lambda problem, pcfg, cfg, d0, s0: (mi_greedy(problem, d0, s0).policy, None)),
 }
 
 
@@ -369,7 +368,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[ResultRecord]:
     for name, model in zip(cfg.policies, cfg.models):
         problem = Problem(cfg.domain, fitted, model)
         (policy, search), build_time = _build_policy(name, problem, pcfg, cfg, d0, s0)
-        res = rollout(problem, policy, field_map, d0, s0, cfg.stages)
+        res = rollout(problem, policy, field_map, d0, s0)
         records.append(
             ResultRecord(
                 policy=name,

@@ -939,10 +939,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _mes_tails(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> list[float]:
-    """``tails[j]``: MES's bound on the entropy that the ``k n - j - 1`` moves
-    after depth ``j`` add. Each cell lands next to its robot's last cell, which
-    the factor holds, and conditioning never raises a Gaussian variance, so
+def _mes_tails(problem: Problem, d0: PosteriorData, s0: TeamState) -> list[float]:
+    """``tails[j]``: MES's bound on the entropy that the ``s0.moves_left - j - 1``
+    moves after depth ``j`` add. Each cell lands next to its robot's last cell,
+    which the factor holds, and conditioning never raises a Gaussian variance, so
     its variance is at most ``v1 = p - k1^2 / p``, given that neighbour alone.
     A robot whose start cell holds no datum gets the prior variance for its
     first move. Variances are padded by ``1e-9 p``, far above rounding."""
@@ -951,17 +951,17 @@ def _mes_tails(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> li
     v1 = (s * -math.expm1(-a) + h.nugget) * (p + s * math.exp(-a)) / p  # without cancellation
     h1, h0 = (0.5 * (LOG_2PI_E + math.log(v + 1e-9 * p)) for v in (v1, p))
     bare = [i for i, pose in enumerate(s0.poses) if pose.cell not in d0.locations]
-    return [(s0.k * n - j - 1) * h1 + (h0 - h1) * sum(i > j for i in bare) for j in range(s0.k * n)]
+    total = s0.moves_left
+    return [(total - j - 1) * h1 + (h0 - h1) * sum(i > j for i in bare) for j in range(total)]
 
 
 def mes_nonadaptive(
     problem: Problem,
     d0: PosteriorData,
     s0: TeamState,
-    n: int,
     node_budget: int | None = None,
 ) -> MesResult:
-    """Maximum entropy sampling: joint paths maximizing H of the selected cells.
+    """Maximum entropy sampling: ``s0.moves_left`` moves maximizing H of their cells.
 
     Depth-first branch and bound over the constrained actions in robot order:
     at depth ``j`` robot ``j % k`` takes a legal move, so a node is one robot
@@ -976,13 +976,13 @@ def mes_nonadaptive(
     exhausting the tree certifies optimality. Joint entropies use the GP
     (log-scale) model.
     """
-    k, total = s0.k, s0.k * n
+    k, total = s0.k, s0.moves_left
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    walk = Walk(s0, problem.domain, n)
+    walk = Walk(s0, problem.domain)
     seq = []  # (robot, move, cell) along the path
-    tails = _mes_tails(problem, d0, s0, n)
+    tails = _mes_tails(problem, d0, s0)
 
     def push(val, i, mv, cell, hd):
         """Take a move; return the running value plus the new cell's entropy."""
@@ -1055,8 +1055,8 @@ class MiResult:
     scores: list
 
 
-def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiResult:
-    """Non-adaptive mutual-information greedy path construction.
+def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState) -> MiResult:
+    """Non-adaptive mutual-information greedy construction of ``s0.moves_left`` moves.
 
     Each step appends the reachable cell maximizing the entropy of that cell
     given the data selected so far minus its entropy given all the remaining
@@ -1066,10 +1066,10 @@ def mi_greedy(problem: Problem, d0: PosteriorData, s0: TeamState, n: int) -> MiR
     map's spectrum (:meth:`~hotspotplan.field_model.MapSpectrum.leave_one_out`),
     so no step factors anything map-sized.
     """
-    total = s0.k * n
+    total = s0.moves_left
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
     spectrum = map_spectrum(problem.hyper, problem.domain)
-    walk = Walk(s0, problem.domain, n)
+    walk = Walk(s0, problem.domain)
     paths = [[p.cell] for p in s0.poses]
     selected = []
     actions = []

@@ -93,8 +93,8 @@ class ConstrainedJointAction:
 class TeamState:
     """Poses of all robots plus the set of cells observed so far.
 
-    ``steps`` counts new cells each robot has taken; a robot whose count has
-    reached ``budget`` may no longer move (per-robot path-length constraint).
+    ``steps`` counts new cells each robot has taken, at most ``budget`` each:
+    the plan's one length, which MES, MI and ``rollout`` read as :attr:`moves_left`.
     """
 
     poses: tuple[RobotPose, ...]
@@ -109,6 +109,8 @@ class TeamState:
             object.__setattr__(self, "steps", (0,) * len(self.poses))
         if len(self.steps) != len(self.poses):
             raise ValueError("steps length must match pose count")
+        if self.budget is not None and (self.budget < 0 or max(self.steps) > self.budget):
+            raise ValueError(f"budget {self.budget} is negative or below steps {self.steps}")
         for p in self.poses:
             if p.cell not in self.visited:
                 raise ValueError("every robot pose must be an observed cell")
@@ -116,6 +118,13 @@ class TeamState:
     @property
     def k(self) -> int:
         return len(self.poses)
+
+    @property
+    def moves_left(self) -> int:
+        """Moves the team may still take: ``k * budget`` less the steps taken."""
+        if self.budget is None:
+            raise ValueError("a state without a budget has no moves_left")
+        return self.k * self.budget - sum(self.steps)
 
 
 def move_target(pose: RobotPose, move: str) -> RobotPose:
@@ -126,14 +135,14 @@ def move_target(pose: RobotPose, move: str) -> RobotPose:
 
 class Walk:
     """A team state walked in place on ``domain``: ``(cell, heading)`` poses, step
-    counts, visited set, per-robot ``budget`` (the state's unless given) and the
-    ``trail`` of steps to undo. :meth:`moves` is the one enumeration of legal
-    moves: every transition, policy and search reads it."""
+    counts, visited set, the state's per-robot ``budget`` and the ``trail`` of
+    steps to undo. :meth:`moves` is the one enumeration of legal moves: every
+    transition, policy and search reads it."""
 
-    def __init__(self, s: TeamState, domain: GridDomain, budget: int | None = None):
+    def __init__(self, s: TeamState, domain: GridDomain):
         self.poses = [(p.cell, p.heading) for p in s.poses]
         self.steps, self.visited, self.domain = list(s.steps), set(s.visited), domain
-        self.budget = s.budget if budget is None else budget
+        self.budget = s.budget
         self.trail = []
 
     def moves(self, robot: int | None = None):

@@ -111,7 +111,7 @@ def test_criterion_2_gp_reduction():
             problem, d0, s0, field = make_field_instance(
                 seed=1100 + seed, rows=4, cols=4, model="gp", budget=3
             )
-            mes = mes_nonadaptive(problem, d0, s0, n=3)
+            mes = mes_nonadaptive(problem, d0, s0)
             assert mes.exact
             cfg1, cfg4 = cfg_for(horizon=2, nu=1), cfg_for(horizon=2, nu=4)
             for value in (

@@ -107,6 +107,11 @@ def test_partition_validation():
             rule(np.array([0.0]))
 
 
+def test_standardized_rule_refuses_an_unknown_side():
+    with pytest.raises(ValueError, match="unknown side 'middle'"):
+        standardized_rule(2, 4.0, "middle")
+
+
 # -- jensen_points -----------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from hotspotplan.planners import (
     PlannerConfig,
     Problem,
     mes_nonadaptive,
+    mi_greedy,
     stagewise_reward,
 )
 from hotspotplan.world import (
@@ -45,7 +47,7 @@ from hotspotplan.world import (
 
 def test_zero_stage_rollout_scores_the_prior():
     problem, d0, s0, field = make_field_instance(seed=1, rows=4, cols=4)
-    res = rollout(problem, GreedyPolicy(problem), field, d0, s0, stages=0)
+    res = rollout(problem, GreedyPolicy(problem), field, d0, replace(s0, budget=0))
     assert res.final_data is d0 or res.final_data.locations == d0.locations
     assert res.ent == pytest.approx(ent_metric(problem, d0))
     assert res.err == pytest.approx(err_metric(problem, d0, field))
@@ -55,13 +57,13 @@ def test_zero_stage_rollout_scores_the_prior():
 def test_adaptive_rollout_depends_only_on_visited_cells():
     problem, d0, s0, field = make_field_instance(seed=2, rows=4, cols=4)
     policy = GreedyPolicy(problem)
-    res1 = rollout(problem, policy, field, d0, s0, stages=4)
+    res1 = rollout(problem, policy, field, d0, replace(s0, budget=4))
     field2 = field.copy()
     touched = res1.final_data.observed_set()
     for cell in problem.domain.cells():
         if cell not in touched:
             field2[cell] *= 2.5
-    res2 = rollout(problem, policy, field2, d0, s0, stages=4)
+    res2 = rollout(problem, policy, field2, d0, replace(s0, budget=4))
     assert res1.path_cells == res2.path_cells
 
 
@@ -80,7 +82,7 @@ def test_greedy_rollout_path_matches_direct_simulation():
         expected_cells.append(cell)
         s = transition(s, best, problem.domain)
         d = d.extended(cell, math.log(field[cell]))
-    res = rollout(problem, GreedyPolicy(problem), field, d0, s0, stages=3)
+    res = rollout(problem, GreedyPolicy(problem), field, d0, replace(s0, budget=3))
     assert list(res.final_data.locations[len(d0):]) == expected_cells
     # the recorded history carries exactly the simulated measurements
     for cell, z in zip(expected_cells, res.final_data.z[len(d0):]):
@@ -89,7 +91,7 @@ def test_greedy_rollout_path_matches_direct_simulation():
 
 def test_rollout_respects_budget_and_counts_stages():
     problem, d0, s0, field = make_field_instance(seed=4, rows=5, cols=5, k=2, budget=2)
-    res = rollout(problem, GreedyPolicy(problem), field, d0, s0, stages=4)
+    res = rollout(problem, GreedyPolicy(problem), field, d0, s0)
     assert not res.dead_ended
     for path in res.path_cells:
         assert len(path) - 1 <= 2
@@ -98,11 +100,36 @@ def test_rollout_respects_budget_and_counts_stages():
 
 def test_nonadaptive_policy_replays_identically():
     problem, d0, s0, field = make_field_instance(seed=5, rows=4, cols=4, model="gp", budget=3)
-    mes = mes_nonadaptive(problem, d0, s0, n=3)
-    res1 = rollout(problem, mes.policy, field, d0, s0, stages=3)
+    mes = mes_nonadaptive(problem, d0, s0)
+    res1 = rollout(problem, mes.policy, field, d0, s0)
     field2 = field * 1.9  # different field entirely; paths must not move
-    res2 = rollout(problem, mes.policy, field2, d0, s0, stages=3)
+    res2 = rollout(problem, mes.policy, field2, d0, s0)
     assert res1.path_cells == res2.path_cells
+
+
+def test_mes_mi_and_rollout_take_their_length_from_the_state():
+    # a robot that has taken one of its three steps has two left: both
+    # baselines plan two moves, and a rollout of their plans or of greedy ends
+    # after those two stages, none of them at a dead end
+    problem, d0, s0, field = make_field_instance(seed=5, rows=4, cols=4, model="gp", budget=3)
+    s1 = replace(s0, steps=(1,))
+    assert s1.moves_left == 2
+    mes, mi = mes_nonadaptive(problem, d0, s1), mi_greedy(problem, d0, s1)
+    assert len(mes.policy.actions) == len(mi.policy.actions) == 2
+    for policy in (mes.policy, mi.policy, GreedyPolicy(problem)):
+        res = rollout(problem, policy, field, d0, s1)
+        assert not res.dead_ended and len(res.path_cells[0]) == 3
+
+
+@pytest.mark.parametrize("budget, shape, message", [
+    (None, (4, 4), "without a budget"),
+    (2, (4, 5), "field shape must match the domain"),
+], ids=["no-budget", "field-shape"])
+def test_rollout_refuses_a_state_without_a_budget_or_a_field_of_another_shape(budget, shape,
+                                                                              message):
+    problem, d0, s0, _ = make_field_instance(seed=1, rows=4, cols=4, budget=budget)
+    with pytest.raises(ValueError, match=message):
+        rollout(problem, GreedyPolicy(problem), np.ones(shape), d0, s0)
 
 
 # -- ent_metric --------------------------------------------------------------
@@ -178,8 +205,8 @@ def test_ent_decreases_with_more_observations():
     for seed in range(20):
         problem, d0, s0, field = make_field_instance(seed=200 + seed, rows=5, cols=5)
         policy = GreedyPolicy(problem)
-        short = rollout(problem, policy, field, d0, s0, stages=2)
-        long = rollout(problem, policy, field, d0, s0, stages=6)
+        short = rollout(problem, policy, field, d0, replace(s0, budget=2))
+        long = rollout(problem, policy, field, d0, replace(s0, budget=6))
         deltas.append(long.ent - short.ent)
     assert float(np.mean(deltas)) < 0
 
@@ -278,6 +305,11 @@ def test_ttest_agrees_with_scipy_on_random_data(rng, monkeypatch):
             assert (df, q) == (n - 1, 1 - alpha / 2) and got.hex() == crit.hex(), (alpha, n)
             assert sig == (abs(stat) > crit)
     assert len(calls) == 15
+
+
+def test_ttest_rejects_samples_of_unequal_length():
+    with pytest.raises(ValueError, match="need two equal-length 1-d samples"):
+        paired_ttest([1.0] * 5, [1.0] * 6)
 
 
 def test_ttest_rejection_rate_matches_closed_form_power(rng):

@@ -169,6 +169,17 @@ def test_duplicate_locations_rejected():
         PosteriorData([(0, 0), (0, 0)], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PosteriorData([(0, 0), (0, 1)], [1.0]), "must have equal length"),
+    (lambda: PosteriorData([(0, 0)], [1.0]).extended((0, 0), 2.0), r"cell \(0, 0\) already observed"),
+    (lambda: map_entropy(PosteriorData([(2, 0)], [0.1]), GridDomain(2, 2),
+                         Hyperparams(0.0, 1.0, 1.0, 0.1)), "observed cells must lie on the map"),
+], ids=["lengths", "observed-again", "off-the-map"])
+def test_histories_refuse_what_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_singular_gram_without_jitter(monkeypatch):
     monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)
     h = Hyperparams(0.0, 1.0, 1e12, 0.0)  # correlations round to exactly 1
@@ -861,8 +872,8 @@ def test_every_reader_of_a_map_gram_that_is_not_positive_definite_gets_a_singula
     monkeypatch.setattr(fm, "JITTER_FRACTION", 0.0)  # every correlation at length 1e12 is 1
     h, dom = Hyperparams(0.0, 1.0, 1e12, 0.0), GridDomain(3, 3)
     problem, d0 = Problem(dom, h, "gp"), PosteriorData([(1, 1)], [0.0])
-    s0 = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}))
+    s0 = TeamState((RobotPose((1, 1), "N"),), frozenset({(1, 1)}), budget=1)
     for call in (lambda: ent_metric(problem, d0), lambda: sample_field(h, dom, 0),
-                 lambda: mi_greedy(problem, d0, s0, 1)):
+                 lambda: mi_greedy(problem, d0, s0)):
         with pytest.raises(SingularGram, match="map gram matrix not positive definite"):
             call()

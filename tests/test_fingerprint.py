@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from hotspotplan import errors
+
 _SPEC = importlib.util.spec_from_file_location(
     "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py")
 fingerprint = importlib.util.module_from_spec(_SPEC)
@@ -61,3 +63,19 @@ def test_compare_exits_nonzero_on_any_difference(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == 'closure/0: [] -> ["4x4 lgp seed 0: ..."]\n'
     assert captured.err == "1 of 3 keys differ\n"
+
+
+def test_every_raise_in_the_tiny_fingerprint_is_a_library_error():
+    # the tool records a raise as an output; a call the library no longer
+    # accepts (a TypeError, say) must fail here, not show up as a changed key
+    out = {}
+    fingerprint._tiny(out)
+
+    def library_error(value):
+        cls = getattr(errors, value.removeprefix("raises ").split(":", 1)[0], None)
+        return isinstance(cls, type) and issubclass(cls, errors.HotspotPlanError)
+
+    raised = {key: value for key, value in out.items()
+              if isinstance(value, str) and value.startswith("raises ")}
+    assert raised and {key: value for key, value in raised.items()
+                       if not library_error(value)} == {}

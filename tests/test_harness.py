@@ -12,6 +12,7 @@ from hotspotplan import harness
 from hotspotplan.cli import main as cli_main
 from hotspotplan.errors import (
     ConfigError,
+    IoError,
     MissingCell,
     NonPositiveValue,
     ParseError,
@@ -111,6 +112,33 @@ def test_field_csv_rejects_nonpositive_values(tmp_path, value):
         load_field_csv(path)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    (None, ParseError, "cannot read field file"),
+    ("row,col,value\n0,0\n", ParseError, r"f\.csv:2: expected 'row,col,value'"),
+    ("row,col,value\n0,x,1.0\n", ParseError, r"f\.csv:2: invalid literal"),
+    ("row,col,value\n", MissingCell, "no data rows"),
+    ("row,col,value\n0,0,1.0\n0,1,1.0\n5,5,1.0\n", MissingCell,
+     r"cells outside domain, first: \(5, 5\)"),
+], ids=["unreadable", "two-fields", "non-numeric", "header-only", "off-the-grid"])
+def test_field_csv_refuses_a_file_it_cannot_read_as_a_field(tmp_path, text, error, message):
+    path = tmp_path / "f.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_field_csv(path, GridDomain(1, 2))
+
+
+def test_field_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("row,col,value\n0,0,1.5\n\n0,1,2.5\n   \n")
+    assert load_field_csv(path).tolist() == [[1.5, 2.5]]
+
+
+def test_saving_a_field_where_no_file_can_be_written_is_an_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write"):
+        save_field_csv(np.ones((2, 2)), tmp_path / "absent" / "f.csv")
+
+
 def test_field_csv_requires_header(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("0,0,1.0\n")
@@ -189,14 +217,40 @@ def test_config_rejects_more_prior_units_than_the_prior_draw_can_supply(tmp_path
     ("field_noise_variance", "nan"),
     ("field_noise_variance", "inf"),
     ("seeds", "-1"),
+    # the config's own checks: arms, seeds and start cells that do not fit, and
+    # a value no parser reads
+    ("models", "lgp,gp"),
+    ("seeds", ""),
+    ("start_cells", "0:0;3:3"),
+    ("start_cells", "9:9"),
+    ("team_size", "5"),
+    ("rows", "four"),
 ])
 def test_config_rejects_every_value_its_objects_reject(tmp_path, capsys, key, value):
-    # the grid, planner config and field prior reject these; loading does too
+    # the grid, planner config and field prior reject these, and so does the
+    # config itself; loading does too
     path = write_config(tmp_path, **{key: value})
     with pytest.raises(ConfigError):
         load_config(path)
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_config_rejects_an_empty_arm_list(tmp_path):
+    with pytest.raises(ConfigError, match="need at least one policy"):
+        load_config(write_config(tmp_path, policies="", models=""))
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),
+    ("rows 4\n", r"c\.cfg:1: expected 'key = value'"),
+], ids=["unreadable", "no-equals-sign"])
+def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, text, message):
+    path = tmp_path / "c.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_config_rejects_a_repeated_arm(tmp_path):
@@ -677,6 +731,15 @@ def test_cli_output_path_that_is_a_file_is_a_runtime_error(tmp_path, capsys, ver
     taken.write_text("")
     assert cli_main([verb, "--config", str(cfg_path), "--out", str(taken)]) == 2
     assert f"runtime error: cannot create {taken}" in capsys.readouterr().err
+
+
+def test_cli_generate_from_a_field_file_is_a_config_error(tmp_path, capsys):
+    # generate samples synthetic fields; a config that reads its field from a
+    # file has none to sample
+    cfg_path = write_config(tmp_path, field_csv=str(tmp_path / "f.csv"))
+    assert cli_main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+    assert "config error: generate needs synthetic field keys" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_unknown_verb_is_a_usage_error(capsys):

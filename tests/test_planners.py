@@ -1329,7 +1329,7 @@ def test_gp_urtdp_closes_at_the_bounded_and_mes_values(k, budget):
         cfg = cfg_for(horizon=k * budget - 1, nu=3, alpha=1e-12, paths=2000, seed=seed)
         res = urtdp(problem, d0, s0, cfg)
         assert not res.exhausted and res.upper_paths == 0
-        mes = mes_nonadaptive(problem, d0, s0, n=budget)
+        mes = mes_nonadaptive(problem, d0, s0)
         assert mes.exact
         for value in (bounded_dp(problem, d0, s0, cfg, "lower")[0],
                       bounded_dp(problem, d0, s0, cfg, "upper")[0], mes.value):
@@ -1691,6 +1691,21 @@ def test_planner_config_rejects_a_negative_seed():
     assert cfg_for(horizon=1, seed=0).seed == 0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: cfg_for(horizon=-1), "horizon must be >= 0"),
+    (lambda: Problem(GridDomain(2, 2), Hyperparams(0.0, 1.0, 1.0, 0.1), "log"),
+     "model must be one of"),
+    (lambda: bounded_dp(*make_instance(seed=1), cfg_for(horizon=1), "middle"),
+     "side must be 'lower' or 'upper'"),
+    (lambda: mes_nonadaptive(*make_instance(seed=1, model="gp")), "without a budget"),
+    (lambda: mi_greedy(*make_instance(seed=1, model="gp")), "without a budget"),
+], ids=["negative-horizon", "unknown-model", "unknown-side", "mes-without-budget",
+        "mi-without-budget"])
+def test_planner_inputs_refuse_what_they_cannot_mean(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_greedy_dead_end_raises():
     dom = GridDomain(1, 2)
     h = Hyperparams(0.0, 1.0, 1.0, 0.01)
@@ -1750,8 +1765,8 @@ def enumerate_mes_oracle(problem, d0, s0, n):
 
 
 def test_mes_single_step_picks_max_entropy_cell():
-    problem, d0, s0 = make_instance(seed=40, rows=4, cols=4, model="gp")
-    res = mes_nonadaptive(problem, d0, s0, n=1)
+    problem, d0, s0 = make_instance(seed=40, rows=4, cols=4, model="gp", budget=1)
+    res = mes_nonadaptive(problem, d0, s0)
     combos = full_joint_actions(s0, problem.domain)
     vals = []
     for combo in combos:
@@ -1771,8 +1786,8 @@ def test_mes_independent_cells_tie_break_lexicographic():
     for starts in ([((0, 0), "S")], [((0, 0), "S"), ((3, 3), "N")]):
         cells = [c for c, _ in starts]
         d0 = PosteriorData(cells, [0.1] * len(cells))
-        s0 = TeamState(tuple(RobotPose(c, hd) for c, hd in starts), frozenset(cells))
-        res = mes_nonadaptive(problem, d0, s0, n=3)
+        s0 = TeamState(tuple(RobotPose(c, hd) for c, hd in starts), frozenset(cells), budget=3)
+        res = mes_nonadaptive(problem, d0, s0)
         assert [(a.robot_index, a.move) for a in res.policy.actions] == [
             (i, "front") for _ in range(3) for i in range(len(starts))]
 
@@ -1786,7 +1801,7 @@ def test_mes_tie_with_the_greedy_incumbent_goes_to_the_first_sequence():
     # search sums them, over one factor.
     problem, d0, s0 = make_instance(seed=37, rows=3, cols=4, model="gp", n_prior=2)
     s0 = TeamState(s0.poses, s0.visited, budget=2)
-    res = mes_nonadaptive(problem, d0, s0, n=2)
+    res = mes_nonadaptive(problem, d0, s0)
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + 2)
     values = {}
 
@@ -1809,7 +1824,7 @@ def test_mes_matches_enumeration_oracle():
     for seed in (41, 42, 43):
         problem, d0, s0 = make_instance(seed=seed, rows=4, cols=4, model="gp")
         s0 = TeamState(s0.poses, s0.visited, budget=3)
-        res = mes_nonadaptive(problem, d0, s0, n=3)
+        res = mes_nonadaptive(problem, d0, s0)
         oracle_val, _ = enumerate_mes_oracle(problem, d0, s0, 3)
         assert res.value == pytest.approx(oracle_val, abs=1e-10)
         assert res.exact
@@ -1829,7 +1844,7 @@ def test_mes_two_robots_matches_enumeration(rows, n, n_prior, seed):
     problem, d0, s0 = make_instance(seed=seed, rows=rows, cols=rows, k=2, model="gp",
                                     n_prior=n_prior)
     s0 = TeamState(s0.poses, s0.visited, budget=n)
-    res = mes_nonadaptive(problem, d0, s0, n=n)
+    res = mes_nonadaptive(problem, d0, s0)
     oracle_val, _ = enumerate_mes_oracle(problem, d0, s0, n)
     assert res.value == pytest.approx(oracle_val, abs=1e-10)
     assert res.exact
@@ -1849,8 +1864,8 @@ def test_mes_node_budget_falls_back_to_incumbent():
         problem, d0, s0 = make_instance(seed=45, rows=4, cols=4, k=k, model="gp",
                                         n_prior=n_prior)
         s0 = TeamState(s0.poses, s0.visited, budget=3)
-        full = mes_nonadaptive(problem, d0, s0, n=3)
-        capped = mes_nonadaptive(problem, d0, s0, n=3, node_budget=3)
+        full = mes_nonadaptive(problem, d0, s0)
+        capped = mes_nonadaptive(problem, d0, s0, node_budget=3)
         assert not capped.exact
         assert capped.value <= full.value + 1e-12
         # the capped value is the joint entropy of its own paths
@@ -1880,10 +1895,10 @@ def test_mes_and_mi_paths_are_their_actions_replayed(k, n):
     problem = Problem(domain, Hyperparams(0.2, 1.0, 1.5, 0.02), "lgp")
     starts = [(0, 0), (3, 3), (0, 3)][:k]
     poses = tuple(RobotPose(c, interior_heading(c, domain)) for c in starts)
-    s0 = TeamState(poses, frozenset(starts + [(2, 1)]))
+    s0 = TeamState(poses, frozenset(starts + [(2, 1)]), budget=n)
     d0 = PosteriorData(sorted(s0.visited), np.linspace(-0.5, 0.5, k + 1))
-    mes = mes_nonadaptive(problem, d0, s0, n, node_budget=2000)
-    mi = mi_greedy(problem, d0, s0, n)
+    mes = mes_nonadaptive(problem, d0, s0, node_budget=2000)
+    mi = mi_greedy(problem, d0, s0)
     for res in (mes, mi):
         assert len(res.policy.actions) == k * n
         assert res.paths == _replayed_paths(s0, domain, res.policy.actions, n)
@@ -1928,9 +1943,9 @@ def test_mes_tail_bounds_every_completion(case):
     # returns the lexicographically first best sequence, scored as it scores
     problem, d0, s0, n = case
     k, total = s0.k, s0.k * n
-    tails = planners._mes_tails(problem, d0, s0, n)
+    tails = planners._mes_tails(problem, d0, s0)
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
-    walk = Walk(s0, problem.domain, n)
+    walk = Walk(s0, problem.domain)
     leaves = {}  # one-robot-move sequence -> value, in the search's order
 
     def best_below(j, seq, val):
@@ -1951,9 +1966,9 @@ def test_mes_tail_bounds_every_completion(case):
     best_below(0, [], 0.0)
     if not leaves:
         with pytest.raises(DeadEnd):
-            mes_nonadaptive(problem, d0, s0, n)
+            mes_nonadaptive(problem, d0, s0)
         return
-    res = mes_nonadaptive(problem, d0, s0, n)
+    res = mes_nonadaptive(problem, d0, s0)
     best = max(leaves.values())
     first = next(seq for seq, v in leaves.items() if v == best)
     assert res.exact
@@ -1977,7 +1992,8 @@ def test_mes_work_does_not_grow_with_the_map(monkeypatch):
     starts = [(6, 4), (7, 7)]
     locs = [(2, 3), (4, 9), (9, 5), (11, 2), (5, 6), (10, 9)] + starts
     d0 = PosteriorData(locs, np.linspace(-0.6, 0.9, len(locs)))
-    s0 = TeamState((RobotPose(starts[0], "N"), RobotPose(starts[1], "S")), frozenset(locs))
+    s0 = TeamState((RobotPose(starts[0], "N"), RobotPose(starts[1], "S")), frozenset(locs),
+                   budget=4)
     widths = []
     batch = IncrementalPosterior.batch
 
@@ -1986,7 +2002,7 @@ def test_mes_work_does_not_grow_with_the_map(monkeypatch):
         return batch(self, targets)
 
     monkeypatch.setattr(IncrementalPosterior, "batch", spy)
-    small, large = (mes_nonadaptive(Problem(GridDomain(rows, cols), h, "gp"), d0, s0, n=4)
+    small, large = (mes_nonadaptive(Problem(GridDomain(rows, cols), h, "gp"), d0, s0)
                     for rows, cols in ((14, 12), (56, 48)))
     assert small.exact and small.nodes > 100
     assert (large.value, large.paths, large.nodes, large.exact) == (
@@ -2002,7 +2018,7 @@ def test_mes_closes_the_readme_row_a_map_wide_bound_cut():
         policies=("mes",), models=("gp",), seeds=(2,), field_mean=0.4,
         field_signal_variance=1.3, field_length_scale=2.0, field_noise_variance=0.05))
     _, d0, s0, fitted = _build_instance(cfg, 2)
-    res = mes_nonadaptive(Problem(cfg.domain, fitted, "gp"), d0, s0, cfg.budget_per_robot,
+    res = mes_nonadaptive(Problem(cfg.domain, fitted, "gp"), d0, s0,
                           node_budget=cfg.mes_node_budget)
     assert res.exact
     assert res.value >= float.fromhex("0x1.fa3248f30dcedp+3")
@@ -2016,8 +2032,8 @@ def test_mi_two_cell_domain_picks_the_other_cell():
     h = Hyperparams(0.0, 1.0, 1.0, 0.01)
     problem = Problem(dom, h, "gp")
     d0 = PosteriorData([(0, 0)], [0.5])
-    s0 = TeamState((RobotPose((0, 0), "E"),), frozenset({(0, 0)}))
-    res = mi_greedy(problem, d0, s0, n=1)
+    s0 = TeamState((RobotPose((0, 0), "E"),), frozenset({(0, 0)}), budget=1)
+    res = mi_greedy(problem, d0, s0)
     assert res.paths == [[(0, 0), (0, 1)]]
 
 
@@ -2026,8 +2042,8 @@ def test_mi_independent_cells_reduce_to_variance_greedy():
     h = Hyperparams(0.0, 1.0, 1e-3, 0.0)
     problem = Problem(dom, h, "gp")
     d0 = PosteriorData([(0, 0)], [0.1])
-    s0 = TeamState((RobotPose((0, 0), "S"),), frozenset({(0, 0)}))
-    res = mi_greedy(problem, d0, s0, n=3)
+    s0 = TeamState((RobotPose((0, 0), "S"),), frozenset({(0, 0)}), budget=3)
+    res = mi_greedy(problem, d0, s0)
     assert np.allclose(res.scores, 0.0, atol=1e-6)  # second term cancels
     moves = [a.move for a in res.policy.actions]
     assert moves == ["front", "front", "front"]  # ties resolve canonically
@@ -2039,7 +2055,7 @@ def test_mi_matches_brute_force_increment():
         problem, d0, s0 = make_instance(**{"seed": 46, "rows": 3, "cols": 3, **kwargs},
                                         model="gp")
         s0 = TeamState(s0.poses, s0.visited, budget=2)
-        res = mi_greedy(problem, d0, s0, n=2)
+        res = mi_greedy(problem, d0, s0)
         # replay: at each step recompute every candidate's score directly
         h = problem.hyper
         unobs0 = [c for c in problem.domain.cells() if c not in d0.observed_set()]
@@ -2075,7 +2091,7 @@ def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
     # solve or inverse that ent_metric, mi_greedy or sample_field asks for has
     # N = 2,688 rows or columns
     problem, d0, s0 = make_instance(seed=3, rows=56, cols=48, k=2, model="gp", n_prior=20,
-                                    length_scale=2.0, noise_variance=0.05)
+                                    length_scale=2.0, noise_variance=0.05, budget=9)
     n_cells = problem.domain.size
     calls = []
 
@@ -2098,7 +2114,7 @@ def test_ent_and_mi_never_factor_a_map_sized_matrix(monkeypatch):
     for name in ("eigh", "inv", "cholesky", "solve", "slogdet", "det"):
         record(np.linalg, name)
     fm._map_spectrum.cache_clear()
-    res = mi_greedy(problem, d0, s0, n=9)
+    res = mi_greedy(problem, d0, s0)
     d = d0
     for path in res.paths:
         for cell in path[1:]:
@@ -2127,7 +2143,7 @@ def test_theorem2_gp_reduction_and_value_equivalence():
             bounded_dp(problem, d0, s0, cfg4, "lower")[0],
             bounded_dp(problem, d0, s0, cfg4, "upper")[0],
         ]
-        mes = mes_nonadaptive(problem, d0, s0, n=3)
+        mes = mes_nonadaptive(problem, d0, s0)
         for v in values:
             assert v == pytest.approx(mes.value, abs=1e-8)
         # the adaptive policy's realized path carries the same joint entropy

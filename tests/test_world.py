@@ -133,6 +133,35 @@ def test_budget_blocks_exhausted_robot():
         transition(s, ConstrainedJointAction(0, "front"), dom)
 
 
+_ONE = (RobotPose((0, 0), "S"),)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RobotPose((0, 0), "up"), "unknown heading 'up'"),
+    (lambda: ConstrainedJointAction(0, "back"), "unknown move 'back'"),
+    (lambda: TeamState((), frozenset()), "need at least one robot"),
+    (lambda: TeamState(_ONE, frozenset({(0, 0)}), steps=(0, 0)), "steps length must match"),
+    (lambda: TeamState(_ONE, frozenset()), "every robot pose must be an observed cell"),
+    (lambda: TeamState(_ONE, frozenset({(0, 0)}), budget=-2), "budget -2 is negative"),
+    (lambda: TeamState(_ONE, frozenset({(0, 0)}), steps=(5,), budget=2), r"below steps \(5,\)"),
+], ids=["heading", "move", "no-robot", "steps-length", "unobserved-pose", "negative-budget",
+        "steps-above-budget"])
+def test_world_values_refuse_what_they_cannot_mean(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_moves_left_is_the_team_budget_less_the_steps_taken():
+    poses = (RobotPose((0, 0), "S"), RobotPose((3, 3), "N"))
+    s = TeamState(poses, frozenset({(0, 0), (3, 3)}), steps=(2, 1), budget=3)
+    assert s.moves_left == 3
+    assert transition(s, ConstrainedJointAction(0, "front"), GridDomain(4, 4)).moves_left == 2
+    assert TeamState(poses, s.visited, steps=(3, 3), budget=3).moves_left == 0
+    assert TeamState(poses, s.visited, budget=0).moves_left == 0
+    with pytest.raises(ValueError, match="without a budget"):
+        TeamState(poses, s.visited).moves_left
+
+
 def test_random_walk_never_revisits():
     rng = np.random.default_rng(11)
     dom = GridDomain(5, 5)

@@ -14,7 +14,8 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   instance: ``bounded_dp`` both sides (horizon 3), ``exact_dp`` (horizon 2,
   quadrature order 3), ``urtdp``'s root bracket, path counts and first
   action after 60 paths (horizon 3), MES's value, paths, ``exact`` and node
-  count and MI's paths and scores (2 moves per robot);
+  count and MI's paths and scores (the state's budget set to 2 moves per
+  robot);
 * ``slow/<model>/<paths>``: ``urtdp`` on the instance of
   ``test_urtdp_full_path_budget_runs_to_completion`` for both models, at
   2,000 paths per search (and at 120,000 with ``--long``): two searches for
@@ -51,6 +52,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
@@ -111,13 +113,13 @@ def _tiny(out: dict) -> None:
         record(out, f"{key}/urtdp", root)
 
         def mes():
-            res = mes_nonadaptive(problem, d0, s0, 2)
+            res = mes_nonadaptive(problem, d0, replace(s0, budget=2))
             return res.value, res.paths, res.exact, res.nodes
 
         record(out, f"{key}/mes", mes)
 
         def mi():
-            res = mi_greedy(problem, d0, s0, 2)
+            res = mi_greedy(problem, d0, replace(s0, budget=2))
             return res.paths, res.scores
 
         record(out, f"{key}/mi", mi)
