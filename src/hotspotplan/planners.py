@@ -62,9 +62,10 @@ trial enters is rolled out first, so every node's lower bound is a rollout
 value. Non-adaptive baselines (maximum entropy sampling, MI-based greedy)
 commit their paths from the prior data.
 
-Every planner steps the constrained joint actions, one robot move per
-stage (MES's branch and bound one per node, robots in turn), and reads them
-from one enumeration, :meth:`hotspotplan.world.Walk.moves`. Policies act at a
+Every planner steps the constrained joint actions, one robot move per stage
+(MES's branch and bound one per node, the next robot in (step, robot) order, so
+each robot takes exactly the moves its state leaves it), and reads them from
+one enumeration, :meth:`hotspotplan.world.Walk.moves`. Policies act at a
 ``TeamState`` and read a fresh walk of it; every search steps one walk and
 undoes it.
 """
@@ -939,20 +940,27 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _mes_order(s0: TeamState) -> list[int]:
+    """The robot MES moves at each depth: every robot's remaining step numbers in
+    (step, robot) order, so each robot takes exactly the moves ``s0`` leaves it."""
+    return [i for t in range(s0.budget) for i, n in enumerate(s0.steps) if n <= t]
+
+
 def _mes_tails(problem: Problem, d0: PosteriorData, s0: TeamState) -> list[float]:
     """``tails[j]``: MES's bound on the entropy that the ``s0.moves_left - j - 1``
     moves after depth ``j`` add. Each cell lands next to its robot's last cell,
     which the factor holds, and conditioning never raises a Gaussian variance, so
     its variance is at most ``v1 = p - k1^2 / p``, given that neighbour alone.
     A robot whose start cell holds no datum gets the prior variance for its
-    first move. Variances are padded by ``1e-9 p``, far above rounding."""
+    first move, at the depth :func:`_mes_order` gives it. Variances are padded
+    by ``1e-9 p``, far above rounding."""
     h, a = problem.hyper, 0.5 / problem.hyper.length_scale**2
     p, s = h.prior_variance, h.signal_variance
     v1 = (s * -math.expm1(-a) + h.nugget) * (p + s * math.exp(-a)) / p  # without cancellation
     h1, h0 = (0.5 * (LOG_2PI_E + math.log(v + 1e-9 * p)) for v in (v1, p))
-    bare = [i for i, pose in enumerate(s0.poses) if pose.cell not in d0.locations]
-    total = s0.moves_left
-    return [(total - j - 1) * h1 + (h0 - h1) * sum(i > j for i in bare) for j in range(total)]
+    total, order = s0.moves_left, _mes_order(s0)
+    firsts = [order.index(i) for i in set(order) if s0.poses[i].cell not in d0.locations]
+    return [(total - j - 1) * h1 + (h0 - h1) * sum(f > j for f in firsts) for j in range(total)]
 
 
 def mes_nonadaptive(
@@ -963,20 +971,20 @@ def mes_nonadaptive(
 ) -> MesResult:
     """Maximum entropy sampling: ``s0.moves_left`` moves maximizing H of their cells.
 
-    Depth-first branch and bound over the constrained actions in robot order:
-    at depth ``j`` robot ``j % k`` takes a legal move, so a node is one robot
-    move and the leaves come in lexicographic order. The objective depends
-    only on the cells a sequence observes, and these sequences reach every
-    cell set the simultaneous joint moves reach. The admissible bound gives
-    each remaining move the entropy of a cell given one neighbour, its
-    robot's last cell (:func:`_mes_tails`): O(1) per node on any map. The
-    first incumbent is the greedy one-robot-move path; among equal values the
-    lexicographically first sequence wins. Exceeding ``node_budget`` falls
-    back to the best complete path found so far (``exact=False``);
+    Depth-first branch and bound over the constrained actions: a node moves the
+    next robot in (step, robot) order (:func:`_mes_order`), so each robot takes
+    exactly the moves its state leaves it, and the leaves come in lexicographic
+    order. The objective depends only on the cells a sequence observes, and
+    these sequences reach every cell set the simultaneous joint moves reach.
+    The admissible bound gives each remaining move the entropy of a cell given
+    one neighbour, its robot's last cell (:func:`_mes_tails`): O(1) per node on
+    any map. The first incumbent is the greedy one-robot-move path; among equal
+    values the lexicographically first sequence wins. Exceeding ``node_budget``
+    falls back to the best complete path found so far (``exact=False``);
     exhausting the tree certifies optimality. Joint entropies use the GP
     (log-scale) model.
     """
-    k, total = s0.k, s0.moves_left
+    total, order = s0.moves_left, _mes_order(s0)
     # one factor over the prior cells: the search extends it along the path it
     # scores and pops back
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
@@ -1000,7 +1008,7 @@ def mes_nonadaptive(
         running sum the search forms along the same path."""
         val = 0.0
         for j in range(total):
-            opts = list(walk.moves(j % k))
+            opts = list(walk.moves(order[j]))
             if not opts:
                 return -math.inf, None
             _, var = inc.batch([cell for _, _, cell, _ in opts])
@@ -1025,7 +1033,7 @@ def mes_nonadaptive(
             if keeps(val):
                 best_val, best_seq, found = val, seq[:], True
             return
-        for move in walk.moves(j % k):
+        for move in walk.moves(order[j]):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted

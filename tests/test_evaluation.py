@@ -27,6 +27,7 @@ from hotspotplan.planners import (
     NonAdaptivePolicy,
     PlannerConfig,
     Problem,
+    bounded_dp,
     mes_nonadaptive,
     mi_greedy,
     stagewise_reward,
@@ -107,18 +108,29 @@ def test_nonadaptive_policy_replays_identically():
     assert res1.path_cells == res2.path_cells
 
 
-def test_mes_mi_and_rollout_take_their_length_from_the_state():
-    # a robot that has taken one of its three steps has two left: both
-    # baselines plan two moves, and a rollout of their plans or of greedy ends
-    # after those two stages, none of them at a dead end
-    problem, d0, s0, field = make_field_instance(seed=5, rows=4, cols=4, model="gp", budget=3)
-    s1 = replace(s0, steps=(1,))
-    assert s1.moves_left == 2
+@pytest.mark.parametrize("seed, size, steps", [
+    (5, 4, (1,)),
+    (0, 5, (1, 0)), (0, 5, (2, 0)), (0, 5, (3, 0)), (0, 5, (0, 3)), (0, 5, (2, 1)),
+], ids=["k1-steps1", "k2-steps1-0", "k2-steps2-0", "k2-steps3-0", "k2-steps0-3", "k2-steps2-1"])
+def test_mes_mi_and_rollout_take_their_length_from_the_state(seed, size, steps):
+    # robots that have taken some of their three steps, one robot or two with
+    # shares that differ: both baselines plan each robot's moves left, MES
+    # exactly, at the gp bounded-DP value (Theorem 2), and a rollout of their
+    # plans or of greedy ends after those stages, none of them at a dead end
+    problem, d0, s0, field = make_field_instance(seed=seed, rows=size, cols=size, k=len(steps),
+                                                 model="gp", budget=3)
+    s1 = replace(s0, steps=steps)
+    left = [3 - n for n in steps]
+    assert s1.moves_left == sum(left)
     mes, mi = mes_nonadaptive(problem, d0, s1), mi_greedy(problem, d0, s1)
-    assert len(mes.policy.actions) == len(mi.policy.actions) == 2
+    assert [len(p) - 1 for p in mes.paths] == [len(p) - 1 for p in mi.paths] == left
+    assert len(mes.policy.actions) == len(mi.policy.actions) == sum(left)
+    assert mes.exact
+    cfg = PlannerConfig(horizon=s1.moves_left - 1, nu=1)
+    assert mes.value == pytest.approx(bounded_dp(problem, d0, s1, cfg, "lower")[0], abs=1e-9)
     for policy in (mes.policy, mi.policy, GreedyPolicy(problem)):
         res = rollout(problem, policy, field, d0, s1)
-        assert not res.dead_ended and len(res.path_cells[0]) == 3
+        assert not res.dead_ended and [len(p) - 1 for p in res.path_cells] == left
 
 
 @pytest.mark.parametrize("budget, shape, message", [

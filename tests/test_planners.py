@@ -52,6 +52,7 @@ from hotspotplan.planners import (
 )
 from hotspotplan.world import (
     HEADINGS,
+    MOVES,
     ConstrainedJointAction,
     GridDomain,
     RobotPose,
@@ -1764,6 +1765,31 @@ def enumerate_mes_oracle(problem, d0, s0, n):
     return best
 
 
+def enumerate_share_oracle(problem, d0, s0):
+    """Exhaustive oracle for MES on any split of the moves left, robot-major:
+    each robot in turn walks every self-avoiding path of its own ``budget -
+    steps[i]`` moves. Returns the best dense joint entropy, or None if no
+    complete plan exists."""
+    best = None
+
+    def rec(i, pose, left, visited, chosen):
+        nonlocal best
+        if left == 0:
+            if i + 1 < s0.k:
+                rec(i + 1, s0.poses[i + 1], s0.budget - s0.steps[i + 1], visited, chosen)
+                return
+            val = gaussian_entropy(posterior(d0, chosen, problem.hyper)) if chosen else 0.0
+            best = val if best is None else max(best, val)
+            return
+        for mv in MOVES:
+            to = move_target(pose, mv)
+            if problem.domain.contains(to.cell) and to.cell not in visited:
+                rec(i, to, left - 1, visited | {to.cell}, chosen + [to.cell])
+
+    rec(0, s0.poses[0], s0.budget - s0.steps[0], s0.visited, [])
+    return best
+
+
 def test_mes_single_step_picks_max_entropy_cell():
     problem, d0, s0 = make_instance(seed=40, rows=4, cols=4, model="gp", budget=1)
     res = mes_nonadaptive(problem, d0, s0)
@@ -1907,8 +1933,9 @@ def test_mes_and_mi_paths_are_their_actions_replayed(k, n):
 @st.composite
 def _mes_cases(draw):
     """Tiny MES instances: 3x3 to 4x4 maps, k = 1 or 2, random hyperparameters
-    (the 1e-3 length scale and the zero-noise jitter prior among them); some
-    robots' start cells are visited but hold no datum."""
+    (the 1e-3 length scale and the zero-noise jitter prior among them); each
+    robot has taken 0 to ``n`` of its ``n`` steps, and some robots' start cells
+    are visited but hold no datum."""
     domain = GridDomain(draw(st.integers(3, 4)), draw(st.integers(3, 4)))
     k = draw(st.integers(1, 2))
     n = draw(st.integers(2, 4) if k == 1 else st.integers(1, 3))
@@ -1921,28 +1948,30 @@ def _mes_cases(draw):
     h = Hyperparams(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 4.0)),
                     draw(st.one_of(st.just(1e-3), st.floats(0.3, 3.0))),
                     draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0))))
-    s0 = TeamState(poses, frozenset(picked), budget=n)
-    return Problem(domain, h, "gp"), PosteriorData(held, z), s0, n
+    steps = tuple(draw(st.integers(0, n)) for _ in range(k))
+    s0 = TeamState(poses, frozenset(picked), steps, budget=n)
+    return Problem(domain, h, "gp"), PosteriorData(held, z), s0
 
 
-def _bare_start_case():
+def _bare_start_case(steps=(0, 0)):
     # robot 1's start cell is visited but holds no datum, so its first move,
     # taken below robot 0's, may reach the prior variance
     poses = (RobotPose((0, 0), "S"), RobotPose((2, 3), "N"))
-    s0 = TeamState(poses, frozenset({(0, 0), (2, 3)}), budget=2)
+    s0 = TeamState(poses, frozenset({(0, 0), (2, 3)}), steps, budget=2)
     problem = Problem(GridDomain(3, 4), Hyperparams(0.1, 1.2, 1.4, 0.0), "gp")
-    return problem, PosteriorData([(0, 0)], [0.4]), s0, 2
+    return problem, PosteriorData([(0, 0)], [0.4]), s0
 
 
 @settings(max_examples=200, deadline=None)
 @given(_mes_cases())
 @example(_bare_start_case())
+@example(_bare_start_case(steps=(0, 1)))  # robots [0, 0, 1]: robot 1 first moves at depth 2
 def test_mes_tail_bounds_every_completion(case):
     # at every node of the search tree, the running value plus the search's
     # tail is at least the best completion through that node; so the search
     # returns the lexicographically first best sequence, scored as it scores
-    problem, d0, s0, n = case
-    k, total = s0.k, s0.k * n
+    problem, d0, s0 = case
+    total, order = s0.moves_left, planners._mes_order(s0)
     tails = planners._mes_tails(problem, d0, s0)
     inc = IncrementalPosterior(problem.kernel_table, d0.locations, d0.z, len(d0) + total)
     walk = Walk(s0, problem.domain)
@@ -1953,7 +1982,7 @@ def test_mes_tail_bounds_every_completion(case):
             leaves[tuple(seq)] = val
             return val
         best = -math.inf
-        for i, mv, cell, heading in list(walk.moves(j % k)):
+        for i, mv, cell, heading in list(walk.moves(order[j])):
             walk.step(i, cell, heading)
             child_val = val + planners._entropy(inc.extend(cell, 0.0))
             below = best_below(j + 1, seq + [(i, mv)], child_val)
@@ -1964,6 +1993,9 @@ def test_mes_tail_bounds_every_completion(case):
         return best
 
     best_below(0, [], 0.0)
+    # the robot-major dense oracle finds a plan exactly when the search does
+    share_val = enumerate_share_oracle(problem, d0, s0)
+    assert (share_val is None) == (not leaves)
     if not leaves:
         with pytest.raises(DeadEnd):
             mes_nonadaptive(problem, d0, s0)
@@ -1974,9 +2006,12 @@ def test_mes_tail_bounds_every_completion(case):
     assert res.exact
     assert res.value == best
     assert [(a.robot_index, a.move) for a in res.policy.actions] == list(first)
-    # the dense oracle over the joint moves: the same value, and the same
-    # sequence unless another one ties with it to within rounding
-    oracle_val, combos = enumerate_mes_oracle(problem, d0, s0, n)
+    assert share_val == pytest.approx(best, abs=1e-9)
+    if len(set(s0.steps)) > 1 or not total:
+        return
+    # with equal shares, the dense oracle over the joint moves: the same value,
+    # and the same sequence unless another one ties with it to within rounding
+    oracle_val, combos = enumerate_mes_oracle(problem, d0, s0, s0.budget - s0.steps[0])
     oracle_seq = tuple((i, mv) for combo in combos for i, mv in enumerate(combo))
     assert oracle_val == pytest.approx(best, abs=1e-9)
     assert leaves[oracle_seq] == pytest.approx(best, abs=1e-9)

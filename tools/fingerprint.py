@@ -15,7 +15,9 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   quadrature order 3), ``urtdp``'s root bracket, path counts and first
   action after 60 paths (horizon 3), MES's value, paths, ``exact`` and node
   count and MI's paths and scores (the state's budget set to 2 moves per
-  robot);
+  robot); and ``tiny/<rows>x<cols>/k2/gp/steps1-0/seed<s>/{mes,mi}``, the same
+  two baselines on the k = 2 ``gp`` instances of both maps, seeds 0-3, with
+  budget 2 and robot 0 one step in, so the robots' shares differ;
 * ``slow/<model>/<paths>``: ``urtdp`` on the instance of
   ``test_urtdp_full_path_budget_runs_to_completion`` for both models, at
   2,000 paths per search (and at 120,000 with ``--long``): two searches for
@@ -92,6 +94,18 @@ def _tiny(out: dict) -> None:
 
     from hotspotplan.planners import PlannerConfig, bounded_dp, exact_dp, mes_nonadaptive, mi_greedy, urtdp
 
+    def baselines(key, problem, d0, s):
+        def mes():
+            res = mes_nonadaptive(problem, d0, s)
+            return res.value, res.paths, res.exact, res.nodes
+
+        def mi():
+            res = mi_greedy(problem, d0, s)
+            return res.paths, res.scores
+
+        record(out, f"{key}/mes", mes)
+        record(out, f"{key}/mi", mi)
+
     grid = itertools.product(((4, 4), (3, 4)), (1, 2), ("gp", "lgp"), (None, 2), (2, 3), range(4))
     for (rows, cols), k, model, budget, nu, seed in grid:
         key = f"tiny/{rows}x{cols}/k{k}/{model}/budget{budget}/nu{nu}/seed{seed}"
@@ -111,18 +125,11 @@ def _tiny(out: dict) -> None:
                     res.exhausted, repr(res.policy.act(s0, d0, 0)))
 
         record(out, f"{key}/urtdp", root)
-
-        def mes():
-            res = mes_nonadaptive(problem, d0, replace(s0, budget=2))
-            return res.value, res.paths, res.exact, res.nodes
-
-        record(out, f"{key}/mes", mes)
-
-        def mi():
-            res = mi_greedy(problem, d0, replace(s0, budget=2))
-            return res.paths, res.scores
-
-        record(out, f"{key}/mi", mi)
+        baselines(key, problem, d0, replace(s0, budget=2))
+    for (rows, cols), seed in itertools.product(((4, 4), (3, 4)), range(4)):
+        problem, d0, s0 = make_instance(seed=seed, rows=rows, cols=cols, k=2, model="gp")
+        baselines(f"tiny/{rows}x{cols}/k2/gp/steps1-0/seed{seed}", problem, d0,
+                  replace(s0, budget=2, steps=(1, 0)))
 
 
 def _slow(out: dict, paths: int) -> None:
