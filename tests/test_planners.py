@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1859,6 +1860,20 @@ def test_mes_matches_enumeration_oracle():
         assert res.value == pytest.approx(
             gaussian_entropy(posterior(d0, cells, problem.hyper)), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("steps", [(1, 0), (2, 0), (3, 0), (0, 3), (2, 1)],
+                         ids=["steps1-0", "steps2-0", "steps3-0", "steps0-3", "steps2-1"])
+def test_share_oracle_meets_bounded_dp_on_uneven_shares(steps):
+    # the robot-major oracle against gp bounded_dp (Theorem 2) on fixed states
+    # whose robots have taken different numbers of steps; not on random ones,
+    # where bounded_dp values a dead end at 0 and may beat a complete plan whose
+    # rewards are negative
+    problem, d0, s0, _ = make_field_instance(seed=0, rows=5, cols=5, k=2, model="gp", budget=3)
+    s1 = replace(s0, steps=steps)
+    cfg = PlannerConfig(horizon=s1.moves_left - 1, nu=1)
+    assert enumerate_share_oracle(problem, d0, s1) == pytest.approx(
+        bounded_dp(problem, d0, s1, cfg, "lower")[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("rows,n,n_prior,seed", [
