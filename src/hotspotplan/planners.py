@@ -77,11 +77,9 @@ import multiprocessing
 import operator
 import os
 import threading
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -586,8 +584,8 @@ class _UrtdpInstance:
         self.rule = rule
         self.rng = rng
         nu, side = (config.nu, rule) if problem.is_lgp else (1, "jensen")
-        w, self.zeta = standardized_rule(nu, config.truncation_m, side)
-        self.w = w.tolist()
+        w, zeta = standardized_rule(nu, config.truncation_m, side)
+        self.w, self.zeta = w.tolist(), zeta.tolist()
         self.tables: dict[tuple, list] = {}
         self._window, self.stage_upper = None, 0.0  # the root's window and stage bound
         self.paths_run = 0
@@ -669,7 +667,7 @@ class _UrtdpInstance:
         slope = sum(cov.item(j, window.index[c]) for c in seq) / pivot_var
         sd = math.sqrt(pivot_var)
         for child, zj in zip(children, self.zeta):
-            child[0] = min(v_ref + slope * sd * float(zj), child[1])
+            child[0] = min(v_ref + slope * sd * zj, child[1])
 
     # -- bound arithmetic ----------------------------------------------------
 
@@ -705,9 +703,9 @@ class _UrtdpInstance:
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
         """One descent/backtrack trial; tightens bounds along the path. Each
         descent step conditions the carried window on the chosen record's cell
-        at the sampled outcome point, a new window per level, and steps the walk
-        by the record's move. A record entered for the first time gets its
-        children's lower bounds on its node's window before the outcome draw.
+        at the outcome point :func:`_draw` picks by gap, a new window per level,
+        and steps the walk by the record's move. A record entered for the first
+        time gets its children's lower bounds on its node's window before the draw.
         ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
 
         The trial carries the root's window on a fresh covariance trie
@@ -728,10 +726,7 @@ class _UrtdpInstance:
             move, _, children = records[node[3]]
             if children[0][0] == -math.inf:  # entered for the first time
                 self._init_children(window, walk, move, stage, children)
-            gaps = [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)]
-            total = _total(gaps)
-            probs = [g / total for g in gaps] if total > 0 else [1.0 / len(gaps)] * len(gaps)
-            j = _draw(self.rng, probs)
+            j = _draw(self.rng, [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)])
             trail.append((node, records))
             i, _, x, heading = move
             window = window.conditioned(window.index[x], self.zeta[j])
@@ -760,10 +755,19 @@ def _total(xs) -> float:
     return reduce(operator.add, xs, 0.0) if len(xs) < 8 else float(np.sum(xs))
 
 
-def _draw(rng: np.random.Generator, probs) -> int:
-    """``rng.choice(len(probs), p=probs)``: its arithmetic and stream, not its checks."""
-    cdf = list(accumulate(probs))
-    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
+def _draw(rng: np.random.Generator, gaps) -> int:
+    """``rng.choice(n, p=gaps / _total(gaps))`` over ``n`` gaps, ``p = 1/n`` each
+    if they total 0: its arithmetic and stream (the count of ``p.cumsum()``'s
+    values, each over the last, at most one ``rng.random()``), not its checks."""
+    total, n, cdf, run = _total(gaps), len(gaps), [], 0.0
+    for g in gaps:
+        run += g / total if total > 0 else 1.0 / n
+        cdf.append(run)
+    u = rng.random()
+    for j, c in enumerate(cdf):
+        if c / run > u:
+            return j
+    return n
 
 
 class UrtdpPolicy(Policy):

@@ -394,7 +394,7 @@ def test_urtdp_tables_bracket_exhaustive_values_at_visited_states():
             s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
             g = posterior(d, [x], problem.hyper)
             mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
-            for zj, child in zip(mu + sd * inst.zeta, children):
+            for zj, child in zip(mu + sd * np.asarray(inst.zeta), children):
                 stack.append((child, s2, d.extended(x, zj), stage + 1))
     checked = 0
     for node, s, d, stage in expanded:
@@ -500,7 +500,7 @@ def test_child_lower_bound_is_the_certainty_equivalent_continuation(model, monke
         g = posterior(d, [x], problem.hyper)
         mean, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
         checked = 0
-        for zj, (lower, upper) in zip(mean + sd * inst.zeta, children):
+        for zj, (lower, upper) in zip(mean + sd * np.asarray(inst.zeta), children):
             dj, value = d.extended(x, zj), 0.0
             for c in seq:
                 g = posterior(dj, [c], problem.hyper)
@@ -709,7 +709,7 @@ def test_window_rollouts_equal_factor_rollouts(model, k, monkeypatch):
             assert seq == ref_seq
             assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
             upper = cfg.horizon * stage_upper
-            for zj, (lo, hi) in zip(mu + sd * inst.zeta, children):
+            for zj, (lo, hi) in zip(mu + sd * np.asarray(inst.zeta), children):
                 assert hi == pytest.approx(upper, rel=1e-12, abs=0)
                 assert lo == pytest.approx(min(ref_total + slope * (zj - mu), upper),
                                            rel=1e-12, abs=1e-12)
@@ -994,21 +994,43 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
 
 
 def test_outcome_draw_matches_generator_choice():
-    # the walk's draw consumes the stream as Generator.choice does and picks
-    # the same index, zero weights and the uniform fallback included
+    # the descent hands the draw its raw weighted gaps: normalized by _total,
+    # or uniform when they total 0, the draw consumes the stream as
+    # Generator.choice does and picks the same index, zero gaps included
     gen = np.random.default_rng(2024)
-    vectors = [np.full(n, 1.0 / n) for n in range(1, 6)]
-    vectors += [np.array([0.0, 0.25, 0.75]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    vectors = [[0.0] * n for n in range(1, 10)]
+    vectors += [[1.0 / n] * n for n in range(1, 6)]
+    vectors += [[0.0, 0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]
     while len(vectors) < 1200:
-        w = gen.random(int(gen.integers(2, 6)))
-        w[gen.random(w.size) < 0.3] = 0.0
-        if w.sum() > 0:
-            vectors.append(w / w.sum())
-    for seed, probs in enumerate(vectors):
+        n = int(gen.integers(1, 10))
+        gaps = gen.random(n) * 10.0 ** gen.uniform(-8, 2, n)
+        gaps[gen.random(n) < 0.2] = 0.0
+        vectors.append(gaps.tolist())
+    for seed, gaps in enumerate(vectors):
+        n, total = len(gaps), planners._total(gaps)
+        p = np.asarray(gaps) / total if total > 0 else np.full(n, 1 / n)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert planners._draw(ours, probs) == int(theirs.choice(len(probs), p=probs))
+            assert planners._draw(ours, gaps) == theirs.choice(n, p=p)
         assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("model", ["lgp", "gp"])
+@pytest.mark.parametrize("rule", ["jensen", "em"])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_instance_points_are_the_rules_points_as_python_floats(model, rule, nu):
+    # expand, child seeding and the descent read the outcome points as one
+    # list of Python floats, bit for bit the rule's; gp has one point, 0.0
+    problem = make_instance(seed=0, model=model)[0]
+    cfg = cfg_for(horizon=2, nu=nu)
+    zeta = _UrtdpInstance(problem, cfg, rule, np.random.default_rng(0)).zeta
+    if model == "lgp":
+        expected = standardized_rule(nu, cfg.truncation_m, rule)[1].tolist()
+    else:
+        expected = [0.0]
+        assert standardized_rule(1, cfg.truncation_m, "jensen")[1].tolist() == expected
+    assert [z.hex() for z in zeta] == [z.hex() for z in expected]
+    assert all(type(z) is float for z in zeta)
 
 
 def test_gap_total_rounds_as_numpy_sums():
@@ -1213,7 +1235,7 @@ def test_lazy_lower_bounds_stay_admissible(case, rule, nu):
                 mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
                 s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
                 stack.extend((child, s2, d.extended(x, zj), stage + 1)
-                             for zj, child in zip(mu + sd * inst.zeta, children))
+                             for zj, child in zip(mu + sd * np.asarray(inst.zeta), children))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1247,7 +1269,7 @@ def test_upper_bounds_stay_admissible(case, rule, nu, length_scale, shift):
                 mu, sd = float(g.mean[0]), math.sqrt(g.covariance[0, 0])
                 s2 = transition(s, ConstrainedJointAction(i, mv), problem.domain)
                 stack.extend((child, s2, d.extended(x, zj), stage + 1)
-                             for zj, child in zip(mu + sd * inst.zeta, children or ()))
+                             for zj, child in zip(mu + sd * np.asarray(inst.zeta), children or ()))
 
 
 def test_urtdp_brackets_the_one_by_twelve_corridor():
