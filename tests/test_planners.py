@@ -994,7 +994,7 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
 
 
 def test_outcome_draw_matches_generator_choice():
-    # the descent hands the draw its raw weighted gaps: normalized by _total,
+    # the descent hands the draw its raw weighted gaps; normalized by _total,
     # or uniform when they total 0, the draw consumes the stream as
     # Generator.choice does and picks the same index, zero gaps included
     gen = np.random.default_rng(2024)
@@ -1024,11 +1024,8 @@ def test_instance_points_are_the_rules_points_as_python_floats(model, rule, nu):
     problem = make_instance(seed=0, model=model)[0]
     cfg = cfg_for(horizon=2, nu=nu)
     zeta = _UrtdpInstance(problem, cfg, rule, np.random.default_rng(0)).zeta
-    if model == "lgp":
-        expected = standardized_rule(nu, cfg.truncation_m, rule)[1].tolist()
-    else:
-        expected = [0.0]
-        assert standardized_rule(1, cfg.truncation_m, "jensen")[1].tolist() == expected
+    expected = ([0.0] if model == "gp"
+                else standardized_rule(nu, cfg.truncation_m, rule)[1].tolist())
     assert [z.hex() for z in zeta] == [z.hex() for z in expected]
     assert all(type(z) is float for z in zeta)
 
