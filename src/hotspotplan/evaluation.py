@@ -60,6 +60,8 @@ def rollout(
     """
     if field.shape != (problem.domain.rows, problem.domain.cols):
         raise ValueError("field shape must match the domain")
+    if not (np.isfinite(field) & (field > 0)).all():
+        raise ValueError("field values must be positive and finite")
     s = s0
     d = d0
     paths = [[p.cell] for p in s0.poses]

@@ -82,7 +82,7 @@ class Hyperparams:
 
 
 class PosteriorData:
-    """Ordered observation history: locations and log measurements.
+    """Ordered observation history: locations and finite log measurements.
 
     Instances are immutable; ``extended`` returns a new history.
     """
@@ -94,6 +94,8 @@ class PosteriorData:
         z = np.asarray(z, dtype=float)
         if z.ndim != 1 or len(locations) != z.shape[0]:
             raise ValueError("locations and measurements must have equal length")
+        if not np.isfinite(z).all():
+            raise ValueError("measurements must be finite")
         if len(set(locations)) != len(locations):
             raise ValueError("duplicate observed locations")
         self.locations = locations

@@ -74,12 +74,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import operator
 import os
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -702,11 +703,11 @@ class _UrtdpInstance:
 
     def simulated_path(self, d0: PosteriorData, s0: TeamState, stage0: int = 0, root=None):
         """One descent/backtrack trial; tightens bounds along the path. Each
-        descent step conditions the carried window on the chosen record's cell
-        at the outcome point :func:`_draw` picks by gap, a new window per level,
-        and steps the walk by the record's move. A record entered for the first
-        time gets its children's lower bounds on its node's window before the draw.
-        ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
+        descent step conditions a new window on the chosen record's cell at the
+        outcome point :func:`_draw` picks by ``w``-weighted gap, and steps the
+        walk by the record's move. A record entered for the first time gets its
+        children's lower bounds, each capped at its upper, before the draw, so no
+        gap is negative. ``root`` is ``_root(d0, s0, stage0)`` if the caller has it.
 
         The trial carries the root's window on a fresh covariance trie
         (:meth:`_Window.fresh`), so its descent, child seeding and rollouts
@@ -726,7 +727,7 @@ class _UrtdpInstance:
             move, _, children = records[node[3]]
             if children[0][0] == -math.inf:  # entered for the first time
                 self._init_children(window, walk, move, stage, children)
-            j = _draw(self.rng, [wj * max(c[1] - c[0], 0.0) for wj, c in zip(self.w, children)])
+            j = _draw(self.rng, [wj * (c[1] - c[0]) for wj, c in zip(self.w, children)])
             trail.append((node, records))
             i, _, x, heading = move
             window = window.conditioned(window.index[x], self.zeta[j])
@@ -748,26 +749,13 @@ class _UrtdpInstance:
         return root
 
 
-def _total(xs) -> float:
-    """``np.sum(xs)`` with numpy's rounding: fewer than eight terms are added
-    in order from zero (builtin ``sum`` compensates from Python 3.12 on),
-    eight or more by numpy's own pairwise sum."""
-    return reduce(operator.add, xs, 0.0) if len(xs) < 8 else float(np.sum(xs))
-
-
 def _draw(rng: np.random.Generator, gaps) -> int:
-    """``rng.choice(n, p=gaps / _total(gaps))`` over ``n`` gaps, ``p = 1/n`` each
-    if they total 0: its arithmetic and stream (the count of ``p.cumsum()``'s
-    values, each over the last, at most one ``rng.random()``), not its checks."""
-    total, n, cdf, run = _total(gaps), len(gaps), [], 0.0
-    for g in gaps:
-        run += g / total if total > 0 else 1.0 / n
-        cdf.append(run)
-    u = rng.random()
-    for j, c in enumerate(cdf):
-        if c / run > u:
-            return j
-    return n
+    """The first index whose running sum of ``gaps`` is past ``rng.random()``
+    times their total (of ``[1.0] * n`` if no gap is positive): index ``j`` with
+    odds ``gaps[j]``, never a zero gap. ``hi`` keeps a subnormal total, which the
+    scaled uniform can round up to, on the last index."""
+    runs = list(accumulate(gaps if any(gaps) else [1.0] * len(gaps)))
+    return bisect_right(runs, rng.random() * runs[-1], hi=len(runs) - 1)
 
 
 class UrtdpPolicy(Policy):

@@ -93,7 +93,7 @@ class ConstrainedJointAction:
 class TeamState:
     """Poses of all robots plus the set of cells observed so far.
 
-    ``steps`` counts new cells each robot has taken, at most ``budget`` each:
+    ``steps`` counts new cells each robot has taken, 0 to ``budget`` each:
     the plan's one length, which MES, MI and ``rollout`` read as :attr:`moves_left`.
     """
 
@@ -109,6 +109,8 @@ class TeamState:
             object.__setattr__(self, "steps", (0,) * len(self.poses))
         if len(self.steps) != len(self.poses):
             raise ValueError("steps length must match pose count")
+        if min(self.steps) < 0:
+            raise ValueError(f"steps {self.steps} must not be negative")
         if self.budget is not None and (self.budget < 0 or max(self.steps) > self.budget):
             raise ValueError(f"budget {self.budget} is negative or below steps {self.steps}")
         for p in self.poses:

@@ -133,15 +133,21 @@ def test_mes_mi_and_rollout_take_their_length_from_the_state(seed, size, steps):
         assert not res.dead_ended and [len(p) - 1 for p in res.path_cells] == left
 
 
-@pytest.mark.parametrize("budget, shape, message", [
-    (None, (4, 4), "without a budget"),
-    (2, (4, 5), "field shape must match the domain"),
-], ids=["no-budget", "field-shape"])
+@pytest.mark.parametrize("budget, shape, value, message", [
+    (None, (4, 4), 1.0, "without a budget"),
+    (2, (4, 5), 1.0, "field shape must match the domain"),
+    (2, (4, 4), 0.0, "field values must be positive and finite"),
+    (2, (4, 4), math.inf, "field values must be positive and finite"),
+], ids=["no-budget", "field-shape", "non-positive-value", "non-finite-value"])
 def test_rollout_refuses_a_state_without_a_budget_or_a_field_of_another_shape(budget, shape,
-                                                                              message):
+                                                                              value, message):
+    # every refusal comes before the first decision: a field value the
+    # history cannot take (log of 0, inf) is refused, not met after planning
     problem, d0, s0, _ = make_field_instance(seed=1, rows=4, cols=4, budget=budget)
+    field = np.ones(shape)
+    field[-1, -1] = value
     with pytest.raises(ValueError, match=message):
-        rollout(problem, GreedyPolicy(problem), np.ones(shape), d0, s0)
+        rollout(problem, GreedyPolicy(problem), field, d0, s0)
 
 
 # -- ent_metric --------------------------------------------------------------

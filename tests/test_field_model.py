@@ -174,7 +174,9 @@ def test_duplicate_locations_rejected():
     (lambda: PosteriorData([(0, 0)], [1.0]).extended((0, 0), 2.0), r"cell \(0, 0\) already observed"),
     (lambda: map_entropy(PosteriorData([(2, 0)], [0.1]), GridDomain(2, 2),
                          Hyperparams(0.0, 1.0, 1.0, 0.1)), "observed cells must lie on the map"),
-], ids=["lengths", "observed-again", "off-the-map"])
+    (lambda: PosteriorData([(0, 0), (0, 1)], [1.0, math.nan]), "measurements must be finite"),
+    (lambda: PosteriorData([(0, 0)], [1.0]).extended((0, 1), math.inf), "measurements must be finite"),
+], ids=["lengths", "observed-again", "off-the-map", "nan-datum", "inf-extended"])
 def test_histories_refuse_what_they_cannot_hold(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -994,9 +994,9 @@ def test_nothing_a_trial_conditions_outlives_it(monkeypatch):
 
 
 def test_outcome_draw_matches_generator_choice():
-    # the descent hands the draw its raw weighted gaps; normalized by _total,
-    # or uniform when they total 0, the draw consumes the stream as
-    # Generator.choice does and picks the same index, zero gaps included
+    # the descent hands the draw its raw weighted gaps; as Generator.choice
+    # with p the gaps over their sum, or uniform when they total 0, the draw
+    # takes one random() and, away from ulp boundaries, the same index
     gen = np.random.default_rng(2024)
     vectors = [[0.0] * n for n in range(1, 10)]
     vectors += [[1.0 / n] * n for n in range(1, 6)]
@@ -1007,7 +1007,7 @@ def test_outcome_draw_matches_generator_choice():
         gaps[gen.random(n) < 0.2] = 0.0
         vectors.append(gaps.tolist())
     for seed, gaps in enumerate(vectors):
-        n, total = len(gaps), planners._total(gaps)
+        n, total = len(gaps), float(np.sum(gaps))
         p = np.asarray(gaps) / total if total > 0 else np.full(n, 1 / n)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
@@ -1030,15 +1030,39 @@ def test_instance_points_are_the_rules_points_as_python_floats(model, rule, nu):
     assert all(type(z) is float for z in zeta)
 
 
-def test_gap_total_rounds_as_numpy_sums():
-    # the descent normalizes its gap weights by this total, as the numpy
-    # array sum did; one ulp apart could move the draw across the uniform
+class _Uniforms:
+    """A stand-in generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, us):
+        self.us = iter(us)
+
+    def random(self):
+        return next(self.us)
+
+
+def test_draw_takes_the_first_running_sum_past_the_scaled_uniform():
+    # the draw is the first index whose running sum of gaps (of ones when no
+    # gap is positive) exceeds u times the last, capped at the last index, for
+    # u at 0, just below 1 and on each side of every normalized running sum
     gen = np.random.default_rng(7)
+    vectors = [[0.0] * n for n in range(1, 10)]
+    vectors += [[0.25, 0.0, 0.25, 0.5], [0.0, 3.0, 1.0], [2.0, 2.0],
+                [5e-324, 5e-324], [1e-323, 0.0]]
     for n in range(2, 10):
         for _ in range(2000):
             gaps = gen.random(n) * 10.0 ** gen.uniform(-8, 2, n)
             gaps[gen.random(n) < 0.2] = 0.0
-            assert planners._total(gaps.tolist()) == gaps.sum()
+            vectors.append(gaps.tolist())
+    for gaps in vectors:
+        n = len(gaps)
+        runs = np.cumsum(gaps) if max(gaps) > 0 else np.arange(1.0, n + 1)
+        us = [0.0, math.nextafter(1.0, 0.0)]
+        for r in (runs / runs[-1]).tolist():
+            us += [u for u in (math.nextafter(r, 0.0), r, math.nextafter(r, 1.0)) if u < 1.0]
+        expected = np.minimum(np.searchsorted(runs, np.asarray(us) * runs[-1], side="right"),
+                              n - 1)
+        stub = _Uniforms(us)
+        assert [planners._draw(stub, gaps) for _ in us] == expected.tolist(), gaps
 
 
 @pytest.mark.parametrize("model", ["lgp", "gp"])
@@ -1618,19 +1642,21 @@ def _reference_qs(inst, records):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["gp", "lgp"]), st.integers(1, 2),
-       st.integers(1, 4), st.integers(1, 3))
-def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, horizon, nu):
-    # after every trial, each expanded node's cached index is the first
-    # record with the largest upper q, and its bounds are the largest q's;
-    # the scan's pick is the first record with the largest lower q
+       st.integers(1, 4), st.integers(1, 3), st.sampled_from(["jensen", "em"]))
+def test_cached_descent_index_and_bounds_follow_the_q_values(seed, model, k, horizon, nu, rule):
+    # after every trial, every node's lower bound is at most its upper (so
+    # no descent gap is negative), each expanded node's cached index is the
+    # first record with the largest upper q, and its bounds are the largest
+    # q's; the scan's pick is the first record with the largest lower q
     problem, d0, s0 = make_instance(seed=seed, rows=3, cols=4, k=k, model=model, n_prior=2)
-    inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=nu), "jensen",
+    inst = _UrtdpInstance(problem, cfg_for(horizon=horizon, nu=nu), rule,
                           np.random.default_rng(seed))
     for _ in range(8):
         inst.simulated_path(d0, s0, 0)
         stack = [inst.tables[state_key(0, s0, d0)]]
         while stack:
             node = stack.pop()
+            assert node[0] <= node[1]
             if len(node) == 2 or not node[2]:
                 continue
             lowers, uppers = map(list, zip(*_reference_qs(inst, node[2])))

@@ -144,8 +144,10 @@ _ONE = (RobotPose((0, 0), "S"),)
     (lambda: TeamState(_ONE, frozenset()), "every robot pose must be an observed cell"),
     (lambda: TeamState(_ONE, frozenset({(0, 0)}), budget=-2), "budget -2 is negative"),
     (lambda: TeamState(_ONE, frozenset({(0, 0)}), steps=(5,), budget=2), r"below steps \(5,\)"),
+    (lambda: TeamState(_ONE, frozenset({(0, 0)}), steps=(-1,), budget=2),
+     r"steps \(-1,\) must not be negative"),
 ], ids=["heading", "move", "no-robot", "steps-length", "unobserved-pose", "negative-budget",
-        "steps-above-budget"])
+        "steps-above-budget", "negative-steps"])
 def test_world_values_refuse_what_they_cannot_mean(make, message):
     with pytest.raises(ValueError, match=message):
         make()
