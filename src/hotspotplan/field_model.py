@@ -433,40 +433,49 @@ def fit_hyperparams(
 
     The mean is fixed at the sample mean of the log measurements; the grid
     search is exhaustive, so the returned candidate has likelihood at least
-    that of every other grid point. One eigendecomposition per length scale
-    scores every (signal, noise) pair. Ties go to the first maximum of the
-    C-ordered (signal, noise) block, then to the first length scale.
+    that of every other grid point. Each candidate's Gram is ``signal * C +
+    prior variance * I``, ``C`` its length scale's correlations less the
+    identity, so one stacked eigendecomposition of every ``C`` scores the
+    whole grid. A candidate whose smallest eigenvalue is not positive is
+    skipped, like a failed Cholesky. Ties go to the first maximum in
+    (length, signal, noise) order. Raises ``ValueError`` for ``grid_points <
+    1``, a grid that is empty or not 1-D, or a grid value that
+    :class:`Hyperparams` refuses, and :class:`SingularGram` when no candidate
+    is positive definite.
     """
     if len(observations) < 5:
         raise InsufficientData(f"need >= 5 observations, got {len(observations)}")
-    sg, lg, ng = default_grids(observations, domain, grid_points)
-    signal_grid = sg if signal_grid is None else np.asarray(signal_grid, dtype=float)
-    length_grid = lg if length_grid is None else np.asarray(length_grid, dtype=float)
-    noise_grid = ng if noise_grid is None else np.asarray(noise_grid, dtype=float)
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
+    given = {"signal_grid": signal_grid, "length_grid": length_grid, "noise_grid": noise_grid}
+    sg, lg, ng = grids = [d if g is None else np.asarray(g, dtype=float)
+                          for g, d in zip(given.values(), default_grids(observations, domain, grid_points))]
+    for name, grid in zip(given, grids):
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError(f"{name} must be a non-empty 1-D grid, got shape {grid.shape}")
     mean = float(np.mean(observations.z))
+    for extreme in (np.min, np.max):  # every grid value lies between these two candidates
+        Hyperparams(mean, extreme(sg), extreme(lg), extreme(ng))
     resid = observations.z - mean
-    # the prior variance of every (signal, noise) pair
-    diag = np.array([[Hyperparams(mean, sv, 1.0, nv).prior_variance for nv in noise_grid]
-                     for sv in signal_grid]).reshape(len(signal_grid), len(noise_grid))
     cells = np.asarray(observations.locations, dtype=float)
     sq = _sq_dists(cells, cells)
-    best, best_ll = None, -np.inf
-    for ell in length_grid:
-        # each Gram is sv * off + diag * I, off the correlations less the identity
-        off = _se(sq.copy(), Hyperparams(mean, 1.0, ell))
-        np.fill_diagonal(off, 0.0)
-        mu, q = np.linalg.eigh(off)
-        ev = signal_grid[:, None, None] * mu + diag[:, :, None]
-        ok = (ev > 0).all(axis=2)  # the others are skipped, like a failed Cholesky
-        if not ok.any():
-            continue
-        ev[~ok] = 1.0
-        ll = np.where(ok, -0.5 * (((resid @ q) ** 2 / ev).sum(axis=2) + np.log(ev).sum(axis=2)
-                                  + len(resid) * math.log(2.0 * math.pi)), -np.inf)
-        i, j = np.unravel_index(np.argmax(ll), ll.shape)
-        if ll[i, j] > best_ll:
-            best_ll = ll[i, j]
-            best = (signal_grid[i], ell, noise_grid[j])
-    if best is None:
+    n = len(resid)
+    # every Gram is signal * off + prior variance * I, off the correlations less the identity
+    off = np.stack([_se(sq.copy(), Hyperparams(mean, 1.0, ell)) for ell in lg])
+    off.reshape(len(lg), -1)[:, :: n + 1] = 0.0
+    mu, q = np.linalg.eigh(off)
+    # Hyperparams.prior_variance of every (signal, noise) pair
+    diag = sg[:, None] + np.where(ng == 0, JITTER_FRACTION * sg[:, None], ng)
+    ok = sg[:, None] * mu[:, :1, None] + diag > 0  # eigh's eigenvalues ascend
+    quad, logdet = np.empty((2, len(lg), len(sg), len(ng)))
+    for k in range(len(lg)):
+        ev = sg[:, None, None] * mu[k] + diag[:, :, None]
+        ev[~ok[k]] = 1.0
+        np.sum((resid @ q[k]) ** 2 / ev, axis=2, out=quad[k])
+        np.sum(np.log(ev), axis=2, out=logdet[k])
+    ll = -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
+    ll[~ok] = -np.inf
+    k, i, j = np.unravel_index(np.argmax(ll), ll.shape)
+    if ll[k, i, j] == -np.inf:
         raise SingularGram("no grid candidate yielded a positive definite gram")
-    return Hyperparams(mean, best[0], best[1], best[2])
+    return Hyperparams(mean, sg[i], lg[k], ng[j])

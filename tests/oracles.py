@@ -22,8 +22,9 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
-from hotspotplan.errors import DegenerateCovariance, SingularGram
-from hotspotplan.field_model import LOG_2PI_E, Hyperparams, PosteriorData, _gram_factor, _se, _sq_dists
+from hotspotplan.errors import DegenerateCovariance, InsufficientData, SingularGram
+from hotspotplan.field_model import (LOG_2PI_E, Hyperparams, PosteriorData, _gram_factor, _se, _sq_dists,
+                                    default_grids)
 from hotspotplan.world import Cell
 
 
@@ -147,3 +148,50 @@ def log_marginal_likelihood(d: PosteriorData, h: Hyperparams) -> float:
     half = solve_triangular(L, d.z - h.mean, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * (half @ half + logdet + len(d) * math.log(2.0 * math.pi))
+
+
+def loop_fit(
+    observations: PosteriorData,
+    domain,
+    signal_grid=None,
+    length_grid=None,
+    noise_grid=None,
+    grid_points: int = 20,
+) -> Hyperparams:
+    """The grid fit as one eigendecomposition per length scale, in a loop:
+    the reference that ``fit_hyperparams``' stacked form must equal bit for
+    bit. Ties go to the first maximum of the C-ordered (signal, noise) block,
+    then to the first length scale."""
+    if len(observations) < 5:
+        raise InsufficientData(f"need >= 5 observations, got {len(observations)}")
+    sg, lg, ng = default_grids(observations, domain, grid_points)
+    signal_grid = sg if signal_grid is None else np.asarray(signal_grid, dtype=float)
+    length_grid = lg if length_grid is None else np.asarray(length_grid, dtype=float)
+    noise_grid = ng if noise_grid is None else np.asarray(noise_grid, dtype=float)
+    mean = float(np.mean(observations.z))
+    resid = observations.z - mean
+    # the prior variance of every (signal, noise) pair
+    diag = np.array([[Hyperparams(mean, sv, 1.0, nv).prior_variance for nv in noise_grid]
+                     for sv in signal_grid]).reshape(len(signal_grid), len(noise_grid))
+    cells = np.asarray(observations.locations, dtype=float)
+    sq = _sq_dists(cells, cells)
+    best, best_ll = None, -np.inf
+    for ell in length_grid:
+        # each Gram is sv * off + diag * I, off the correlations less the identity
+        off = _se(sq.copy(), Hyperparams(mean, 1.0, ell))
+        np.fill_diagonal(off, 0.0)
+        mu, q = np.linalg.eigh(off)
+        ev = signal_grid[:, None, None] * mu + diag[:, :, None]
+        ok = (ev > 0).all(axis=2)  # the others are skipped, like a failed Cholesky
+        if not ok.any():
+            continue
+        ev[~ok] = 1.0
+        ll = np.where(ok, -0.5 * (((resid @ q) ** 2 / ev).sum(axis=2) + np.log(ev).sum(axis=2)
+                                  + len(resid) * math.log(2.0 * math.pi)), -np.inf)
+        i, j = np.unravel_index(np.argmax(ll), ll.shape)
+        if ll[i, j] > best_ll:
+            best_ll = ll[i, j]
+            best = (signal_grid[i], ell, noise_grid[j])
+    if best is None:
+        raise SingularGram("no grid candidate yielded a positive definite gram")
+    return Hyperparams(mean, best[0], best[1], best[2])

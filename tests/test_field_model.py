@@ -29,6 +29,7 @@ from oracles import (
     gaussian_entropy,
     lgp_entropy,
     log_marginal_likelihood,
+    loop_fit,
     posterior,
 )
 
@@ -606,6 +607,61 @@ def test_fit_ties_go_to_the_first_candidate_in_iteration_order(length_grid):
     d = PosteriorData([(0, 0), (1, 2), (2, 4), (3, 1), (4, 3), (0, 4)], [a, -a] * 3)
     fit = fit_hyperparams(d, dom, [0.2, 0.3], length_grid, [0.2, 0.3])
     assert (fit.signal_variance, fit.length_scale, fit.noise_variance) == (0.2, length_grid[0], 0.3)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(grid_points=0), "grid_points"),
+    (dict(signal_grid=[]), "signal_grid"),
+    (dict(length_grid=[[1.0, 2.0]]), "length_grid"),
+    (dict(signal_grid=[0.5, 0.0]), "signal_variance"),
+    (dict(signal_grid=[0.5, math.inf]), "signal_variance"),
+    (dict(length_grid=[-1.0, 2.0]), "length_scale"),
+    (dict(length_grid=[2.0, math.nan]), "length_scale"),
+    (dict(noise_grid=[-0.1, 0.2]), "noise_variance"),
+    (dict(noise_grid=[0.1, math.inf]), "noise_variance"),
+], ids=["no-points", "empty", "2-d", "zero-signal", "inf-signal", "negative-length", "nan-length",
+        "negative-noise", "inf-noise"])
+def test_fit_refuses_a_bad_grid_naming_the_argument(kwargs, match):
+    dom, d = _fit_instance(5, 5, 8, seed=3)
+    with pytest.raises(ValueError, match=match):
+        fit_hyperparams(d, dom, **kwargs)
+
+
+def _outcome(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except Exception as exc:  # a raise is an outcome too
+        return type(exc), str(exc)
+
+
+@st.composite
+def _fit_cases(draw):
+    """Small fits whose grids hold zero noise, a length of 1e12 (not positive
+    definite without jitter), tiny lengths (every correlation 0, so sums of
+    signal and noise tie) and repeated values (exact ties)."""
+    rows = draw(st.integers(2, 8))
+    cols = draw(st.integers(3 if rows == 2 else 2, 8))
+    m = draw(st.integers(5, min(30, rows * cols)))
+    cells = GridDomain(rows, cols).cells()
+    locs = [cells[i] for i in draw(st.permutations(range(rows * cols)))[:m]]
+    z = draw(st.lists(st.one_of(st.sampled_from([-0.7, 0.7]), st.floats(-3.0, 3.0)), min_size=m, max_size=m))
+    values = {"signal_grid": [0.05, 0.1, 0.2, 0.3, 1.0, 2.5],
+              "length_grid": [1e-4, 1e-3, 0.5, 1.3, 2.0, 4.0, 1e12],
+              "noise_grid": [0.0, 1e-3, 0.1, 0.2, 0.3]}
+    grids = {name: draw(st.none() | st.lists(st.sampled_from(v), min_size=1, max_size=6))
+             for name, v in values.items()}
+    return GridDomain(rows, cols), PosteriorData(locs, z), grids, draw(st.sampled_from([3, 12, 20]))
+
+
+@pytest.mark.parametrize("jitter", [fm.JITTER_FRACTION, 0.0])
+@settings(max_examples=150, deadline=None)
+@given(_fit_cases())
+def test_fit_equals_the_per_length_loop_bit_for_bit(jitter, case):
+    dom, d, grids, points = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fm, "JITTER_FRACTION", jitter)
+        assert _outcome(fit_hyperparams, d, dom, **grids, grid_points=points) == _outcome(
+            loop_fit, d, dom, **grids, grid_points=points)
 
 
 # -- incremental factor ------------------------------------------------------

@@ -31,7 +31,12 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   2-39 cells a side, 0-39 data with every eighth history empty, noise 0,
   1e-4, 0.05 or 0.5, length scales 1e-3 to 30): a sha256 of
   ``posterior_marginals``' means and variances over every cell, observed
-  cells included, ``map_entropy`` and one ``lognormal_predictor``.
+  cells included, ``map_entropy`` and one ``lognormal_predictor``;
+* ``fit/<i>``: ``fit_hyperparams`` on its own, on 40 seeded instances (grids
+  2-39 cells a side, 3-60 data drawn by ``sample_field``, so a few histories
+  are too short to fit): the mean, signal variance, length scale and noise
+  variance fitted on the default grids of 12 and 20 points, and on one
+  explicit 3 x 3 x 3 grid whose noise values include 0.0.
 
 The library is whichever ``hotspotplan`` the interpreter imports, so
 ``PYTHONPATH=<checkout>/src`` fingerprints another checkout with this
@@ -231,11 +236,37 @@ def _field(out: dict) -> None:
         record(out, f"{key}/predictor", lambda: lognormal_predictor(d, x, h))
 
 
+def _fit(out: dict) -> None:
+    from hotspotplan.field_model import Hyperparams, PosteriorData, fit_hyperparams, sample_field
+    from hotspotplan.world import GridDomain
+
+    rng = np.random.default_rng(40)
+    for i in range(40):
+        dom = GridDomain(*(int(n) for n in rng.integers(2, 40, size=2)))
+        h = Hyperparams(float(rng.normal()), float(rng.uniform(0.2, 3.0)),
+                        float(np.exp(rng.uniform(math.log(0.3), math.log(20.0)))), 0.0)
+        field = sample_field(h, dom, seed=int(rng.integers(2**31)))
+        cells = dom.cells()
+        m = int(rng.integers(3, min(60, dom.size) + 1))
+        locs = [cells[j] for j in rng.choice(dom.size, m, replace=False)]
+        d = PosteriorData(locs, [math.log(field[c]) + float(rng.normal(0.0, 0.1)) for c in locs])
+        key = f"fit/{i}/{dom.rows}x{dom.cols}/m{m}"
+
+        def fields(**grids):
+            fit = fit_hyperparams(d, dom, **grids)
+            return fit.mean, fit.signal_variance, fit.length_scale, fit.noise_variance
+
+        for points in (12, 20):
+            record(out, f"{key}/points{points}", lambda: fields(grid_points=points))
+        record(out, f"{key}/explicit", lambda: fields(signal_grid=[0.3, 1.0, 3.0], length_grid=[0.7, 1.5, 4.0],
+                                                      noise_grid=[0.0, 0.01, 0.1]))
+
+
 def fingerprint(long: bool = False) -> dict:
     """Every key of the fingerprint, in a fixed order."""
     out: dict = {}
     steps = [("tiny", _tiny), ("slow", lambda o: _slow(o, 2_000)), ("closure", _closure),
-             ("readme", _readme), ("field", _field)]
+             ("readme", _readme), ("field", _field), ("fit", _fit)]
     if long:
         steps.append(("long", lambda o: _slow(o, 120_000)))
     for name, step in steps:
