@@ -24,8 +24,8 @@ over the observed cells, which :func:`map_entropy` builds and solves itself
 (:func:`_gram_factor`, ``cho_solve``), the MI baseline's leave-one-out
 variances and field draws (:func:`sample_field`). The set-up factors nothing
 per candidate: :func:`fit_hyperparams` builds its correlations from
-:func:`_sq_dists` and :func:`_se`, not from the table, and scores its grid from
-one eigendecomposition per length scale.
+:func:`_sq_dists` and :func:`_se`, not from the table, and scores its whole
+grid from one stacked eigendecomposition of every length scale's correlations.
 """
 
 from __future__ import annotations
@@ -470,7 +470,7 @@ def fit_hyperparams(
     quad, logdet = np.empty((2, len(lg), len(sg), len(ng)))
     for k in range(len(lg)):
         ev = sg[:, None, None] * mu[k] + diag[:, :, None]
-        ev[~ok[k]] = 1.0
+        ev[~ok[k]] = 1.0  # a finite placeholder; ll masks the skipped candidates
         np.sum((resid @ q[k]) ** 2 / ev, axis=2, out=quad[k])
         np.sum(np.log(ev), axis=2, out=logdet[k])
     ll = -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))

@@ -33,8 +33,8 @@ raises is recorded as ``"raises <type>: <message>"``, not stopped on. The keys:
   ``posterior_marginals``' means and variances over every cell, observed
   cells included, ``map_entropy`` and one ``lognormal_predictor``;
 * ``fit/<i>``: ``fit_hyperparams`` on its own, on 40 seeded instances (grids
-  2-39 cells a side, 3-60 data drawn by ``sample_field``, so a few histories
-  are too short to fit): the mean, signal variance, length scale and noise
+  2-39 cells a side, 3-60 data: logs of a ``sample_field`` draw plus normal
+  noise of deviation 0.1, so a few histories are too short to fit): the mean, signal variance, length scale and noise
   variance fitted on the default grids of 12 and 20 points, and on one
   explicit 3 x 3 x 3 grid whose noise values include 0.0.
 
@@ -252,13 +252,13 @@ def _fit(out: dict) -> None:
         d = PosteriorData(locs, [math.log(field[c]) + float(rng.normal(0.0, 0.1)) for c in locs])
         key = f"fit/{i}/{dom.rows}x{dom.cols}/m{m}"
 
-        def fields(**grids):
+        def fitted(**grids):
             fit = fit_hyperparams(d, dom, **grids)
             return fit.mean, fit.signal_variance, fit.length_scale, fit.noise_variance
 
         for points in (12, 20):
-            record(out, f"{key}/points{points}", lambda: fields(grid_points=points))
-        record(out, f"{key}/explicit", lambda: fields(signal_grid=[0.3, 1.0, 3.0], length_grid=[0.7, 1.5, 4.0],
+            record(out, f"{key}/points{points}", lambda: fitted(grid_points=points))
+        record(out, f"{key}/explicit", lambda: fitted(signal_grid=[0.3, 1.0, 3.0], length_grid=[0.7, 1.5, 4.0],
                                                       noise_grid=[0.0, 0.01, 0.1]))
 
 
